@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sigmatoda",
         description="Hyperelliptic sigma functions and exact Toda solutions")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-12)
     common.add_argument("--samples", type=int, default=20)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)

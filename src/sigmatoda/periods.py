@@ -177,20 +177,20 @@ def _other_roots(e: np.ndarray, k: int) -> np.ndarray:
 def _continuous_sqrt(values: np.ndarray, anchor_index: int, anchor: complex) -> np.ndarray:
     """Square roots of ``values`` continuous along the array.
 
-    The branch at ``anchor_index`` is taken nearest to ``anchor``; the rest
-    follows by nearest-value continuation in both directions.
+    The branch at ``anchor_index`` is taken nearest to ``anchor``. Going
+    outward from it in both directions, the branch flips between neighbours
+    whose roots are farther apart than their negatives (nearest-value
+    continuation).
     """
     root = np.sqrt(values.astype(complex))
-    out = root.copy()
-    if abs(-root[anchor_index] - anchor) < abs(root[anchor_index] - anchor):
-        out[anchor_index] = -root[anchor_index]
-    for m in range(anchor_index + 1, values.size):
-        if abs(out[m] - out[m - 1]) > abs(out[m] + out[m - 1]):
-            out[m] = -out[m]
-    for m in range(anchor_index - 1, -1, -1):
-        if abs(out[m] - out[m + 1]) > abs(out[m] + out[m + 1]):
-            out[m] = -out[m]
-    return out
+    k = anchor_index
+    if abs(-root[k] - anchor) < abs(root[k] - anchor):
+        root[k] = -root[k]
+    step = np.where(np.abs(root[1:] - root[:-1]) > np.abs(root[1:] + root[:-1]), -1, 1)
+    sign = np.ones(root.size, dtype=int)
+    sign[k + 1:] = np.cumprod(step[k:])
+    sign[:k] = np.cumprod(step[:k][::-1])[::-1]
+    return np.where(sign < 0, -root, root)
 
 
 def _segment_integrals(e: np.ndarray, k: int, numerators, n_nodes: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import (
     ThetaDivisorPole,
 )
 from .periods import PeriodData, _continue_y, _continuous_sqrt, compute_periods
-from .polyutil import polyval
 from .theta import _theta_sum, suggested_radius
 
 BASEPOINT_ANGLE = 1.2  # fixed direction of the near-infinity Abel basepoint
@@ -49,9 +49,26 @@ class AbelPoint:
     stratum: int
 
 
+@lru_cache(maxsize=16)
 def _gauss_nodes(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], built once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _monomials(x: np.ndarray, g: int) -> np.ndarray:
+    """Rows x^0, ..., x^(g-1): the numerators of the g holomorphic forms."""
+    powers = np.empty((g, x.size), dtype=complex)
+    powers[0] = 1.0
+    for i in range(1, g):
+        powers[i] = powers[i - 1] * x
+    return powers
 
 
 class _AbelEngine:
@@ -66,9 +83,6 @@ class _AbelEngine:
     def __init__(self, curve: HyperellipticCurve, tol: float = 1e-11):
         self.curve = curve
         self.tol = tol
-        g = curve.genus
-        self.forms = [np.array([0.0] * (i - 1) + [1.0], dtype=complex)
-                      for i in range(1, g + 1)]
         self.x_base = 10.0 * curve.scale * np.exp(1j * BASEPOINT_ANGLE)
         self.tail, self.y_base = self._tail_integral()
 
@@ -81,9 +95,8 @@ class _AbelEngine:
             x = self.x_base / s**2
             y = _continuous_sqrt(self.curve.f(x), 0, np.sqrt(complex(self.curve.f(x[0]))))
             jac = -2.0 * self.x_base / s**3
-            vals = np.array([np.sum(w * polyval(p, x) * jac / (2.0 * y))
-                             for p in self.forms])
-            return vals, y[-1]
+            forms = _monomials(x, self.curve.genus)
+            return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y[-1]
 
         prev, _ = level(96)
         cur, y_end = level(192)
@@ -104,17 +117,14 @@ class _AbelEngine:
             t, w = _gauss_nodes(n)
             x = z0 + (z1 - z0) * t
             y = _continuous_sqrt(self.curve.f(x), 0, y0)
-            # anchor check: branch at the first node must connect to y0
             jac = z1 - z0
-            vals = np.array([np.sum(w * polyval(p, x) * jac / (2.0 * y))
-                             for p in self.forms])
-            return vals, y
+            forms = _monomials(x, self.curve.genus)
+            return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y
 
         v1, y_arr1 = level(48)
         v2, y_arr2 = level(96)
         if np.max(np.abs(v2 - v1)) > self.tol * self.curve.scale:
             zm = 0.5 * (z0 + z1)
-            ym = _continue_y(self.curve, z0, zm, y0, self._min_dist)
             left, ym2 = self._leg(z0, zm, y0, depth + 1)
             right, y_end = self._leg(zm, z1, ym2, depth + 1)
             return left + right, y_end
@@ -148,8 +158,10 @@ class _AbelEngine:
             gvals = np.prod(x[:, None] - others[None, :], axis=1)
             anchor = ya / s0
             sqrt_g = _continuous_sqrt(gvals, len(t) - 1, anchor)
-            return np.array([-s0 * np.sum(w * polyval(p, x) / sqrt_g)
-                             for p in self.forms])
+            sums = np.sum((w * _monomials(x, self.curve.genus)) / sqrt_g, axis=-1)
+            # scalar products: numpy may fuse an array's complex products
+            # (FMA), which moves the last bit
+            return np.array([-s0 * v for v in sums])
 
         v1, v2 = level(64), level(128)
         if np.max(np.abs(v2 - v1)) > 50 * self.tol * self.curve.scale:
@@ -354,7 +366,8 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex:
     """Partial derivative of sigma for a multi-index of 1-based u labels.
 
     Orders zero to two are supported; that covers every derivative the
-    sigma-quotient identities need for genus up to five.
+    sigma-quotient identities need at genus <= 2, the genera that
+    ``normalize_gamma0`` supports.
     """
     idx = tuple(int(i) - 1 for i in multi_index)
     u = np.atleast_1d(np.asarray(u, dtype=complex))

@@ -252,14 +252,19 @@ def criterion_poncelet(ctx1) -> CriterionResult:
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
-    """All acceptance criteria; elapsed time is recorded per criterion."""
+    """All acceptance criteria; elapsed time is recorded per criterion.
+
+    Criterion 8 reruns the seeded criteria 2 and 3 and counts the checks
+    whose value differs from the first run.
+    """
     t_start = time.perf_counter()
     ctx1, ctx2 = canonical_contexts()
+    seeded = ((criterion_addition, (ctx1, ctx2, seed)),
+              (criterion_toda, (ctx1, ctx2, seed + 1)))
     results = []
     for fn, args in (
         (criterion_legendre, (ctx1, ctx2)),
-        (criterion_addition, (ctx1, ctx2, seed)),
-        (criterion_toda, (ctx1, ctx2, seed + 1)),
+        *seeded,
         (criterion_division, (ctx1,)),
         (criterion_torsion, (ctx1,)),
         (criterion_spectral, (ctx1,)),
@@ -269,11 +274,16 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
         result = fn(*args)
         result.elapsed = time.perf_counter() - t0
         results.append(result)
+    first = {(r.index, c.name): repr(c.value) for r in results for c in r.checks}
+    reruns = [fn(*args) for fn, args in seeded]
+    differing = sum(first[(r.index, c.name)] != repr(c.value)
+                    for r in reruns for c in r.checks)
     total = time.perf_counter() - t_start
     meta = CriterionResult(8, "Full verification runtime and determinism")
     meta.add("total_runtime_seconds", total, 600.0)
-    meta.checks.append(Check("deterministic_under_fixed_seed", 0.0, 1.0, True,
-                             "all sampling flows from the seed argument"))
+    meta.add("deterministic_under_fixed_seed", differing, 1.0,
+             "checks of criteria 2 and 3 whose value changed when rerun "
+             "with the same seed")
     results.append(meta)
     return results
 

@@ -76,6 +76,33 @@ def test_criterion_8_determinism(report):
     assert serialize(report) == serialize(second)
 
 
+def test_criterion_8_detects_a_seeded_criterion_that_drifts(monkeypatch):
+    calls = []
+
+    def drifting_addition(ctx1, ctx2, seed=0):
+        calls.append(seed)
+        res = verify.CriterionResult(2, "stub")
+        res.add("residual", 1e-12 * len(calls), 1e-9)
+        return res
+
+    def stub(index):
+        def fn(*args):
+            res = verify.CriterionResult(index, "stub")
+            res.add("residual", 0.0, 1.0)
+            return res
+        return fn
+
+    monkeypatch.setattr(verify, "canonical_contexts", lambda: (None, None))
+    monkeypatch.setattr(verify, "criterion_addition", drifting_addition)
+    for index, name in ((1, "legendre"), (3, "toda"), (4, "division"),
+                        (5, "torsion"), (6, "spectral"), (7, "poncelet")):
+        monkeypatch.setattr(verify, f"criterion_{name}", stub(index))
+    meta = verify.run_all(seed=4)[-1]
+    check = next(c for c in meta.checks if c.name == "deterministic_under_fixed_seed")
+    assert calls == [4, 4]
+    assert check.value == 1.0 and not check.passed
+
+
 @pytest.mark.xfail(strict=True,
                    reason="closed forms without the quasi-period factors fail; "
                           "the corrected forms pass at 1e-12 (see criterion 6)")

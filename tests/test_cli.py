@@ -148,3 +148,11 @@ def test_parser_has_all_subcommands():
     assert {"periods", "sigma", "abel", "verify-addition", "division",
             "torsion", "toda-run", "spectral", "poncelet",
             "verify-all"} <= names
+
+
+def test_tol_flag_is_rejected(curve_file, capsys):
+    # no subcommand has a --tol option: a knob that nothing reads is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["periods", "--curve", curve_file, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

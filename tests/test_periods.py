@@ -7,6 +7,7 @@ from sigmatoda.errors import BranchPointSingularity
 from sigmatoda.periods import (
     PeriodData,
     QuadratureConfig,
+    _continuous_sqrt,
     build_cycles,
     compute_periods,
     first_kind_diff,
@@ -127,3 +128,34 @@ def test_refinement_agrees_within_reported_error(g2):
     for a, b in ((pd.omega1, finer.omega1), (pd.omega2, finer.omega2),
                  (pd.eta1, finer.eta1), (pd.eta2, finer.eta2)):
         assert np.max(np.abs(a - b)) <= max(pd.error_estimate, 1e-13) * 10
+
+
+def _continuous_sqrt_loop(values, anchor_index, anchor):
+    """Reference: nearest-value continuation one node at a time."""
+    root = np.sqrt(values.astype(complex))
+    out = root.copy()
+    if abs(-root[anchor_index] - anchor) < abs(root[anchor_index] - anchor):
+        out[anchor_index] = -root[anchor_index]
+    for m in range(anchor_index + 1, values.size):
+        if abs(out[m] - out[m - 1]) > abs(out[m] + out[m - 1]):
+            out[m] = -out[m]
+    for m in range(anchor_index - 1, -1, -1):
+        if abs(out[m] - out[m + 1]) > abs(out[m] + out[m + 1]):
+            out[m] = -out[m]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_continuous_sqrt_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 600
+    # a path winding around 0 at least three times, back and forth on the way
+    angle = np.cumsum(rng.uniform(-0.05, 0.15, n))
+    assert angle[-1] - angle[0] > 6 * np.pi
+    values = np.exp(rng.normal(0.0, 0.3, n).cumsum() * 0.1) * np.exp(1j * angle)
+    for k in (0, n // 2, n - 1):
+        root = np.sqrt(values[k])
+        for anchor in (root, -root):
+            got = _continuous_sqrt(values, k, anchor)
+            assert np.array_equal(got, _continuous_sqrt_loop(values, k, anchor))
+    assert not np.array_equal(got, np.sqrt(values))

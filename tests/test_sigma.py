@@ -6,6 +6,7 @@ from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
 from sigmatoda.errors import CharacteristicsNotFound, NotALatticeVector, ThetaDivisorPole
 from sigmatoda.periods import PeriodData
 from sigmatoda.sigma import (
+    _gauss_nodes,
     abel_map,
     lattice_distance,
     natural_index_set,
@@ -305,3 +306,16 @@ def test_reduce_mod_lattice_idempotent(ctx2):
         + 2.0 * ctx2.periods.omega2 @ np.array([-1, 4])
     red = reduce_mod_lattice(ctx2.periods, u + ell)
     assert np.allclose(red, reduce_mod_lattice(ctx2.periods, u), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [48, 64, 96, 128, 192, 256, 384])
+def test_gauss_nodes_cached_read_only_and_exact(n):
+    nodes, weights = _gauss_nodes(n)
+    again = _gauss_nodes(n)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, 0.5 * (x + 1.0))
+    assert np.array_equal(weights, 0.5 * w)
