@@ -30,7 +30,7 @@ from .errors import (
     ThetaDivisorPole,
 )
 from .periods import PeriodData, _continue_y, _continuous_sqrt, compute_periods
-from .theta import _theta_sum, suggested_radius
+from .theta import JET, _theta_sum, suggested_radius
 
 BASEPOINT_ANGLE = 1.2  # fixed direction of the near-infinity Abel basepoint
 
@@ -278,7 +278,7 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
     for a, b in _half_char_candidates(g):
         ok = True
         for z in test_z:
-            val, l1 = _theta_sum((), a, b, z, t_matrix, radius, 1e-12)
+            val, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, radius, 1e-12)
             if abs(val) > rel_tol * l1:
                 ok = False
                 break
@@ -303,10 +303,7 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
     pmat = 0.5 * np.linalg.inv(pd.omega1)
     radius = suggested_radius(pd.riemann, 1e-12)
     z0 = np.zeros(g, dtype=complex)
-    grad = np.array([
-        _theta_sum((k,), chars.a, chars.b, z0, pd.riemann, radius, 1e-12)[0]
-        for k in range(g)
-    ])
+    grad = _theta_sum(JET[1], chars.a, chars.b, z0, pd.riemann, radius, 1e-12)[1]
     d_u1 = grad @ pmat[:, 0]
     if abs(d_u1) < 1e-12:
         raise NormalizationUnstable("vanishing leading derivative at the origin")
@@ -348,14 +345,41 @@ def _spot_check_vanishing(ctx: SigmaContext):
             "sigma does not vanish on the (g-1)-point stratum")
 
 
+def _jet(ctx: SigmaContext, u, order: int):
+    """One theta pass at u, up to ``order`` derivatives.
+
+    Returns the envelope gamma0 exp(-u.kappa.u/2), theta and its L1 mass,
+    q = -kappa u, and the theta gradient and Hessian in the u variables
+    (None below their order).
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
+    theta0, grad, hess, l1 = _theta_sum(
+        JET[order], ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann,
+        ctx.trunc_radius, ctx.tol)
+    q = -(ctx.kappa @ u)
+    tvec = None if grad is None else ctx.pmat.T @ grad
+    hmat = None if hess is None else ctx.pmat.T @ hess @ ctx.pmat
+    return env, theta0, l1, q, tvec, hmat
+
+
+def _partial(ctx: SigmaContext, jet, idx) -> complex:
+    """Partial derivative of sigma for 0-based labels ``idx`` from a jet."""
+    env, theta0, _, q, tvec, hmat = jet
+    if len(idx) == 0:
+        return env * theta0
+    if len(idx) == 1:
+        i = idx[0]
+        return env * (q[i] * theta0 + tvec[i])
+    i, j = idx
+    return env * ((q[i] * q[j] - ctx.kappa[i, j]) * theta0
+                  + q[i] * tvec[j] + q[j] * tvec[i] + hmat[i, j])
+
+
 def sigma_with_scale(ctx: SigmaContext, u) -> tuple[complex, float]:
     """sigma(u) and the cancellation scale used for divisor detection."""
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    z = ctx.pmat @ u
-    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    val, l1 = _theta_sum((), ctx.chars.a, ctx.chars.b, z, ctx.periods.riemann,
-                         ctx.trunc_radius, ctx.tol)
-    return env * val, abs(env) * l1
+    env, theta0, l1 = _jet(ctx, u, 0)[:3]
+    return env * theta0, abs(env) * l1
 
 
 def sigma(ctx: SigmaContext, u) -> complex:
@@ -370,54 +394,14 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex:
     ``normalize_gamma0`` supports.
     """
     idx = tuple(int(i) - 1 for i in multi_index)
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    z = ctx.pmat @ u
-    t_matrix = ctx.periods.riemann
-    a, b, radius, tol = ctx.chars.a, ctx.chars.b, ctx.trunc_radius, ctx.tol
-    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    theta0 = _theta_sum((), a, b, z, t_matrix, radius, tol)[0]
-    if len(idx) == 0:
-        return env * theta0
-    q = -(ctx.kappa @ u)
-    grad = np.array([
-        _theta_sum((k,), a, b, z, t_matrix, radius, tol)[0] for k in range(ctx.genus)
-    ])
-    tvec = ctx.pmat.T @ grad
-    if len(idx) == 1:
-        i = idx[0]
-        return env * (q[i] * theta0 + tvec[i])
-    if len(idx) == 2:
-        i, j = idx
-        hess = np.array([[
-            _theta_sum((k, m), a, b, z, t_matrix, radius, tol)[0]
-            for m in range(ctx.genus)] for k in range(ctx.genus)
-        ])
-        hij = (ctx.pmat.T @ hess @ ctx.pmat)[i, j]
-        return env * ((q[i] * q[j] - ctx.kappa[i, j]) * theta0
-                      + q[i] * tvec[j] + q[j] * tvec[i] + hij)
-    raise NotImplementedError("sigma derivatives of order > 2 not supported")
+    if len(idx) > 2:
+        raise NotImplementedError("sigma derivatives of order > 2 not supported")
+    return _partial(ctx, _jet(ctx, u, len(idx)), idx)
 
 
 def sigma_jet2(ctx: SigmaContext, u):
     """sigma with its full gradient and Hessian in one theta pass."""
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    g = ctx.genus
-    z = ctx.pmat @ u
-    t_matrix = ctx.periods.riemann
-    a, b, radius, tol = ctx.chars.a, ctx.chars.b, ctx.trunc_radius, ctx.tol
-    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    theta0 = _theta_sum((), a, b, z, t_matrix, radius, tol)[0]
-    grad = np.array([
-        _theta_sum((k,), a, b, z, t_matrix, radius, tol)[0] for k in range(g)
-    ])
-    hess = np.array([[
-        _theta_sum((k, m), a, b, z, t_matrix, radius, tol)[0] if m >= k else 0.0
-        for m in range(g)] for k in range(g)
-    ])
-    hess = hess + np.triu(hess, 1).T
-    q = -(ctx.kappa @ u)
-    tvec = ctx.pmat.T @ grad
-    hmat = ctx.pmat.T @ hess @ ctx.pmat
+    env, theta0, _, q, tvec, hmat = _jet(ctx, u, 2)
     sig = env * theta0
     dsig = env * (q * theta0 + tvec)
     ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
@@ -446,24 +430,27 @@ def sigma_flat(ctx: SigmaContext, u) -> complex:
     return sigma_natural(ctx, 2, u)
 
 
-def _checked_sigma(ctx: SigmaContext, u) -> complex:
-    val, scale = sigma_with_scale(ctx, u)
-    if abs(val) < ctx.pole_tol * scale:
+def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
+    env, theta0, l1 = jet[:3]
+    val = env * theta0
+    if abs(val) < ctx.pole_tol * (abs(env) * l1):
         raise ThetaDivisorPole(f"sigma(u) ~ 0 at u = {np.asarray(u)}")
     return val
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
     """Logarithmic derivative d log sigma / du_i."""
-    return sigma_deriv(ctx, (i,), u) / _checked_sigma(ctx, u)
+    jet = _jet(ctx, u, 1)
+    return _partial(ctx, jet, (i - 1,)) / _checked_sigma(ctx, jet, u)
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
     """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j."""
-    s0 = _checked_sigma(ctx, u)
-    si = sigma_deriv(ctx, (i,), u)
-    sj = sigma_deriv(ctx, (j,), u) if j != i else si
-    sij = sigma_deriv(ctx, (i, j), u)
+    jet = _jet(ctx, u, 2)
+    s0 = _checked_sigma(ctx, jet, u)
+    si = _partial(ctx, jet, (i - 1,))
+    sj = _partial(ctx, jet, (j - 1,)) if j != i else si
+    sij = _partial(ctx, jet, (i - 1, j - 1))
     return (si * sj - s0 * sij) / (s0 * s0)
 
 

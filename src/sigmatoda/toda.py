@@ -29,6 +29,7 @@ from .sigma import (
     SigmaContext,
     abel_map,
     natural_index_set,
+    sigma,
     sigma_deriv,
     sigma_jet2,
 )
@@ -146,11 +147,12 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0,
     """
     u_n = site_u(frame, n, t)
     vc = frame.v_c
+    v_n = V(frame, u_n)
 
     def log_ratio(h):
         num = (V(frame, u_n + h * frame.direction) - vc) \
             * (V(frame, u_n - h * frame.direction) - vc)
-        den = (V(frame, u_n) - vc) ** 2
+        den = (v_n - vc) ** 2
         return np.log(num / den)
 
     def second_diff(h):
@@ -160,7 +162,7 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0,
     if richardson:
         lhs = (4.0 * second_diff(fd_step / 2) - lhs) / 3.0
     lhs = -lhs
-    rhs = (V(frame, site_u(frame, n + 1, t)) - 2 * V(frame, u_n)
+    rhs = (V(frame, site_u(frame, n + 1, t)) - 2 * v_n
            + V(frame, site_u(frame, n - 1, t)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
@@ -201,8 +203,7 @@ def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     t1 = sig * sc2 * dd_sig
     t2 = -sc2 * d_sig**2
     t3 = frame.v_c * sc2 * sig**2
-    t4 = -sigma_jet2(ctx, site_u(frame, n + 1, t))[0] \
-        * sigma_jet2(ctx, site_u(frame, n - 1, t))[0]
+    t4 = -sigma(ctx, site_u(frame, n + 1, t)) * sigma(ctx, site_u(frame, n - 1, t))
     total = t1 + t2 + t3 + t4
     scale = max(abs(t1), abs(t2), abs(t3), abs(t4), 1e-300)
     return abs(total) / scale
@@ -246,16 +247,6 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def _site_sigma(frame: TodaFrame, k: int, t: complex) -> complex:
-    return sigma_jet2(frame.ctx, site_u(frame, k, t))[0]
-
-
-def _site_zeta(frame: TodaFrame, k: int, t: complex) -> complex:
-    sig, grad, _ = sigma_jet2(frame.ctx, site_u(frame, k, t))
-    _checked(sig, 1.0, frame.ctx.pole_tol, f"zeta at site {k}")
-    return (frame.direction @ grad) / sig
-
-
 def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, complex]:
     """Flaschka pair (a_k, b_k) from sigma quotients.
 
@@ -263,12 +254,14 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    s_k = _site_sigma(frame, k, t)
-    s_k1 = _site_sigma(frame, k + 1, t)
-    s_k2 = _site_sigma(frame, k + 2, t)
-    _checked(s_k1, 1.0, frame.ctx.pole_tol, f"site {k + 1}")
+    ctx, d = frame.ctx, frame.direction
+    s_k, grad_k, _ = sigma_jet2(ctx, site_u(frame, k, t))
+    s_k1, grad_k1, _ = sigma_jet2(ctx, site_u(frame, k + 1, t))
+    s_k2 = sigma(ctx, site_u(frame, k + 2, t))
+    _checked(s_k1, 1.0, ctx.pole_tol, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
-    b_k = _site_zeta(frame, k + 1, t) - _site_zeta(frame, k, t) - frame.zeta_c
+    _checked(s_k, 1.0, ctx.pole_tol, f"zeta at site {k}")
+    b_k = (d @ grad_k1) / s_k1 - (d @ grad_k) / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
 
@@ -371,16 +364,21 @@ def _tridiag_charpoly(b: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndar
     return prev1
 
 
-def char_poly(state: TodaState) -> SpectralData:
-    """P(z) by the three-term recursion, invariants, and branch values."""
+def _periodic_charpoly(state: TodaState) -> tuple[np.ndarray, complex]:
+    """P(z) by the three-term recursion (ascending coeffs) and prod(a)."""
     n = state.n_sites
     b, a = state.b, state.a
     full = _tridiag_charpoly(b, a, 0, n - 1)
     inner = _tridiag_charpoly(b, a, 1, n - 2)
-    p = polyadd(full, -a[n - 1] * inner)
+    return polyadd(full, -a[n - 1] * inner), complex(np.prod(a))
+
+
+def char_poly(state: TodaState) -> SpectralData:
+    """P(z) by the three-term recursion, invariants, and branch values."""
+    n = state.n_sites
+    p, prod_a = _periodic_charpoly(state)
     invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
-                          + [np.prod(a)], dtype=complex)
-    prod_a = complex(np.prod(a))
+                          + [prod_a], dtype=complex)
     disc = polyadd(polymul(p, p), as_poly([-4.0 * prod_a]))
     roots = aberth_roots(trim(disc))
     order = np.lexsort((roots.imag, roots.real))
@@ -394,15 +392,14 @@ def lax_det_residual(state: TodaState, samples: int = 5,
     The direct determinant is the oracle for the recursion-built P.
     """
     rng = rng or np.random.default_rng(7)
-    data = char_poly(state)
+    p, prod_a = _periodic_charpoly(state)
     n = state.n_sites
     worst = 0.0
     for _ in range(samples):
         z = complex(rng.normal(), rng.normal())
         w_hat = complex(rng.normal(), rng.normal()) + 2.0
         det = np.linalg.det(lax_matrix(state, w_hat) - z * np.eye(n))
-        model = polyval(data.p_coeffs, z) \
-            + (-1.0) ** (n - 1) * (w_hat + data.prod_a / w_hat)
+        model = polyval(p, z) + (-1.0) ** (n - 1) * (w_hat + prod_a / w_hat)
         worst = max(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
 

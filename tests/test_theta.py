@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sigmatoda.errors import TruncationInsufficient
 from sigmatoda.theta import (
+    JET,
+    _theta_sum,
     suggested_radius,
     theta_char,
-    theta_char_with_scale,
     theta_deriv,
 )
 
@@ -19,14 +22,19 @@ def test_leading_term_dominates():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+def _value_and_l1(a, b, z, t_matrix):
+    value, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, None, 1e-12)
+    return value, l1
+
+
 def test_odd_characteristic_vanishes_at_origin():
     for t in (T1, T_FAST):
-        val, l1 = theta_char_with_scale([0.5], [0.5], [0.0], t)
+        val, l1 = _value_and_l1([0.5], [0.5], [0.0], t)
         assert abs(val) < 1e-13 * l1
     # genus 2: [a; b] is odd exactly when 4 a.b is odd
-    val2, l12 = theta_char_with_scale([0.5, 0.5], [0.5, 0.0], [0.0, 0.0], T2)
+    val2, l12 = _value_and_l1([0.5, 0.5], [0.5, 0.0], [0.0, 0.0], T2)
     assert abs(val2) < 1e-12 * l12
-    even, l1e = theta_char_with_scale([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], T2)
+    even, l1e = _value_and_l1([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], T2)
     assert abs(even) > 1e-3 * l1e
 
 
@@ -94,6 +102,11 @@ def test_termwise_derivative_matches_finite_difference():
 def test_truncation_insufficient_raised():
     with pytest.raises(TruncationInsufficient):
         theta_char([0.0], [0.0], [2.5j], T_FAST, radius=1)
+    for deriv in JET:
+        for args in (([0.0], [0.0], [2.5j], T_FAST),
+                     ([0.5, 0.0], [0.0, 0.5], [0.3j, -0.2j], T2)):
+            with pytest.raises(TruncationInsufficient):
+                _theta_sum(deriv, *args, 1, 1e-12)
 
 
 def test_recentering_keeps_shifted_arguments_accurate():
@@ -104,3 +117,99 @@ def test_recentering_keeps_shifted_arguments_accurate():
     ref = theta_char([0.5], [0.5], z0 + shift, T_FAST, radius=r + 12)
     val = theta_char([0.5], [0.5], z0 + shift, T_FAST, radius=r)
     assert val == pytest.approx(ref, rel=1e-10)
+
+
+def test_theta_deriv_rejects_order_three():
+    with pytest.raises(NotImplementedError):
+        theta_deriv((1, 1, 1), [0.0], [0.0], [0.1], T_FAST)
+
+
+def _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, tol):
+    """One lattice sum per multi-index: the kernel's reference.
+
+    ``deriv`` lists 0-based coordinates; returns (value, L1 of the terms).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    g = z.size
+    if radius is None:
+        radius = suggested_radius(t_matrix, tol)
+    center = np.round(-a - np.linalg.solve(t_matrix.imag, (z + b).imag))
+    n = np.stack([grid.ravel() for grid in np.meshgrid(
+        *([np.arange(-radius, radius + 1)] * g), indexing="ij")], axis=1) + center
+    na = n + a
+    quad = 0.5 * np.einsum("ki,ij,kj->k", na, t_matrix, na)
+    lin = na @ (z + b)
+    terms = np.exp(2j * np.pi * (quad + lin))
+    prefactor = np.ones(terms.size, dtype=complex)
+    for idx in deriv:
+        prefactor = prefactor * (2j * np.pi * na[:, idx])
+    terms = prefactor * terms
+    value = terms.sum()
+    l1 = float(np.abs(terms).sum())
+    shell = np.max(np.abs(n - center), axis=1) >= radius
+    tail = float(np.max(np.abs(terms[shell]))) * float(np.sum(shell))
+    if tail > tol * max(l1, 1e-300):
+        raise TruncationInsufficient("reference tail")
+    return value, l1
+
+
+def _half_characteristics(g):
+    halves = list(itertools.product((0.0, 0.5), repeat=g))
+    return [(np.array(a), np.array(b)) for a in halves for b in halves]
+
+
+@pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
+def test_kernel_matches_per_index_sums_bit_for_bit(t_matrix):
+    g = t_matrix.shape[0]
+    rng = np.random.default_rng(17)
+    radius = suggested_radius(t_matrix)
+    points = [np.zeros(g, dtype=complex)] + [
+        rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.4 for _ in range(3)]
+    for a, b in _half_characteristics(g):
+        for z in points:
+            def ref(deriv):
+                return _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, 1e-12)
+
+            ref_value, ref_l1 = ref(())
+            for order in (0, 1, 2):
+                value, grad, hess, l1 = _theta_sum(JET[order], a, b, z, t_matrix,
+                                                   radius, 1e-12)
+                assert value == ref_value
+                assert l1 == ref_l1
+                if order == 0:
+                    assert grad is None
+                else:
+                    assert grad.shape == (g,)
+                    for k in range(g):
+                        assert grad[k] == ref((k,))[0]
+                if order < 2:
+                    assert hess is None
+                else:
+                    assert hess.shape == (g, g)
+                    for k, m in itertools.product(range(g), repeat=2):
+                        assert hess[k, m] == ref((k, m))[0]
+
+
+@pytest.mark.parametrize("args, failing", [
+    # radius 3: the value's tail is within tol and the gradient's is not
+    (([0.0], [0.0], [0.1], T_FAST, 3, 1e-12), 1),
+    # radius 5: the value's and the gradient's tails are within tol and a
+    # Hessian entry's is not
+    (([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, 5, 1e-12), 2),
+], ids=["gradient", "hessian"])
+def test_derivative_moments_keep_their_own_tail_check(args, failing):
+    g = len(args[2])
+    moments = [[()], [(k,) for k in range(g)],
+               list(itertools.product(range(g), repeat=2))]
+    for indices in moments[:failing]:
+        for idx in indices:
+            _per_index_theta_sum(idx, *args)
+    with pytest.raises(TruncationInsufficient):
+        for idx in moments[failing]:
+            _per_index_theta_sum(idx, *args)
+    _theta_sum(JET[failing - 1], *args)
+    with pytest.raises(TruncationInsufficient):
+        _theta_sum(JET[failing], *args)

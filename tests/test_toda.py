@@ -241,3 +241,64 @@ def test_invariant_drift_negative_control(ctx1):
     frame = conditioned_frame(ctx1, rng)
     drift = invariant_drift(frame, 3, [0.0, 0.1, 0.2])
     assert drift > 1e-4
+
+
+def _periodic_state(ctx, order):
+    from sigmatoda.division import torsion_to_frame, xi_set
+    from sigmatoda.toda import toda_state
+
+    cand = max((c for c in xi_set(ctx.curve, order)
+                if abs(c.point.x.imag) < 1e-9 and c.point.x.real > 0),
+               key=lambda c: c.point.x.real)
+    return toda_state(torsion_to_frame(ctx, cand, order), order, 0.03)
+
+
+def _lax_det_through_char_poly(state, samples=5):
+    """The determinant oracle read off the full spectral data, roots and all."""
+    from sigmatoda.polyutil import polyval
+
+    rng = np.random.default_rng(7)
+    data = char_poly(state)
+    n = state.n_sites
+    worst = 0.0
+    for _ in range(samples):
+        z = complex(rng.normal(), rng.normal())
+        w_hat = complex(rng.normal(), rng.normal()) + 2.0
+        det = np.linalg.det(lax_matrix(state, w_hat) - z * np.eye(n))
+        model = polyval(data.p_coeffs, z) \
+            + (-1.0) ** (n - 1) * (w_hat + data.prod_a / w_hat)
+        worst = max(worst, abs(det - model) / max(1.0, abs(det)))
+    return worst
+
+
+def _branch_values_reference(state):
+    """Roots of P^2 - 4 prod(a), sorted, from the recursion built here."""
+    from sigmatoda.polyutil import aberth_roots, as_poly, polyadd, polymul, trim
+    from sigmatoda.toda import _tridiag_charpoly
+
+    n, a, b = state.n_sites, state.a, state.b
+    p = polyadd(_tridiag_charpoly(b, a, 0, n - 1),
+                -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2))
+    prod_a = complex(np.prod(a))
+    roots = aberth_roots(trim(polyadd(polymul(p, p), as_poly([-4.0 * prod_a]))))
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
+    import sigmatoda.toda as toda_mod
+
+    for order in (3, 4):
+        state = _periodic_state(ctx1, order)
+        expected = _lax_det_through_char_poly(state)
+        branch = _branch_values_reference(state)
+        assert np.array_equal(char_poly(state).weierstrass_z, branch)
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("lax_det_residual asked for spectral roots")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(toda_mod, "aberth_roots", no_roots)
+            assert lax_det_residual(state) == expected
+            with pytest.raises(AssertionError):
+                char_poly(state)
+        assert expected < 1e-10
