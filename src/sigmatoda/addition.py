@@ -10,19 +10,27 @@ limiting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .curves import CurvePoint, HyperellipticCurve, baker_f2, f12, y_jet
+from .curves import (
+    CurvePoint,
+    HyperellipticCurve,
+    baker_f2,
+    f12,
+    phi,
+    phi_monomial,
+    phi_series,
+    y_jet,
+)
 from .errors import ConfluentInput, IndeterminateLimit, RootFindFailure
 from .polyutil import (
-    aberth_roots,
     poly_from_roots,
     polyadd,
     polydivmod,
     polymul,
     polyval,
+    sorted_roots,
     trim,
 )
 from .sigma import SigmaContext, abel_map, sigma, sigma_natural, sigma_sharp, wp
@@ -30,19 +38,8 @@ from .sigma import SigmaContext, abel_map, sigma, sigma_natural, sigma_sharp, wp
 TINY = 1e-30
 
 
-def _phi_monomial(g: int, j: int) -> tuple[int, bool]:
-    """Exponent of x and y-flag for the j-th basis monomial."""
-    if j <= g:
-        return j, False
-    if (j - g) % 2 == 0:
-        return (j - g) // 2 + g, False
-    return (j - g) // 2, True
-
-
 def fs_det(curve: HyperellipticCurve, pts) -> complex:
     """Determinant with rows (1, phi_1(P_i), ..., phi_{n-1}(P_i))."""
-    from .curves import phi
-
     n = len(pts)
     if n < 1:
         raise ValueError("need at least one point")
@@ -64,18 +61,12 @@ def _group_points(pts, tol: float):
 
 def _jet_rows(curve: HyperellipticCurve, p: CurvePoint, mult: int, n_cols: int):
     """Taylor-coefficient rows of the basis monomials at p, orders 0..mult-1."""
-    g = curve.genus
     if mult > 1 and abs(curve.f(p.x)) < 1e-12 * curve.scale:
         raise ConfluentInput("confluent limits at branch points unsupported")
     yj = y_jet(curve, p.x, mult - 1, p.y) if mult > 1 else np.array([p.y])
     rows = np.zeros((mult, n_cols), dtype=complex)
     for j in range(n_cols):
-        expo, has_y = _phi_monomial(g, j)
-        # series of x^expo in h = x - x_p
-        xs = np.array([comb(expo, r) * p.x ** (expo - r) if r <= expo else 0.0
-                       for r in range(mult)], dtype=complex)
-        series = np.convolve(xs, yj)[:mult] if has_y else xs
-        rows[:, j] = series
+        rows[:, j] = phi_series(curve.genus, j, p.x, yj, mult)
     return rows
 
 
@@ -98,8 +89,6 @@ def mu_n(curve: HyperellipticCurve, p: CurvePoint, pts) -> complex:
     scale = np.max(np.abs(mat)) ** n + TINY
     if abs(den) < 1e-13 * scale:
         raise IndeterminateLimit("denominator determinant vanishes")
-    from .curves import phi
-
     last = np.array([[phi(curve, j, p) for j in range(n + 1)]])
     num = np.linalg.det(np.vstack([mat, last]))
     return complex(num / den)
@@ -143,7 +132,7 @@ def reduce_divisor(curve: HyperellipticCurve, pts) -> ReducedDivisor:
     for j, c in enumerate(cof):
         if c == 0:
             continue
-        expo, has_y = _phi_monomial(g, j)
+        expo, has_y = phi_monomial(g, j)
         mono = np.zeros(expo + 1, dtype=complex)
         mono[expo] = c
         if has_y:
@@ -162,9 +151,7 @@ def reduce_divisor(curve: HyperellipticCurve, pts) -> ReducedDivisor:
     quotient = trim(quotient, 1e-10)
     if quotient.size <= 1:
         return ReducedDivisor((), ())
-    roots = aberth_roots(quotient)
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
+    roots = sorted_roots(quotient)
     zeros: list[CurvePoint] = []
     k = 0
     cluster_tol = 1e-8 * curve.scale
@@ -240,7 +227,8 @@ def _fs_sides(ctx: SigmaContext, pts):
     return num / den, epsilon_n(ctx.genus, n) * fs_det(ctx.curve, pts)
 
 
-def _coincident(pts, tol: float = 1e-9) -> bool:
+def _coincident(pts) -> bool:
+    tol = 1e-9
     seen = set()
     for p in pts:
         key = (round(p.x.real / tol), round(p.x.imag / tol),
@@ -280,6 +268,21 @@ def fs_residual_report(ctx: SigmaContext, pts) -> dict:
             "sign_anomaly": bool(flipped < 1e-3 and direct > 1.0)}
 
 
+def _base_sums(u_pts, x1p, x2p):
+    """F(x1'), F(x2') and sum_i y_i / ((x1' - x_i)(x2' - x_i) F'(x_i)).
+
+    F is the monic polynomial with the base x-values as roots.
+    """
+    xs = np.array([p.x for p in u_pts])
+    ys = np.array([p.y for p in u_pts])
+    fpoly = poly_from_roots(xs)
+    fp = np.array([np.prod(x - np.delete(xs, i)) for i, x in enumerate(xs)])
+    if np.min(np.abs(fp)) < 1e-12:
+        raise ConfluentInput("repeated base point")
+    f1, f2 = polyval(fpoly, x1p), polyval(fpoly, x2p)
+    return f1, f2, np.sum(ys / ((x1p - xs) * (x2p - xs) * fp))
+
+
 def xi(curve: HyperellipticCurve, u_pts, v1: CurvePoint, v2: CurvePoint) -> complex:
     """Two-term cross ratio entering the g+2 point addition identity."""
     g = curve.genus
@@ -289,15 +292,9 @@ def xi(curve: HyperellipticCurve, u_pts, v1: CurvePoint, v2: CurvePoint) -> comp
     if abs(x1p - x2p) < 1e-12 * curve.scale:
         raise ConfluentInput("coincident primed points")
     xs = np.array([p.x for p in u_pts])
-    ys = np.array([p.y for p in u_pts])
     if np.min(np.abs(xs[:, None] - np.array([[x1p, x2p]]))) < 1e-12 * curve.scale:
         raise ConfluentInput("base divisor meets the primed points")
-    fpoly = poly_from_roots(xs)
-    fp = np.array([np.prod(x - np.delete(xs, i)) for i, x in enumerate(xs)])
-    if np.min(np.abs(fp)) < 1e-12:
-        raise ConfluentInput("repeated base point")
-    f1, f2 = polyval(fpoly, x1p), polyval(fpoly, x2p)
-    s1 = np.sum(ys / ((xs - x1p) * (xs - x2p) * fp))
+    f1, f2, s1 = _base_sums(u_pts, x1p, x2p)
     s2 = (-v1.y / f1 + v2.y / f2) / (x1p - x2p)
     return complex(f1 * f2 * (s1**2 - s2**2))
 
@@ -321,12 +318,7 @@ def thm_add_residual(ctx: SigmaContext, m_pts, n_pts) -> float:
 
 def baker_rhs(curve: HyperellipticCurve, u_pts, x1p, x2p) -> complex:
     """Algebraic side of the two-point bilinear identity for wp."""
-    xs = np.array([p.x for p in u_pts])
-    ys = np.array([p.y for p in u_pts])
-    fpoly = poly_from_roots(xs)
-    fp = np.array([np.prod(x - np.delete(xs, i)) for i, x in enumerate(xs)])
-    f1, f2 = polyval(fpoly, x1p), polyval(fpoly, x2p)
-    s1 = np.sum(ys / ((x1p - xs) * (x2p - xs) * fp))
+    f1, f2, s1 = _base_sums(u_pts, x1p, x2p)
     d2 = (x1p - x2p) ** 2
     return complex(f1 * f2 * s1**2
                    - curve.f(x1p) * f2 / (d2 * f1)

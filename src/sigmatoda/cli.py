@@ -255,8 +255,7 @@ def cmd_poncelet(args) -> int:
         data = json.load(fh)
     mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
     pair = poncelet.conic_pair(mat)
-    curve, _ = poncelet.reduce_to_elliptic(pair)
-    ctx = sigma_context(curve)
+    ctx = sigma_context(poncelet.reduce_to_elliptic(pair))
     cands = poncelet.cayley_closure_check(pair, args.N)
     cand = poncelet.matching_candidate(pair, cands, ctx) if cands else None
     if cand is None:
@@ -307,14 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sigmatoda",
         description="Hyperelliptic sigma functions and exact Toda solutions")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=20)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    # each subcommand takes only the options it reads
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
         p.set_defaults(fn=fn)
         return p
 
@@ -327,16 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--points", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im], ...]")
-    p = add("verify-addition", cmd_verify_addition,
+    p = add("verify-addition", cmd_verify_addition, seeded,
             help="sampled residuals of the addition identities")
     p.add_argument("--curve", required=True)
+    p.add_argument("--samples", type=int, default=20)
     p = add("division", cmd_division, help="division polynomial data")
     p.add_argument("--curve", required=True)
     p.add_argument("--n", type=int, required=True)
     p = add("torsion", cmd_torsion, help="torsion candidates and certificates")
     p.add_argument("--curve", required=True)
     p.add_argument("--N", type=int, required=True)
-    p = add("toda-run", cmd_toda_run, help="Flaschka time series")
+    p = add("toda-run", cmd_toda_run, seeded, formatted, help="Flaschka time series")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im]] base point")
@@ -344,18 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=11)
-    p = add("spectral", cmd_spectral, help="characteristic polynomial data")
+    p = add("spectral", cmd_spectral, seeded, help="characteristic polynomial data")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--sites", type=int, default=3)
     p.add_argument("--t", type=float, default=0.1)
-    p = add("poncelet", cmd_poncelet, help="polygon vertices and residuals")
+    p = add("poncelet", cmd_poncelet, formatted, help="polygon vertices and residuals")
     p.add_argument("--conic", required=True, help="JSON conic matrix file")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--t1", type=float, default=1.1)
     p.add_argument("--steps", type=int, default=5)
-    add("verify-all", cmd_verify_all, help="run the full acceptance suite")
+    add("verify-all", cmd_verify_all, seeded, help="run the full acceptance suite")
     return parser
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .errors import BadArity, BranchPointSingularity, DegenerateCurve, RootFindFailure
-from .polyutil import aberth_roots, as_poly, polyder, polyval
+from .polyutil import as_poly, polyder, polyval, sorted_roots
 
 ROOT_SEPARATION = 1e-9
 
@@ -69,23 +70,15 @@ class HyperellipticCurve:
     def branch_points(self) -> np.ndarray:
         """Roots of f sorted lexicographically by (real, imag)."""
         try:
-            roots = aberth_roots(self.f_coeffs)
+            return sorted_roots(self.f_coeffs)
         except RootFindFailure as exc:
             raise DegenerateCurve(
                 "root finder failed; roots are likely not distinct") from exc
-        order = np.lexsort((roots.imag, roots.real))
-        return roots[order]
 
     @cached_property
     def scale(self) -> float:
         """Length scale of the branch-point configuration (at least 1)."""
         return max(1.0, float(np.max(np.abs(self.branch_points))))
-
-    def on_curve(self, p: CurvePoint, tol: float = 1e-8) -> bool:
-        if p.at_infinity:
-            return True
-        fx = self.f(p.x)
-        return abs(p.y**2 - fx) <= tol * (1.0 + abs(fx))
 
     def point(self, x, sheet: int = 0) -> CurvePoint:
         """Lift x to the curve; sheet 0 takes the principal square root."""
@@ -118,29 +111,36 @@ def branch_points(curve: HyperellipticCurve) -> np.ndarray:
     return curve.branch_points
 
 
-def phi(curve: HyperellipticCurve, i: int, p: CurvePoint) -> complex:
-    """Monomial basis of the affine ring, evaluated at an affine point.
+def phi_monomial(g: int, i: int) -> tuple[int, bool]:
+    """Exponent of x and y-flag of the monomial phi_i of the affine ring.
 
     phi_i = x^i for i <= g, then x^{(i-g)/2 + g} and x^{(i-g-1)/2} y
     alternate for even and odd offsets i - g.
     """
+    if i <= g:
+        return i, False
+    if (i - g) % 2 == 0:
+        return (i - g) // 2 + g, False
+    return (i - g) // 2, True
+
+
+def phi(curve: HyperellipticCurve, i: int, p: CurvePoint) -> complex:
+    """Monomial basis of the affine ring, evaluated at an affine point."""
     if p.at_infinity:
         raise ValueError("phi is defined on affine points only")
-    g = curve.genus
-    if i <= g:
-        return p.x**i
-    if (i - g) % 2 == 0:
-        return p.x ** ((i - g) // 2 + g)
-    return p.x ** ((i - g) // 2) * p.y
+    expo, has_y = phi_monomial(curve.genus, i)
+    return p.x**expo * p.y if has_y else p.x**expo
 
 
-def phi_pole_order(genus: int, i: int) -> int:
-    """Pole order of phi_i at infinity (x has order 2, y has 2g+1)."""
-    if i <= genus:
-        return 2 * i
-    if (i - genus) % 2 == 0:
-        return 2 * ((i - genus) // 2 + genus)
-    return 2 * ((i - genus) // 2) + 2 * genus + 1
+def phi_series(g: int, i: int, x, yj: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of phi_i in h = x' - x up to h^(order-1).
+
+    ``yj`` is the y-jet at the point (``y_jet``), read when phi_i carries y.
+    """
+    expo, has_y = phi_monomial(g, i)
+    xs = np.array([comb(expo, r) * x ** (expo - r) if r <= expo else 0.0
+                   for r in range(order)], dtype=complex)
+    return np.convolve(xs, yj)[:order] if has_y else xs
 
 
 def baker_f2(curve: HyperellipticCurve, x1, x2) -> complex:

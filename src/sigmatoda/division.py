@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .curves import CurvePoint, HyperellipticCurve, y_jet
+from .curves import CurvePoint, HyperellipticCurve, phi_series, y_jet
 from .errors import (
     BranchPointSingularity,
     DegreeMismatch,
@@ -27,7 +27,6 @@ from .errors import (
     NotTorsion,
 )
 from .polyutil import (
-    aberth_roots,
     as_poly,
     poly_from_roots,
     polyadd,
@@ -35,6 +34,7 @@ from .polyutil import (
     polydivmod,
     polymul,
     polyval,
+    sorted_roots,
     trim,
 )
 
@@ -96,7 +96,6 @@ class DivisionPolynomial:
     n: int
     y_exponent: int
     alpha: np.ndarray  # ascending coefficients
-    sign: int = 1
 
     @property
     def degree(self) -> int:
@@ -169,10 +168,6 @@ def cantor_alpha(curve: HyperellipticCurve, n: int) -> DivisionPolynomial:
     return DivisionPolynomial(n, e, alpha)
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a, b)[:order]
-
-
 def kiepert_psi(curve: HyperellipticCurve, n: int, p: CurvePoint) -> complex:
     """psi_n from the determinant of along-curve derivatives of the basis.
 
@@ -192,26 +187,14 @@ def kiepert_psi(curve: HyperellipticCurve, n: int, p: CurvePoint) -> complex:
     yj = y_jet(curve, p.x, order - 1, p.y)
     w_series = 2.0 * yj[:order]
 
-    def phi_series(j: int) -> np.ndarray:
-        from .addition import _phi_monomial
-
-        expo, has_y = _phi_monomial(g, j)
-        xs = np.zeros(order, dtype=complex)
-        for r in range(min(order, expo + 1)):
-            c = 1.0
-            for i in range(r):
-                c = c * (expo - i) / (i + 1)
-            xs[r] = c * p.x ** (expo - r)
-        return _series_mul(xs, yj, order) if has_y else xs
-
     def derive(series: np.ndarray) -> np.ndarray:
         ds = np.array([(r + 1) * series[r + 1] for r in range(order - 1)] + [0.0],
                       dtype=complex)
-        return _series_mul(w_series, ds, order)
+        return np.convolve(w_series, ds)[:order]
 
     mat = np.zeros((n - 1, n - 1), dtype=complex)
     for j in range(1, n):
-        series = phi_series(j)
+        series = phi_series(g, j, p.x, yj, order)
         for k in range(1, n):
             series = derive(series)
             mat[k - 1, j - 1] = series[0]
@@ -292,10 +275,8 @@ def phi_roots(curve: HyperellipticCurve, n: int) -> list[CurvePoint]:
     alpha = cantor_alpha(curve, n).alpha
     if alpha.size <= 1:
         return []
-    roots = aberth_roots(alpha)
-    order = np.lexsort((roots.imag, roots.real))
     out = []
-    for x in roots[order]:
+    for x in sorted_roots(alpha):
         y = np.sqrt(complex(curve.f(x)))
         out.append(CurvePoint(complex(x), y))
         if abs(y) > 1e-10 * curve.scale:
@@ -315,8 +296,7 @@ def _alpha_rel_residual(alpha: np.ndarray, x: complex) -> float:
     return abs(polyval(alpha, x)) / max(float(np.sum(mags)), 1e-300)
 
 
-def xi_set(curve: HyperellipticCurve, order: int,
-           cluster_tol: float = 1e-6) -> list[TorsionCandidate]:
+def xi_set(curve: HyperellipticCurve, order: int) -> list[TorsionCandidate]:
     """Candidate torsion points: common zeros of the 2g-1 window polynomials.
 
     The window spans division indices order-g+1 .. order+g-1; for genus one
@@ -329,19 +309,17 @@ def xi_set(curve: HyperellipticCurve, order: int,
     center = alphas[order]
     if center.size <= 1:
         return []
-    roots = aberth_roots(center)
     out = []
-    for x in roots[np.lexsort((roots.imag, roots.real))]:
+    for x in sorted_roots(center):
         res = tuple(_alpha_rel_residual(alphas[m], x) for m in window)
-        if max(res) < cluster_tol:
+        if max(res) < 1e-6:
             y = np.sqrt(complex(curve.f(x)))
             out.append(TorsionCandidate(CurvePoint(complex(x), y), order, res))
     return out
 
 
 def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
-                     rng: np.random.Generator | None = None,
-                     lattice_tol: float = 1e-6):
+                     rng: np.random.Generator | None = None):
     """Periodic Toda frame from a certified torsion candidate.
 
     The certificate is that n_period * c lattice-reduces to zero, with
@@ -356,7 +334,7 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
     v1 = candidate.point
     c = 2.0 * abel_map(ctx, [v1]).u
     dist = lattice_distance(ctx.periods, n_period * c)
-    if dist > lattice_tol:
+    if dist > 1e-6:
         raise NotTorsion(
             f"{n_period} * c misses the lattice by {dist:.3e}")
     rng = rng or np.random.default_rng(31)
@@ -369,7 +347,7 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
 
 
 def divisibility_check(curve: HyperellipticCurve, candidate: TorsionCandidate,
-                       n_period: int, rel_tol: float = 1e-6) -> bool:
+                       n_period: int) -> bool:
     """Multiples of the candidate must exhaust the window polynomial roots.
 
     Forms the square-free product over the distinct affine non-branch
@@ -405,6 +383,6 @@ def divisibility_check(curve: HyperellipticCurve, candidate: TorsionCandidate,
     for m in range(two_n - g + 1, two_n + g):
         alpha = cantor_alpha(curve, m).alpha
         _, rem = polydivmod(alpha, divisor_poly)
-        if np.max(np.abs(rem)) > rel_tol * float(np.max(np.abs(alpha))):
+        if np.max(np.abs(rem)) > 1e-6 * float(np.max(np.abs(alpha))):
             return False
     return True

@@ -83,13 +83,12 @@ def polydivmod(a, b) -> tuple[np.ndarray, np.ndarray]:
     return q, a[: b.size - 1] if b.size > 1 else np.zeros(1, dtype=complex)
 
 
-def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER,
-                 rtol: float = ABERTH_RTOL) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     Starts from points on a circle sized by the Cauchy bound. Converges when
-    the largest relative correction stays below ``rtol``. Raises
-    RootFindFailure when the iteration budget is exhausted.
+    the largest relative correction stays below ``ABERTH_RTOL``. Raises
+    RootFindFailure when ``ABERTH_MAX_ITER`` steps are exhausted.
     """
     c = trim(as_poly(coeffs))
     n = c.size - 1
@@ -105,7 +104,7 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER,
     z = radius * np.exp(2j * np.pi * (k / n) + 0.4j)
     scale = max(radius, 1.0)
     powers = np.arange(c.size)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p = polyval(c, z)
         dp = polyval(dc, z)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1 * scale)
@@ -115,11 +114,17 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER,
         denom = 1.0 - newton * repulse
         step = np.where(denom != 0, newton / np.where(denom == 0, 1, denom), newton)
         z = z - step
-        if np.max(np.abs(step)) < rtol * max(np.max(np.abs(z)), 1.0):
+        if np.max(np.abs(step)) < ABERTH_RTOL * max(np.max(np.abs(z)), 1.0):
             return z
         # multiple roots stall the step criterion; accept on backward error
         mass = np.abs(c) @ (np.abs(z)[None, :] ** powers[:, None])
         if np.max(np.abs(polyval(c, z)) / np.maximum(mass, 1e-300)) < 1e-14:
             return z
     raise RootFindFailure(
-        f"Aberth iteration did not converge for degree {n} within {max_iter} steps")
+        f"Aberth iteration did not converge for degree {n} in {ABERTH_MAX_ITER} steps")
+
+
+def sorted_roots(coeffs) -> np.ndarray:
+    """Aberth roots sorted lexicographically by (real, imag)."""
+    roots = aberth_roots(coeffs)
+    return roots[np.lexsort((roots.imag, roots.real))]

@@ -23,6 +23,7 @@ import numpy as np
 from .curves import CurvePoint, HyperellipticCurve, make_curve
 from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole
 from .sigma import SigmaContext, abel_map, sigma_context, sigma_with_scale, wp
+from .toda import lattice_lhs
 
 
 def _adjugate3(mat: np.ndarray) -> np.ndarray:
@@ -49,14 +50,6 @@ class ConicPair:
         return _adjugate3(self.symmetric)
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Affine x-map from the conic chart to the curve chart."""
-
-    shift: complex = 0.0
-    scale: complex = 1.0
-
-
 def conic_pair(matrix) -> ConicPair:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (3, 3):
@@ -68,12 +61,12 @@ def conic_pair(matrix) -> ConicPair:
     return ConicPair(mat)
 
 
-def reduce_to_elliptic(pair: ConicPair) -> tuple[HyperellipticCurve, CoordinateMap]:
-    """Genus-one curve of the incidence correspondence, with its x-map.
+def reduce_to_elliptic(pair: ConicPair) -> HyperellipticCurve:
+    """Genus-one curve of the incidence correspondence.
 
     With the center entry zero the quadratic form along (x, x^2, 1) is a
-    cubic, so the monic model needs no substitution and the recorded map is
-    the identity.
+    cubic, so the monic model needs no substitution: the curve's x is the
+    conic parameter.
     """
     a = pair.matrix
     lead = a[0, 1] + a[1, 0]
@@ -83,10 +76,9 @@ def reduce_to_elliptic(pair: ConicPair) -> tuple[HyperellipticCurve, CoordinateM
     lam1 = (a[0, 2] + a[2, 0]) / lead
     lam0 = a[2, 2] / lead
     try:
-        curve = make_curve(1, [lam0, lam1, lam2])
+        return make_curve(1, [lam0, lam1, lam2])
     except DegenerateCurve as exc:
         raise DegenerateConicPair("reduced cubic has repeated roots") from exc
-    return curve, CoordinateMap()
 
 
 def chord_line(xa: complex, xb: complex) -> np.ndarray:
@@ -98,10 +90,6 @@ def tangency_residual(pair: ConicPair, line: np.ndarray) -> float:
     adj = pair.adjugate
     return float(abs(line @ adj @ line)
                  / (np.linalg.norm(line) ** 2 * np.linalg.norm(adj)))
-
-
-def _wp_value(ctx: SigmaContext, u) -> complex:
-    return wp(ctx, 1, 1, u)
 
 
 def pair_for_torsion(ctx: SigmaContext, point: CurvePoint,
@@ -122,8 +110,8 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint,
                          [lam1, a, 2 * lam0]], dtype=complex)
 
     u0 = abel_map(ctx, [point]).u
-    xa = _wp_value(ctx, [t0])
-    xb = _wp_value(ctx, u0 + t0)
+    xa = wp(ctx, 1, 1, [t0])
+    xb = wp(ctx, 1, 1, u0 + t0)
     line = chord_line(xa, xb)
     nodes = np.array([0.3, 1.1, 2.3])
     vals = np.array([line @ _adjugate3(family(a)) @ line for a in nodes])
@@ -135,7 +123,7 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint,
             continue
         worst = 0.0
         for t_check in (t0 + 0.17, t0 - 0.29):
-            xs = [_wp_value(ctx, n * u0 + t_check) for n in range(3)]
+            xs = [wp(ctx, 1, 1, n * u0 + t_check) for n in range(3)]
             for n in range(2):
                 worst = max(worst, tangency_residual(
                     candidate, chord_line(xs[n], xs[n + 1])))
@@ -150,12 +138,10 @@ def cayley_closure_check(pair: ConicPair, order: int):
     """Torsion candidates of the reduced curve certifying an N-gon closure."""
     from .division import xi_set
 
-    curve, _ = reduce_to_elliptic(pair)
-    return xi_set(curve, order)
+    return xi_set(reduce_to_elliptic(pair), order)
 
 
-def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext,
-                       tol: float = 1e-6):
+def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext):
     """The torsion candidate whose polygon is tangent to this inner conic.
 
     Distinct torsion orbits of the same order inscribe in different conics;
@@ -164,7 +150,7 @@ def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext,
     """
     for cand in candidates:
         verts, _ = poncelet_vertices(pair, cand, cand.order_target, 0.17, ctx=ctx)
-        if side_tangency_max(pair, verts) < tol:
+        if side_tangency_max(pair, verts) < 1e-6:
             return cand
     return None
 
@@ -178,8 +164,7 @@ def poncelet_vertices(pair: ConicPair, torsion, n_sides: int, t: complex,
     and the value used is reported back.
     """
     if ctx is None:
-        curve, _ = reduce_to_elliptic(pair)
-        ctx = sigma_context(curve)
+        ctx = sigma_context(reduce_to_elliptic(pair))
     point = torsion.point if hasattr(torsion, "point") else torsion
     u0 = abel_map(ctx, [point]).u
     t_used = complex(t)
@@ -196,7 +181,7 @@ def poncelet_vertices(pair: ConicPair, torsion, n_sides: int, t: complex,
         t_used += 0.1137
     else:
         raise ThetaDivisorPole("could not move the sweep off the poles")
-    xs = [_wp_value(ctx, n * u0 + t_used) for n in range(n_sides + 1)]
+    xs = [wp(ctx, 1, 1, n * u0 + t_used) for n in range(n_sides + 1)]
     verts = [np.array([x, x * x, 1.0], dtype=complex) for x in xs]
     return verts, t_used
 
@@ -215,21 +200,18 @@ def side_tangency_max(pair: ConicPair, vertices) -> float:
 
 
 def vertex_toda_residual(ctx: SigmaContext, point: CurvePoint, n: int,
-                         t: complex, fd_step: float = 1e-3) -> float:
+                         t: complex) -> float:
     """Second-difference lattice equation along the vertex sequence.
 
     Matches the one-time lattice identity with step equal to the Abel image
     of the polygon's torsion point and constant wp at that image.
     """
     u0 = abel_map(ctx, [point]).u
-    x_c = _wp_value(ctx, u0)
+    x_c = wp(ctx, 1, 1, u0)
 
     def gap(k, s):
-        return _wp_value(ctx, k * u0 + t + s) - x_c
+        return wp(ctx, 1, 1, k * u0 + t + s) - x_c
 
-    def second_diff(h):
-        return np.log(gap(n, h) * gap(n, -h) / gap(n, 0.0) ** 2) / h**2
-
-    lhs = -(4.0 * second_diff(fd_step / 2) - second_diff(fd_step)) / 3.0
+    lhs = lattice_lhs(lambda h: gap(n, h) * gap(n, -h), gap(n, 0.0), 1e-3)
     rhs = gap(n + 1, 0.0) - 2.0 * gap(n, 0.0) + gap(n - 1, 0.0)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)

@@ -80,9 +80,9 @@ class _AbelEngine:
     tail from infinity to the basepoint is computed once.
     """
 
-    def __init__(self, curve: HyperellipticCurve, tol: float = 1e-11):
+    def __init__(self, curve: HyperellipticCurve):
         self.curve = curve
-        self.tol = tol
+        self.tol = 1e-11  # agreement of two quadrature levels, per unit scale
         self.x_base = 10.0 * curve.scale * np.exp(1j * BASEPOINT_ANGLE)
         self.tail, self.y_base = self._tail_integral()
 
@@ -249,8 +249,7 @@ def _half_char_candidates(g: int):
 
 
 def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
-                            engine: _AbelEngine | None = None,
-                            rel_tol: float = 1e-5) -> Characteristics:
+                            engine: _AbelEngine | None = None) -> Characteristics:
     """The half-integer characteristics vanishing on the (g-1)-point stratum.
 
     All 4^g candidates are tested on Abel images of g-1 random curve points;
@@ -279,7 +278,7 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         ok = True
         for z in test_z:
             val, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, radius, 1e-12)
-            if abs(val) > rel_tol * l1:
+            if abs(val) > 1e-5 * l1:
                 ok = False
                 break
         if ok:
@@ -310,10 +309,9 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
     return 1.0 / d_u1
 
 
-def sigma_context(curve: HyperellipticCurve, quad=None, tol: float = 1e-12,
-                  pole_tol: float = 1e-10) -> SigmaContext:
+def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     """Build periods, characteristics, and normalization for a curve."""
-    pd = compute_periods(curve, quad=quad)
+    pd = compute_periods(curve)
     engine = _AbelEngine(curve)
     chars = riemann_characteristics(curve, pd, engine)
     gamma0 = normalize_gamma0(curve, pd, chars)
@@ -322,9 +320,8 @@ def sigma_context(curve: HyperellipticCurve, quad=None, tol: float = 1e-12,
     if asym > 1e-7:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
-    ctx = SigmaContext(curve, pd, chars, gamma0,
-                       suggested_radius(pd.riemann, tol), tol, pole_tol,
-                       kappa, 0.5 * np.linalg.inv(pd.omega1), engine)
+    ctx = SigmaContext(curve, pd, chars, gamma0, suggested_radius(pd.riemann, 1e-12),
+                       kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
     _spot_check_vanishing(ctx)
     return ctx
 
@@ -467,7 +464,7 @@ def abel_map(ctx_or_engine, points) -> AbelPoint:
     return AbelPoint(u, min(affine, g))
 
 
-def translation_factors(ctx: SigmaContext, ell, u, tol: float = 1e-6):
+def translation_factors(ctx: SigmaContext, ell, u):
     """Sign chi and exponent L with sigma(u + ell) = chi * exp(L) * sigma(u).
 
     The exponent is -(u + ell/2)^T (2 eta1 l' + 2 eta2 l''); the sign of the
@@ -476,7 +473,7 @@ def translation_factors(ctx: SigmaContext, ell, u, tol: float = 1e-6):
     """
     ell = np.atleast_1d(np.asarray(ell, dtype=complex))
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    l1, l2 = lattice_decompose(ctx.periods, ell, tol=tol)
+    l1, l2 = lattice_decompose(ctx.periods, ell, tol=1e-6)
     l1, l2 = np.round(l1), np.round(l2)
     delta2, delta1 = ctx.chars.a, ctx.chars.b  # a holds delta'', b holds delta'
     chi = np.exp(2j * np.pi * (l1 @ delta2 - l2 @ delta1 + 0.5 * (l1 @ l2)))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .curves import CurvePoint, baker_f2, f12
 from .errors import ConfluentInput, ThetaDivisorPole
-from .polyutil import aberth_roots, as_poly, polyadd, polymul, polyval, trim
+from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
     abel_map,
@@ -39,8 +39,8 @@ def direction_vector(xp: complex, g: int) -> np.ndarray:
     return np.array([xp**i for i in range(g)], dtype=complex)
 
 
-def _checked(sig: complex, scale: float, pole_tol: float, label: str) -> complex:
-    if abs(sig) < pole_tol * max(scale, 1e-300):
+def _checked(sig: complex, pole_tol: float, label: str) -> complex:
+    if abs(sig) < pole_tol:
         raise ThetaDivisorPole(f"sigma vanished at {label}")
     return sig
 
@@ -124,51 +124,49 @@ def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
     sig, grad, hess = sigma_jet2(frame.ctx, u)
-    _checked(sig, 1.0, frame.ctx.pole_tol, "V")
+    _checked(sig, frame.ctx.pole_tol, "V")
     d = frame.direction
     first = (d @ grad) / sig
     return first**2 - (d @ hess @ d) / sig
 
 
-def V_c(frame: TodaFrame) -> complex:
-    """Constant offset of the potential; independent of the site."""
-    return frame.v_c
+def log_second_difference(product, gap0: complex, h: float) -> complex:
+    """Central second difference of log gap at step h.
+
+    ``product(h)`` is gap(h) * gap(-h) and ``gap0`` is gap(0); the
+    difference is one log of their ratio, so branch cuts cancel.
+    """
+    return np.log(product(h) / gap0**2) / h**2
 
 
-def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0,
-                     fd_step: float = 1e-3, richardson: bool = True) -> float:
+def lattice_lhs(product, gap0: complex, h: float) -> complex:
+    """-(d/dt)^2 log gap: the second difference with one Richardson pass."""
+    return -(4.0 * log_second_difference(product, gap0, h / 2)
+             - log_second_difference(product, gap0, h)) / 3.0
+
+
+def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Second-difference Toda residual at site n along the flow direction.
 
-    The time derivative is a central second difference of the logarithm
-    (evaluated as a single log of a ratio, so branch cuts cancel), with an
-    optional Richardson pass. Steps much below 1e-3 hit the double-precision
-    roundoff floor of the ratio, so the default favors the extrapolated
-    truncation error over a smaller raw step.
+    The time derivative is ``lattice_lhs`` of V - V_c at step 1e-3. Steps
+    much below that hit the double-precision roundoff floor of the ratio,
+    so the extrapolated truncation error is favored over a smaller raw step.
     """
     u_n = site_u(frame, n, t)
     vc = frame.v_c
     v_n = V(frame, u_n)
 
-    def log_ratio(h):
-        num = (V(frame, u_n + h * frame.direction) - vc) \
+    def product(h):
+        return (V(frame, u_n + h * frame.direction) - vc) \
             * (V(frame, u_n - h * frame.direction) - vc)
-        den = (v_n - vc) ** 2
-        return np.log(num / den)
 
-    def second_diff(h):
-        return log_ratio(h) / h**2
-
-    lhs = second_diff(fd_step)
-    if richardson:
-        lhs = (4.0 * second_diff(fd_step / 2) - lhs) / 3.0
-    lhs = -lhs
+    lhs = lattice_lhs(product, v_n - vc, 1e-3)
     rhs = (V(frame, site_u(frame, n + 1, t)) - 2 * v_n
            + V(frame, site_u(frame, n - 1, t)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
 def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
-                           sigma_floor: float = 1e-3,
                            gap_floor: float = 1e-2) -> bool:
     """True when every site keeps clear of the theta divisor and V != V_c.
 
@@ -180,7 +178,7 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     for n in n_range:
         u_n = site_u(frame, n, t)
         val, scale = sigma_with_scale(frame.ctx, u_n)
-        if abs(val) < sigma_floor * scale:
+        if abs(val) < 1e-3 * scale:
             return False
         try:
             gap = abs(V(frame, u_n) - frame.v_c)
@@ -211,8 +209,7 @@ def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
 
 def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
                     n: int, t1: complex = 0.0, t2: complex = 0.0,
-                    u0=None, rng: np.random.Generator | None = None,
-                    fd_step: float = 1e-4) -> float:
+                    u0=None, rng: np.random.Generator | None = None) -> float:
     """Two-time lattice residual with step c = abel(v1) + abel(v2)."""
     from .curves import random_curve_points
 
@@ -231,7 +228,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
 
     def vhat(u):
         sig, grad, hess = sigma_jet2(ctx, u)
-        _checked(sig, 1.0, ctx.pole_tol, "two-time potential")
+        _checked(sig, ctx.pole_tol, "two-time potential")
         return ((d1 @ grad) * (d2 @ grad)) / sig**2 - (d1 @ hess @ d2) / sig
 
     base = u0 + n * c + t1 * d1 + t2 * d2
@@ -239,7 +236,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
     def w(s1, s2):
         return vhat(base + s1 * d1 + s2 * d2) - vhat_c
 
-    h = fd_step
+    h = 1e-4
     ratio = (w(h, h) * w(-h, -h)) / (w(h, -h) * w(-h, h))
     lhs = -np.log(ratio) / (4 * h * h)
     rhs = (vhat(u0 + (n + 1) * c + t1 * d1 + t2 * d2) - 2 * vhat(base)
@@ -258,9 +255,9 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     s_k, grad_k, _ = sigma_jet2(ctx, site_u(frame, k, t))
     s_k1, grad_k1, _ = sigma_jet2(ctx, site_u(frame, k + 1, t))
     s_k2 = sigma(ctx, site_u(frame, k + 2, t))
-    _checked(s_k1, 1.0, ctx.pole_tol, f"site {k + 1}")
+    _checked(s_k1, ctx.pole_tol, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
-    _checked(s_k, 1.0, ctx.pole_tol, f"zeta at site {k}")
+    _checked(s_k, ctx.pole_tol, f"zeta at site {k}")
     b_k = (d @ grad_k1) / s_k1 - (d @ grad_k) / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
@@ -273,21 +270,18 @@ def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
                           fd_step: float = 1e-4) -> float:
     """Max residual of the Flaschka equations of motion over a site window."""
-    def pair(k, tt):
-        return flaschka(frame, k, tt)
-
     worst = 0.0
     h = fd_step
     for k in range(n_window):
-        a_k, b_k = pair(k, t)
-        a_km, _ = pair(k - 1, t)
-        _, b_k1 = pair(k + 1, t)
+        a_k, b_k = flaschka(frame, k, t)
+        a_km, _ = flaschka(frame, k - 1, t)
+        _, b_k1 = flaschka(frame, k + 1, t)
 
         def ddt(component, kk):
-            lo = pair(kk, t - h)[component]
-            hi = pair(kk, t + h)[component]
-            lo2 = pair(kk, t - h / 2)[component]
-            hi2 = pair(kk, t + h / 2)[component]
+            lo = flaschka(frame, kk, t - h)[component]
+            hi = flaschka(frame, kk, t + h)[component]
+            lo2 = flaschka(frame, kk, t - h / 2)[component]
+            hi2 = flaschka(frame, kk, t + h / 2)[component]
             coarse = (hi - lo) / (2 * h)
             fine = (hi2 - lo2) / h
             return (4 * fine - coarse) / 3
@@ -380,22 +374,19 @@ def char_poly(state: TodaState) -> SpectralData:
     invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
                           + [prod_a], dtype=complex)
     disc = polyadd(polymul(p, p), as_poly([-4.0 * prod_a]))
-    roots = aberth_roots(trim(disc))
-    order = np.lexsort((roots.imag, roots.real))
-    return SpectralData(p, invariants, roots[order], prod_a)
+    return SpectralData(p, invariants, sorted_roots(trim(disc)), prod_a)
 
 
-def lax_det_residual(state: TodaState, samples: int = 5,
-                     rng: np.random.Generator | None = None) -> float:
+def lax_det_residual(state: TodaState) -> float:
     """Check det(L - z) against P(z) + (-1)^(N-1) (w + prod(a)/w).
 
     The direct determinant is the oracle for the recursion-built P.
     """
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     p, prod_a = _periodic_charpoly(state)
     n = state.n_sites
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         z = complex(rng.normal(), rng.normal())
         w_hat = complex(rng.normal(), rng.normal()) + 2.0
         det = np.linalg.det(lax_matrix(state, w_hat) - z * np.eye(n))
@@ -404,19 +395,18 @@ def lax_det_residual(state: TodaState, samples: int = 5,
     return worst
 
 
-def spectral_morphism(state: TodaState, samples: int = 10,
-                      rng: np.random.Generator | None = None):
+def spectral_morphism(state: TodaState):
     """Verify w^2 = P^2 - 4 prod(a) on curve samples; return branch values.
 
     Points (z, w_hat) on the spectral curve satisfy
     w_hat^2 - (-1)^N P(z) w_hat + prod(a) = 0, and w = 2 w_hat - (-1)^N P(z)
     squares to the degree-2N model whose 2N roots are returned.
     """
-    rng = rng or np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     data = char_poly(state)
     n = state.n_sites
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(10):
         z = complex(rng.normal(), rng.normal())
         p_hat = (-1.0) ** n * polyval(data.p_coeffs, z)
         disc = np.sqrt(p_hat**2 - 4.0 * data.prod_a)

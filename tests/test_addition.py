@@ -173,8 +173,11 @@ def test_xi_symmetric_and_guards(ctx2):
     v1, v2 = random_curve_points(ctx2.curve, rng, 2)
     assert xi(ctx2.curve, base, v1, v2) == pytest.approx(
         xi(ctx2.curve, base, v2, v1), rel=1e-12)
-    with pytest.raises(ConfluentInput):
-        xi(ctx2.curve, base, v1, v1)
+    # coincident primed points, then a repeated base point (F'(x_i) = 0)
+    for call in (lambda: xi(ctx2.curve, base, v1, v1),
+                 lambda: baker_rhs(ctx2.curve, [base[0], base[0]], v1.x, v2.x)):
+        with pytest.raises(ConfluentInput):
+            call()
 
 
 def test_pair_addition_residuals(ctx1, ctx2):

@@ -151,8 +151,12 @@ def test_parser_has_all_subcommands():
 
 
 def test_tol_flag_is_rejected(curve_file, capsys):
-    # no subcommand has a --tol option: a knob that nothing reads is refused
-    with pytest.raises(SystemExit) as exc:
-        main(["periods", "--curve", curve_file, "--tol", "1e-9"])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    # a subcommand refuses every option it does not read: a knob that
+    # nothing reads is never silently accepted
+    for command, *rest in (["periods", "--tol", "1e-9"],
+                           ["periods", "--samples", "3"],
+                           ["abel", "--points", "[]", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curve", curve_file, *rest])
+        assert exc.value.code == 2
+        assert rest[-2] in capsys.readouterr().err

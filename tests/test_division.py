@@ -1,7 +1,16 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from sigmatoda.curves import CurvePoint, make_curve, random_curve_points, y_jet
+from sigmatoda.curves import (
+    CurvePoint,
+    make_curve,
+    phi_monomial,
+    phi_series,
+    random_curve_points,
+    y_jet,
+)
 from sigmatoda.division import (
     TorsionCandidate,
     alpha_degree,
@@ -138,6 +147,42 @@ def test_kiepert_small_cases(g1):
     assert kiepert_psi(g1, 2, p) == pytest.approx(2 * p.y, rel=1e-12)
     with pytest.raises(BranchPointSingularity):
         kiepert_psi(g1, 3, CurvePoint(1.0, 0.0))
+
+
+def _series_by_running_product(g, i, x, yj, order):
+    """The former Kiepert basis series: binomials as running products."""
+    expo, has_y = phi_monomial(g, i)
+    xs = np.zeros(order, dtype=complex)
+    for r in range(min(order, expo + 1)):
+        c = 1.0
+        for k in range(r):
+            c = c * (expo - k) / (k + 1)
+        xs[r] = c * x ** (expo - r)
+    return np.convolve(xs, yj)[:order] if has_y else xs
+
+
+def _series_by_column_loop(g, i, x, yj, order):
+    """The former confluent-row column of the addition determinants."""
+    expo, has_y = phi_monomial(g, i)
+    xs = np.array([comb(expo, r) * x ** (expo - r) if r <= expo else 0.0
+                   for r in range(order)], dtype=complex)
+    return np.convolve(xs, yj)[:order] if has_y else xs
+
+
+def test_phi_series_matches_both_former_encodings(g1, g2):
+    # both determinant families read one basis series; it must equal each
+    # former encoding bit for bit
+    rng = np.random.default_rng(21)
+    for curve in (g1, g2):
+        g = curve.genus
+        for p in random_curve_points(curve, rng, 5):
+            for order in range(1, 7):
+                yj = y_jet(curve, p.x, order - 1, p.y)
+                for i in range(2 * g + 5):
+                    got = phi_series(g, i, p.x, yj, order)
+                    for reference in (_series_by_running_product,
+                                      _series_by_column_loop):
+                        assert np.array_equal(got, reference(g, i, p.x, yj, order))
 
 
 def test_phi_roots_lift_both_sheets(g1):

@@ -6,7 +6,6 @@ from sigmatoda.errors import ConfluentInput
 from sigmatoda.sigma import abel_map, sigma_context, wp
 from sigmatoda.toda import (
     V,
-    V_c,
     char_poly,
     d_log_sigma,
     directional_derivative,
@@ -18,6 +17,7 @@ from sigmatoda.toda import (
     invariant_drift,
     lax_det_residual,
     lax_matrix,
+    log_second_difference,
     site_u,
     spectral_morphism,
     toda2d_residual,
@@ -87,7 +87,7 @@ def test_v_genus1_is_wp(ctx1):
     assert V(frame, u) == pytest.approx(wp(ctx1, 1, 1, u), rel=1e-12)
     from sigmatoda.curves import f12
 
-    assert V_c(frame) == pytest.approx(f12(ctx1.curve, frame.v1.x), rel=1e-14)
+    assert frame.v_c == pytest.approx(f12(ctx1.curve, frame.v1.x), rel=1e-14)
 
 
 def test_toda_second_difference_residual(ctx1, ctx2):
@@ -104,8 +104,18 @@ def test_toda_second_difference_residual(ctx1, ctx2):
 def test_fd_step_convergence_order(ctx1):
     rng = np.random.default_rng(4)
     frame = conditioned_frame(ctx1, rng)
-    r_coarse = toda_residual_1d(frame, 0, 0.02, fd_step=4e-2, richardson=False)
-    r_fine = toda_residual_1d(frame, 0, 0.02, fd_step=2e-2, richardson=False)
+    u_n, d, vc = site_u(frame, 0, 0.02), frame.direction, frame.v_c
+    v_n = V(frame, u_n)
+    rhs = V(frame, site_u(frame, 1, 0.02)) - 2 * v_n + V(frame, site_u(frame, -1, 0.02))
+
+    def residual(h):
+        # the raw stencil, without the Richardson pass of toda_residual_1d
+        lhs = -log_second_difference(
+            lambda s: (V(frame, u_n + s * d) - vc) * (V(frame, u_n - s * d) - vc),
+            v_n - vc, h)
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+    r_coarse, r_fine = residual(4e-2), residual(2e-2)
     assert r_fine < r_coarse / 2.5  # second order in the step
 
 
@@ -167,7 +177,7 @@ def test_flaschka_genus1_closed_forms(ctx1):
     double = point_multiples(ctx1.curve, frame.v1, 2)[1]
     assert len(double) == 1
     xc, yc = double[0].x, double[0].y
-    assert V_c(frame) == pytest.approx(xc, rel=1e-9)
+    assert frame.v_c == pytest.approx(xc, rel=1e-9)
     t0 = 0.017
     for k in (0, 1):
         a_k, b_k = flaschka(frame, k, t0)
@@ -285,7 +295,7 @@ def _branch_values_reference(state):
 
 
 def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
-    import sigmatoda.toda as toda_mod
+    import sigmatoda.polyutil as polyutil_mod
 
     for order in (3, 4):
         state = _periodic_state(ctx1, order)
@@ -297,7 +307,7 @@ def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
             raise AssertionError("lax_det_residual asked for spectral roots")
 
         with monkeypatch.context() as patch:
-            patch.setattr(toda_mod, "aberth_roots", no_roots)
+            patch.setattr(polyutil_mod, "aberth_roots", no_roots)
             assert lax_det_residual(state) == expected
             with pytest.raises(AssertionError):
                 char_poly(state)
