@@ -238,12 +238,11 @@ def cmd_spectral(args) -> int:
     except SigmaTodaError:
         frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(args.seed))
     state = toda.toda_state(frame, args.sites, complex(args.t))
-    data = toda.char_poly(state)
-    morph, roots = toda.spectral_morphism(state)
+    morph, data = toda.spectral_morphism(state)
     emit(args, {
         "characteristic_coefficients": _vector(data.p_coeffs),
         "invariants": _vector(data.invariants),
-        "weierstrass_z": _vector(roots),
+        "weierstrass_z": _vector(data.weierstrass_z),
         "morphism_residual": morph,
         "lax_determinant_residual": toda.lax_det_residual(state),
     })

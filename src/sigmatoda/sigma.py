@@ -397,13 +397,16 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex:
 
 
 def sigma_jet2(ctx: SigmaContext, u):
-    """sigma with its full gradient and Hessian in one theta pass."""
-    env, theta0, _, q, tvec, hmat = _jet(ctx, u, 2)
+    """sigma, its gradient and Hessian, and the scale |env| L1, in one pass.
+
+    The scale is the one ``sigma_with_scale`` returns for divisor detection.
+    """
+    env, theta0, l1, q, tvec, hmat = _jet(ctx, u, 2)
     sig = env * theta0
     dsig = env * (q * theta0 + tvec)
     ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
                    + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
-    return sig, dsig, ddsig
+    return sig, dsig, ddsig, abs(env) * l1
 
 
 def natural_index_set(g: int, n: int) -> tuple:

@@ -19,6 +19,7 @@ b_k = zeta^(k+1) - zeta^(k) - zeta_c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from .errors import ConfluentInput, ThetaDivisorPole
 from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
+    _jet,
+    _partial,
     abel_map,
     natural_index_set,
-    sigma,
-    sigma_deriv,
     sigma_jet2,
 )
 
@@ -39,18 +40,23 @@ def direction_vector(xp: complex, g: int) -> np.ndarray:
     return np.array([xp**i for i in range(g)], dtype=complex)
 
 
-def _checked(sig: complex, pole_tol: float, label: str) -> complex:
-    if abs(sig) < pole_tol:
+def _checked(sig: complex, scale: float, pole_tol: float, label: str) -> None:
+    """Raise when |sigma| is below pole_tol relative to its scale |env| L1."""
+    if abs(sig) < pole_tol * scale:
         raise ThetaDivisorPole(f"sigma vanished at {label}")
-    return sig
+
+
+def _potential(d: np.ndarray, sig, grad, hess) -> complex:
+    """-D^2 log sigma along d, from sigma's 2-jet at one point."""
+    first = (d @ grad) / sig
+    return first**2 - (d @ hess @ d) / sig
 
 
 def d_log_sigma(ctx: SigmaContext, xp: complex, u, order: int = 1) -> complex:
     """Exact directional derivative of log sigma along (xp^0, ..., xp^{g-1})."""
     d = direction_vector(xp, ctx.genus)
-    sig, grad, hess = sigma_jet2(ctx, u)
-    if abs(sig) < ctx.pole_tol:
-        raise ThetaDivisorPole("log sigma derivative on the theta divisor")
+    sig, grad, hess, scale = sigma_jet2(ctx, u)
+    _checked(sig, scale, ctx.pole_tol, "log sigma derivative")
     first = (d @ grad) / sig
     if order == 1:
         return first
@@ -87,6 +93,9 @@ class TodaFrame:
     v_c: complex = 0.0
     zeta_c: complex = 0.0
     direction: np.ndarray = field(default=None, repr=False)
+    # sigma 2-jets of the sites at one time, keyed (t, n); see site_jet
+    _site_jets: dict = field(default_factory=dict, init=False, compare=False,
+                             repr=False)
 
     @property
     def genus(self) -> int:
@@ -106,12 +115,14 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
         rng = rng or np.random.default_rng(2024)
         u0 = abel_map(ctx, random_curve_points(ctx.curve, rng, g)).u
     u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
-    flat = natural_index_set(g, 2)
-    s_flat_c = sigma_deriv(ctx, flat, c)
+    # 0-based labels of sigma_flat; one jet at c serves it and its gradient
+    flat = tuple(i - 1 for i in natural_index_set(g, 2))
+    jet = _jet(ctx, c, len(flat) + 1)
+    s_flat_c = _partial(ctx, jet, flat)
     if abs(s_flat_c) < 1e-12:
         raise ThetaDivisorPole("sigma_flat vanishes at the step c")
     d = direction_vector(v1.x, g)
-    zc = sum(v1.x ** (i - 1) * sigma_deriv(ctx, flat + (i,), c)
+    zc = sum(v1.x ** (i - 1) * _partial(ctx, jet, flat + (i - 1,))
              for i in range(1, g + 1)) / s_flat_c
     return TodaFrame(ctx, v1, v_abel, c, u0, periodic, complex(s_flat_c),
                      complex(f12(ctx.curve, v1.x)), complex(zc), d)
@@ -121,13 +132,34 @@ def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:
     return frame.u0 + n * frame.c + t * frame.direction
 
 
+def site_jet(frame: TodaFrame, n: int, t: complex = 0.0):
+    """(sigma, gradient, Hessian, |env| L1) at site n and time t.
+
+    The frame keeps the jets of the sites of one time, so every check at
+    (n, t) shares one theta pass per site; a call at another time drops them.
+    """
+    memo = frame._site_jets
+    key = (complex(t), n)
+    jet = memo.get(key)
+    if jet is None:
+        if memo and next(iter(memo))[0] != key[0]:
+            memo.clear()
+        jet = memo[key] = sigma_jet2(frame.ctx, site_u(frame, n, t))
+    return jet
+
+
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
-    sig, grad, hess = sigma_jet2(frame.ctx, u)
-    _checked(sig, frame.ctx.pole_tol, "V")
-    d = frame.direction
-    first = (d @ grad) / sig
-    return first**2 - (d @ hess @ d) / sig
+    sig, grad, hess, scale = sigma_jet2(frame.ctx, u)
+    _checked(sig, scale, frame.ctx.pole_tol, "V")
+    return _potential(frame.direction, sig, grad, hess)
+
+
+def _site_V(frame: TodaFrame, n: int, t: complex) -> complex:
+    """V at site n and time t, read through ``site_jet``."""
+    sig, grad, hess, scale = site_jet(frame, n, t)
+    _checked(sig, scale, frame.ctx.pole_tol, f"V at site {n}")
+    return _potential(frame.direction, sig, grad, hess)
 
 
 def log_second_difference(product, gap0: complex, h: float) -> complex:
@@ -154,15 +186,14 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """
     u_n = site_u(frame, n, t)
     vc = frame.v_c
-    v_n = V(frame, u_n)
+    v_n = _site_V(frame, n, t)
 
     def product(h):
         return (V(frame, u_n + h * frame.direction) - vc) \
             * (V(frame, u_n - h * frame.direction) - vc)
 
     lhs = lattice_lhs(product, v_n - vc, 1e-3)
-    rhs = (V(frame, site_u(frame, n + 1, t)) - 2 * v_n
-           + V(frame, site_u(frame, n - 1, t)))
+    rhs = _site_V(frame, n + 1, t) - 2 * v_n + _site_V(frame, n - 1, t)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -173,17 +204,11 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     Residual evaluators lose finite-difference accuracy near either
     degeneracy; harnesses resample the base offset until this holds.
     """
-    from .sigma import sigma_with_scale
-
     for n in n_range:
-        u_n = site_u(frame, n, t)
-        val, scale = sigma_with_scale(frame.ctx, u_n)
-        if abs(val) < 1e-3 * scale:
+        sig, grad, hess, scale = site_jet(frame, n, t)
+        if abs(sig) < 1e-3 * scale:
             return False
-        try:
-            gap = abs(V(frame, u_n) - frame.v_c)
-        except ThetaDivisorPole:
-            return False
+        gap = abs(_potential(frame.direction, sig, grad, hess) - frame.v_c)
         if gap < gap_floor * max(1.0, abs(frame.v_c)):
             return False
     return True
@@ -191,17 +216,15 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
 
 def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Bilinear form of the lattice equation, all derivatives exact."""
-    ctx = frame.ctx
     d = frame.direction
-    u_n = site_u(frame, n, t)
-    sig, grad, hess = sigma_jet2(ctx, u_n)
+    sig, grad, hess, _ = site_jet(frame, n, t)
     sc2 = frame.sigma_flat_c**2
     d_sig = d @ grad
     dd_sig = d @ hess @ d
     t1 = sig * sc2 * dd_sig
     t2 = -sc2 * d_sig**2
     t3 = frame.v_c * sc2 * sig**2
-    t4 = -sigma(ctx, site_u(frame, n + 1, t)) * sigma(ctx, site_u(frame, n - 1, t))
+    t4 = -site_jet(frame, n + 1, t)[0] * site_jet(frame, n - 1, t)[0]
     total = t1 + t2 + t3 + t4
     scale = max(abs(t1), abs(t2), abs(t3), abs(t4), 1e-300)
     return abs(total) / scale
@@ -227,8 +250,8 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
         / (v1.x - v2.x) ** 2
 
     def vhat(u):
-        sig, grad, hess = sigma_jet2(ctx, u)
-        _checked(sig, ctx.pole_tol, "two-time potential")
+        sig, grad, hess, scale = sigma_jet2(ctx, u)
+        _checked(sig, scale, ctx.pole_tol, "two-time potential")
         return ((d1 @ grad) * (d2 @ grad)) / sig**2 - (d1 @ hess @ d2) / sig
 
     base = u0 + n * c + t1 * d1 + t2 * d2
@@ -251,43 +274,45 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    ctx, d = frame.ctx, frame.direction
-    s_k, grad_k, _ = sigma_jet2(ctx, site_u(frame, k, t))
-    s_k1, grad_k1, _ = sigma_jet2(ctx, site_u(frame, k + 1, t))
-    s_k2 = sigma(ctx, site_u(frame, k + 2, t))
-    _checked(s_k1, ctx.pole_tol, f"site {k + 1}")
+    pole_tol, d = frame.ctx.pole_tol, frame.direction
+    s_k, grad_k, _, scale_k = site_jet(frame, k, t)
+    s_k1, grad_k1, _, scale_k1 = site_jet(frame, k + 1, t)
+    s_k2 = site_jet(frame, k + 2, t)[0]
+    _checked(s_k1, scale_k1, pole_tol, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
-    _checked(s_k, ctx.pole_tol, f"zeta at site {k}")
+    _checked(s_k, scale_k, pole_tol, f"zeta at site {k}")
     b_k = (d @ grad_k1) / s_k1 - (d @ grad_k) / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
 
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     """a_k recomputed as the potential difference V_c - V at site k+1."""
-    return complex(frame.v_c - V(frame, site_u(frame, k + 1, t)))
+    return complex(frame.v_c - _site_V(frame, k + 1, t))
 
 
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
                           fd_step: float = 1e-4) -> float:
-    """Max residual of the Flaschka equations of motion over a site window."""
-    worst = 0.0
-    h = fd_step
-    for k in range(n_window):
-        a_k, b_k = flaschka(frame, k, t)
-        a_km, _ = flaschka(frame, k - 1, t)
-        _, b_k1 = flaschka(frame, k + 1, t)
+    """Max residual of the Flaschka equations of motion over a site window.
 
-        def ddt(component, kk):
-            lo = flaschka(frame, kk, t - h)[component]
-            hi = flaschka(frame, kk, t + h)[component]
-            lo2 = flaschka(frame, kk, t - h / 2)[component]
-            hi2 = flaschka(frame, kk, t + h / 2)[component]
-            coarse = (hi - lo) / (2 * h)
-            fine = (hi2 - lo2) / h
+    The pairs are taken one time at a time, so each time's site jets are
+    summed once for the whole window.
+    """
+    h = fd_step
+    now = {k: flaschka(frame, k, t) for k in range(-1, n_window + 1)}
+    lo, hi, lo2, hi2 = ([flaschka(frame, k, s) for k in range(n_window)]
+                        for s in (t - h, t + h, t - h / 2, t + h / 2))
+    worst = 0.0
+    for k in range(n_window):
+        a_k, b_k = now[k]
+        a_km, b_k1 = now[k - 1][0], now[k + 1][1]
+
+        def ddt(component):
+            coarse = (hi[k][component] - lo[k][component]) / (2 * h)
+            fine = (hi2[k][component] - lo2[k][component]) / h
             return (4 * fine - coarse) / 3
 
-        res_a = abs(ddt(0, k) - a_k * (b_k1 - b_k)) / max(1.0, abs(a_k))
-        res_b = abs(ddt(1, k) - (a_k - a_km)) / max(1.0, abs(a_k), abs(a_km))
+        res_a = abs(ddt(0) - a_k * (b_k1 - b_k)) / max(1.0, abs(a_k))
+        res_b = abs(ddt(1) - (a_k - a_km)) / max(1.0, abs(a_k), abs(a_km))
         worst = max(worst, res_a, res_b)
     return worst
 
@@ -332,18 +357,26 @@ class SpectralData:
     """Characteristic polynomial data of the periodic Lax matrix.
 
     ``p_coeffs`` holds P(z) ascending with leading coefficient (-1)^N;
-    ``invariants`` lists I_1..I_{N+1}; ``weierstrass_z`` the 2N branch
-    values of the degree-two model w^2 = P(z)^2 - 4 prod(a).
+    ``invariants`` lists I_1..I_{N+1}.
     """
 
     p_coeffs: np.ndarray
     invariants: np.ndarray
-    weierstrass_z: np.ndarray
     prod_a: complex
 
     @property
     def n_sites(self) -> int:
         return self.p_coeffs.size - 1
+
+    @cached_property
+    def weierstrass_z(self) -> np.ndarray:
+        """The 2N branch values of the model w^2 = P(z)^2 - 4 prod(a).
+
+        The roots are found on the first read only.
+        """
+        p = self.p_coeffs
+        disc = polyadd(polymul(p, p), as_poly([-4.0 * self.prod_a]))
+        return sorted_roots(trim(disc))
 
 
 def _tridiag_charpoly(b: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -368,13 +401,12 @@ def _periodic_charpoly(state: TodaState) -> tuple[np.ndarray, complex]:
 
 
 def char_poly(state: TodaState) -> SpectralData:
-    """P(z) by the three-term recursion, invariants, and branch values."""
+    """P(z) by the three-term recursion and the invariants; roots on demand."""
     n = state.n_sites
     p, prod_a = _periodic_charpoly(state)
     invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
                           + [prod_a], dtype=complex)
-    disc = polyadd(polymul(p, p), as_poly([-4.0 * prod_a]))
-    return SpectralData(p, invariants, sorted_roots(trim(disc)), prod_a)
+    return SpectralData(p, invariants, prod_a)
 
 
 def lax_det_residual(state: TodaState) -> float:
@@ -396,11 +428,12 @@ def lax_det_residual(state: TodaState) -> float:
 
 
 def spectral_morphism(state: TodaState):
-    """Verify w^2 = P^2 - 4 prod(a) on curve samples; return branch values.
+    """Verify w^2 = P^2 - 4 prod(a) on curve samples; return (residual, data).
 
     Points (z, w_hat) on the spectral curve satisfy
     w_hat^2 - (-1)^N P(z) w_hat + prod(a) = 0, and w = 2 w_hat - (-1)^N P(z)
-    squares to the degree-2N model whose 2N roots are returned.
+    squares to the degree-2N model whose 2N roots are
+    ``data.weierstrass_z``, found only when read.
     """
     rng = np.random.default_rng(11)
     data = char_poly(state)
@@ -416,7 +449,7 @@ def spectral_morphism(state: TodaState):
         w = 2.0 * w_hat - p_hat
         target = polyval(data.p_coeffs, z) ** 2 - 4.0 * data.prod_a
         worst = max(worst, abs(w**2 - target) / max(1.0, abs(target)))
-    return worst, data.weierstrass_z
+    return worst, data
 
 
 def invariant_drift(frame: TodaFrame, n_sites: int, t_samples) -> float:

@@ -228,7 +228,8 @@ def criterion_spectral(ctx1) -> CriterionResult:
         state = toda.toda_state(frame, order, 0.1)
         res.add(f"lax_determinant_oracle_order{order}",
                 toda.lax_det_residual(state), 1e-10)
-        morph, roots = toda.spectral_morphism(state)
+        morph, data = toda.spectral_morphism(state)
+        roots = data.weierstrass_z
         res.add(f"spectral_morphism_order{order}", morph, 1e-9)
         res.add(f"weierstrass_root_count_order{order}",
                 abs(roots.size - 2 * order), 0.5,

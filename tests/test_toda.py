@@ -74,7 +74,7 @@ def test_directional_derivatives_commute(ctx2):
 
     d1 = direction_vector(0.3 + 0.4j, 2)
     d2 = direction_vector(-1.2 + 0.1j, 2)
-    sig, grad, hess = sigma_jet2(ctx2, u)
+    sig, grad, hess, _ = sigma_jet2(ctx2, u)
     m12 = (d1 @ hess @ d2) / sig - (d1 @ grad) * (d2 @ grad) / sig**2
     m21 = (d2 @ hess @ d1) / sig - (d2 @ grad) * (d1 @ grad) / sig**2
     assert m12 == pytest.approx(m21, rel=1e-14)
@@ -223,9 +223,9 @@ def test_lax_and_invariants_random_state():
     assert data.invariants[1] == pytest.approx(i2, rel=1e-12)
     assert data.invariants[-1] == pytest.approx(np.prod(a), rel=1e-12)
     assert data.p_coeffs[-1] == pytest.approx((-1.0) ** 3)
-    res, roots = spectral_morphism(state)
+    res, data = spectral_morphism(state)
     assert res < 1e-9
-    assert roots.size == 6
+    assert data.weierstrass_z.size == 6
     mat = lax_matrix(state, 1.3 + 0.2j)
     assert mat.shape == (3, 3)
 
@@ -301,7 +301,6 @@ def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
         state = _periodic_state(ctx1, order)
         expected = _lax_det_through_char_poly(state)
         branch = _branch_values_reference(state)
-        assert np.array_equal(char_poly(state).weierstrass_z, branch)
 
         def no_roots(*args, **kwargs):
             raise AssertionError("lax_det_residual asked for spectral roots")
@@ -309,6 +308,107 @@ def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(polyutil_mod, "aberth_roots", no_roots)
             assert lax_det_residual(state) == expected
+            # the spectral data find their roots only when they are read
+            data = char_poly(state)
+            res, morph_data = spectral_morphism(state)
             with pytest.raises(AssertionError):
-                char_poly(state)
-        assert expected < 1e-10
+                char_poly(state).weierstrass_z
+        assert expected < 1e-10 and res < 1e-9
+        assert np.array_equal(data.weierstrass_z, branch)
+        assert np.array_equal(morph_data.weierstrass_z, branch)
+        assert data.weierstrass_z is data.weierstrass_z  # found once
+
+
+def _memo_frames(ctx1, ctx2):
+    from sigmatoda.division import torsion_to_frame, xi_set
+
+    rng = np.random.default_rng(16)
+    cand = max((c for c in xi_set(ctx1.curve, 3)
+                if abs(c.point.x.imag) < 1e-9 and c.point.x.real > 0),
+               key=lambda c: c.point.x.real)
+    return [conditioned_frame(ctx1, rng, range(-1, 6)),
+            conditioned_frame(ctx2, rng, range(-1, 6)),
+            torsion_to_frame(ctx1, cand, 3)]
+
+
+def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
+    import dataclasses
+    import importlib
+
+    from sigmatoda.sigma import sigma, sigma_jet2, sigma_with_scale
+    from sigmatoda.toda import site_jet, toda_state
+
+    # the package attribute ``sigma`` is the function, not the module
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    kernel = sigma_mod._theta_sum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    n, t, n_sites = 0, 0.02 - 0.01j, 3
+    for frame in _memo_frames(ctx1, ctx2):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sigma_mod, "_theta_sum", counted)
+            assert frame_well_conditioned(frame, range(n - 1, n + 2), t)
+            results = (toda_residual_1d(frame, n, t), hirota_residual(frame, n, t),
+                       flaschka(frame, n, t), flaschka_wp_path(frame, n, t),
+                       toda_state(frame, n_sites, t))
+        # sites n-1..n+2 and 1..N+2 once each, plus the 4 stencil points
+        sites = set(range(n - 1, n + 3)) | set(range(1, n_sites + 3))
+        assert len(calls) == len(sites) + 4
+        assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
+
+        # the memo's values are those of the per-call evaluators
+        for site in sites:
+            u = site_u(frame, site, t)
+            sig, grad, hess, scale = site_jet(frame, site, t)
+            ref_sig, ref_grad, ref_hess, ref_scale = sigma_jet2(frame.ctx, u)
+            assert sig == ref_sig == sigma(frame.ctx, u)
+            assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
+            assert (sig, scale) == (ref_sig, ref_scale) \
+                == sigma_with_scale(frame.ctx, u)
+            assert flaschka_wp_path(frame, site - 1, t) == frame.v_c - V(frame, u)
+        # and every check reads the same as on a frame with an empty memo
+        assert toda_residual_1d(dataclasses.replace(frame), n, t) == results[0]
+        assert hirota_residual(dataclasses.replace(frame), n, t) == results[1]
+        assert flaschka(dataclasses.replace(frame), n, t) == results[2]
+        assert flaschka_wp_path(dataclasses.replace(frame), n, t) == results[3]
+        state = toda_state(dataclasses.replace(frame), n_sites, t)
+        assert np.array_equal(state.a, results[4].a)
+        assert np.array_equal(state.b, results[4].b)
+
+        # a new time keeps only its own sites
+        flaschka(frame, 1, 0.05)
+        assert set(frame._site_jets) == {(0.05, 1), (0.05, 2), (0.05, 3)}
+
+
+def test_toda_pole_guard_is_relative_to_the_sigma_scale(ctx2):
+    # abel(P) lies on the theta divisor at genus 2; a period translate keeps
+    # sigma at ~1e-15 of its scale while |sigma| is ~1e-8, above an absolute
+    # 1e-10, so only the relative test sees the pole, as wp does
+    from sigmatoda.errors import ThetaDivisorPole
+    from sigmatoda.sigma import sigma_with_scale
+
+    p = random_curve_points(ctx2.curve, np.random.default_rng(5), 1)
+    u = abel_map(ctx2, p).u + 6.0 * ctx2.periods.omega1[:, 0]
+    val, scale = sigma_with_scale(ctx2, u)
+    assert abs(val) > 1e-9 and abs(val) < 1e-12 * scale
+    with pytest.raises(ThetaDivisorPole):
+        wp(ctx2, 1, 1, u)
+    v1 = random_curve_points(ctx2.curve, np.random.default_rng(1), 1)[0]
+    frame = toda_frame(ctx2, v1, rng=np.random.default_rng(2))
+    with pytest.raises(ThetaDivisorPole):
+        V(frame, u)
+    with pytest.raises(ThetaDivisorPole):
+        d_log_sigma(ctx2, 0.3, u)
+    # a frame whose site 1 is that point
+    on_pole = toda_frame(ctx2, v1, u0=u - frame.c)
+    assert np.array_equal(site_u(on_pole, 1), u)
+    with pytest.raises(ThetaDivisorPole):
+        flaschka(on_pole, 0)
+    with pytest.raises(ThetaDivisorPole):
+        flaschka_wp_path(on_pole, 0)
+    assert not frame_well_conditioned(on_pole, range(0, 3))
