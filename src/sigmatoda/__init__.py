@@ -52,6 +52,7 @@ from .sigma import (
     sigma_natural,
     translation_factors,
     wp,
+    wp_matrix,
     zeta,
 )
 from .theta import suggested_radius, theta_char, theta_deriv

@@ -33,7 +33,7 @@ from .polyutil import (
     sorted_roots,
     trim,
 )
-from .sigma import SigmaContext, abel_map, sigma, sigma_natural, sigma_sharp, wp
+from .sigma import SigmaContext, abel_map, sigma, sigma_natural, sigma_sharp, wp_matrix
 
 TINY = 1e-30
 
@@ -228,15 +228,7 @@ def _fs_sides(ctx: SigmaContext, pts):
 
 
 def _coincident(pts) -> bool:
-    tol = 1e-9
-    seen = set()
-    for p in pts:
-        key = (round(p.x.real / tol), round(p.x.imag / tol),
-               round(p.y.real / tol), round(p.y.imag / tol))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
+    return len(_group_points(pts, 1e-9)) < len(pts)
 
 
 def fs_residual(ctx: SigmaContext, pts) -> float:
@@ -329,7 +321,8 @@ def baker_rhs(curve: HyperellipticCurve, u_pts, x1p, x2p) -> complex:
 def baker_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> float:
     g = ctx.genus
     u = abel_map(ctx, u_pts).u
-    lhs = sum(wp(ctx, i, j, u) * v1.x ** (i - 1) * v2.x ** (j - 1)
+    wpm = wp_matrix(ctx, u)
+    lhs = sum(wpm[i - 1, j - 1] * v1.x ** (i - 1) * v2.x ** (j - 1)
               for i in range(1, g + 1) for j in range(1, g + 1))
     return _rel(lhs, baker_rhs(ctx.curve, u_pts, v1.x, v2.x))
 
@@ -344,7 +337,8 @@ def fay_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> fl
     lhs = (sigma(ctx, u + v) * sigma(ctx, u - v)
            / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, v) ** 2))
     kernel = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
-    ssum = sum(wp(ctx, i, j, u) * v1.x ** (i - 1) * v2.x ** (j - 1)
+    wpm = wp_matrix(ctx, u)
+    ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i - 1) * v2.x ** (j - 1)
                for i in range(1, g + 1) for j in range(1, g + 1))
     return _rel(lhs, kernel - ssum)
 
@@ -356,7 +350,8 @@ def deg1_residual(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     v = abel_map(ctx, [v1]).u
     lhs = (sigma(ctx, u + 2 * v) * sigma(ctx, u - 2 * v)
            / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, 2 * v) ** 2))
-    ssum = sum(wp(ctx, i, j, u) * v1.x ** (i + j - 2)
+    wpm = wp_matrix(ctx, u)
+    ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i + j - 2)
                for i in range(1, g + 1) for j in range(1, g + 1))
     return _rel(lhs, f12(ctx.curve, v1.x) - ssum)
 

@@ -23,7 +23,14 @@ from . import addition, division, poncelet, toda, verify
 from .curves import CurvePoint, make_curve, random_curve_points
 from .errors import SigmaTodaError
 from .periods import compute_periods
-from .sigma import abel_map, lattice_distance, sigma_context, sigma_with_scale, wp, zeta
+from .sigma import (
+    abel_map,
+    lattice_distance,
+    sigma_context,
+    sigma_with_scale,
+    wp_matrix,
+    zeta,
+)
 
 
 def _pair(z: complex):
@@ -103,8 +110,7 @@ def cmd_sigma(args) -> int:
     payload = {"u": _vector(u), "sigma": _pair(val), "cancellation_scale": scale}
     if abs(val) > ctx.pole_tol * scale:
         payload["zeta"] = [_pair(zeta(ctx, i, u)) for i in range(1, ctx.genus + 1)]
-        payload["wp"] = [[_pair(wp(ctx, i, j, u)) for j in range(1, ctx.genus + 1)]
-                         for i in range(1, ctx.genus + 1)]
+        payload["wp"] = [[_pair(w) for w in row] for row in wp_matrix(ctx, u)]
     else:
         payload["on_theta_divisor"] = True
     emit(args, payload)

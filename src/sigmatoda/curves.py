@@ -8,7 +8,7 @@ infinity is represented by the ``INFINITY`` sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -22,11 +22,17 @@ ROOT_SEPARATION = 1e-9
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point (x, y) on a curve, or the point at infinity."""
+    """Affine point (x, y) on a curve, or the point at infinity.
+
+    ``_abel`` holds the point's Abel image per Abel engine, filled by
+    ``sigma.abel_map``; it is not part of the value, so equality and hashing
+    ignore it.
+    """
 
     x: complex
     y: complex
     at_infinity: bool = False
+    _abel: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def conj(self) -> "CurvePoint":
         """Hyperelliptic involution (x, y) -> (x, -y)."""

@@ -444,24 +444,49 @@ def zeta(ctx: SigmaContext, i: int, u) -> complex:
     return _partial(ctx, jet, (i - 1,)) / _checked_sigma(ctx, jet, u)
 
 
-def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
-    """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j."""
-    jet = _jet(ctx, u, 2)
-    s0 = _checked_sigma(ctx, jet, u)
+def _wp_entry(ctx: SigmaContext, jet, s0, i: int, j: int) -> complex:
     si = _partial(ctx, jet, (i - 1,))
     sj = _partial(ctx, jet, (j - 1,)) if j != i else si
     sij = _partial(ctx, jet, (i - 1, j - 1))
     return (si * sj - s0 * sij) / (s0 * s0)
 
 
+def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
+    """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j."""
+    jet = _jet(ctx, u, 2)
+    return _wp_entry(ctx, jet, _checked_sigma(ctx, jet, u), i, j)
+
+
+def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
+    """All wp_{ij} at u from one 2-jet; entry [i-1, j-1] equals wp(ctx, i, j, u).
+
+    Each entry is computed on its own, not mirrored: (i, j) and (j, i) add
+    the terms of the second partial in a different order.
+    """
+    jet = _jet(ctx, u, 2)
+    s0 = _checked_sigma(ctx, jet, u)
+    labels = range(1, ctx.genus + 1)
+    return np.array([[_wp_entry(ctx, jet, s0, i, j) for j in labels] for i in labels])
+
+
 def abel_map(ctx_or_engine, points) -> AbelPoint:
-    """Abel map of a list of curve points (the empty list maps to zero)."""
+    """Abel map of a list of curve points (the empty list maps to zero).
+
+    Each affine point keeps its image per engine on itself (read-only), so a
+    point object is integrated once however many divisors it enters.
+    """
     engine = ctx_or_engine.abel if isinstance(ctx_or_engine, SigmaContext) else ctx_or_engine
     g = engine.curve.genus
     u = np.zeros(g, dtype=complex)
     affine = 0
     for p in points:
-        u = u + engine.to_point(p)
+        img = p._abel.get(engine)
+        if img is None:
+            img = engine.to_point(p)
+            if not p.at_infinity:
+                img.flags.writeable = False
+                p._abel[engine] = img
+        u = u + img
         if not p.at_infinity:
             affine += 1
     return AbelPoint(u, min(affine, g))

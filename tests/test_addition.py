@@ -87,6 +87,15 @@ def test_fs_residual_coincident_zero(ctx1):
     assert fs_residual(ctx1, [p, p]) == 0.0
 
 
+def test_fs_residual_coincident_across_a_rounding_bin(ctx1):
+    # x = 2.0000000015 -+ 3e-13 fall in two bins of round(x / 1e-9), but the
+    # two points are 6e-13 apart: one point by the pairwise rule
+    x = 2.0000000015
+    pts = [ctx1.curve.point(x - 3e-13), ctx1.curve.point(x + 3e-13)]
+    assert fs_residual(ctx1, pts) == 0.0
+    assert fs_residual_report(ctx1, pts) == {"residual": 0.0, "sign_anomaly": False}
+
+
 def test_fs_sign_anomaly_reported(ctx1):
     # net sigma homogeneity is odd for three points, so only the magnitude
     # is convention independent; the report must flag the sign

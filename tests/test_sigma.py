@@ -1,11 +1,34 @@
+import importlib
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
-from sigmatoda.errors import CharacteristicsNotFound, NotALatticeVector, ThetaDivisorPole
+from sigmatoda.addition import (
+    _rel,
+    baker_residual,
+    baker_rhs,
+    deg1_residual,
+    fay_residual,
+    thm_add_residual,
+)
+from sigmatoda.curves import (
+    INFINITY,
+    CurvePoint,
+    baker_f2,
+    f12,
+    make_curve,
+    random_curve_points,
+)
+from sigmatoda.errors import (
+    CharacteristicsNotFound,
+    NotALatticeVector,
+    PathThroughBranchPoint,
+    ThetaDivisorPole,
+)
 from sigmatoda.periods import PeriodData
 from sigmatoda.sigma import (
+    _AbelEngine,
     _gauss_nodes,
     abel_map,
     lattice_distance,
@@ -20,8 +43,10 @@ from sigmatoda.sigma import (
     sigma_sharp,
     translation_factors,
     wp,
+    wp_matrix,
     zeta,
 )
+from sigmatoda.verify import canonical_contexts
 
 mp.mp.dps = 30
 
@@ -319,3 +344,170 @@ def test_gauss_nodes_cached_read_only_and_exact(n):
     x, w = np.polynomial.legendre.leggauss(n)
     assert np.array_equal(nodes, 0.5 * (x + 1.0))
     assert np.array_equal(weights, 0.5 * w)
+
+
+@pytest.fixture()
+def integrations(monkeypatch):
+    """Points passed to _AbelEngine.to_point, in call order."""
+    seen = []
+    original = _AbelEngine.to_point
+
+    def counted(self, p):
+        seen.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(_AbelEngine, "to_point", counted)
+    return seen
+
+
+def _fresh(*pts):
+    return [CurvePoint(p.x, p.y) for p in pts]
+
+
+def test_addition_checks_integrate_each_point_once(ctx1, ctx2, integrations):
+    rng = np.random.default_rng(21)
+    p, q = random_curve_points(ctx1.curve, rng, 2)
+    base = random_curve_points(ctx2.curve, rng, 2)
+    v1, v2 = random_curve_points(ctx2.curve, rng, 2)
+    shared = [thm_add_residual(ctx1, [p], [q]),
+              thm_add_residual(ctx2, base, [v1, v2]),
+              thm_add_residual(ctx2, base, [v1]),
+              fay_residual(ctx2, base, v1, v2),
+              baker_residual(ctx2, base, v1, v2)]
+    assert [id(x) for x in integrations] == [id(x) for x in (p, q, *base, v1, v2)]
+    # a fresh copy of every point in every check integrates 15 times, same bits
+    unshared = [thm_add_residual(ctx1, _fresh(p), _fresh(q)),
+                thm_add_residual(ctx2, _fresh(*base), _fresh(v1, v2)),
+                thm_add_residual(ctx2, _fresh(*base), _fresh(v1)),
+                fay_residual(ctx2, _fresh(*base), *_fresh(v1, v2)),
+                baker_residual(ctx2, _fresh(*base), *_fresh(v1, v2))]
+    assert len(integrations) == 6 + 15
+    assert unshared == shared
+
+
+def test_equal_points_integrate_once_each(ctx2, integrations):
+    p = random_curve_points(ctx2.curve, np.random.default_rng(22), 1)[0]
+    twin = CurvePoint(p.x, p.y)
+    assert twin == p and hash(twin) == hash(p)
+    abel_map(ctx2, [p, twin, p, twin])
+    assert [id(x) for x in integrations] == [id(p), id(twin)]
+    assert np.array_equal(p._abel[ctx2.abel], twin._abel[ctx2.abel])
+
+
+def test_abel_image_is_read_only_and_exact(ctx1, ctx2):
+    rng = np.random.default_rng(23)
+    for ctx in (ctx1, ctx2):
+        branch = CurvePoint(complex(ctx.curve.branch_points[-1]), 0j)
+        for p in [*random_curve_points(ctx.curve, rng, 3), branch]:
+            u = abel_map(ctx, [p]).u
+            assert list(p._abel) == [ctx.abel]
+            img = p._abel[ctx.abel]
+            with pytest.raises(ValueError):
+                img[0] = 0.0
+            assert np.array_equal(img, _AbelEngine(ctx.curve).to_point(p))
+            assert np.array_equal(abel_map(ctx, [p]).u, u)
+
+
+def test_each_context_keeps_its_own_image():
+    (a1, a2), (b1, b2) = canonical_contexts(), canonical_contexts()
+    rng = np.random.default_rng(24)
+    for a, b in ((a1, b1), (a2, b2)):
+        p = random_curve_points(a.curve, rng, 1)[0]
+        ua, ub = abel_map(a, [p]).u, abel_map(b, [p]).u
+        assert len(p._abel) == 2 and set(p._abel) == {a.abel, b.abel}
+        assert np.array_equal(ua, ub)
+
+
+def test_infinity_gets_no_image(ctx2):
+    p = random_curve_points(ctx2.curve, np.random.default_rng(25), 1)[0]
+    ap = abel_map(ctx2, [INFINITY, p, INFINITY])
+    assert ap.stratum == 1 and np.array_equal(ap.u, abel_map(ctx2, [p]).u)
+    assert INFINITY._abel == {} and list(p._abel) == [ctx2.abel]
+
+
+def test_failed_integration_leaves_no_image(ctx1, integrations):
+    # y = i sqrt(f(2)) lies on neither sheet over x = 2: the arrival is ambiguous
+    p = CurvePoint(2.0 + 0j, 1j * np.sqrt(6.0))
+    for _ in range(2):
+        with pytest.raises(PathThroughBranchPoint):
+            abel_map(ctx1, [p])
+    assert p._abel == {} and len(integrations) == 2
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_wp_matrix_is_wp_entry_by_entry_from_one_theta_pass(ctx1, ctx2, genus,
+                                                             monkeypatch):
+    ctx = ctx1 if genus == 1 else ctx2
+    # the package attribute ``sigma`` is the function, not the module
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    kernel = sigma_mod._theta_sum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    rng = np.random.default_rng(26 + genus)
+    for _ in range(5):
+        u = 0.5 * (rng.normal(size=genus) + 1j * rng.normal(size=genus))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sigma_mod, "_theta_sum", counted)
+            mat = wp_matrix(ctx, u)
+        assert len(calls) == 1 and mat.shape == (genus, genus)
+        # every entry on its own, (1, 2) and (2, 1) included
+        for i in range(1, genus + 1):
+            for j in range(1, genus + 1):
+                assert mat[i - 1, j - 1] == wp(ctx, i, j, u)
+
+
+def test_wp_matrix_raises_where_wp_does(ctx1, ctx2):
+    p = random_curve_points(ctx2.curve, np.random.default_rng(28), 1)[0]
+    for ctx, u in ((ctx1, np.zeros(1)), (ctx2, abel_map(ctx2, [p]).u)):
+        with pytest.raises(ThetaDivisorPole):
+            wp(ctx, 1, 1, u)
+        with pytest.raises(ThetaDivisorPole):
+            wp_matrix(ctx, u)
+
+
+# the residuals as they were written before wp_matrix, one wp call per term
+def _former_baker(ctx, u_pts, v1, v2):
+    g = ctx.genus
+    u = abel_map(ctx, u_pts).u
+    lhs = sum(wp(ctx, i, j, u) * v1.x ** (i - 1) * v2.x ** (j - 1)
+              for i in range(1, g + 1) for j in range(1, g + 1))
+    return _rel(lhs, baker_rhs(ctx.curve, u_pts, v1.x, v2.x))
+
+
+def _former_fay(ctx, u_pts, v1, v2):
+    g = ctx.genus
+    u = abel_map(ctx, u_pts).u
+    v = abel_map(ctx, [v1, v2]).u
+    lhs = (sigma(ctx, u + v) * sigma(ctx, u - v)
+           / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, v) ** 2))
+    kernel = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
+    ssum = sum(wp(ctx, i, j, u) * v1.x ** (i - 1) * v2.x ** (j - 1)
+               for i in range(1, g + 1) for j in range(1, g + 1))
+    return _rel(lhs, kernel - ssum)
+
+
+def _former_deg1(ctx, u_pts, v1):
+    g = ctx.genus
+    u = abel_map(ctx, u_pts).u
+    v = abel_map(ctx, [v1]).u
+    lhs = (sigma(ctx, u + 2 * v) * sigma(ctx, u - 2 * v)
+           / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, 2 * v) ** 2))
+    ssum = sum(wp(ctx, i, j, u) * v1.x ** (i + j - 2)
+               for i in range(1, g + 1) for j in range(1, g + 1))
+    return _rel(lhs, f12(ctx.curve, v1.x) - ssum)
+
+
+def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2):
+    rng = np.random.default_rng(29)
+    for ctx in (ctx1, ctx2):
+        for _ in range(5):
+            base = random_curve_points(ctx.curve, rng, ctx.genus)
+            v1, v2 = random_curve_points(ctx.curve, rng, 2)
+            assert baker_residual(ctx, base, v1, v2) == _former_baker(ctx, base, v1, v2)
+            assert fay_residual(ctx, base, v1, v2) == _former_fay(ctx, base, v1, v2)
+            assert deg1_residual(ctx, base, v1) == _former_deg1(ctx, base, v1)
