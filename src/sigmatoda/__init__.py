@@ -17,9 +17,7 @@ from .curves import (
     HyperellipticCurve,
     INFINITY,
     baker_f2,
-    branch_points,
     f12,
-    f_poly,
     make_curve,
     phi,
     random_curve_points,
@@ -29,7 +27,6 @@ from .curves import (
 from .periods import (
     CycleBasis,
     PeriodData,
-    QuadratureConfig,
     build_cycles,
     compute_periods,
     first_kind_diff,

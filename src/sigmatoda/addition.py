@@ -70,10 +70,9 @@ def _jet_rows(curve: HyperellipticCurve, p: CurvePoint, mult: int, n_cols: int):
     return rows
 
 
-def _confluent_matrix(curve: HyperellipticCurve, pts, n_cols: int,
-                      tol: float | None = None) -> np.ndarray:
-    tol = tol if tol is not None else 1e-12 * curve.scale
-    blocks = [_jet_rows(curve, p, m, n_cols) for p, m in _group_points(pts, tol)]
+def _confluent_matrix(curve: HyperellipticCurve, pts, n_cols: int) -> np.ndarray:
+    blocks = [_jet_rows(curve, p, m, n_cols)
+              for p, m in _group_points(pts, 1e-12 * curve.scale)]
     return np.vstack(blocks)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import addition, division, poncelet, toda, verify
 from .curves import CurvePoint, make_curve, random_curve_points
-from .errors import SigmaTodaError
+from .errors import SigmaTodaError, ThetaDivisorPole
 from .periods import compute_periods
 from .sigma import (
     abel_map,
@@ -108,10 +108,11 @@ def cmd_sigma(args) -> int:
     u = parse_u(args.u)
     val, scale = sigma_with_scale(ctx, u)
     payload = {"u": _vector(u), "sigma": _pair(val), "cancellation_scale": scale}
-    if abs(val) > ctx.pole_tol * scale:
+    try:
         payload["zeta"] = [_pair(zeta(ctx, i, u)) for i in range(1, ctx.genus + 1)]
         payload["wp"] = [[_pair(w) for w in row] for row in wp_matrix(ctx, u)]
-    else:
+    except ThetaDivisorPole:
+        # zeta and wp read the same sigma value and scale, so neither is set
         payload["on_theta_divisor"] = True
     emit(args, payload)
     return 0

@@ -113,10 +113,6 @@ def make_curve(genus: int, lam) -> HyperellipticCurve:
     return curve
 
 
-def branch_points(curve: HyperellipticCurve) -> np.ndarray:
-    return curve.branch_points
-
-
 def phi_monomial(g: int, i: int) -> tuple[int, bool]:
     """Exponent of x and y-flag of the monomial phi_i of the affine ring.
 
@@ -163,7 +159,7 @@ def baker_f2(curve: HyperellipticCurve, x1, x2) -> complex:
     return total
 
 
-def f12(curve: HyperellipticCurve, x, tol: float = 1e-12) -> complex:
+def f12(curve: HyperellipticCurve, x) -> complex:
     """Confluent limit of (f(x1, x2) - 2 y1 y2) / (x1 - x2)^2 on one sheet.
 
     Equals f'(x)^2 / (4 f(x)) minus the polynomial part
@@ -172,7 +168,7 @@ def f12(curve: HyperellipticCurve, x, tol: float = 1e-12) -> complex:
     """
     x = complex(x)
     fx = complex(curve.f(x))
-    if abs(fx) < tol * curve.scale ** (2 * curve.genus + 1):
+    if abs(fx) < 1e-12 * curve.scale ** (2 * curve.genus + 1):
         raise BranchPointSingularity(f"f({x}) is numerically zero")
     poly_part = 0.0 + 0.0j
     for i in range(1, curve.genus + 1):
@@ -210,13 +206,6 @@ def y_jet(curve: HyperellipticCurve, x, k_max: int, y0=None) -> np.ndarray:
     return jets
 
 
-def f_poly(xs) -> np.ndarray:
-    """Monic polynomial with the given x-values as roots (ascending)."""
-    from .polyutil import poly_from_roots
-
-    return poly_from_roots(np.asarray(xs, dtype=complex))
-
-
 def vandermonde(xs) -> complex:
     """Vandermonde product prod_{i<j} (x_j - x_i)."""
     xs = np.asarray(xs, dtype=complex)
@@ -228,11 +217,11 @@ def vandermonde(xs) -> complex:
 
 
 def random_curve_points(curve: HyperellipticCurve, rng: np.random.Generator,
-                        count: int, avoid: float = 0.1) -> list[CurvePoint]:
+                        count: int) -> list[CurvePoint]:
     """Sample affine points away from branch points, random sheet per point.
 
     x is drawn from an annulus around the branch-point centroid and rejected
-    within ``avoid * curve.scale`` of any branch point.
+    within ``0.1 * curve.scale`` of any branch point.
     """
     e = curve.branch_points
     center = np.mean(e)
@@ -240,7 +229,7 @@ def random_curve_points(curve: HyperellipticCurve, rng: np.random.Generator,
     while len(pts) < count:
         r = curve.scale * rng.uniform(0.3, 2.0)
         x = center + r * np.exp(2j * np.pi * rng.uniform())
-        if np.min(np.abs(x - e)) < avoid * curve.scale:
+        if np.min(np.abs(x - e)) < 0.1 * curve.scale:
             continue
         pts.append(curve.point(x, sheet=int(rng.integers(2))))
     return pts

@@ -327,7 +327,6 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
     resampled until all sites used by the residual tests are well away
     from the theta divisor.
     """
-    from .curves import random_curve_points
     from .sigma import abel_map, lattice_distance
     from .toda import frame_well_conditioned, toda_frame
 
@@ -339,8 +338,7 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
             f"{n_period} * c misses the lattice by {dist:.3e}")
     rng = rng or np.random.default_rng(31)
     for _ in range(40):
-        u0 = abel_map(ctx, random_curve_points(ctx.curve, rng, ctx.genus)).u
-        frame = toda_frame(ctx, v1, u0=u0, periodic=n_period)
+        frame = toda_frame(ctx, v1, rng=rng, periodic=n_period)
         if frame_well_conditioned(frame, range(-1, 2 * n_period + 3)):
             return frame
     raise NotTorsion("could not condition a periodic frame base offset")
@@ -352,21 +350,22 @@ def divisibility_check(curve: HyperellipticCurve, candidate: TorsionCandidate,
 
     Forms the square-free product over the distinct affine non-branch
     x-values of ell * P for ell = 1..2N and checks it divides every window
-    polynomial. Colliding multiples void the hypothesis.
+    polynomial. Colliding multiples, equal point by point within the x
+    tolerance (``addition._group_points``), void the hypothesis.
     """
-    from .addition import point_multiples
+    from .addition import _group_points, point_multiples
 
     g = curve.genus
     two_n = 2 * n_period
+    tol = 1e-8 * curve.scale
     multiples = point_multiples(curve, candidate.point, two_n)
-    seen: list[tuple] = []
+    seen: list[list] = []
     xs: list[complex] = []
     for ell, div in enumerate(multiples, start=1):
-        key = tuple(sorted((round(p.x.real, 9), round(p.x.imag, 9),
-                            round(p.y.real, 9), round(p.y.imag, 9)) for p in div))
-        if key in seen:
+        if any(len(old) == len(div) and len(_group_points(old + div, tol)) == len(div)
+               for old in seen):
             raise MultiplesNotDistinct(f"multiples collide at ell = {ell}")
-        seen.append(key)
+        seen.append(div)
         if len(div) == 0:
             continue  # the identity class, reached at ell = 2N for exact order
         if len(div) > 1:
@@ -375,7 +374,7 @@ def divisibility_check(curve: HyperellipticCurve, candidate: TorsionCandidate,
         q = div[0]
         if abs(curve.f(q.x)) < 1e-10 * curve.scale:
             continue  # branch-point multiples live in the (2y) factor
-        if all(abs(q.x - x) > 1e-8 * curve.scale for x in xs):
+        if all(abs(q.x - x) > tol for x in xs):
             xs.append(q.x)
     if not xs:
         raise MultiplesNotDistinct("no affine multiples to test")

@@ -16,7 +16,7 @@ on every result; a residual above tolerance signals a sheet-tracking error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,9 @@ from .errors import (
 from .polyutil import polyval
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    base_nodes: int = 256
-    max_nodes: int = 4096
-    agree_tol: float = 1e-11
-    certificate_tol: float = 1e-8
+MAX_NODES = 4096  # period quadrature gives up beyond this many nodes
+AGREE_TOL = 1e-11  # agreement of two node levels, per unit curve scale
+CERTIFICATE_TOL = 1e-8  # bound on the Legendre residual
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class PeriodData:
     riemann: np.ndarray  # omega1^{-1} omega2
     legendre_residual: float
     error_estimate: float
-    cycles: CycleBasis = field(repr=False, default=None)
 
     @property
     def genus(self) -> int:
@@ -93,7 +89,6 @@ class PeriodData:
 
     def lattice_matrix(self) -> np.ndarray:
         """Real 2g x 2g matrix whose columns generate the period lattice."""
-        g = self.genus
         gens = np.hstack([2.0 * self.omega1, 2.0 * self.omega2])
         return np.vstack([gens.real, gens.imag])
 
@@ -300,6 +295,27 @@ def _assemble(cycles: CycleBasis, seg_ints: np.ndarray, transports: np.ndarray,
     return alpha_mat, beta_mat
 
 
+def _refine(level, n: int, bound: float, n_max: int):
+    """The quadrature ladder of periods and the Abel map: level(n), level(2n), ...
+
+    ``level(n)`` returns a tuple led by an array of sums. Returns the first
+    finer output whose sums differ from the previous ones by <= bound (never
+    NaN), and that difference; raises QuadratureNonConvergence past n_max.
+    """
+    prev = level(n)
+    while True:
+        n *= 2
+        cur = level(n)
+        err = float(np.max(np.abs(cur[0] - prev[0])))
+        if err <= bound:
+            return cur, err
+        if n >= n_max:
+            raise QuadratureNonConvergence(
+                f"quadrature stuck at difference {err:.3e} with {n} nodes "
+                f"(bound {bound:.3e})")
+        prev = cur
+
+
 def legendre_residual(pd: PeriodData) -> float:
     """Max-norm defect of the generalized Legendre relation."""
     g = pd.genus
@@ -308,42 +324,27 @@ def legendre_residual(pd: PeriodData) -> float:
     return float(np.max(np.abs(m @ j @ m.T - (0.5j * np.pi) * j)))
 
 
-def compute_periods(curve: HyperellipticCurve, cycles: CycleBasis | None = None,
-                    quad: QuadratureConfig | None = None) -> PeriodData:
+def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodData:
     """Certified half-period matrices of the first and second kind.
 
-    Node counts double until two successive levels agree to the configured
-    tolerance. The result is normalized so the (1, 1) entry of the first
-    alpha period has positive real part (or positive imaginary part when the
-    real part vanishes); this is a global sign convention only.
+    Node counts double from ``base_nodes`` until two levels agree (``_refine``).
+    The result is normalized so the (1, 1) entry of the first alpha period
+    has positive real part (or positive imaginary part when the real part
+    vanishes); this is a global sign convention only.
     """
-    quad = quad or QuadratureConfig()
-    cycles = cycles or build_cycles(curve)
+    cycles = build_cycles(curve)
     e = cycles.branch_points
     g = curve.genus
     numerators = [np.array([0.0] * (i - 1) + [1.0], dtype=complex)
                   for i in range(1, g + 1)]
     numerators += [second_kind_numerator(curve, j) for j in range(1, g + 1)]
 
-    n_seg = 2 * g
-    n_nodes = quad.base_nodes
-    prev = np.array([
-        _segment_integrals(e, k, numerators, n_nodes) for k in range(n_seg)
-    ]).T
-    err = np.inf
-    while True:
-        n_nodes *= 2
-        cur = np.array([
-            _segment_integrals(e, k, numerators, n_nodes) for k in range(n_seg)
-        ]).T
-        err = float(np.max(np.abs(cur - prev)))
-        if err < quad.agree_tol * curve.scale:
-            break
-        if n_nodes >= quad.max_nodes:
-            raise QuadratureNonConvergence(
-                f"period quadrature stuck at error {err:.3e} with {n_nodes} nodes")
-        prev = cur
+    def level(n_nodes):
+        return (np.array([
+            _segment_integrals(e, k, numerators, n_nodes) for k in range(2 * g)
+        ]).T,)
 
+    (cur,), err = _refine(level, base_nodes, AGREE_TOL * curve.scale, MAX_NODES)
     transports = _transport_signs(curve, e)
     alpha_mat, beta_mat = _assemble(cycles, cur, transports, g)
     omega1, eta1 = alpha_mat[:g], alpha_mat[g:]
@@ -354,13 +355,13 @@ def compute_periods(curve: HyperellipticCurve, cycles: CycleBasis | None = None,
         omega1, omega2, eta1, eta2 = -omega1, -omega2, -eta1, -eta2
 
     riemann = np.linalg.solve(omega1, omega2)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err, cycles)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err)
     res = legendre_residual(pd)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err, cycles)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err)
 
-    if res > quad.certificate_tol:
+    if res > CERTIFICATE_TOL:
         raise LegendreCertificateFailure(
-            f"Legendre residual {res:.3e} above {quad.certificate_tol:.1e}")
+            f"Legendre residual {res:.3e} above {CERTIFICATE_TOL:.1e}")
     sym = float(np.max(np.abs(riemann - riemann.T)))
     if sym > 1e-8:
         raise LegendreCertificateFailure(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, make_curve
 from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole
-from .sigma import SigmaContext, abel_map, sigma_context, sigma_with_scale, wp
+from .sigma import SigmaContext, abel_map, sigma_with_scale, wp
 from .toda import lattice_lhs
 
 
@@ -92,8 +92,7 @@ def tangency_residual(pair: ConicPair, line: np.ndarray) -> float:
                  / (np.linalg.norm(line) ** 2 * np.linalg.norm(adj)))
 
 
-def pair_for_torsion(ctx: SigmaContext, point: CurvePoint,
-                     t0: complex = 0.21) -> ConicPair:
+def pair_for_torsion(ctx: SigmaContext, point: CurvePoint) -> ConicPair:
     """Inner conic whose Poncelet translation is the Abel image of ``point``.
 
     The family with reduced curve equal to ctx.curve has one free parameter;
@@ -110,6 +109,7 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint,
                          [lam1, a, 2 * lam0]], dtype=complex)
 
     u0 = abel_map(ctx, [point]).u
+    t0 = 0.21  # sweep parameter of the chord whose tangency is imposed
     xa = wp(ctx, 1, 1, [t0])
     xb = wp(ctx, 1, 1, u0 + t0)
     line = chord_line(xa, xb)
@@ -156,15 +156,13 @@ def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext):
 
 
 def poncelet_vertices(pair: ConicPair, torsion, n_sides: int, t: complex,
-                      ctx: SigmaContext | None = None):
+                      ctx: SigmaContext):
     """Vertices (x_n, x_n^2, 1) of the polygon at sweep parameter t.
 
     x_n is the wp value at n steps of the torsion Abel image. When a vertex
     passes through the pole the sweep parameter is shifted deterministically
     and the value used is reported back.
     """
-    if ctx is None:
-        ctx = sigma_context(reduce_to_elliptic(pair))
     point = torsion.point if hasattr(torsion, "point") else torsion
     u0 = abel_map(ctx, [point]).u
     t_used = complex(t)

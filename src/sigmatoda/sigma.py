@@ -29,7 +29,7 @@ from .errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from .periods import PeriodData, _continue_y, _continuous_sqrt, compute_periods
+from .periods import PeriodData, _continue_y, _continuous_sqrt, _refine, compute_periods
 from .theta import JET, _theta_sum, suggested_radius
 
 BASEPOINT_ANGLE = 1.2  # fixed direction of the near-infinity Abel basepoint
@@ -96,15 +96,11 @@ class _AbelEngine:
             y = _continuous_sqrt(self.curve.f(x), 0, np.sqrt(complex(self.curve.f(x[0]))))
             jac = -2.0 * self.x_base / s**3
             forms = _monomials(x, self.curve.genus)
-            return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y[-1]
+            return (np.sum(((w * forms) * jac) / (2.0 * y), axis=-1),
+                    self.x_base / s[-1] ** 2, y[-1])
 
-        prev, _ = level(96)
-        cur, y_end = level(192)
-        if np.max(np.abs(cur - prev)) > 10 * self.tol * self.curve.scale:
-            cur, y_end = level(384)
+        (cur, x_last, y_end), _ = _refine(level, 96, 10 * self.tol * self.curve.scale, 384)
         # y at the basepoint via a last short hop from the closest node
-        s_last, _ = _gauss_nodes(192)
-        x_last = self.x_base / s_last[-1] ** 2
         y_base = _continue_y(self.curve, x_last, self.x_base, y_end, self._min_dist)
         return cur, y_base
 
@@ -161,12 +157,10 @@ class _AbelEngine:
             sums = np.sum((w * _monomials(x, self.curve.genus)) / sqrt_g, axis=-1)
             # scalar products: numpy may fuse an array's complex products
             # (FMA), which moves the last bit
-            return np.array([-s0 * v for v in sums])
+            return (np.array([-s0 * v for v in sums]),)
 
-        v1, v2 = level(64), level(128)
-        if np.max(np.abs(v2 - v1)) > 50 * self.tol * self.curve.scale:
-            v2 = level(256)
-        return v2
+        (vals,), _ = _refine(level, 64, 50 * self.tol * self.curve.scale, 256)
+        return vals
 
     def to_point(self, p: CurvePoint) -> np.ndarray:
         if p.at_infinity:
@@ -270,8 +264,7 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         engine = engine or _AbelEngine(curve)
         rng = np.random.default_rng(12345)
         for _ in range(6):
-            pts = random_curve_points(curve, rng, g - 1)
-            u = np.sum([engine.to_point(p) for p in pts], axis=0)
+            u = abel_map(engine, random_curve_points(curve, rng, g - 1)).u
             test_z.append(pmat @ reduce_mod_lattice(pd, u))
     winners = []
     for a, b in _half_char_candidates(g):
@@ -334,8 +327,7 @@ def _spot_check_vanishing(ctx: SigmaContext):
         val, scale = sigma_with_scale(ctx, np.zeros(1))
     else:
         rng = np.random.default_rng(999)
-        pts = random_curve_points(ctx.curve, rng, g - 1)
-        u = np.sum([ctx.abel.to_point(p) for p in pts], axis=0)
+        u = abel_map(ctx, random_curve_points(ctx.curve, rng, g - 1)).u
         val, scale = sigma_with_scale(ctx, u)
     if abs(val) > 1e-6 * scale:
         raise CharacteristicsNotFound(
@@ -430,12 +422,20 @@ def sigma_flat(ctx: SigmaContext, u) -> complex:
     return sigma_natural(ctx, 2, u)
 
 
+def _guarded(ctx: SigmaContext, sig, scale: float, where):
+    """``sig``, or ThetaDivisorPole when |sig| < pole_tol * scale, scale = |env| L1.
+
+    The one pole test of the package: every quotient by sigma is guarded here.
+    ``where`` (a label or the point) is formatted only when the test fires.
+    """
+    if abs(sig) < ctx.pole_tol * scale:
+        raise ThetaDivisorPole(f"sigma vanished at {where}")
+    return sig
+
+
 def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
     env, theta0, l1 = jet[:3]
-    val = env * theta0
-    if abs(val) < ctx.pole_tol * (abs(env) * l1):
-        raise ThetaDivisorPole(f"sigma(u) ~ 0 at u = {np.asarray(u)}")
-    return val
+    return _guarded(ctx, env * theta0, abs(env) * l1, u)
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
@@ -492,6 +492,12 @@ def abel_map(ctx_or_engine, points) -> AbelPoint:
     return AbelPoint(u, min(affine, g))
 
 
+def quasi_period(pd: PeriodData, ell, tol: float) -> np.ndarray:
+    """2 eta1 l' + 2 eta2 l'' of ell = 2 omega1 l' + 2 omega2 l'', integral within tol."""
+    l1, l2 = lattice_decompose(pd, ell, tol=tol)
+    return 2.0 * pd.eta1 @ np.round(l1) + 2.0 * pd.eta2 @ np.round(l2)
+
+
 def translation_factors(ctx: SigmaContext, ell, u):
     """Sign chi and exponent L with sigma(u + ell) = chi * exp(L) * sigma(u).
 
@@ -506,6 +512,5 @@ def translation_factors(ctx: SigmaContext, ell, u):
     delta2, delta1 = ctx.chars.a, ctx.chars.b  # a holds delta'', b holds delta'
     chi = np.exp(2j * np.pi * (l1 @ delta2 - l2 @ delta1 + 0.5 * (l1 @ l2)))
     chi = complex(np.sign(chi.real) if abs(chi.imag) < 1e-9 else chi)
-    eta_vec = 2.0 * ctx.periods.eta1 @ l1 + 2.0 * ctx.periods.eta2 @ l2
-    l_val = -(u + 0.5 * ell) @ eta_vec
+    l_val = -(u + 0.5 * ell) @ quasi_period(ctx.periods, ell, 1e-6)
     return chi, l_val

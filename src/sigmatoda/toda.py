@@ -24,14 +24,16 @@ from functools import cached_property
 import numpy as np
 
 from .curves import CurvePoint, baker_f2, f12
-from .errors import ConfluentInput, ThetaDivisorPole
+from .errors import ConfluentInput
 from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
+    _guarded,
     _jet,
     _partial,
     abel_map,
     natural_index_set,
+    quasi_period,
     sigma_jet2,
 )
 
@@ -40,52 +42,10 @@ def direction_vector(xp: complex, g: int) -> np.ndarray:
     return np.array([xp**i for i in range(g)], dtype=complex)
 
 
-def _checked(sig: complex, scale: float, pole_tol: float, label: str) -> None:
-    """Raise when |sigma| is below pole_tol relative to its scale |env| L1."""
-    if abs(sig) < pole_tol * scale:
-        raise ThetaDivisorPole(f"sigma vanished at {label}")
-
-
-def _potential(d: np.ndarray, sig, grad, hess) -> complex:
-    """-D^2 log sigma along d, from sigma's 2-jet at one point."""
-    first = (d @ grad) / sig
-    return first**2 - (d @ hess @ d) / sig
-
-
-def d_log_sigma(ctx: SigmaContext, xp: complex, u, order: int = 1) -> complex:
-    """Exact directional derivative of log sigma along (xp^0, ..., xp^{g-1})."""
-    d = direction_vector(xp, ctx.genus)
-    sig, grad, hess, scale = sigma_jet2(ctx, u)
-    _checked(sig, scale, ctx.pole_tol, "log sigma derivative")
-    first = (d @ grad) / sig
-    if order == 1:
-        return first
-    if order == 2:
-        return (d @ hess @ d) / sig - first**2
-    raise ValueError("order must be 1 or 2")
-
-
-def directional_derivative(ctx: SigmaContext, xp: complex, h, u,
-                           order: int = 1, fd_step: float = 1e-5) -> complex:
-    """Finite-difference directional derivative of a callable field h.
-
-    This is the independent check mode for the exact theta-series path; h
-    takes a vector in C^g and returns a scalar.
-    """
-    d = direction_vector(xp, ctx.genus)
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    if order == 1:
-        return (h(u + fd_step * d) - h(u - fd_step * d)) / (2 * fd_step)
-    if order == 2:
-        return (h(u + fd_step * d) - 2 * h(u) + h(u - fd_step * d)) / fd_step**2
-    raise ValueError("order must be 1 or 2")
-
-
 @dataclass(frozen=True)
 class TodaFrame:
     ctx: SigmaContext
     v1: CurvePoint
-    v_abel: np.ndarray
     c: np.ndarray
     u0: np.ndarray
     periodic: int | None = None
@@ -109,8 +69,7 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
     from .curves import random_curve_points
 
     g = ctx.genus
-    v_abel = abel_map(ctx, [v1]).u
-    c = 2.0 * v_abel
+    c = 2.0 * abel_map(ctx, [v1]).u
     if u0 is None:
         rng = rng or np.random.default_rng(2024)
         u0 = abel_map(ctx, random_curve_points(ctx.curve, rng, g)).u
@@ -118,13 +77,12 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
     # 0-based labels of sigma_flat; one jet at c serves it and its gradient
     flat = tuple(i - 1 for i in natural_index_set(g, 2))
     jet = _jet(ctx, c, len(flat) + 1)
-    s_flat_c = _partial(ctx, jet, flat)
-    if abs(s_flat_c) < 1e-12:
-        raise ThetaDivisorPole("sigma_flat vanishes at the step c")
+    s_flat_c = _guarded(ctx, _partial(ctx, jet, flat), abs(jet[0]) * jet[2],
+                        "the step c (sigma_flat)")
     d = direction_vector(v1.x, g)
     zc = sum(v1.x ** (i - 1) * _partial(ctx, jet, flat + (i - 1,))
              for i in range(1, g + 1)) / s_flat_c
-    return TodaFrame(ctx, v1, v_abel, c, u0, periodic, complex(s_flat_c),
+    return TodaFrame(ctx, v1, c, u0, periodic, complex(s_flat_c),
                      complex(f12(ctx.curve, v1.x)), complex(zc), d)
 
 
@@ -148,18 +106,23 @@ def site_jet(frame: TodaFrame, n: int, t: complex = 0.0):
     return jet
 
 
+def _potential(frame: TodaFrame, jet, where) -> complex:
+    """-D^2 log sigma along the frame's direction, from sigma's 2-jet at one point."""
+    sig, grad, hess, scale = jet
+    _guarded(frame.ctx, sig, scale, where)
+    d = frame.direction
+    first = (d @ grad) / sig
+    return first**2 - (d @ hess @ d) / sig
+
+
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
-    sig, grad, hess, scale = sigma_jet2(frame.ctx, u)
-    _checked(sig, scale, frame.ctx.pole_tol, "V")
-    return _potential(frame.direction, sig, grad, hess)
+    return _potential(frame, sigma_jet2(frame.ctx, u), "V")
 
 
 def _site_V(frame: TodaFrame, n: int, t: complex) -> complex:
     """V at site n and time t, read through ``site_jet``."""
-    sig, grad, hess, scale = site_jet(frame, n, t)
-    _checked(sig, scale, frame.ctx.pole_tol, f"V at site {n}")
-    return _potential(frame.direction, sig, grad, hess)
+    return _potential(frame, site_jet(frame, n, t), f"V at site {n}")
 
 
 def log_second_difference(product, gap0: complex, h: float) -> complex:
@@ -205,10 +168,10 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     degeneracy; harnesses resample the base offset until this holds.
     """
     for n in n_range:
-        sig, grad, hess, scale = site_jet(frame, n, t)
-        if abs(sig) < 1e-3 * scale:
+        jet = site_jet(frame, n, t)
+        if abs(jet[0]) < 1e-3 * jet[3]:
             return False
-        gap = abs(_potential(frame.direction, sig, grad, hess) - frame.v_c)
+        gap = abs(_potential(frame, jet, "a conditioned site") - frame.v_c)
         if gap < gap_floor * max(1.0, abs(frame.v_c)):
             return False
     return True
@@ -251,7 +214,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
 
     def vhat(u):
         sig, grad, hess, scale = sigma_jet2(ctx, u)
-        _checked(sig, scale, ctx.pole_tol, "two-time potential")
+        _guarded(ctx, sig, scale, "two-time potential")
         return ((d1 @ grad) * (d2 @ grad)) / sig**2 - (d1 @ hess @ d2) / sig
 
     base = u0 + n * c + t1 * d1 + t2 * d2
@@ -274,13 +237,13 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    pole_tol, d = frame.ctx.pole_tol, frame.direction
+    ctx, d = frame.ctx, frame.direction
     s_k, grad_k, _, scale_k = site_jet(frame, k, t)
     s_k1, grad_k1, _, scale_k1 = site_jet(frame, k + 1, t)
     s_k2 = site_jet(frame, k + 2, t)[0]
-    _checked(s_k1, scale_k1, pole_tol, f"site {k + 1}")
+    _guarded(ctx, s_k1, scale_k1, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
-    _checked(s_k, scale_k, pole_tol, f"zeta at site {k}")
+    _guarded(ctx, s_k, scale_k, f"zeta at site {k}")
     b_k = (d @ grad_k1) / s_k1 - (d @ grad_k) / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
@@ -391,19 +354,13 @@ def _tridiag_charpoly(b: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndar
     return prev1
 
 
-def _periodic_charpoly(state: TodaState) -> tuple[np.ndarray, complex]:
-    """P(z) by the three-term recursion (ascending coeffs) and prod(a)."""
-    n = state.n_sites
-    b, a = state.b, state.a
-    full = _tridiag_charpoly(b, a, 0, n - 1)
-    inner = _tridiag_charpoly(b, a, 1, n - 2)
-    return polyadd(full, -a[n - 1] * inner), complex(np.prod(a))
-
-
 def char_poly(state: TodaState) -> SpectralData:
     """P(z) by the three-term recursion and the invariants; roots on demand."""
     n = state.n_sites
-    p, prod_a = _periodic_charpoly(state)
+    b, a = state.b, state.a
+    p = polyadd(_tridiag_charpoly(b, a, 0, n - 1),
+                -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2))
+    prod_a = complex(np.prod(a))
     invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
                           + [prod_a], dtype=complex)
     return SpectralData(p, invariants, prod_a)
@@ -415,7 +372,8 @@ def lax_det_residual(state: TodaState) -> float:
     The direct determinant is the oracle for the recursion-built P.
     """
     rng = np.random.default_rng(7)
-    p, prod_a = _periodic_charpoly(state)
+    data = char_poly(state)
+    p, prod_a = data.p_coeffs, data.prod_a
     n = state.n_sites
     worst = 0.0
     for _ in range(5):
@@ -473,14 +431,9 @@ def invariant_sigma_relations(frame: TodaFrame, n_sites: int,
         I_1 = -d . q - N zeta_c,
         I_{N+1} = sigma_flat(c)^(-2N) exp(-c . q).
     """
-    from .sigma import lattice_decompose
-
     if frame.periodic is None:
         raise ValueError("sigma-form invariants need a periodic frame")
-    pd = frame.ctx.periods
-    ell = n_sites * frame.c
-    l1, l2 = lattice_decompose(pd, ell, tol=1e-5)
-    q = 2.0 * pd.eta1 @ np.round(l1) + 2.0 * pd.eta2 @ np.round(l2)
+    q = quasi_period(frame.ctx.periods, n_sites * frame.c, 1e-5)
     inv = char_poly(toda_state(frame, n_sites, t)).invariants
     i1_exact = -(frame.direction @ q) - n_sites * frame.zeta_c
     in1_exact = frame.sigma_flat_c ** (-2 * n_sites) * np.exp(-(frame.c @ q))

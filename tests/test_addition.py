@@ -20,12 +20,11 @@ from sigmatoda.curves import (
     CurvePoint,
     baker_f2,
     f12,
-    f_poly,
     make_curve,
     random_curve_points,
 )
 from sigmatoda.errors import ConfluentInput
-from sigmatoda.polyutil import polyval
+from sigmatoda.polyutil import poly_from_roots, polyval
 from sigmatoda.sigma import abel_map, lattice_distance, sigma_context, wp
 
 
@@ -113,7 +112,7 @@ def test_mu_basics(ctx1, ctx2):
     assert mu_n(ctx1.curve, probe, [p1]) == pytest.approx(probe.x - p1.x, rel=1e-12)
     base = random_curve_points(ctx2.curve, rng, 2)
     probe2 = random_curve_points(ctx2.curve, rng, 1)[0]
-    fpoly = f_poly([p.x for p in base])
+    fpoly = poly_from_roots([p.x for p in base])
     assert mu_n(ctx2.curve, probe2, base) == pytest.approx(
         polyval(fpoly, probe2.x), rel=1e-10)
 

@@ -4,16 +4,14 @@ import pytest
 from sigmatoda.curves import (
     CurvePoint,
     baker_f2,
-    branch_points,
     f12,
-    f_poly,
     make_curve,
     phi,
     random_curve_points,
     vandermonde,
 )
 from sigmatoda.errors import BadArity, BranchPointSingularity, DegenerateCurve
-from sigmatoda.polyutil import polyval
+from sigmatoda.polyutil import poly_from_roots, polyval
 
 
 def curve_g1():
@@ -44,12 +42,12 @@ def test_make_curve_rejects_wrong_arity():
 
 
 def test_branch_points_cubic():
-    e = branch_points(curve_g1())
+    e = curve_g1().branch_points
     assert np.allclose(e, [-1.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_branch_points_quintic_roots_of_minus_one():
-    e = branch_points(curve_g2())
+    e = curve_g2().branch_points
     assert np.allclose(np.sort(np.angle(e**5)), 0.0, atol=1e-10) or np.allclose(
         np.abs(e**5 + 1.0), 0.0, atol=1e-10)
     assert np.allclose(np.abs(e), 1.0, atol=1e-12)
@@ -131,7 +129,7 @@ def test_f12_branch_point_raises():
 def test_f_poly_and_vandermonde_basics():
     assert vandermonde([0.0, 1.0, 2.0]) == pytest.approx(2.0)
     assert vandermonde([1.0, 1.0, 5.0]) == 0.0
-    coeffs = f_poly([1.0, -1.0, 0.0])
+    coeffs = poly_from_roots([1.0, -1.0, 0.0])
     assert np.allclose(coeffs, [0, -1, 0, 1])  # x^3 - x ascending
 
 

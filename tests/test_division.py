@@ -259,6 +259,22 @@ def test_divisibility_negative_control(g1):
     assert not divisibility_check(g1, fake, 3)
 
 
+def test_divisibility_sees_collisions_across_a_rounding_bin(g1, monkeypatch):
+    # two copies of one point 2e-13 apart in x, on either side of a 9-decimal
+    # rounding boundary: they collide however the coordinates round
+    import sigmatoda.addition as addition_mod
+
+    def copy(x):
+        return CurvePoint(complex(x), complex(np.sqrt(g1.f(x))))
+
+    first, second = copy(2.0000000005 - 1e-13), copy(2.0000000005 + 1e-13)
+    assert round(first.x.real, 9) != round(second.x.real, 9)
+    monkeypatch.setattr(addition_mod, "point_multiples",
+                        lambda curve, p, count: [[first], [second]])
+    with pytest.raises(MultiplesNotDistinct, match="collide at ell = 2"):
+        divisibility_check(g1, TorsionCandidate(first, 2, (0.0,)), 1)
+
+
 def test_psi5_reference_tabulation_discrepancy(g1):
     """A reference tabulation of psi_5 for this curve lists degree 14.
 

@@ -3,11 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from sigmatoda.curves import CurvePoint, make_curve
-from sigmatoda.errors import BranchPointSingularity
+import sigmatoda.periods as periods_mod
+from sigmatoda.errors import BranchPointSingularity, QuadratureNonConvergence
 from sigmatoda.periods import (
     PeriodData,
-    QuadratureConfig,
     _continuous_sqrt,
+    _refine,
     build_cycles,
     compute_periods,
     first_kind_diff,
@@ -118,16 +119,65 @@ def test_genus1_tau_upper_half(g1):
 def test_perturbed_periods_fail_certificate(g1):
     _, pd = g1
     bad = PeriodData(pd.omega1 * (1 + 1e-3), pd.omega2, pd.eta1, pd.eta2,
-                     pd.riemann, 0.0, 0.0, pd.cycles)
+                     pd.riemann, 0.0, 0.0)
     assert legendre_residual(bad) > 1e-4
 
 
 def test_refinement_agrees_within_reported_error(g2):
     curve, pd = g2
-    finer = compute_periods(curve, quad=QuadratureConfig(base_nodes=512))
+    finer = compute_periods(curve, base_nodes=512)
     for a, b in ((pd.omega1, finer.omega1), (pd.omega2, finer.omega2),
                  (pd.eta1, finer.eta1), (pd.eta2, finer.eta2)):
         assert np.max(np.abs(a - b)) <= max(pd.error_estimate, 1e-13) * 10
+
+
+def test_period_ladder_raises_past_its_node_limit(monkeypatch):
+    # with an agreement bound of 0 no two levels agree: the ladder doubles
+    # from 256 to MAX_NODES nodes and then raises
+    nodes = []
+    segment_integrals = periods_mod._segment_integrals
+
+    def counted(e, k, numerators, n_nodes):
+        nodes.append(n_nodes)
+        return segment_integrals(e, k, numerators, n_nodes)
+
+    monkeypatch.setattr(periods_mod, "_segment_integrals", counted)
+    monkeypatch.setattr(periods_mod, "AGREE_TOL", 0.0)
+    with pytest.raises(QuadratureNonConvergence, match="4096 nodes"):
+        compute_periods(make_curve(1, [0, -1, 0]))
+    assert sorted(set(nodes)) == [256, 512, 1024, 2048, 4096]
+
+
+def _halving_level(calls, nan_from=None):
+    """Synthetic level: one sum 1/n (exact at powers of two), NaN from nan_from."""
+    def level(n):
+        calls.append(n)
+        value = np.nan if nan_from is not None and n >= nan_from else 1.0 / n
+        return np.array([value]), f"extra {n}"
+    return level
+
+
+def test_refine_doubles_until_two_levels_agree():
+    calls = []
+    # successive sums 1/4, 1/8, 1/16 differ by 1/8 and then by 1/16
+    out, err = _refine(_halving_level(calls), 4, 1.0 / 16, 64)
+    assert calls == [4, 8, 16]
+    assert out[0][0] == 1.0 / 16 and out[1] == "extra 16"
+    assert err == 1.0 / 16  # accepted at exactly the bound
+    calls.clear()
+    out, err = _refine(_halving_level(calls), 4, np.nextafter(1.0 / 16, 0), 64)
+    assert calls == [4, 8, 16, 32] and err == 1.0 / 32
+
+
+def test_refine_raises_at_its_node_limit_and_never_accepts_nan():
+    calls = []
+    with pytest.raises(QuadratureNonConvergence):
+        _refine(_halving_level(calls), 4, 1e-3, 32)
+    assert calls == [4, 8, 16, 32]
+    calls.clear()
+    with pytest.raises(QuadratureNonConvergence):
+        _refine(_halving_level(calls, nan_from=8), 4, np.inf, 32)
+    assert calls == [4, 8, 16, 32]
 
 
 def _continuous_sqrt_loop(values, anchor_index, anchor):

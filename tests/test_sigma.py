@@ -24,6 +24,7 @@ from sigmatoda.errors import (
     CharacteristicsNotFound,
     NotALatticeVector,
     PathThroughBranchPoint,
+    QuadratureNonConvergence,
     ThetaDivisorPole,
 )
 from sigmatoda.periods import PeriodData
@@ -109,7 +110,7 @@ def test_characteristics_genus1_odd(ctx1):
 def test_characteristics_negative_control(ctx1):
     pd = ctx1.periods
     bad = PeriodData(pd.omega1 * (1 + 1e-3), pd.omega2, pd.eta1, pd.eta2,
-                     pd.riemann * (1 + 1e-3), 0.0, 0.0, pd.cycles)
+                     pd.riemann * (1 + 1e-3), 0.0, 0.0)
     with pytest.raises(CharacteristicsNotFound):
         riemann_characteristics(ctx1.curve, bad)
 
@@ -511,3 +512,17 @@ def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2):
             assert baker_residual(ctx, base, v1, v2) == _former_baker(ctx, base, v1, v2)
             assert fay_residual(ctx, base, v1, v2) == _former_fay(ctx, base, v1, v2)
             assert deg1_residual(ctx, base, v1) == _former_deg1(ctx, base, v1)
+
+
+def test_abel_third_quadrature_rules_are_checked(ctx2):
+    # at tol 1e-40 no two rules agree (on y^2 = x^5 + 1 every pair differs by
+    # roundoff at least): the tail and the branch leg raise instead of
+    # returning their third rule unchecked
+    engine = _AbelEngine(ctx2.curve)
+    engine.tol = 1e-40
+    with pytest.raises(QuadratureNonConvergence):
+        engine._tail_integral()
+    for k, e in enumerate(ctx2.curve.branch_points):
+        xa = e + 0.25 * np.exp(1.2j)
+        with pytest.raises(QuadratureNonConvergence):
+            engine._final_branch_leg(xa, k, np.sqrt(complex(ctx2.curve.f(xa))))

@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
-from sigmatoda.errors import ConfluentInput
-from sigmatoda.sigma import abel_map, sigma_context, wp
+from sigmatoda.errors import ConfluentInput, ThetaDivisorPole
+from sigmatoda.sigma import abel_map, sigma_context, sigma_jet2, wp, zeta
 from sigmatoda.toda import (
     V,
     char_poly,
-    d_log_sigma,
-    directional_derivative,
+    direction_vector,
     flaschka,
     flaschka_ode_residual,
     flaschka_wp_path,
@@ -45,6 +46,20 @@ def conditioned_frame(ctx, rng, n_range=range(-4, 5)):
     raise RuntimeError("no conditioned frame found")
 
 
+def directional_derivative(ctx, xp: complex, h, u, order: int = 1,
+                           fd_step: float = 1e-5) -> complex:
+    """Finite-difference oracle: derivative of h along (xp^0, ..., xp^{g-1}).
+
+    h takes a vector in C^g and returns a scalar; this is the independent
+    check of the derivatives read from the theta series.
+    """
+    d = direction_vector(xp, ctx.genus)
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    if order == 1:
+        return (h(u + fd_step * d) - h(u - fd_step * d)) / (2 * fd_step)
+    return (h(u + fd_step * d) - 2 * h(u) + h(u - fd_step * d)) / fd_step**2
+
+
 def test_directional_derivative_exact_vs_fd(ctx2):
     rng = np.random.default_rng(0)
     pts = random_curve_points(ctx2.curve, rng, 2)
@@ -56,10 +71,12 @@ def test_directional_derivative_exact_vs_fd(ctx2):
 
         return np.log(sigma(ctx2, v))
 
-    exact = d_log_sigma(ctx2, xp, u, order=1)
+    d = direction_vector(xp, ctx2.genus)
+    sig, grad, hess, _ = sigma_jet2(ctx2, u)
+    exact = (d @ grad) / sig
     fd = directional_derivative(ctx2, xp, log_sigma, u, order=1)
     assert exact == pytest.approx(fd, abs=1e-6)
-    exact2 = d_log_sigma(ctx2, xp, u, order=2)
+    exact2 = (d @ hess @ d) / sig - exact**2
     fd2 = directional_derivative(ctx2, xp, log_sigma, u, order=2, fd_step=1e-4)
     assert exact2 == pytest.approx(fd2, rel=1e-5, abs=1e-5)
 
@@ -232,8 +249,6 @@ def test_lax_and_invariants_random_state():
 
 def test_flaschka_independent_of_truncation_policy(ctx2):
     # the variables are curve data; doubling the theta radius must not move them
-    import dataclasses
-
     rng = np.random.default_rng(15)
     frame = conditioned_frame(ctx2, rng)
     wide_ctx = dataclasses.replace(ctx2, trunc_radius=2 * ctx2.trunc_radius)
@@ -332,7 +347,6 @@ def _memo_frames(ctx1, ctx2):
 
 
 def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
-    import dataclasses
     import importlib
 
     from sigmatoda.sigma import sigma, sigma_jet2, sigma_with_scale
@@ -385,15 +399,19 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
         assert set(frame._site_jets) == {(0.05, 1), (0.05, 2), (0.05, 3)}
 
 
-def test_toda_pole_guard_is_relative_to_the_sigma_scale(ctx2):
+def _on_divisor_point(ctx2):
     # abel(P) lies on the theta divisor at genus 2; a period translate keeps
-    # sigma at ~1e-15 of its scale while |sigma| is ~1e-8, above an absolute
-    # 1e-10, so only the relative test sees the pole, as wp does
-    from sigmatoda.errors import ThetaDivisorPole
+    # sigma at ~1e-15 of its scale while |sigma| is ~1e-8
+    p = random_curve_points(ctx2.curve, np.random.default_rng(5), 1)
+    return abel_map(ctx2, p).u + 6.0 * ctx2.periods.omega1[:, 0]
+
+
+def test_toda_pole_guard_is_relative_to_the_sigma_scale(ctx2):
+    # |sigma| is above an absolute 1e-10, so only the relative test sees the
+    # pole, as wp does
     from sigmatoda.sigma import sigma_with_scale
 
-    p = random_curve_points(ctx2.curve, np.random.default_rng(5), 1)
-    u = abel_map(ctx2, p).u + 6.0 * ctx2.periods.omega1[:, 0]
+    u = _on_divisor_point(ctx2)
     val, scale = sigma_with_scale(ctx2, u)
     assert abs(val) > 1e-9 and abs(val) < 1e-12 * scale
     with pytest.raises(ThetaDivisorPole):
@@ -402,8 +420,6 @@ def test_toda_pole_guard_is_relative_to_the_sigma_scale(ctx2):
     frame = toda_frame(ctx2, v1, rng=np.random.default_rng(2))
     with pytest.raises(ThetaDivisorPole):
         V(frame, u)
-    with pytest.raises(ThetaDivisorPole):
-        d_log_sigma(ctx2, 0.3, u)
     # a frame whose site 1 is that point
     on_pole = toda_frame(ctx2, v1, u0=u - frame.c)
     assert np.array_equal(site_u(on_pole, 1), u)
@@ -412,3 +428,45 @@ def test_toda_pole_guard_is_relative_to_the_sigma_scale(ctx2):
     with pytest.raises(ThetaDivisorPole):
         flaschka_wp_path(on_pole, 0)
     assert not frame_well_conditioned(on_pole, range(0, 3))
+
+
+def _step_of_sigma_below(ctx, bound):
+    """A base point whose step c = 2 abel(v1) has |sigma(c)| < bound."""
+    from sigmatoda.sigma import sigma
+
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        v1 = random_curve_points(ctx.curve, rng, 1)[0]
+        if abs(sigma(ctx, 2.0 * abel_map(ctx, [v1]).u)) < bound:
+            return v1
+    raise RuntimeError("no base point with a small step sigma")
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e13])
+def test_pole_rule_is_free_of_the_sigma_scale(ctx1, ctx2, s):
+    # rescaling gamma0 rescales sigma, not its zeros: the Toda step and every
+    # potential read the same, and the on-divisor point stays a pole
+    for ctx in (ctx1, ctx2):
+        scaled = dataclasses.replace(ctx, gamma0=ctx.gamma0 * s)
+        v1 = _step_of_sigma_below(ctx, 10.0)
+        frame = toda_frame(ctx, v1, rng=np.random.default_rng(3))
+        other = toda_frame(scaled, v1, rng=np.random.default_rng(3))
+        assert np.array_equal(other.c, frame.c) and np.array_equal(other.u0, frame.u0)
+        assert other.zeta_c == pytest.approx(frame.zeta_c, rel=1e-14, abs=0)
+        for n in (-1, 0, 1):
+            assert V(other, site_u(other, n)) == pytest.approx(
+                V(frame, site_u(frame, n)), rel=1e-14, abs=0)
+
+    scaled = dataclasses.replace(ctx2, gamma0=ctx2.gamma0 * s)
+    u = _on_divisor_point(ctx2)
+    with pytest.raises(ThetaDivisorPole):
+        wp(scaled, 1, 1, u)
+    with pytest.raises(ThetaDivisorPole):
+        zeta(scaled, 1, u)
+    v1 = random_curve_points(ctx2.curve, np.random.default_rng(1), 1)[0]
+    frame = toda_frame(scaled, v1, rng=np.random.default_rng(2))
+    with pytest.raises(ThetaDivisorPole):
+        V(frame, u)
+    on_pole = toda_frame(scaled, v1, u0=u - frame.c)
+    with pytest.raises(ThetaDivisorPole):
+        flaschka(on_pole, 0)
