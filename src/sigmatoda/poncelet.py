@@ -22,8 +22,7 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, make_curve
 from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole
-from .sigma import SigmaContext, abel_map, sigma_with_scale, wp
-from .toda import lattice_lhs
+from .sigma import SigmaContext, abel_map, log_gap_curvature, sigma_with_scale, wp
 
 
 def _adjugate3(mat: np.ndarray) -> np.ndarray:
@@ -202,14 +201,11 @@ def vertex_toda_residual(ctx: SigmaContext, point: CurvePoint, n: int,
     """Second-difference lattice equation along the vertex sequence.
 
     Matches the one-time lattice identity with step equal to the Abel image
-    of the polygon's torsion point and constant wp at that image.
+    of the polygon's torsion point and constant wp at that image; the left
+    side -(d/dt)^2 log(x_n - x_c) is exact (``log_gap_curvature``).
     """
     u0 = abel_map(ctx, [point]).u
     x_c = wp(ctx, 1, 1, u0)
-
-    def gap(k, s):
-        return wp(ctx, 1, 1, k * u0 + t + s) - x_c
-
-    lhs = lattice_lhs(lambda h: gap(n, h) * gap(n, -h), gap(n, 0.0), 1e-3)
-    rhs = gap(n + 1, 0.0) - 2.0 * gap(n, 0.0) + gap(n - 1, 0.0)
+    x_n, lhs = log_gap_curvature(ctx, n * u0 + t, [1.0], [1.0], x_c)
+    rhs = wp(ctx, 1, 1, (n + 1) * u0 + t) - 2.0 * x_n + wp(ctx, 1, 1, (n - 1) * u0 + t)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)

@@ -438,6 +438,39 @@ def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
     return _guarded(ctx, env * theta0, abs(env) * l1, u)
 
 
+def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
+    """(v, -D1 D2 log(v - c)) at u, exact, with v = -D1 D2 log sigma.
+
+    D_i is the derivative along d_i, and one theta pass with the mixed
+    moments along w_i = P d_i serves both. The envelope of sigma is
+    quadratic, so past it only log theta counts: with k_ab the joint
+    cumulants of log theta, v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12
+    and D1 D2 v = -k22.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
+    w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
+    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
+    theta0, grad, hess, l1, (t21, t12, t22) = _theta_sum(
+        JET[2], ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann,
+        ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
+    _guarded(ctx, env * theta0, abs(env) * l1, u)
+    # moments of theta along (w1, w2) relative to theta, then cumulants
+    m10, m01 = (w1 @ grad) / theta0, (w2 @ grad) / theta0
+    m20, m11, m02 = ((wa @ hess @ wb) / theta0
+                     for wa, wb in ((w1, w1), (w1, w2), (w2, w2)))
+    m21, m12, m22 = t21 / theta0, t12 / theta0, t22 / theta0
+    k11 = m11 - m10 * m01
+    k21 = m21 - m20 * m01 - 2 * m11 * m10 + 2 * m10**2 * m01
+    k12 = m12 - m02 * m10 - 2 * m11 * m01 + 2 * m01**2 * m10
+    k22 = (m22 - 2 * (m21 * m01 + m12 * m10 + m11**2) - m20 * m02
+           + 2 * (m20 * m01**2 + m02 * m10**2) + 8 * m11 * m10 * m01
+           - 6 * m10**2 * m01**2)
+    v = d1 @ ctx.kappa @ d2 - k11
+    gap = v - c
+    return complex(v), complex((k22 * gap + k21 * k12) / gap**2)
+
+
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
     """Logarithmic derivative d log sigma / du_i."""
     jet = _jet(ctx, u, 1)

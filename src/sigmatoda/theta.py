@@ -1,4 +1,4 @@
-"""Riemann theta series with characteristics and its first two z-derivatives.
+"""Riemann theta series with characteristics and its z-derivatives.
 
 theta[a; b](z; T) = sum over n in Z^g of
     exp(2 pi i ((1/2) (n+a)^T T (n+a) + (n+a)^T (z+b))).
@@ -10,6 +10,12 @@ value, the gradient and the Hessian as moments of the terms by 2 pi i (n+a),
 together with the L1 mass of the value's terms. Every component keeps its
 own tail check: the outermost shell's estimate is checked against the
 requested tolerance relative to that component's L1 mass.
+
+Given two z-directions w1 and w2, the same pass also sums the mixed moments
+of orders (2, 1), (1, 2) and (2, 2) along them, with s_i = 2 pi i (n+a).w_i:
+the terms by s1^2 s2, s1 s2^2 and s1^2 s2^2. With the gradient and Hessian
+they give every derivative D1^i D2^j theta with i, j <= 2, each with its
+own tail check.
 """
 
 from __future__ import annotations
@@ -45,11 +51,13 @@ def suggested_radius(t_matrix, tol: float = DEFAULT_TOL) -> int:
     return int(np.ceil(np.sqrt(-np.log(tol) / (np.pi * lam_min)))) + 2
 
 
-def _theta_sum(deriv, a, b, z, t_matrix, radius, tol):
+def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     """(value, grad, hess, l1) of theta[a; b] at z from one lattice pass.
 
     ``deriv`` is ``JET[order]`` for order 0, 1 or 2; grad and hess are None
-    above that order. l1 is the L1 mass of the value's terms.
+    above that order. l1 is the L1 mass of the value's terms. With
+    ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
+    orders (2, 1), (1, 2) and (2, 2).
     """
     order = JET.index(tuple(deriv))
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -73,6 +81,9 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol):
     first = [ones * (2j * np.pi * na[:, k]) for k in range(g)] if order >= 1 else []
     pairs = [(k, m) for k in range(g) for m in range(k, g)] if order >= 2 else []
     second = [first[k] * (2j * np.pi * na[:, m]) for k, m in pairs]
+    if mixed is not None:
+        s1, s2 = ((2j * np.pi * na) @ w for w in mixed)
+        second += [s1 * s1 * s2, s1 * s2 * s2, s1 * s1 * s2 * s2]
     terms = np.array([ones, *first, *second]) * base
     sums = terms.sum(axis=1)
     mags = np.abs(terms)
@@ -87,6 +98,8 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol):
     hess = np.empty((g, g), dtype=complex) if order >= 2 else None
     for (k, m), moment in zip(pairs, sums[g + 1:]):
         hess[k, m] = hess[m, k] = moment
+    if mixed is not None:
+        return sums[0], grad, hess, float(l1s[0]), sums[-3:]
     return sums[0], grad, hess, float(l1s[0])
 
 

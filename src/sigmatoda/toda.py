@@ -6,7 +6,9 @@ x1'^(i-1). Site n at time t lives at u = u0 + n c + t * direction. The site
 potential is V(u) = sum wp_ij(u) x1'^(i+j-2) and the exact solutions are
 checked through two-sided residuals of the second-difference equation, its
 bilinear (Hirota) form, the two-time variant, and the Flaschka equations of
-motion.
+motion. Every derivative in the lattice checks is exact: the time
+derivatives of log(V - V_c) come from one theta pass with mixed moments at
+the site, not from a finite difference.
 
 Flaschka pairs are indexed so the standard equations hold:
 
@@ -32,6 +34,7 @@ from .sigma import (
     _jet,
     _partial,
     abel_map,
+    log_gap_curvature,
     natural_index_set,
     quasi_period,
     sigma_jet2,
@@ -125,38 +128,17 @@ def _site_V(frame: TodaFrame, n: int, t: complex) -> complex:
     return _potential(frame, site_jet(frame, n, t), f"V at site {n}")
 
 
-def log_second_difference(product, gap0: complex, h: float) -> complex:
-    """Central second difference of log gap at step h.
-
-    ``product(h)`` is gap(h) * gap(-h) and ``gap0`` is gap(0); the
-    difference is one log of their ratio, so branch cuts cancel.
-    """
-    return np.log(product(h) / gap0**2) / h**2
-
-
-def lattice_lhs(product, gap0: complex, h: float) -> complex:
-    """-(d/dt)^2 log gap: the second difference with one Richardson pass."""
-    return -(4.0 * log_second_difference(product, gap0, h / 2)
-             - log_second_difference(product, gap0, h)) / 3.0
-
-
 def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Second-difference Toda residual at site n along the flow direction.
 
-    The time derivative is ``lattice_lhs`` of V - V_c at step 1e-3. Steps
-    much below that hit the double-precision roundoff floor of the ratio,
-    so the extrapolated truncation error is favored over a smaller raw step.
+    The left side -(d/dt)^2 log(V - V_c) is exact, from one theta pass with
+    mixed moments at the site (``log_gap_curvature``); the right side reads
+    the site jets of n-1, n and n+1.
     """
-    u_n = site_u(frame, n, t)
-    vc = frame.v_c
-    v_n = _site_V(frame, n, t)
-
-    def product(h):
-        return (V(frame, u_n + h * frame.direction) - vc) \
-            * (V(frame, u_n - h * frame.direction) - vc)
-
-    lhs = lattice_lhs(product, v_n - vc, 1e-3)
-    rhs = _site_V(frame, n + 1, t) - 2 * v_n + _site_V(frame, n - 1, t)
+    lhs = log_gap_curvature(frame.ctx, site_u(frame, n, t), frame.direction,
+                            frame.direction, frame.v_c)[1]
+    rhs = _site_V(frame, n + 1, t) - 2 * _site_V(frame, n, t) \
+        + _site_V(frame, n - 1, t)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -164,8 +146,10 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
                            gap_floor: float = 1e-2) -> bool:
     """True when every site keeps clear of the theta divisor and V != V_c.
 
-    Residual evaluators lose finite-difference accuracy near either
-    degeneracy; harnesses resample the base offset until this holds.
+    Residuals lose accuracy near either degeneracy: sigma quotients near a
+    zero of sigma, and the exact lattice left side, which divides by
+    (V - V_c)^2, near a zero of the gap. Harnesses resample the base offset
+    until this holds.
     """
     for n in n_range:
         jet = site_jet(frame, n, t)
@@ -196,7 +180,12 @@ def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
 def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
                     n: int, t1: complex = 0.0, t2: complex = 0.0,
                     u0=None, rng: np.random.Generator | None = None) -> float:
-    """Two-time lattice residual with step c = abel(v1) + abel(v2)."""
+    """Two-time lattice residual with step c = abel(v1) + abel(v2).
+
+    With v = -D1 D2 log sigma along d1 and d2, it checks
+    -D1 D2 log(v - v_c) = v(n+1) - 2 v(n) + v(n-1), the left side exact from
+    one theta pass with mixed moments (``log_gap_curvature``).
+    """
     from .curves import random_curve_points
 
     if abs(v1.x - v2.x) < 1e-10 * ctx.curve.scale:
@@ -211,22 +200,10 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
     # two-point kernel; its confluent limit is f12, matching the one-time V_c
     vhat_c = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) \
         / (v1.x - v2.x) ** 2
-
-    def vhat(u):
-        sig, grad, hess, scale = sigma_jet2(ctx, u)
-        _guarded(ctx, sig, scale, "two-time potential")
-        return ((d1 @ grad) * (d2 @ grad)) / sig**2 - (d1 @ hess @ d2) / sig
-
-    base = u0 + n * c + t1 * d1 + t2 * d2
-
-    def w(s1, s2):
-        return vhat(base + s1 * d1 + s2 * d2) - vhat_c
-
-    h = 1e-4
-    ratio = (w(h, h) * w(-h, -h)) / (w(h, -h) * w(-h, h))
-    lhs = -np.log(ratio) / (4 * h * h)
-    rhs = (vhat(u0 + (n + 1) * c + t1 * d1 + t2 * d2) - 2 * vhat(base)
-           + vhat(u0 + (n - 1) * c + t1 * d1 + t2 * d2))
+    base = u0 + t1 * d1 + t2 * d2
+    (v_lo, _), (v_n, lhs), (v_hi, _) = (
+        log_gap_curvature(ctx, base + k * c, d1, d2, vhat_c) for k in (n - 1, n, n + 1))
+    rhs = v_hi - 2 * v_n + v_lo
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 

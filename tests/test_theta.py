@@ -127,7 +127,8 @@ def test_theta_deriv_rejects_order_three():
 def _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, tol):
     """One lattice sum per multi-index: the kernel's reference.
 
-    ``deriv`` lists 0-based coordinates; returns (value, L1 of the terms).
+    ``deriv`` lists 0-based coordinates, or z-directions w for the moments
+    along them; returns (value, L1 of the terms).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -145,7 +146,10 @@ def _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, tol):
     terms = np.exp(2j * np.pi * (quad + lin))
     prefactor = np.ones(terms.size, dtype=complex)
     for idx in deriv:
-        prefactor = prefactor * (2j * np.pi * na[:, idx])
+        if np.ndim(idx):
+            prefactor = prefactor * ((2j * np.pi * na) @ np.asarray(idx, dtype=complex))
+        else:
+            prefactor = prefactor * (2j * np.pi * na[:, idx])
     terms = prefactor * terms
     value = terms.sum()
     l1 = float(np.abs(terms).sum())
@@ -213,3 +217,36 @@ def test_derivative_moments_keep_their_own_tail_check(args, failing):
     _theta_sum(JET[failing - 1], *args)
     with pytest.raises(TruncationInsufficient):
         _theta_sum(JET[failing], *args)
+
+
+@pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
+def test_mixed_moments_are_direct_sums_and_leave_the_jet_alone(t_matrix):
+    g = t_matrix.shape[0]
+    rng = np.random.default_rng(18)
+    radius = suggested_radius(t_matrix)
+    for a, b in _half_characteristics(g):
+        z = rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.4
+        w1, w2 = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+
+        def ref(deriv):
+            return _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, 1e-12)[0]
+
+        value, grad, hess, l1, mixed = _theta_sum(
+            JET[2], a, b, z, t_matrix, radius, 1e-12, mixed=(w1, w2))
+        jet = _theta_sum(JET[2], a, b, z, t_matrix, radius, 1e-12)
+        assert (value, l1) == (jet[0], jet[3]) and value == ref(())
+        assert np.array_equal(grad, jet[1]) and np.array_equal(hess, jet[2])
+        assert [grad[k] for k in range(g)] == [ref((k,)) for k in range(g)]
+        assert mixed.tolist() == [ref((w1, w1, w2)), ref((w1, w2, w2)),
+                                  ref((w1, w1, w2, w2))]
+
+
+def test_mixed_moments_keep_their_own_tail_check():
+    # radius 5: the 2-jet's tails are within tol and a mixed moment's is not
+    w1, w2 = np.array([2.0, -1.0 + 0.5j]), np.array([1.5j, 2.0])
+    args = ([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, 5, 1e-11)
+    _theta_sum(JET[2], *args)
+    with pytest.raises(TruncationInsufficient):
+        _per_index_theta_sum((w1, w1, w2, w2), *args)
+    with pytest.raises(TruncationInsufficient):
+        _theta_sum(JET[2], *args, mixed=(w1, w2))

@@ -1,11 +1,21 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
 from sigmatoda.errors import ConfluentInput, ThetaDivisorPole
-from sigmatoda.sigma import abel_map, sigma_context, sigma_jet2, wp, zeta
+from sigmatoda.sigma import (
+    abel_map,
+    log_gap_curvature,
+    sigma_context,
+    sigma_jet2,
+    wp,
+    zeta,
+)
 from sigmatoda.toda import (
     V,
     char_poly,
@@ -18,7 +28,6 @@ from sigmatoda.toda import (
     invariant_drift,
     lax_det_residual,
     lax_matrix,
-    log_second_difference,
     site_u,
     spectral_morphism,
     toda2d_residual,
@@ -58,6 +67,50 @@ def directional_derivative(ctx, xp: complex, h, u, order: int = 1,
     if order == 1:
         return (h(u + fd_step * d) - h(u - fd_step * d)) / (2 * fd_step)
     return (h(u + fd_step * d) - 2 * h(u) + h(u - fd_step * d)) / fd_step**2
+
+
+def log_second_difference(product, gap0: complex, h: float) -> complex:
+    """Finite-difference oracle: central second difference of log gap at step h.
+
+    ``product(h)`` is gap(h) * gap(-h) and ``gap0`` is gap(0); the
+    difference is one log of their ratio, so branch cuts cancel.
+    """
+    return np.log(product(h) / gap0**2) / h**2
+
+
+def lattice_lhs(product, gap0: complex, h: float) -> complex:
+    """-(d/dt)^2 log gap: the second difference with one Richardson pass."""
+    return -(4.0 * log_second_difference(product, gap0, h / 2)
+             - log_second_difference(product, gap0, h)) / 3.0
+
+
+def mixed_lattice_lhs(gap, h: float) -> complex:
+    """-D1 D2 log gap(s1, s2) at 0: the 4-point stencil, one Richardson pass."""
+    def stencil(k):
+        ratio = gap(k, k) * gap(-k, -k) / (gap(k, -k) * gap(-k, k))
+        return -np.log(ratio) / (4 * k * k)
+
+    return (4.0 * stencil(h / 2) - stencil(h)) / 3.0
+
+
+def two_direction_potential(ctx, u, d1, d2) -> complex:
+    """-D1 D2 log sigma from sigma's 2-jet: the oracle's potential."""
+    sig, grad, hess, _ = sigma_jet2(ctx, u)
+    return (d1 @ grad) * (d2 @ grad) / sig**2 - (d1 @ hess @ d2) / sig
+
+
+def gap_derivatives(ctx, u, d1, d2, c):
+    """(v, D1 D2 v, D1 v * D2 v) read back from the exact lhs at two gaps.
+
+    lhs * w^2 = -D1 D2 v * w + D1 v * D2 v with w = v - c, so two values of
+    c separate the two derivative terms.
+    """
+    v, lhs = log_gap_curvature(ctx, u, d1, d2, c)
+    shift = max(1.0, abs(v))
+    _, lhs_far = log_gap_curvature(ctx, u, d1, d2, c - shift)
+    near, far = lhs * (v - c) ** 2, lhs_far * (v - c + shift) ** 2
+    dd_v = (near - far) / shift
+    return v, dd_v, near + dd_v * (v - c)
 
 
 def test_directional_derivative_exact_vs_fd(ctx2):
@@ -134,6 +187,72 @@ def test_fd_step_convergence_order(ctx1):
 
     r_coarse, r_fine = residual(4e-2), residual(2e-2)
     assert r_fine < r_coarse / 2.5  # second order in the step
+
+
+def test_exact_lhs_satisfies_the_wp_equations_at_genus_one(ctx1):
+    # on y^2 = f(x) = x^3 - x, V = wp obeys V'^2 = 4 f(V) and V'' = 2 f'(V)
+    rng = np.random.default_rng(30)
+    curve = ctx1.curve
+    for _ in range(8):
+        u = abel_map(ctx1, random_curve_points(curve, rng, 2)).u
+        c = complex(rng.normal(), rng.normal())
+        v, dd_v, d_v_sq = gap_derivatives(ctx1, u, [1.0], [1.0], c)
+        assert v == pytest.approx(wp(ctx1, 1, 1, u), rel=1e-12)
+        scale = max(1.0, abs(v) ** 3)
+        assert abs(d_v_sq - 4 * curve.f(v)) < 1e-12 * scale
+        assert abs(dd_v - 2 * (3 * v**2 - 1)) < 1e-12 * scale
+
+
+X1 = 0.4 - 0.3j
+
+
+@pytest.mark.parametrize("x2", [X1, -0.9 + 0.2j], ids=["d1=d2", "d1!=d2"])
+def test_exact_lhs_matches_the_finite_difference_oracle(ctx2, x2):
+    rng = np.random.default_rng(31)
+    d1, d2 = direction_vector(X1, 2), direction_vector(x2, 2)
+    for _ in range(4):
+        u = abel_map(ctx2, random_curve_points(ctx2.curve, rng, 2)).u
+        v0 = two_direction_potential(ctx2, u, d1, d2)
+        # a gap |v - c| of 1 + |v| keeps the oracle's steps well resolved
+        c = v0 - (1.0 + abs(v0)) * np.exp(2j * np.pi * rng.random())
+        v, lhs = log_gap_curvature(ctx2, u, d1, d2, c)
+        assert v == pytest.approx(v0, rel=1e-12)
+
+        def w(s1, s2):
+            return two_direction_potential(ctx2, u + s1 * d1 + s2 * d2, d1, d2) - c
+
+        if x2 == X1:
+            oracle = lattice_lhs(lambda h: w(h, 0) * w(-h, 0), w(0, 0), 1e-3)
+        else:
+            oracle = mixed_lattice_lhs(w, 1e-3)
+        assert lhs == pytest.approx(oracle, rel=1e-6)
+        # the first derivatives of v, against central differences
+        _, _, d_v_sq = gap_derivatives(ctx2, u, d1, d2, c)
+        h = 1e-5
+        fd1 = (w(h, 0) - w(-h, 0)) / (2 * h)
+        fd2 = (w(0, h) - w(0, -h)) / (2 * h)
+        assert d_v_sq == pytest.approx(fd1 * fd2, rel=1e-6)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py of this checkout, loaded by path."""
+    name = "_test_toda_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("seed, op", [(208, 87), (306, 600), (501, 219)])
+def test_benchmark_ops_pass_their_second_difference_gates(seed, op):
+    # a finite-difference left side missed these gates (genus 1 at seeds 208
+    # and 501, genus 2 at seed 306)
+    workloads = _benchmark_workloads()
+    result = workloads.toda_op(workloads.toda_setup(seed), seed, op)
+    assert result.failures == []
+    assert max(result.residuals) < 1e-9
 
 
 def test_hirota_residual_and_joint_pass(ctx1, ctx2):
@@ -370,9 +489,9 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
             results = (toda_residual_1d(frame, n, t), hirota_residual(frame, n, t),
                        flaschka(frame, n, t), flaschka_wp_path(frame, n, t),
                        toda_state(frame, n_sites, t))
-        # sites n-1..n+2 and 1..N+2 once each, plus the 4 stencil points
+        # sites n-1..n+2 and 1..N+2 once each, plus one mixed pass at site n
         sites = set(range(n - 1, n + 3)) | set(range(1, n_sites + 3))
-        assert len(calls) == len(sites) + 4
+        assert len(calls) == len(sites) + 1
         assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
 
         # the memo's values are those of the per-call evaluators
