@@ -161,11 +161,14 @@ def cantor_alpha(curve: HyperellipticCurve, n: int) -> DivisionPolynomial:
             alpha, rem = polydivmod(alpha, curve.f_coeffs)
             if np.max(np.abs(rem)) > 1e-9 * max(np.max(np.abs(alpha)), 1.0):
                 raise DegreeMismatch(f"jet determinant not divisible by f at n = {n}")
-    alpha = trim(alpha, 1e-12)
-    if n >= g + 2 and alpha.size - 1 != alpha_degree(g, n):
-        raise DegreeMismatch(
-            f"alpha_{n} degree {alpha.size - 1} != {alpha_degree(g, n)}")
-    return DivisionPolynomial(n, e, alpha)
+    if n < g + 2:
+        return DivisionPolynomial(n, e, trim(alpha, 1e-12))
+    # cut at the known degree: the leading coefficient can be < 1e-12 max|alpha|
+    deg = alpha_degree(g, n)
+    dropped = np.max(np.abs(alpha[deg + 1:]), initial=0.0)
+    if alpha.size <= deg or alpha[deg] == 0 or dropped > 1e-12 * np.max(np.abs(alpha)):
+        raise DegreeMismatch(f"alpha_{n} does not have degree {deg}")
+    return DivisionPolynomial(n, e, alpha[:deg + 1])
 
 
 def kiepert_psi(curve: HyperellipticCurve, n: int, p: CurvePoint) -> complex:

@@ -339,17 +339,26 @@ def _jet(ctx: SigmaContext, u, order: int):
 
     Returns the envelope gamma0 exp(-u.kappa.u/2), theta and its L1 mass,
     q = -kappa u, and the theta gradient and Hessian in the u variables
-    (None below their order).
+    (None below their order). A stack u of shape (K, g) takes one pass for
+    all K points and returns the list of their jets, each as its own call's.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
+    moments = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
+                         np.array([ctx.pmat @ p for p in u]) if u.ndim > 1 else ctx.pmat @ u,
+                         ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
+    if u.ndim > 1:
+        return [_point_jet(ctx, p, *(None if m is None else m[k] for m in moments))
+                for k, p in enumerate(u)]
+    return _point_jet(ctx, u, *moments)
+
+
+def _point_jet(ctx: SigmaContext, u, theta0, grad, hess, l1):
+    """The jet of ``_jet`` at one point u, from its theta moments."""
     env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    theta0, grad, hess, l1 = _theta_sum(
-        JET[order], ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann,
-        ctx.trunc_radius, ctx.tol)
     q = -(ctx.kappa @ u)
     tvec = None if grad is None else ctx.pmat.T @ grad
     hmat = None if hess is None else ctx.pmat.T @ hess @ ctx.pmat
-    return env, theta0, l1, q, tvec, hmat
+    return env, theta0, float(l1), q, tvec, hmat
 
 
 def _partial(ctx: SigmaContext, jet, idx) -> complex:
@@ -392,13 +401,17 @@ def sigma_jet2(ctx: SigmaContext, u):
     """sigma, its gradient and Hessian, and the scale |env| L1, in one pass.
 
     The scale is the one ``sigma_with_scale`` returns for divisor detection.
+    A stack u of shape (K, g) returns the list of the K points' tuples.
     """
-    env, theta0, l1, q, tvec, hmat = _jet(ctx, u, 2)
-    sig = env * theta0
-    dsig = env * (q * theta0 + tvec)
-    ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
-                   + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
-    return sig, dsig, ddsig, abs(env) * l1
+    jets = _jet(ctx, u, 2)
+    out = []
+    for env, theta0, l1, q, tvec, hmat in jets if isinstance(jets, list) else [jets]:
+        sig = env * theta0
+        dsig = env * (q * theta0 + tvec)
+        ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
+                       + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
+        out.append((sig, dsig, ddsig, abs(env) * l1))
+    return out if isinstance(jets, list) else out[0]
 
 
 def natural_index_set(g: int, n: int) -> tuple:

@@ -56,7 +56,7 @@ class TodaFrame:
     v_c: complex = 0.0
     zeta_c: complex = 0.0
     direction: np.ndarray = field(default=None, repr=False)
-    # sigma 2-jets of the sites at one time, keyed (t, n); see site_jet
+    # sigma 2-jets of the sites at one time, keyed (t, n); see site_jets
     _site_jets: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
 
@@ -93,20 +93,20 @@ def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:
     return frame.u0 + n * frame.c + t * frame.direction
 
 
-def site_jet(frame: TodaFrame, n: int, t: complex = 0.0):
-    """(sigma, gradient, Hessian, |env| L1) at site n and time t.
+def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
+    """(sigma, gradient, Hessian, |env| L1) at each site n of ``sites`` at time t.
 
-    The frame keeps the jets of the sites of one time, so every check at
-    (n, t) shares one theta pass per site; a call at another time drops them.
+    The frame keeps the jets of one time; a call at another time drops them.
+    The missing sites take one stacked theta pass, each with its own bits.
     """
-    memo = frame._site_jets
-    key = (complex(t), n)
-    jet = memo.get(key)
-    if jet is None:
-        if memo and next(iter(memo))[0] != key[0]:
-            memo.clear()
-        jet = memo[key] = sigma_jet2(frame.ctx, site_u(frame, n, t))
-    return jet
+    memo, t = frame._site_jets, complex(t)
+    if memo and next(iter(memo))[0] != t:
+        memo.clear()
+    missing = [n for n in sites if (t, n) not in memo]
+    if missing:
+        jets = sigma_jet2(frame.ctx, np.array([site_u(frame, n, t) for n in missing]))
+        memo.update(zip([(t, n) for n in missing], jets))
+    return [memo[t, n] for n in sites]
 
 
 def _potential(frame: TodaFrame, jet, where) -> complex:
@@ -123,11 +123,6 @@ def V(frame: TodaFrame, u) -> complex:
     return _potential(frame, sigma_jet2(frame.ctx, u), "V")
 
 
-def _site_V(frame: TodaFrame, n: int, t: complex) -> complex:
-    """V at site n and time t, read through ``site_jet``."""
-    return _potential(frame, site_jet(frame, n, t), f"V at site {n}")
-
-
 def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Second-difference Toda residual at site n along the flow direction.
 
@@ -137,8 +132,9 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """
     lhs = log_gap_curvature(frame.ctx, site_u(frame, n, t), frame.direction,
                             frame.direction, frame.v_c)[1]
-    rhs = _site_V(frame, n + 1, t) - 2 * _site_V(frame, n, t) \
-        + _site_V(frame, n - 1, t)
+    v_hi, v_n, v_lo = (_potential(frame, jet, f"V at site {n + 1 - i}")
+                       for i, jet in enumerate(site_jets(frame, range(n + 1, n - 2, -1), t)))
+    rhs = v_hi - 2 * v_n + v_lo
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -151,8 +147,7 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     (V - V_c)^2, near a zero of the gap. Harnesses resample the base offset
     until this holds.
     """
-    for n in n_range:
-        jet = site_jet(frame, n, t)
+    for jet in site_jets(frame, n_range, t):
         if abs(jet[0]) < 1e-3 * jet[3]:
             return False
         gap = abs(_potential(frame, jet, "a conditioned site") - frame.v_c)
@@ -164,14 +159,14 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
 def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Bilinear form of the lattice equation, all derivatives exact."""
     d = frame.direction
-    sig, grad, hess, _ = site_jet(frame, n, t)
+    lo, (sig, grad, hess, _), hi = site_jets(frame, range(n - 1, n + 2), t)
     sc2 = frame.sigma_flat_c**2
     d_sig = d @ grad
     dd_sig = d @ hess @ d
     t1 = sig * sc2 * dd_sig
     t2 = -sc2 * d_sig**2
     t3 = frame.v_c * sc2 * sig**2
-    t4 = -site_jet(frame, n + 1, t)[0] * site_jet(frame, n - 1, t)[0]
+    t4 = -hi[0] * lo[0]
     total = t1 + t2 + t3 + t4
     scale = max(abs(t1), abs(t2), abs(t3), abs(t4), 1e-300)
     return abs(total) / scale
@@ -215,9 +210,8 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     shifted by the constant zeta_c of the frame.
     """
     ctx, d = frame.ctx, frame.direction
-    s_k, grad_k, _, scale_k = site_jet(frame, k, t)
-    s_k1, grad_k1, _, scale_k1 = site_jet(frame, k + 1, t)
-    s_k2 = site_jet(frame, k + 2, t)[0]
+    (s_k, grad_k, _, scale_k), (s_k1, grad_k1, _, scale_k1), (s_k2, *_) = \
+        site_jets(frame, range(k, k + 3), t)
     _guarded(ctx, s_k1, scale_k1, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
     _guarded(ctx, s_k, scale_k, f"zeta at site {k}")
@@ -225,21 +219,28 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     return complex(a_k), complex(b_k)
 
 
+def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
+    """Flaschka pairs by k in ks, after one window fill of their sites."""
+    site_jets(frame, range(ks.start, ks.stop + 2), t)
+    return {k: flaschka(frame, k, t) for k in ks}
+
+
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     """a_k recomputed as the potential difference V_c - V at site k+1."""
-    return complex(frame.v_c - _site_V(frame, k + 1, t))
+    jet = site_jets(frame, [k + 1], t)[0]
+    return complex(frame.v_c - _potential(frame, jet, f"V at site {k + 1}"))
 
 
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
                           fd_step: float = 1e-4) -> float:
     """Max residual of the Flaschka equations of motion over a site window.
 
-    The pairs are taken one time at a time, so each time's site jets are
-    summed once for the whole window.
+    The pairs are taken one time at a time, so each time's site jets take
+    one stacked theta pass for the whole window.
     """
     h = fd_step
-    now = {k: flaschka(frame, k, t) for k in range(-1, n_window + 1)}
-    lo, hi, lo2, hi2 = ([flaschka(frame, k, s) for k in range(n_window)]
+    now = _flaschka_pairs(frame, range(-1, n_window + 1), t)
+    lo, hi, lo2, hi2 = (_flaschka_pairs(frame, range(n_window), s)
                         for s in (t - h, t + h, t - h / 2, t + h / 2))
     worst = 0.0
     for k in range(n_window):
@@ -271,7 +272,7 @@ class TodaState:
 
 
 def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
-    pairs = [flaschka(frame, k, t) for k in range(1, n_sites + 1)]
+    pairs = list(_flaschka_pairs(frame, range(1, n_sites + 1), t).values())
     return TodaState(np.array([p[0] for p in pairs]),
                      np.array([p[1] for p in pairs]), t)
 
@@ -343,21 +344,27 @@ def char_poly(state: TodaState) -> SpectralData:
     return SpectralData(p, invariants, prod_a)
 
 
+# samples of the two Lax checks, drawn in the order of one draw per sample
+LAX_SAMPLES = tuple((complex(zr, zi), complex(wr, wi) + 2.0) for zr, zi, wr, wi
+                    in np.random.default_rng(7).normal(size=(5, 4)).tolist())
+SPECTRAL_Z = tuple(complex(zr, zi)
+                   for zr, zi in np.random.default_rng(11).normal(size=(10, 2)).tolist())
+
+
 def lax_det_residual(state: TodaState) -> float:
     """Check det(L - z) against P(z) + (-1)^(N-1) (w + prod(a)/w).
 
     The direct determinant is the oracle for the recursion-built P.
     """
-    rng = np.random.default_rng(7)
     data = char_poly(state)
     p, prod_a = data.p_coeffs, data.prod_a
     n = state.n_sites
+    dets = np.linalg.det(np.array([lax_matrix(state, w_hat) - z * np.eye(n)
+                                   for z, w_hat in LAX_SAMPLES]))
+    p_z = polyval(p, [z for z, _ in LAX_SAMPLES]).tolist()
     worst = 0.0
-    for _ in range(5):
-        z = complex(rng.normal(), rng.normal())
-        w_hat = complex(rng.normal(), rng.normal()) + 2.0
-        det = np.linalg.det(lax_matrix(state, w_hat) - z * np.eye(n))
-        model = polyval(p, z) + (-1.0) ** (n - 1) * (w_hat + prod_a / w_hat)
+    for det, p_val, (_, w_hat) in zip(dets, p_z, LAX_SAMPLES):
+        model = p_val + (-1.0) ** (n - 1) * (w_hat + prod_a / w_hat)
         worst = max(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
 
@@ -370,19 +377,17 @@ def spectral_morphism(state: TodaState):
     squares to the degree-2N model whose 2N roots are
     ``data.weierstrass_z``, found only when read.
     """
-    rng = np.random.default_rng(11)
     data = char_poly(state)
     n = state.n_sites
     worst = 0.0
-    for _ in range(10):
-        z = complex(rng.normal(), rng.normal())
-        p_hat = (-1.0) ** n * polyval(data.p_coeffs, z)
+    for p_val in polyval(data.p_coeffs, SPECTRAL_Z).tolist():
+        p_hat = (-1.0) ** n * p_val
         disc = np.sqrt(p_hat**2 - 4.0 * data.prod_a)
         w_hat = 0.5 * (p_hat + disc)
         if abs(w_hat) < 1e-8:
             w_hat = 0.5 * (p_hat - disc)
         w = 2.0 * w_hat - p_hat
-        target = polyval(data.p_coeffs, z) ** 2 - 4.0 * data.prod_a
+        target = p_val ** 2 - 4.0 * data.prod_a
         worst = max(worst, abs(w**2 - target) / max(1.0, abs(target)))
     return worst, data
 

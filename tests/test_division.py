@@ -26,6 +26,7 @@ from sigmatoda.division import (
 )
 from sigmatoda.errors import (
     BranchPointSingularity,
+    DegreeMismatch,
     MultiplesNotDistinct,
     NotTorsion,
 )
@@ -110,6 +111,31 @@ def test_alpha_degree_formula(g1, g2):
         g = curve.genus
         for n in range(g + 2, 9):
             assert cantor_alpha(curve, n).degree == alpha_degree(g, n)
+
+
+@pytest.mark.parametrize("genus, n, degree, lead", [
+    (1, 12, 70, -6), (1, 13, 84, -13), (1, 14, 96, -7), (1, 15, 112, -15),
+    (1, 16, 126, 8), (2, 9, 72, 30), (2, 10, 96, 165), (2, 11, 112, 55),
+])
+def test_cantor_alpha_keeps_leading_coefficients_below_the_trim_cut(
+        g1, g2, genus, n, degree, lead):
+    # the true leading coefficient is below 1e-12 max|alpha|, where a
+    # relative trim would drop it and report a degree mismatch
+    alpha = cantor_alpha(g1 if genus == 1 else g2, n).alpha
+    assert alpha.size - 1 == degree == alpha_degree(genus, n)
+    assert alpha[-1] == lead
+    assert abs(lead) < 1e-12 * np.max(np.abs(alpha))
+
+
+def test_cantor_alpha_rejects_a_degree_it_does_not_have(g1, monkeypatch):
+    import sigmatoda.division as division_mod
+
+    # alpha_3 = 3x^4 - 6x^2 - 1 on y^2 = x^3 - x
+    assert cantor_alpha(g1, 3).alpha.tolist() == [-1, 0, -6, 0, 3]
+    for wrong in (3, 5):  # drops the leading 3, or asks past the end
+        monkeypatch.setattr(division_mod, "alpha_degree", lambda g, n: wrong)
+        with pytest.raises(DegreeMismatch):
+            cantor_alpha(g1, 3)
 
 
 def test_y_exponent_table():

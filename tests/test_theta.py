@@ -250,3 +250,46 @@ def test_mixed_moments_keep_their_own_tail_check():
         _per_index_theta_sum((w1, w1, w2, w2), *args)
     with pytest.raises(TruncationInsufficient):
         _theta_sum(JET[2], *args, mixed=(w1, w2))
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
+def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
+    g = t_matrix.shape[0]
+    rng = np.random.default_rng(19)
+    radius = suggested_radius(t_matrix)
+    points = rng.normal(size=(6, g)) * 0.6 + 1j * rng.normal(size=(6, g)) * 0.4
+    w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+    for a, b in _half_characteristics(g):
+        for order, mixed in itertools.product((0, 1, 2), (None, w)):
+            def call(z):
+                return _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12,
+                                  mixed=mixed)
+
+            singles = [call(z) for z in points]
+            for size in range(1, 7):
+                for rows in (list(range(size)), list(range(size))[::-1]):
+                    stack = call(points[rows])
+                    assert len(stack) == len(singles[0])
+                    for pos, row in enumerate(rows):
+                        assert [None if x is None else _bits(x[pos]) for x in stack] \
+                            == [_bits(x) for x in singles[row]]
+
+
+@pytest.mark.parametrize("args, good, bad", [
+    (([0.0], [0.0]), [[0.1 + 1.1j], [-0.3 + 1.1j]], [0.1 + 0.5j]),
+    (([0.5, 0.0], [0.0, 0.0]), [[0.4j, 0.2j], [0.3 + 0.4j, 0.2j]], [0.0, 0.2j]),
+], ids=["genus1", "genus2"])
+def test_one_failing_point_fails_its_stack(args, good, bad):
+    t_matrix, radius = (T_FAST, 3) if len(bad) == 1 else (T2, 5)
+    for order in (0, 1, 2):
+        for z in good:
+            _theta_sum(JET[order], *args, z, t_matrix, radius, 1e-12)
+        with pytest.raises(TruncationInsufficient):
+            _theta_sum(JET[order], *args, bad, t_matrix, radius, 1e-12)
+        for stack in ([*good, bad], [bad, *good], [good[0], bad, good[1]]):
+            with pytest.raises(TruncationInsufficient):
+                _theta_sum(JET[order], *args, np.array(stack), t_matrix, radius, 1e-12)

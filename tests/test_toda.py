@@ -398,7 +398,7 @@ def _periodic_state(ctx, order):
 
 
 def _lax_det_through_char_poly(state, samples=5):
-    """The determinant oracle read off the full spectral data, roots and all."""
+    """The former determinant check: one draw, det and P(z) per sample."""
     from sigmatoda.polyutil import polyval
 
     rng = np.random.default_rng(7)
@@ -413,6 +413,45 @@ def _lax_det_through_char_poly(state, samples=5):
             + (-1.0) ** (n - 1) * (w_hat + data.prod_a / w_hat)
         worst = max(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
+
+
+def _spectral_morphism_per_sample(state):
+    """The former spectral check: one draw and one P(z) per sample."""
+    from sigmatoda.polyutil import polyval
+
+    rng = np.random.default_rng(11)
+    data = char_poly(state)
+    n = state.n_sites
+    worst = 0.0
+    for _ in range(10):
+        z = complex(rng.normal(), rng.normal())
+        p_hat = (-1.0) ** n * polyval(data.p_coeffs, z)
+        disc = np.sqrt(p_hat**2 - 4.0 * data.prod_a)
+        w_hat = 0.5 * (p_hat + disc)
+        if abs(w_hat) < 1e-8:
+            w_hat = 0.5 * (p_hat - disc)
+        w = 2.0 * w_hat - p_hat
+        target = polyval(data.p_coeffs, z) ** 2 - 4.0 * data.prod_a
+        worst = max(worst, abs(w**2 - target) / max(1.0, abs(target)))
+    return worst
+
+
+def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
+    from sigmatoda.toda import TodaState
+
+    rng = np.random.default_rng(21)
+    states = [_periodic_state(ctx1, order) for order in (3, 4)]
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        scale = rng.choice([0.01, 1.0, 30.0])
+        a, b = (scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+        states.append(TodaState(a, b))
+    for state in states:
+        det_res, morph_res = lax_det_residual(state), spectral_morphism(state)[0]
+        assert np.float64(det_res).tobytes() \
+            == np.float64(_lax_det_through_char_poly(state)).tobytes()
+        assert np.float64(morph_res).tobytes() \
+            == np.float64(_spectral_morphism_per_sample(state)).tobytes()
 
 
 def _branch_values_reference(state):
@@ -469,7 +508,7 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
     import importlib
 
     from sigmatoda.sigma import sigma, sigma_jet2, sigma_with_scale
-    from sigmatoda.toda import site_jet, toda_state
+    from sigmatoda.toda import site_jets, toda_state
 
     # the package attribute ``sigma`` is the function, not the module
     sigma_mod = importlib.import_module("sigmatoda.sigma")
@@ -477,7 +516,8 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        # points in the call: a stack of sites, or one point
+        calls.append(len(args[3]) if np.ndim(args[3]) == 2 else 1)
         return kernel(*args, **kwargs)
 
     n, t, n_sites = 0, 0.02 - 0.01j, 3
@@ -489,15 +529,17 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
             results = (toda_residual_1d(frame, n, t), hirota_residual(frame, n, t),
                        flaschka(frame, n, t), flaschka_wp_path(frame, n, t),
                        toda_state(frame, n_sites, t))
-        # sites n-1..n+2 and 1..N+2 once each, plus one mixed pass at site n
+        # one pass per window with missing sites: n-1..n+1 for the conditioning
+        # check, the mixed pass at site n, n+2 for flaschka and 3..N+2 for
+        # the state; each site is summed once
         sites = set(range(n - 1, n + 3)) | set(range(1, n_sites + 3))
-        assert len(calls) == len(sites) + 1
+        assert calls == [3, 1, 1, 3]
         assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
 
         # the memo's values are those of the per-call evaluators
-        for site in sites:
+        for site, (sig, grad, hess, scale) in zip(sorted(sites),
+                                                  site_jets(frame, sorted(sites), t)):
             u = site_u(frame, site, t)
-            sig, grad, hess, scale = site_jet(frame, site, t)
             ref_sig, ref_grad, ref_hess, ref_scale = sigma_jet2(frame.ctx, u)
             assert sig == ref_sig == sigma(frame.ctx, u)
             assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
