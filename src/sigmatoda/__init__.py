@@ -47,11 +47,10 @@ from .sigma import (
     sigma_context,
     sigma_deriv,
     sigma_natural,
-    translation_factors,
     wp,
     wp_matrix,
     zeta,
 )
-from .theta import suggested_radius, theta_char, theta_deriv
+from .theta import suggested_radius, theta_char
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .polyutil import (
     sorted_roots,
     trim,
 )
-from .sigma import SigmaContext, abel_map, sigma, sigma_natural, sigma_sharp, wp_matrix
+from .sigma import SigmaContext, abel_map, natural_index_set, sigma_deriv, wp_matrix
 
 TINY = 1e-30
 
@@ -214,15 +214,47 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
 
 
+def _sigma_values(ctx: SigmaContext, requests) -> list:
+    """``sigma_deriv(ctx, idx, u)`` for each (idx, u) of ``requests``, in order.
+
+    The arguments of one index set share one stacked call, and each value
+    keeps the bits of its own call. Grouping by index set, not by order,
+    leaves a value the tail checks of its own call only. ``sigma(ctx, u)``
+    is the index set ().
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, (idx, _) in enumerate(requests):
+        groups.setdefault(tuple(idx), []).append(k)
+    out = [None] * len(requests)
+    for idx, ks in groups.items():
+        for k, val in zip(ks, sigma_deriv(ctx, idx, np.array([requests[k][1] for k in ks]))):
+            out[k] = val
+    return out
+
+
+def _sigma_quotient(ctx: SigmaContext, u, v, idx_pm, idx_u, idx_v):
+    """sigma_a(u + v) sigma_a(u - v) / (sigma_b(u)^2 sigma_c(v)^2).
+
+    a, b and c are the index sets ``idx_pm``, ``idx_u`` and ``idx_v``.
+    """
+    s_sum, s_diff, s_u, s_v = _sigma_values(
+        ctx, [(idx_pm, u + v), (idx_pm, u - v), (idx_u, u), (idx_v, v)])
+    return s_sum * s_diff / (s_u ** 2 * s_v ** 2)
+
+
 def _fs_sides(ctx: SigmaContext, pts):
     n = len(pts)
+    g = ctx.genus
     us = [abel_map(ctx, [p]).u for p in pts]
     total = np.sum(us, axis=0)
-    num = sigma_natural(ctx, n, total)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= sigma_natural(ctx, 2, us[i] - us[j])
-    den = np.prod([sigma_sharp(ctx, u) ** n for u in us])
+    diffs = [us[i] - us[j] for i in range(n) for j in range(i + 1, n)]
+    vals = _sigma_values(ctx, [(natural_index_set(g, n), total)]
+                         + [(natural_index_set(g, 2), d) for d in diffs]
+                         + [(natural_index_set(g, 1), u) for u in us])
+    num = vals[0]
+    for val in vals[1:1 + len(diffs)]:
+        num *= val
+    den = np.prod([s ** n for s in vals[1 + len(diffs):]])
     return num / den, epsilon_n(ctx.genus, n) * fs_det(ctx.curve, pts)
 
 
@@ -240,23 +272,6 @@ def fs_residual(ctx: SigmaContext, pts) -> float:
         return 0.0
     lhs, rhs = _fs_sides(ctx, pts)
     return _rel(lhs, rhs)
-
-
-def fs_residual_report(ctx: SigmaContext, pts) -> dict:
-    """Residual plus a pure-sign-anomaly flag.
-
-    The identity has net odd homogeneity in the sigma normalization when
-    1 + n(n-1)/2 - n^2 is odd, so its overall sign depends on a convention
-    the construction does not pin down; such cases are reported rather than
-    silently flipped.
-    """
-    if _coincident(pts):
-        return {"residual": 0.0, "sign_anomaly": False}
-    lhs, rhs = _fs_sides(ctx, pts)
-    direct = _rel(lhs, rhs)
-    flipped = _rel(lhs, -rhs)
-    return {"residual": min(direct, flipped),
-            "sign_anomaly": bool(flipped < 1e-3 and direct > 1.0)}
 
 
 def _base_sums(u_pts, x1p, x2p):
@@ -296,8 +311,8 @@ def thm_add_residual(ctx: SigmaContext, m_pts, n_pts) -> float:
     m, n = len(m_pts), len(n_pts)
     u = abel_map(ctx, m_pts).u
     v = abel_map(ctx, n_pts).u
-    lhs = (sigma_natural(ctx, m + n, u + v) * sigma_natural(ctx, m + n, u - v)
-           / (sigma_natural(ctx, m, u) ** 2 * sigma_natural(ctx, n, v) ** 2))
+    lhs = _sigma_quotient(ctx, u, v, natural_index_set(g, m + n),
+                          natural_index_set(g, m), natural_index_set(g, n))
     flipped = [p.conj() for p in n_pts]
     num = (fs_det(ctx.curve, list(m_pts) + list(n_pts))
            * fs_det(ctx.curve, list(m_pts) + flipped))
@@ -333,8 +348,7 @@ def fay_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> fl
     g = ctx.genus
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1, v2]).u
-    lhs = (sigma(ctx, u + v) * sigma(ctx, u - v)
-           / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, v) ** 2))
+    lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(g, 2))
     kernel = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
     wpm = wp_matrix(ctx, u)
     ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i - 1) * v2.x ** (j - 1)
@@ -347,8 +361,7 @@ def deg1_residual(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     g = ctx.genus
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1]).u
-    lhs = (sigma(ctx, u + 2 * v) * sigma(ctx, u - 2 * v)
-           / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 2, 2 * v) ** 2))
+    lhs = _sigma_quotient(ctx, u, 2 * v, (), (), natural_index_set(g, 2))
     wpm = wp_matrix(ctx, u)
     ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i + j - 2)
                for i in range(1, g + 1) for j in range(1, g + 1))
@@ -359,7 +372,6 @@ def deg2_F_check(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     """Residual of the one-point specialization against F(x_1')."""
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1]).u
-    lhs = (sigma(ctx, u + v) * sigma(ctx, u - v)
-           / (sigma(ctx, u) ** 2 * sigma_sharp(ctx, v) ** 2))
+    lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(ctx.genus, 1))
     rhs = np.prod([v1.x - p.x for p in u_pts])
     return _rel(lhs, complex(rhs))

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -126,7 +127,13 @@ def cmd_abel(args) -> int:
     return 0
 
 
+# draws per requested sample before a sampler whose draws keep raising is
+# stopped; its identity then gets no residual and the command exits 1
+ATTEMPTS_PER_SAMPLE = 20
+
+
 def cmd_verify_addition(args) -> int:
+    """Sampled residuals; draws that raise are redrawn and counted by class."""
     ctx = sigma_context(load_curve(args.curve))
     rng = np.random.default_rng(args.seed)
     g = ctx.genus
@@ -150,17 +157,25 @@ def cmd_verify_addition(args) -> int:
             ctx, random_curve_points(ctx.curve, rng, g),
             random_curve_points(ctx.curve, rng, 1)[0]),
     }
+    raised, stopped = {}, []
     for name, sampler in names.items():
-        vals = []
-        while len(vals) < args.samples:
+        vals, errors = [], Counter()
+        for _ in range(ATTEMPTS_PER_SAMPLE * args.samples):
             try:
                 vals.append(sampler())
-            except SigmaTodaError:
-                continue
+            except SigmaTodaError as exc:
+                errors[type(exc).__name__] += 1
+            if len(vals) == args.samples:
+                break
+        raised[name] = dict(sorted(errors.items()))
+        if len(vals) < args.samples:
+            stopped.append(name)
+            continue
         table[name] = {"max": float(np.max(vals)),
                        "median": float(np.median(vals))}
-    emit(args, {"samples": args.samples, "seed": args.seed, "residuals": table})
-    return 0
+    emit(args, {"samples": args.samples, "seed": args.seed, "residuals": table,
+                "raised": raised, "stopped": stopped})
+    return 1 if stopped else 0
 
 
 def cmd_division(args) -> int:

@@ -1,4 +1,4 @@
-"""Sigma function, Kleinian wp/zeta, Abel map, and the translation law.
+"""Sigma function, Kleinian wp/zeta, Abel map, and lattice quasi-periods.
 
 The sigma function is assembled from the period data as
 
@@ -62,6 +62,19 @@ def _gauss_nodes(n: int):
     return nodes, weights
 
 
+LEG_SPLIT = 48  # the coarse level of an Abel leg; the fine level has 96 nodes
+
+
+@lru_cache(maxsize=1)
+def _leg_nodes():
+    """The 48- and 96-node rules of ``_gauss_nodes``, concatenated; read-only."""
+    (t1, w1), (t2, w2) = _gauss_nodes(LEG_SPLIT), _gauss_nodes(2 * LEG_SPLIT)
+    nodes, weights = np.concatenate([t1, t2]), np.concatenate([w1, w2])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _monomials(x: np.ndarray, g: int) -> np.ndarray:
     """Rows x^0, ..., x^(g-1): the numerators of the g holomorphic forms."""
     powers = np.empty((g, x.size), dtype=complex)
@@ -105,27 +118,33 @@ class _AbelEngine:
         return cur, y_base
 
     def _leg(self, z0, z1, y0, depth=0):
-        """Integrals of the g forms along [z0, z1]; returns (vector, y_end)."""
+        """Integrals of the g forms along [z0, z1]; returns (vector, y_end).
+
+        Two Gauss-Legendre levels, 48 and 96 nodes, are compared; where they
+        disagree beyond tol the leg is halved. One evaluation of f, of the
+        monomials and of the weighted integrand on the concatenated node set
+        (``_leg_nodes``) serves both levels. Each level anchors its sheet at
+        y0 through its own ``_continuous_sqrt`` and sums its own slice, so
+        each keeps the bits of a pass of its own.
+        """
         if depth > 24:
             raise QuadratureNonConvergence("Abel segment subdivision stalled")
-
-        def level(n):
-            t, w = _gauss_nodes(n)
-            x = z0 + (z1 - z0) * t
-            y = _continuous_sqrt(self.curve.f(x), 0, y0)
-            jac = z1 - z0
-            forms = _monomials(x, self.curve.genus)
-            return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y
-
-        v1, y_arr1 = level(48)
-        v2, y_arr2 = level(96)
+        t, w = _leg_nodes()
+        x = z0 + (z1 - z0) * t
+        fx = self.curve.f(x)
+        y = np.concatenate([_continuous_sqrt(fx[:LEG_SPLIT], 0, y0),
+                            _continuous_sqrt(fx[LEG_SPLIT:], 0, y0)])
+        jac = z1 - z0
+        integrand = ((w * _monomials(x, self.curve.genus)) * jac) / (2.0 * y)
+        v1 = np.sum(integrand[:, :LEG_SPLIT], axis=-1)
+        v2 = np.sum(integrand[:, LEG_SPLIT:], axis=-1)
         if np.max(np.abs(v2 - v1)) > self.tol * self.curve.scale:
             zm = 0.5 * (z0 + z1)
             left, ym2 = self._leg(z0, zm, y0, depth + 1)
             right, y_end = self._leg(zm, z1, ym2, depth + 1)
             return left + right, y_end
         y_end = _continue_y(self.curve, z0 + (z1 - z0) * 0.99, z1,
-                            y_arr2[-1], self._min_dist)
+                            y[-1], self._min_dist)
         return v2, y_end
 
     def _route(self, z0, z1):
@@ -374,9 +393,17 @@ def _partial(ctx: SigmaContext, jet, idx) -> complex:
                   + q[i] * tvec[j] + q[j] * tvec[i] + hmat[i, j])
 
 
+def _one_point(u) -> np.ndarray:
+    """u as one point; a stack of points raises ValueError."""
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    if u.ndim != 1:
+        raise ValueError(f"one point expected, not an array of shape {u.shape}")
+    return u
+
+
 def sigma_with_scale(ctx: SigmaContext, u) -> tuple[complex, float]:
     """sigma(u) and the cancellation scale used for divisor detection."""
-    env, theta0, l1 = _jet(ctx, u, 0)[:3]
+    env, theta0, l1 = _jet(ctx, _one_point(u), 0)[:3]
     return env * theta0, abs(env) * l1
 
 
@@ -384,17 +411,22 @@ def sigma(ctx: SigmaContext, u) -> complex:
     return sigma_with_scale(ctx, u)[0]
 
 
-def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex:
+def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex | list:
     """Partial derivative of sigma for a multi-index of 1-based u labels.
 
     Orders zero to two are supported; that covers every derivative the
     sigma-quotient identities need at genus <= 2, the genera that
-    ``normalize_gamma0`` supports.
+    ``normalize_gamma0`` supports. A stack u of shape (K, g) takes one theta
+    pass and returns the list of the K values, each with the bits of its own
+    call.
     """
     idx = tuple(int(i) - 1 for i in multi_index)
     if len(idx) > 2:
         raise NotImplementedError("sigma derivatives of order > 2 not supported")
-    return _partial(ctx, _jet(ctx, u, len(idx)), idx)
+    jets = _jet(ctx, u, len(idx))
+    if isinstance(jets, list):
+        return [_partial(ctx, jet, idx) for jet in jets]
+    return _partial(ctx, jets, idx)
 
 
 def sigma_jet2(ctx: SigmaContext, u):
@@ -486,6 +518,7 @@ def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
     """Logarithmic derivative d log sigma / du_i."""
+    u = _one_point(u)
     jet = _jet(ctx, u, 1)
     return _partial(ctx, jet, (i - 1,)) / _checked_sigma(ctx, jet, u)
 
@@ -499,6 +532,7 @@ def _wp_entry(ctx: SigmaContext, jet, s0, i: int, j: int) -> complex:
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
     """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j."""
+    u = _one_point(u)
     jet = _jet(ctx, u, 2)
     return _wp_entry(ctx, jet, _checked_sigma(ctx, jet, u), i, j)
 
@@ -509,6 +543,7 @@ def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
     Each entry is computed on its own, not mirrored: (i, j) and (j, i) add
     the terms of the second partial in a different order.
     """
+    u = _one_point(u)
     jet = _jet(ctx, u, 2)
     s0 = _checked_sigma(ctx, jet, u)
     labels = range(1, ctx.genus + 1)
@@ -543,20 +578,3 @@ def quasi_period(pd: PeriodData, ell, tol: float) -> np.ndarray:
     l1, l2 = lattice_decompose(pd, ell, tol=tol)
     return 2.0 * pd.eta1 @ np.round(l1) + 2.0 * pd.eta2 @ np.round(l2)
 
-
-def translation_factors(ctx: SigmaContext, ell, u):
-    """Sign chi and exponent L with sigma(u + ell) = chi * exp(L) * sigma(u).
-
-    The exponent is -(u + ell/2)^T (2 eta1 l' + 2 eta2 l''); the sign of the
-    bilinear part follows the classical Weierstrass convention, which the
-    Legendre-certified periods reproduce.
-    """
-    ell = np.atleast_1d(np.asarray(ell, dtype=complex))
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    l1, l2 = lattice_decompose(ctx.periods, ell, tol=1e-6)
-    l1, l2 = np.round(l1), np.round(l2)
-    delta2, delta1 = ctx.chars.a, ctx.chars.b  # a holds delta'', b holds delta'
-    chi = np.exp(2j * np.pi * (l1 @ delta2 - l2 @ delta1 + 0.5 * (l1 @ l2)))
-    chi = complex(np.sign(chi.real) if abs(chi.imag) < 1e-9 else chi)
-    l_val = -(u + 0.5 * ell) @ quasi_period(ctx.periods, ell, 1e-6)
-    return chi, l_val

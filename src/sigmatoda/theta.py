@@ -117,18 +117,3 @@ def theta_char(a, b, z, t_matrix, radius: int | None = None,
     """Theta with characteristics a (quadratic slot) and b (linear slot)."""
     return _theta_sum(JET[0], a, b, z, t_matrix, radius, tol)[0]
 
-
-def theta_deriv(multi_index, a, b, z, t_matrix, radius: int | None = None,
-                tol: float = DEFAULT_TOL) -> complex:
-    """Termwise partial derivative of theta in the z variables.
-
-    ``multi_index`` lists 1-based coordinate labels, repetitions allowed, of
-    order at most two; the empty tuple reproduces ``theta_char``.
-    """
-    idx = tuple(int(i) - 1 for i in multi_index)
-    if any(i < 0 for i in idx):
-        raise ValueError("multi_index entries are 1-based coordinate labels")
-    if len(idx) > 2:
-        raise NotImplementedError("theta derivatives of order > 2 not supported")
-    # the jet's value, gradient or Hessian, indexed by idx
-    return _theta_sum(JET[len(idx)], a, b, z, t_matrix, radius, tol)[len(idx)][idx]

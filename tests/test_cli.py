@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sigmatoda.cli import build_parser, main
+from sigmatoda import addition
+from sigmatoda.cli import ATTEMPTS_PER_SAMPLE, build_parser, main
+from sigmatoda.errors import ThetaDivisorPole
 
 G1 = {"genus": 1, "lambda": [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]}
 
@@ -92,6 +94,27 @@ def test_verify_addition_deterministic(curve_file, capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["residuals"]["two_point_addition"]["max"] < 1e-8
+    assert set(payload["raised"]) == set(payload["residuals"])
+    assert payload["stopped"] == []
+
+
+def test_verify_addition_stops_a_sampler_that_always_raises(curve_file, capsys,
+                                                            monkeypatch):
+    def always_raises(ctx, pts):
+        raise ThetaDivisorPole("stub")
+
+    monkeypatch.setattr(addition, "fs_residual", always_raises)
+    status, out = run(capsys, ["verify-addition", "--curve", curve_file,
+                               "--samples", "2", "--seed", "11"])
+    assert status == 1
+    payload = json.loads(out)
+    assert payload["stopped"] == ["frobenius_pair"]
+    assert payload["raised"]["frobenius_pair"] == {
+        "ThetaDivisorPole": 2 * ATTEMPTS_PER_SAMPLE}
+    # no residual for the stopped identity; the others still report theirs
+    assert set(payload["residuals"]) == {
+        "two_point_addition", "fay_kernel", "baker_bilinear",
+        "one_point_f_value", "doubling_kernel"}
 
 
 def test_toda_run_csv(curve_file, capsys):

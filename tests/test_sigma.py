@@ -27,13 +27,17 @@ from sigmatoda.errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from sigmatoda.periods import PeriodData
+from sigmatoda.periods import PeriodData, _continue_y, _continuous_sqrt
 from sigmatoda.sigma import (
     _AbelEngine,
     _gauss_nodes,
+    _leg_nodes,
+    _monomials,
     abel_map,
+    lattice_decompose,
     lattice_distance,
     natural_index_set,
+    quasi_period,
     reduce_mod_lattice,
     riemann_characteristics,
     sigma,
@@ -42,7 +46,7 @@ from sigmatoda.sigma import (
     sigma_flat,
     sigma_natural,
     sigma_sharp,
-    translation_factors,
+    sigma_with_scale,
     wp,
     wp_matrix,
     zeta,
@@ -198,6 +202,24 @@ def test_abel_round_trip_genus1(ctx1):
         y0 = (4 * d2 - d1) / 6
         ap = abel_map(ctx1, [CurvePoint(complex(x0), complex(y0))])
         assert lattice_distance(ctx1.periods, ap.u - u0) < 1e-8
+
+
+def translation_factors(ctx, ell, u):
+    """Sign chi and exponent L with sigma(u + ell) = chi * exp(L) * sigma(u).
+
+    The exponent is -(u + ell/2)^T (2 eta1 l' + 2 eta2 l''); the sign of the
+    bilinear part follows the classical Weierstrass convention, which the
+    Legendre-certified periods reproduce.
+    """
+    ell = np.atleast_1d(np.asarray(ell, dtype=complex))
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    l1, l2 = lattice_decompose(ctx.periods, ell, tol=1e-6)
+    l1, l2 = np.round(l1), np.round(l2)
+    delta2, delta1 = ctx.chars.a, ctx.chars.b  # a holds delta'', b holds delta'
+    chi = np.exp(2j * np.pi * (l1 @ delta2 - l2 @ delta1 + 0.5 * (l1 @ l2)))
+    chi = complex(np.sign(chi.real) if abs(chi.imag) < 1e-9 else chi)
+    l_val = -(u + 0.5 * ell) @ quasi_period(ctx.periods, ell, 1e-6)
+    return chi, l_val
 
 
 def test_translation_law(ctx1, ctx2):
@@ -526,3 +548,104 @@ def test_abel_third_quadrature_rules_are_checked(ctx2):
         xa = e + 0.25 * np.exp(1.2j)
         with pytest.raises(QuadratureNonConvergence):
             engine._final_branch_leg(xa, k, np.sqrt(complex(ctx2.curve.f(xa))))
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
+    ctx = ctx1 if genus == 1 else ctx2
+    labels = range(1, genus + 1)
+    index_sets = [()] + [(i,) for i in labels] + [(i, j) for i in labels for j in labels]
+    rng = np.random.default_rng(40 + genus)
+    for k in (1, 2, 6):
+        stack = 0.4 * (rng.normal(size=(k, genus)) + 1j * rng.normal(size=(k, genus)))
+        for idx in index_sets:
+            vals = sigma_deriv(ctx, idx, stack)
+            assert isinstance(vals, list) and len(vals) == k
+            assert np.array_equal(vals, [sigma_deriv(ctx, idx, u) for u in stack])
+        assert np.array_equal(sigma_deriv(ctx, (), stack), [sigma(ctx, u) for u in stack])
+        assert np.array_equal(sigma_sharp(ctx, stack), [sigma_sharp(ctx, u) for u in stack])
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_single_point_entries_refuse_a_stack(ctx1, ctx2, k):
+    for ctx in (ctx1, ctx2):
+        g = ctx.genus
+        stack = 0.1 * (np.arange(k * g) + 0.5j).reshape(k, g)
+        for call in (lambda: sigma(ctx, stack), lambda: sigma_with_scale(ctx, stack),
+                     lambda: zeta(ctx, 1, stack), lambda: wp(ctx, 1, 1, stack),
+                     lambda: wp_matrix(ctx, stack)):
+            with pytest.raises(ValueError, match="one point expected"):
+                call()
+
+
+def test_leg_nodes_are_the_two_levels_read_only():
+    nodes, weights = _leg_nodes()
+    assert _leg_nodes()[0] is nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    (t1, w1), (t2, w2) = _gauss_nodes(48), _gauss_nodes(96)
+    assert np.array_equal(nodes, np.concatenate([t1, t2]))
+    assert np.array_equal(weights, np.concatenate([w1, w2]))
+
+
+def _two_level_leg(engine, z0, z1, y0, depth=0):
+    """The former ``_AbelEngine._leg``: f, continuation and forms once per level."""
+    if depth > 24:
+        raise QuadratureNonConvergence("Abel segment subdivision stalled")
+
+    def level(n):
+        t, w = _gauss_nodes(n)
+        x = z0 + (z1 - z0) * t
+        y = _continuous_sqrt(engine.curve.f(x), 0, y0)
+        jac = z1 - z0
+        forms = _monomials(x, engine.curve.genus)
+        return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y
+
+    v1, _ = level(48)
+    v2, y_arr2 = level(96)
+    if np.max(np.abs(v2 - v1)) > engine.tol * engine.curve.scale:
+        zm = 0.5 * (z0 + z1)
+        left, ym2 = _two_level_leg(engine, z0, zm, y0, depth + 1)
+        right, y_end = _two_level_leg(engine, zm, z1, ym2, depth + 1)
+        return left + right, y_end
+    y_end = _continue_y(engine.curve, z0 + (z1 - z0) * 0.99, z1,
+                        y_arr2[-1], engine._min_dist)
+    return v2, y_end
+
+
+COMPLEX_G2 = make_curve(2, [0.5 + 0.1j, -0.3 + 0.7j, 1.2 - 0.2j, 0.1 + 0.3j, -0.4 - 0.6j])
+
+
+@pytest.mark.parametrize("curve", [make_curve(1, [0, -1, 0]),
+                                   make_curve(2, [1, 0, 0, 0, 0]), COMPLEX_G2])
+def test_leg_equals_the_two_level_reference(curve, monkeypatch):
+    engine = _AbelEngine(curve)
+    legs = []
+    original = _AbelEngine._leg
+
+    def counted(self, *args):
+        legs.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_AbelEngine, "_leg", counted)
+    rng = np.random.default_rng(31)
+    scale = curve.scale
+    segments = []
+    for _ in range(12):
+        z0, z1 = 2.0 * scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        segments.append((z0, z1))
+    # ending 0.05 scale from a branch point makes the leg subdivide
+    for e in curve.branch_points:
+        segments.append((e + 1.5 * scale * np.exp(0.4j), e + 0.05 * scale * np.exp(2.0j)))
+    for z0, z1 in segments:
+        y0 = np.sqrt(complex(curve.f(z0))) * rng.choice([-1.0, 1.0])
+        vals, y_end = engine._leg(z0, z1, y0)
+        ref_vals, ref_y = _two_level_leg(engine, z0, z1, y0)
+        assert np.array_equal(vals, ref_vals) and y_end == ref_y
+    assert len(legs) > len(segments)  # some legs were halved
+    # a whole Abel image through the reference legs keeps its bits
+    pts = random_curve_points(curve, np.random.default_rng(32), 8)
+    images = [engine.to_point(p) for p in pts]
+    monkeypatch.setattr(_AbelEngine, "_leg", _two_level_leg)
+    assert all(np.array_equal(engine.to_point(p), img) for p, img in zip(pts, images))

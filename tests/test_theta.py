@@ -9,12 +9,26 @@ from sigmatoda.theta import (
     _theta_sum,
     suggested_radius,
     theta_char,
-    theta_deriv,
 )
 
 T1 = np.array([[10j]])
 T_FAST = np.array([[0.3 + 1.1j]])
 T2 = np.array([[-0.5 + 1.2139j, 0.5257j], [0.5257j, -0.5 + 0.6882j]])
+
+
+def theta_deriv(multi_index, a, b, z, t_matrix, radius=None, tol=1e-12):
+    """Termwise partial derivative of theta in the z variables: a read of the kernel.
+
+    ``multi_index`` lists 1-based coordinate labels, repetitions allowed, of
+    order at most two; the empty tuple reproduces ``theta_char``.
+    """
+    idx = tuple(int(i) - 1 for i in multi_index)
+    if any(i < 0 for i in idx):
+        raise ValueError("multi_index entries are 1-based coordinate labels")
+    if len(idx) > 2:
+        raise NotImplementedError("theta derivatives of order > 2 not supported")
+    # the jet's value, gradient or Hessian, indexed by idx
+    return _theta_sum(JET[len(idx)], a, b, z, t_matrix, radius, tol)[len(idx)][idx]
 
 
 def test_leading_term_dominates():
