@@ -322,6 +322,13 @@ def cmd_verify_all(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type of every count option: an integer of at least 1."""
+    if not text.lstrip("+").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmatoda",
@@ -352,32 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-addition", cmd_verify_addition, seeded,
             help="sampled residuals of the addition identities")
     p.add_argument("--curve", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=positive_int, default=20)
     p = add("division", cmd_division, help="division polynomial data")
     p.add_argument("--curve", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p = add("torsion", cmd_torsion, help="torsion candidates and certificates")
     p.add_argument("--curve", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p = add("toda-run", cmd_toda_run, seeded, formatted, help="Flaschka time series")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im]] base point")
-    p.add_argument("--sites", type=int, default=3)
+    p.add_argument("--sites", type=positive_int, default=3)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--steps", type=positive_int, default=11)
     p = add("spectral", cmd_spectral, seeded, help="characteristic polynomial data")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--sites", type=int, default=3)
+    p.add_argument("--sites", type=positive_int, default=3)
     p.add_argument("--t", type=float, default=0.1)
     p = add("poncelet", cmd_poncelet, formatted, help="polygon vertices and residuals")
     p.add_argument("--conic", required=True, help="JSON conic matrix file")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive_int, required=True)
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--t1", type=float, default=1.1)
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=positive_int, default=5)
     add("verify-all", cmd_verify_all, seeded, help="run the full acceptance suite")
     return parser
 

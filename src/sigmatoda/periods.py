@@ -296,7 +296,7 @@ def _assemble(cycles: CycleBasis, seg_ints: np.ndarray, transports: np.ndarray,
 
 
 def _refine(level, n: int, bound: float, n_max: int):
-    """The quadrature ladder of periods and the Abel map: level(n), level(2n), ...
+    """The node-doubling ladder of the period quadrature: level(n), level(2n), ...
 
     ``level(n)`` returns a tuple led by an array of sums. Returns the first
     finer output whose sums differ from the previous ones by <= bound (never

@@ -14,6 +14,7 @@ one is the classical sigma(u) = u + O(u^5)).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,11 +30,8 @@ from .errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from .periods import PeriodData, _continue_y, _continuous_sqrt, _refine, compute_periods
+from .periods import PeriodData, build_cycles, compute_periods
 from .theta import JET, _theta_sum, suggested_radius
-
-BASEPOINT_ANGLE = 1.2  # fixed direction of the near-infinity Abel basepoint
-
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -85,128 +83,80 @@ def _monomials(x: np.ndarray, g: int) -> np.ndarray:
 
 
 class _AbelEngine:
-    """Abel map integrals from a fixed basepoint near infinity.
+    """Abel map integrals, anchored at the branch points.
 
-    Targets are reached along straight x-segments from the basepoint, with
-    left-hand detours around branch points and a square-root substitution
-    for the final approach when the target is itself a branch point. The
-    tail from infinity to the basepoint is computed once.
+    With e_0, ..., e_{2g} the chain of ``build_cycles`` and omega1, omega2
+    the half periods, the chain segments integrate to seg_{2i} =
+    omega1[:, i] and seg_{2i+1} = omega2[:, i] - omega2[:, i+1], with
+    omega2[:, g] := 0. The images are then, modulo the period lattice,
+
+        abel(e_{2g}) = sum_i omega1[:, i],
+        abel(e_j) = abel(e_{2g}) - sum_{k >= j} seg_k,
+
+    half periods read off the periods with no quadrature of their own. An
+    affine point P is reached by one leg from the branch point e_j nearest
+    to it, with x = e_j + (x_P - e_j) s^2 (see ``_leg``). Every image is
+    returned reduced modulo the lattice.
     """
 
-    def __init__(self, curve: HyperellipticCurve):
+    def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
         self.curve = curve
+        self.periods = periods
         self.tol = 1e-11  # agreement of two quadrature levels, per unit scale
-        self.x_base = 10.0 * curve.scale * np.exp(1j * BASEPOINT_ANGLE)
-        self.tail, self.y_base = self._tail_integral()
+        self.chain = build_cycles(curve).branch_points
+        self.others = [np.delete(self.chain, j) for j in range(self.chain.size)]
+        g = curve.genus
+        omega2 = np.hstack([periods.omega2, np.zeros((g, 1))])
+        segs = [periods.omega1[:, k // 2] if k % 2 == 0
+                else omega2[:, k // 2] - omega2[:, k // 2 + 1] for k in range(2 * g)]
+        top = np.sum(periods.omega1, axis=1)
+        self.anchors = [reduce_mod_lattice(periods, top - sum(segs[j:], np.zeros(g)))
+                        for j in range(self.chain.size)]
 
-    def _min_dist(self, z: complex) -> float:
-        return float(np.min(np.abs(z - self.curve.branch_points)))
+    def _leg(self, j, xp, factor, s_hi, s_lo, depth=0):
+        """Integrals of the g forms from s = s_lo to s_hi on the leg e_j -> x_P.
 
-    def _tail_integral(self):
-        def level(n):
-            s, w = _gauss_nodes(n)
-            x = self.x_base / s**2
-            y = _continuous_sqrt(self.curve.f(x), 0, np.sqrt(complex(self.curve.f(x[0]))))
-            jac = -2.0 * self.x_base / s**3
-            forms = _monomials(x, self.curve.genus)
-            return (np.sum(((w * forms) * jac) / (2.0 * y), axis=-1),
-                    self.x_base / s[-1] ** 2, y[-1])
-
-        (cur, x_last, y_end), _ = _refine(level, 96, 10 * self.tol * self.curve.scale, 384)
-        # y at the basepoint via a last short hop from the closest node
-        y_base = _continue_y(self.curve, x_last, self.x_base, y_end, self._min_dist)
-        return cur, y_base
-
-    def _leg(self, z0, z1, y0, depth=0):
-        """Integrals of the g forms along [z0, z1]; returns (vector, y_end).
-
-        Two Gauss-Legendre levels, 48 and 96 nodes, are compared; where they
-        disagree beyond tol the leg is halved. One evaluation of f, of the
-        monomials and of the weighted integrand on the concatenated node set
-        (``_leg_nodes``) serves both levels. Each level anchors its sheet at
-        y0 through its own ``_continuous_sqrt`` and sums its own slice, so
-        each keeps the bits of a pass of its own.
+        On x = e_j + (x_P - e_j) s^2 the form x^i dx / (2y) is factor * x^i
+        ds / q(s), with factor = (x_P - e_j) / y_P and q = prod_{k != j}
+        sqrt((x - e_k) / (x_P - e_k)), regular at s = 0. As e_j is the
+        branch point nearest x_P, each ratio lies in the disk |z - 1| <= 1,
+        so its principal root is the continuous one and q(1) = 1 anchors the
+        sheet on y_P. Two Gauss-Legendre levels, 48 and 96 nodes, share one
+        evaluation on the concatenated nodes (``_leg_nodes``); where they
+        disagree beyond tol the interval is halved. Another branch point can
+        lie close to the leg near e_j, where the halving resolves it.
         """
         if depth > 24:
-            raise QuadratureNonConvergence("Abel segment subdivision stalled")
+            raise QuadratureNonConvergence("Abel leg subdivision stalled")
         t, w = _leg_nodes()
-        x = z0 + (z1 - z0) * t
-        fx = self.curve.f(x)
-        y = np.concatenate([_continuous_sqrt(fx[:LEG_SPLIT], 0, y0),
-                            _continuous_sqrt(fx[LEG_SPLIT:], 0, y0)])
-        jac = z1 - z0
-        integrand = ((w * _monomials(x, self.curve.genus)) * jac) / (2.0 * y)
-        v1 = np.sum(integrand[:, :LEG_SPLIT], axis=-1)
-        v2 = np.sum(integrand[:, LEG_SPLIT:], axis=-1)
+        e, others = self.chain[j], self.others[j]
+        x = e + (xp - e) * (s_hi + (s_lo - s_hi) * t) ** 2
+        q = np.prod(np.sqrt((x[:, None] - others) / (xp - others)), axis=1)
+        integrand = (w * _monomials(x, self.curve.genus)) / q
+        width = factor * (s_hi - s_lo)
+        v1 = width * np.sum(integrand[:, :LEG_SPLIT], axis=-1)
+        v2 = width * np.sum(integrand[:, LEG_SPLIT:], axis=-1)
         if np.max(np.abs(v2 - v1)) > self.tol * self.curve.scale:
-            zm = 0.5 * (z0 + z1)
-            left, ym2 = self._leg(z0, zm, y0, depth + 1)
-            right, y_end = self._leg(zm, z1, ym2, depth + 1)
-            return left + right, y_end
-        y_end = _continue_y(self.curve, z0 + (z1 - z0) * 0.99, z1,
-                            y[-1], self._min_dist)
-        return v2, y_end
-
-    def _route(self, z0, z1):
-        """Waypoints from z0 to z1 detouring around interior branch points."""
-        margin = 0.08 * self.curve.scale
-        for e in self.curve.branch_points:
-            seg = z1 - z0
-            t = ((e - z0) * np.conj(seg)).real / abs(seg) ** 2
-            if 0.03 < t < 0.97:
-                foot = z0 + t * seg
-                if abs(e - foot) < margin and abs(e - z1) > 1e-12:
-                    side = 1j * seg / abs(seg)
-                    w = e + side * max(2.5 * abs(e - foot), 0.15 * self.curve.scale)
-                    return self._route(z0, w) + self._route(w, z1)[1:]
-        return [z0, z1]
-
-    def _final_branch_leg(self, xa, e_idx, ya):
-        """Integral from xa into the branch point with index e_idx."""
-        e = self.curve.branch_points[e_idx]
-        s0 = np.sqrt(complex(xa - e))
-        others = np.delete(self.curve.branch_points, e_idx)
-
-        def level(n):
-            t, w = _gauss_nodes(n)
-            x = e + (xa - e) * t**2
-            gvals = np.prod(x[:, None] - others[None, :], axis=1)
-            anchor = ya / s0
-            sqrt_g = _continuous_sqrt(gvals, len(t) - 1, anchor)
-            sums = np.sum((w * _monomials(x, self.curve.genus)) / sqrt_g, axis=-1)
-            # scalar products: numpy may fuse an array's complex products
-            # (FMA), which moves the last bit
-            return (np.array([-s0 * v for v in sums]),)
-
-        (vals,), _ = _refine(level, 64, 50 * self.tol * self.curve.scale, 256)
-        return vals
+            s_mid = 0.5 * (s_lo + s_hi)
+            return (self._leg(j, xp, factor, s_hi, s_mid, depth + 1)
+                    + self._leg(j, xp, factor, s_mid, s_lo, depth + 1))
+        return v2
 
     def to_point(self, p: CurvePoint) -> np.ndarray:
         if p.at_infinity:
             return np.zeros(self.curve.genus, dtype=complex)
-        dist = self._min_dist(p.x)
-        branch_target = dist < 1e-10 * self.curve.scale
-        if branch_target:
-            e_idx = int(np.argmin(np.abs(p.x - self.curve.branch_points)))
-            anchor = self.curve.branch_points[e_idx] + 0.25 * self.curve.scale \
-                * np.exp(1j * BASEPOINT_ANGLE)
-            waypoints = self._route(self.x_base, anchor)
-        else:
-            waypoints = self._route(self.x_base, p.x)
-        total = self.tail.copy()
-        y = self.y_base
-        for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
-            vals, y = self._leg(z0, z1, y)
-            total += vals
-        if branch_target:
-            total += self._final_branch_leg(waypoints[-1], e_idx, y)
-            return total
+        j = int(np.argmin(np.abs(p.x - self.chain)))
+        d = p.x - self.chain[j]
+        if abs(d) < 1e-10 * self.curve.scale:
+            return self.anchors[j].copy()
+        # y over x_P from the roots; an off-curve y_P is near neither sign
+        y = cmath.sqrt(d) * cmath.sqrt(complex(np.prod(p.x - self.others[j])))
         d_same, d_flip = abs(y - p.y), abs(y + p.y)
         if min(d_same, d_flip) > 0.25 * max(d_same, d_flip):
-            raise PathThroughBranchPoint(
-                f"ambiguous arrival sheet at x = {p.x}")
-        # arrival on the conjugate sheet flips the whole path to the other lift
-        return total if d_same <= d_flip else -total
+            raise PathThroughBranchPoint(f"y = {p.y} lies on neither sheet over x = {p.x}")
+        factor = d / (y if d_same <= d_flip else -y)
+        return reduce_mod_lattice(self.periods,
+                                  self.anchors[j] + self._leg(j, p.x, factor, 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -280,7 +230,7 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         test_z.append(pmat @ (2.0 * pd.omega2[:, j]))
         test_z.append(pmat @ (2.0 * pd.omega1[:, j] + 2.0 * pd.omega2[:, j]))
     if g > 1:
-        engine = engine or _AbelEngine(curve)
+        engine = engine or _AbelEngine(curve, pd)
         rng = np.random.default_rng(12345)
         for _ in range(6):
             u = abel_map(engine, random_curve_points(curve, rng, g - 1)).u
@@ -324,7 +274,7 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
 def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     """Build periods, characteristics, and normalization for a curve."""
     pd = compute_periods(curve)
-    engine = _AbelEngine(curve)
+    engine = _AbelEngine(curve, pd)
     chars = riemann_characteristics(curve, pd, engine)
     gamma0 = normalize_gamma0(curve, pd, chars)
     kappa = pd.eta1 @ np.linalg.inv(pd.omega1)

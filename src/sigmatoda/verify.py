@@ -13,14 +13,15 @@ the report byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import addition, division, poncelet, toda
-from .curves import make_curve, random_curve_points
-from .sigma import abel_map, lattice_distance, sigma_context
+from .curves import CurvePoint, make_curve, random_curve_points
+from .sigma import abel_map, lattice_distance, sigma_context, wp_matrix
 from .errors import SigmaTodaError
 
 
@@ -61,8 +62,26 @@ def _real_torsion(curve, order):
     return max(cands, key=lambda c: c.point.x.real)
 
 
+JACOBI_SEED = 17  # fixed, so that every run draws the same inversion samples
+
+
+def _inversion_defect(ctx, pts) -> float:
+    """Jacobi inversion defect at abel(pts) over max(1, |x|^2); inf at a pole.
+
+    x_1..x_g are the roots of X^g - sum_i wp_{g,i} X^{i-1}: at genus 1
+    wp_11 = x, at genus 2 wp_22 = x_1 + x_2 and wp_12 = -x_1 x_2.
+    """
+    try:
+        wpm = wp_matrix(ctx, abel_map(ctx, pts).u)
+    except SigmaTodaError:
+        return float("inf")
+    xs = [p.x for p in pts]
+    defect = np.max(np.abs(np.poly(xs)[1:] + wpm[-1, ::-1]))
+    return float(defect) / max(1.0, *(abs(x) ** 2 for x in xs))
+
+
 def criterion_legendre(ctx1, ctx2) -> CriterionResult:
-    res = CriterionResult(1, "Legendre certificate for the period matrices")
+    res = CriterionResult(1, "Legendre certificate and Jacobi inversion")
     t0 = time.perf_counter()
     pd1 = sigma_context(ctx1.curve).periods  # rebuilt to time the full path
     t1 = time.perf_counter() - t0
@@ -73,6 +92,17 @@ def criterion_legendre(ctx1, ctx2) -> CriterionResult:
     t2 = time.perf_counter() - t0
     res.add("legendre_residual_g2", pd2.legendre_residual, 1e-8)
     res.add("periods_runtime_g2_seconds", t2, 5.0)
+    rng = np.random.default_rng(JACOBI_SEED)
+    for ctx, label in ((ctx1, "g1"), (ctx2, "g2")):
+        seeded = [random_curve_points(ctx.curve, rng, ctx.genus) for _ in range(20)]
+        branch = [CurvePoint(complex(e), 0j) for e in ctx.curve.branch_points]
+        res.add(f"jacobi_inversion_{label}",
+                max(_inversion_defect(ctx, pts) for pts in seeded), 1e-9,
+                "20 seeded divisors")
+        res.add(f"jacobi_inversion_branch_points_{label}",
+                max(_inversion_defect(ctx, list(pts))
+                    for pts in itertools.combinations(branch, ctx.genus)), 1e-9,
+                "every divisor of distinct branch points: the closed-form anchors")
     return res
 
 

@@ -29,6 +29,18 @@ def test_criterion_1_legendre_certificate(report):
     assert _criterion(report, 1).passed
 
 
+def test_criterion_1_jacobi_inversion_fails_on_a_wrong_anchor():
+    ctx1, ctx2 = verify.canonical_contexts()
+    for ctx in (ctx1, ctx2):
+        # a quarter period off: the image of e_1 is no longer a half period
+        ctx.abel.anchors[1] = ctx.abel.anchors[1] + 0.5 * ctx.periods.omega1[:, 0]
+    result = verify.criterion_legendre(ctx1, ctx2)
+    failed = {c.name for c in result.checks if not c.passed}
+    assert {"jacobi_inversion_branch_points_g1",
+            "jacobi_inversion_branch_points_g2"} <= failed
+    assert not any(name.startswith("legendre") for name in failed)
+
+
 def test_criterion_2_addition_identities(report):
     assert _criterion(report, 2).passed
 
@@ -79,7 +91,7 @@ def test_criterion_8_runtime(report):
 def _context_bytes(ctx):
     pd = ctx.periods
     arrays = (pd.omega1, pd.omega2, pd.eta1, pd.eta2, pd.riemann,
-              ctx.chars.a, ctx.chars.b, ctx.kappa, ctx.pmat, ctx.abel.tail)
+              ctx.chars.a, ctx.chars.b, ctx.kappa, ctx.pmat, *ctx.abel.anchors)
     return ([np.asarray(x).tobytes() for x in arrays],
             repr((pd.legendre_residual, pd.error_estimate, ctx.gamma0,
                   ctx.trunc_radius)))

@@ -183,3 +183,31 @@ def test_tol_flag_is_rejected(curve_file, capsys):
             main([command, "--curve", curve_file, *rest])
         assert exc.value.code == 2
         assert rest[-2] in capsys.readouterr().err
+
+
+POINT = "[[2, 0, 2.449489742783178, 0]]"
+# every count option, with the other options its subcommand requires; the
+# files are never opened, since a bad count is refused while parsing
+COUNT_OPTIONS = [
+    (["verify-addition", "--curve", "c.json"], "--samples"),
+    (["division", "--curve", "c.json"], "--n"),
+    (["torsion", "--curve", "c.json"], "--N"),
+    (["toda-run", "--curve", "c.json", "--point", POINT], "--sites"),
+    (["toda-run", "--curve", "c.json", "--point", POINT], "--steps"),
+    (["spectral", "--curve", "c.json", "--point", POINT], "--sites"),
+    (["poncelet", "--conic", "p.json"], "--N"),
+    (["poncelet", "--conic", "p.json", "--N", "3"], "--steps"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", COUNT_OPTIONS,
+                         ids=[f"{a[0]}{f}" for a, f in COUNT_OPTIONS])
+def test_count_below_one_is_refused_by_name(argv, flag, capsys):
+    for bad in ("0", "-1", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer >= 1, got '{bad}'" \
+            in capsys.readouterr().err
+    args = build_parser().parse_args([*argv, flag, "1"])
+    assert getattr(args, flag.lstrip("-")) == 1

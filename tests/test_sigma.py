@@ -27,8 +27,16 @@ from sigmatoda.errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from sigmatoda.periods import PeriodData, _continue_y, _continuous_sqrt
+from sigmatoda.periods import (
+    PeriodData,
+    _continue_y,
+    _continuous_sqrt,
+    _refine,
+    build_cycles,
+    compute_periods,
+)
 from sigmatoda.sigma import (
+    LEG_SPLIT,
     _AbelEngine,
     _gauss_nodes,
     _leg_nodes,
@@ -427,7 +435,7 @@ def test_abel_image_is_read_only_and_exact(ctx1, ctx2):
             img = p._abel[ctx.abel]
             with pytest.raises(ValueError):
                 img[0] = 0.0
-            assert np.array_equal(img, _AbelEngine(ctx.curve).to_point(p))
+            assert np.array_equal(img, _AbelEngine(ctx.curve, ctx.periods).to_point(p))
             assert np.array_equal(abel_map(ctx, [p]).u, u)
 
 
@@ -537,17 +545,15 @@ def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2):
 
 
 def test_abel_third_quadrature_rules_are_checked(ctx2):
-    # at tol 1e-40 no two rules agree (on y^2 = x^5 + 1 every pair differs by
-    # roundoff at least): the tail and the branch leg raise instead of
-    # returning their third rule unchecked
-    engine = _AbelEngine(ctx2.curve)
+    # at tol 1e-40 no two levels agree (on y^2 = x^5 + 1 they differ by
+    # roundoff at least), so every leg halves until the depth cap and raises
+    # instead of returning a sum that was never checked
+    engine = _AbelEngine(ctx2.curve, ctx2.periods)
     engine.tol = 1e-40
-    with pytest.raises(QuadratureNonConvergence):
-        engine._tail_integral()
-    for k, e in enumerate(ctx2.curve.branch_points):
-        xa = e + 0.25 * np.exp(1.2j)
+    rng = np.random.default_rng(33)
+    for p in _near_points(ctx2.curve, rng, (0.02, 0.25, 2.0), 1):
         with pytest.raises(QuadratureNonConvergence):
-            engine._final_branch_leg(xa, k, np.sqrt(complex(ctx2.curve.f(xa))))
+            engine.to_point(p)
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -589,38 +595,130 @@ def test_leg_nodes_are_the_two_levels_read_only():
     assert np.array_equal(weights, np.concatenate([w1, w2]))
 
 
-def _two_level_leg(engine, z0, z1, y0, depth=0):
-    """The former ``_AbelEngine._leg``: f, continuation and forms once per level."""
-    if depth > 24:
-        raise QuadratureNonConvergence("Abel segment subdivision stalled")
+class _BasepointEngine:
+    """The former Abel engine: routed legs from a basepoint near infinity.
 
-    def level(n):
-        t, w = _gauss_nodes(n)
+    The tail from infinity to the basepoint is integrated once; targets are
+    reached along straight legs with left-hand detours around branch points,
+    and a branch-point target through a last square-root leg. Images are
+    not reduced modulo the lattice.
+    """
+
+    ANGLE = 1.2  # direction of the basepoint
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.tol = 1e-11
+        self.x_base = 10.0 * curve.scale * np.exp(1j * self.ANGLE)
+        self.tail, self.y_base = self._tail_integral()
+
+    def _min_dist(self, z):
+        return float(np.min(np.abs(z - self.curve.branch_points)))
+
+    def _tail_integral(self):
+        def level(n):
+            s, w = _gauss_nodes(n)
+            x = self.x_base / s**2
+            y = _continuous_sqrt(self.curve.f(x), 0, np.sqrt(complex(self.curve.f(x[0]))))
+            jac = -2.0 * self.x_base / s**3
+            forms = _monomials(x, self.curve.genus)
+            return (np.sum(((w * forms) * jac) / (2.0 * y), axis=-1),
+                    self.x_base / s[-1] ** 2, y[-1])
+
+        (cur, x_last, y_end), _ = _refine(level, 96, 10 * self.tol * self.curve.scale, 384)
+        return cur, _continue_y(self.curve, x_last, self.x_base, y_end, self._min_dist)
+
+    def _leg(self, z0, z1, y0, depth=0):
+        if depth > 24:
+            raise QuadratureNonConvergence("Abel segment subdivision stalled")
+        t, w = _leg_nodes()
         x = z0 + (z1 - z0) * t
-        y = _continuous_sqrt(engine.curve.f(x), 0, y0)
-        jac = z1 - z0
-        forms = _monomials(x, engine.curve.genus)
-        return np.sum(((w * forms) * jac) / (2.0 * y), axis=-1), y
+        fx = self.curve.f(x)
+        y = np.concatenate([_continuous_sqrt(fx[:LEG_SPLIT], 0, y0),
+                            _continuous_sqrt(fx[LEG_SPLIT:], 0, y0)])
+        integrand = ((w * _monomials(x, self.curve.genus)) * (z1 - z0)) / (2.0 * y)
+        v1 = np.sum(integrand[:, :LEG_SPLIT], axis=-1)
+        v2 = np.sum(integrand[:, LEG_SPLIT:], axis=-1)
+        if np.max(np.abs(v2 - v1)) > self.tol * self.curve.scale:
+            zm = 0.5 * (z0 + z1)
+            left, ym2 = self._leg(z0, zm, y0, depth + 1)
+            right, y_end = self._leg(zm, z1, ym2, depth + 1)
+            return left + right, y_end
+        return v2, _continue_y(self.curve, z0 + (z1 - z0) * 0.99, z1, y[-1], self._min_dist)
 
-    v1, _ = level(48)
-    v2, y_arr2 = level(96)
-    if np.max(np.abs(v2 - v1)) > engine.tol * engine.curve.scale:
-        zm = 0.5 * (z0 + z1)
-        left, ym2 = _two_level_leg(engine, z0, zm, y0, depth + 1)
-        right, y_end = _two_level_leg(engine, zm, z1, ym2, depth + 1)
-        return left + right, y_end
-    y_end = _continue_y(engine.curve, z0 + (z1 - z0) * 0.99, z1,
-                        y_arr2[-1], engine._min_dist)
-    return v2, y_end
+    def _route(self, z0, z1):
+        margin = 0.08 * self.curve.scale
+        for e in self.curve.branch_points:
+            seg = z1 - z0
+            t = ((e - z0) * np.conj(seg)).real / abs(seg) ** 2
+            if 0.03 < t < 0.97:
+                foot = z0 + t * seg
+                if abs(e - foot) < margin and abs(e - z1) > 1e-12:
+                    w = e + 1j * seg / abs(seg) * max(2.5 * abs(e - foot),
+                                                       0.15 * self.curve.scale)
+                    return self._route(z0, w) + self._route(w, z1)[1:]
+        return [z0, z1]
+
+    def _final_branch_leg(self, xa, e_idx, ya):
+        e = self.curve.branch_points[e_idx]
+        s0 = np.sqrt(complex(xa - e))
+        others = np.delete(self.curve.branch_points, e_idx)
+
+        def level(n):
+            t, w = _gauss_nodes(n)
+            x = e + (xa - e) * t**2
+            gvals = np.prod(x[:, None] - others[None, :], axis=1)
+            sqrt_g = _continuous_sqrt(gvals, len(t) - 1, ya / s0)
+            return (-s0 * np.sum((w * _monomials(x, self.curve.genus)) / sqrt_g, axis=-1),)
+
+        (vals,), _ = _refine(level, 64, 50 * self.tol * self.curve.scale, 256)
+        return vals
+
+    def to_point(self, p):
+        branch_target = self._min_dist(p.x) < 1e-10 * self.curve.scale
+        if branch_target:
+            e_idx = int(np.argmin(np.abs(p.x - self.curve.branch_points)))
+            end = self.curve.branch_points[e_idx] + 0.25 * self.curve.scale \
+                * np.exp(1j * self.ANGLE)
+        else:
+            end = p.x
+        waypoints = self._route(self.x_base, end)
+        total, y = self.tail.copy(), self.y_base
+        for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
+            vals, y = self._leg(z0, z1, y)
+            total += vals
+        if branch_target:
+            return total + self._final_branch_leg(waypoints[-1], e_idx, y)
+        return total if abs(y - p.y) <= abs(y + p.y) else -total
 
 
-COMPLEX_G2 = make_curve(2, [0.5 + 0.1j, -0.3 + 0.7j, 1.2 - 0.2j, 0.1 + 0.3j, -0.4 - 0.6j])
+def _near_points(curve, rng, radii, per_radius):
+    """Points at the given distances (times scale) from every branch point."""
+    pts = []
+    for e in curve.branch_points:
+        for r in radii:
+            for x in e + r * curve.scale * np.exp(1j * rng.uniform(0, 2 * np.pi, per_radius)):
+                pts.append(CurvePoint(x, rng.choice([-1.0, 1.0]) * np.sqrt(complex(curve.f(x)))))
+    return pts
+
+
+# y^2 = x (x - 0.01) (x - 1): a point's leg from 0 or 0.01 passes close to
+# the other one of the pair, so its integrand varies fast and the leg halves
+CLOSE_PAIR_G1 = make_curve(1, [0.0, 0.01, -1.01])
 
 
 @pytest.mark.parametrize("curve", [make_curve(1, [0, -1, 0]),
-                                   make_curve(2, [1, 0, 0, 0, 0]), COMPLEX_G2])
-def test_leg_equals_the_two_level_reference(curve, monkeypatch):
-    engine = _AbelEngine(curve)
+                                   make_curve(2, [1, 0, 0, 0, 0]), CLOSE_PAIR_G1])
+def test_anchored_images_agree_with_the_basepoint_engine(curve, monkeypatch):
+    periods = compute_periods(curve)
+    engine, oracle = _AbelEngine(curve, periods), _BasepointEngine(curve)
+    rng = np.random.default_rng(34)
+    pts = random_curve_points(curve, rng, 150)
+    pts += _near_points(curve, rng, (1e-3, 0.02, 0.3), 4)
+    pts += [CurvePoint(complex(e), 0j) for e in curve.branch_points]
+    pts += [curve.point(x, sheet) for sheet in (0, 1)
+            for x in 20.0 * curve.scale * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))]
+    assert len(pts) >= 200
     legs = []
     original = _AbelEngine._leg
 
@@ -629,23 +727,29 @@ def test_leg_equals_the_two_level_reference(curve, monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(_AbelEngine, "_leg", counted)
-    rng = np.random.default_rng(31)
-    scale = curve.scale
-    segments = []
-    for _ in range(12):
-        z0, z1 = 2.0 * scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
-        segments.append((z0, z1))
-    # ending 0.05 scale from a branch point makes the leg subdivide
-    for e in curve.branch_points:
-        segments.append((e + 1.5 * scale * np.exp(0.4j), e + 0.05 * scale * np.exp(2.0j)))
-    for z0, z1 in segments:
-        y0 = np.sqrt(complex(curve.f(z0))) * rng.choice([-1.0, 1.0])
-        vals, y_end = engine._leg(z0, z1, y0)
-        ref_vals, ref_y = _two_level_leg(engine, z0, z1, y0)
-        assert np.array_equal(vals, ref_vals) and y_end == ref_y
-    assert len(legs) > len(segments)  # some legs were halved
-    # a whole Abel image through the reference legs keeps its bits
-    pts = random_curve_points(curve, np.random.default_rng(32), 8)
-    images = [engine.to_point(p) for p in pts]
-    monkeypatch.setattr(_AbelEngine, "_leg", _two_level_leg)
-    assert all(np.array_equal(engine.to_point(p), img) for p, img in zip(pts, images))
+    for p in pts:
+        img = engine.to_point(p)
+        assert lattice_distance(periods, img - oracle.to_point(p)) <= 1e-12
+        # reduced: lattice coordinates within half a generator of zero
+        assert max(np.max(np.abs(c)) for c in lattice_decompose(periods, img)) <= 0.5 + 1e-12
+    affine = len(pts) - curve.branch_points.size
+    if curve is CLOSE_PAIR_G1:
+        assert len(legs) > affine  # some legs were halved
+    else:
+        assert len(legs) == affine
+
+
+def test_branch_point_images_are_the_period_anchors(ctx1, ctx2, monkeypatch):
+    # abel(e_{2g}) = sum omega1 and abel(e_j) = abel(e_{2g}) - sum_{k>=j} seg_k
+    monkeypatch.setattr(_AbelEngine, "_leg", None)  # no quadrature for these
+    for ctx in (ctx1, ctx2):
+        g, om1, om2 = ctx.genus, ctx.periods.omega1, ctx.periods.omega2
+        segs = [om1[:, k // 2] if k % 2 == 0 else om2[:, k // 2]
+                - (om2[:, k // 2 + 1] if k // 2 + 1 < g else 0) for k in range(2 * g)]
+        chain = build_cycles(ctx.curve).branch_points
+        for j, e in enumerate(chain):
+            expected = om1.sum(axis=1) - sum(segs[j:], np.zeros(g))
+            img = ctx.abel.to_point(CurvePoint(complex(e), 0j))
+            assert lattice_distance(ctx.periods, img - expected) < 1e-13
+            # a half period: twice the image is a lattice vector
+            assert lattice_distance(ctx.periods, 2.0 * img) < 1e-12
