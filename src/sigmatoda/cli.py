@@ -324,9 +324,13 @@ def cmd_verify_all(args) -> int:
 
 def positive_int(text: str) -> int:
     """argparse type of every count option: an integer of at least 1."""
-    if not text.lstrip("+").isdigit() or int(text) < 1:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -82,6 +82,8 @@ class PeriodData:
     riemann: np.ndarray  # omega1^{-1} omega2
     legendre_residual: float
     error_estimate: float
+    chain: np.ndarray     # e_0, ..., e_2g of ``build_cycles``
+    segments: np.ndarray  # g x 2g, first kind over chain segments (e_k, e_{k+1})
 
     @property
     def genus(self) -> int:
@@ -281,12 +283,10 @@ def _transport_signs(curve: HyperellipticCurve, e: np.ndarray) -> np.ndarray:
     return taus
 
 
-def _assemble(cycles: CycleBasis, seg_ints: np.ndarray, transports: np.ndarray,
+def _assemble(cycles: CycleBasis, glob: np.ndarray,
               g: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-period matrices over alpha and beta from global-sheet segments."""
-    cumulative = np.concatenate([[1.0], np.cumprod(transports)])
-    glob = seg_ints * cumulative[None, :]
-    n_forms = seg_ints.shape[0]
+    n_forms = glob.shape[0]
     alpha_mat = np.zeros((n_forms, g), dtype=complex)
     beta_mat = np.zeros((n_forms, g), dtype=complex)
     for j in range(g):
@@ -330,7 +330,9 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
     Node counts double from ``base_nodes`` until two levels agree (``_refine``).
     The result is normalized so the (1, 1) entry of the first alpha period
     has positive real part (or positive imaginary part when the real part
-    vanishes); this is a global sign convention only.
+    vanishes); this is a global sign convention only. ``segments`` keeps the
+    first-kind integrals over the chain segments that omega1 and omega2 are
+    assembled from, on the same global sheet and with the same sign.
     """
     cycles = build_cycles(curve)
     e = cycles.branch_points
@@ -346,18 +348,21 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
 
     (cur,), err = _refine(level, base_nodes, AGREE_TOL * curve.scale, MAX_NODES)
     transports = _transport_signs(curve, e)
-    alpha_mat, beta_mat = _assemble(cycles, cur, transports, g)
+    glob = cur * np.concatenate([[1.0], np.cumprod(transports)])[None, :]
+    alpha_mat, beta_mat = _assemble(cycles, glob, g)
     omega1, eta1 = alpha_mat[:g], alpha_mat[g:]
     omega2, eta2 = beta_mat[:g], beta_mat[g:]
+    segments = glob[:g]
 
     lead = omega1[0, 0]
     if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
         omega1, omega2, eta1, eta2 = -omega1, -omega2, -eta1, -eta2
+        segments = -segments
 
     riemann = np.linalg.solve(omega1, omega2)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err, e, segments)
     res = legendre_residual(pd)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err, e, segments)
 
     if res > CERTIFICATE_TOL:
         raise LegendreCertificateFailure(

@@ -30,7 +30,7 @@ from .errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from .periods import PeriodData, build_cycles, compute_periods
+from .periods import PeriodData, compute_periods
 from .theta import JET, _theta_sum, suggested_radius
 
 @dataclass(frozen=True)
@@ -85,33 +85,29 @@ def _monomials(x: np.ndarray, g: int) -> np.ndarray:
 class _AbelEngine:
     """Abel map integrals, anchored at the branch points.
 
-    With e_0, ..., e_{2g} the chain of ``build_cycles`` and omega1, omega2
-    the half periods, the chain segments integrate to seg_{2i} =
-    omega1[:, i] and seg_{2i+1} = omega2[:, i] - omega2[:, i+1], with
-    omega2[:, g] := 0. The images are then, modulo the period lattice,
+    With e_0, ..., e_{2g} the chain of the periods and seg_k the first-kind
+    integral over its segment (e_k, e_{k+1}) (``PeriodData.segments``), the
+    images of the branch points are, modulo the period lattice,
 
         abel(e_{2g}) = sum_i omega1[:, i],
         abel(e_j) = abel(e_{2g}) - sum_{k >= j} seg_k,
 
     half periods read off the periods with no quadrature of their own. An
     affine point P is reached by one leg from the branch point e_j nearest
-    to it, with x = e_j + (x_P - e_j) s^2 (see ``_leg``). Every image is
-    returned reduced modulo the lattice.
+    to it, with x = e_j + (x_P - e_j) s^2 (``_final_branch_leg``). Every
+    image is returned reduced modulo the lattice.
     """
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
         self.curve = curve
         self.periods = periods
         self.tol = 1e-11  # agreement of two quadrature levels, per unit scale
-        self.chain = build_cycles(curve).branch_points
+        self.chain = periods.chain
         self.others = [np.delete(self.chain, j) for j in range(self.chain.size)]
-        g = curve.genus
-        omega2 = np.hstack([periods.omega2, np.zeros((g, 1))])
-        segs = [periods.omega1[:, k // 2] if k % 2 == 0
-                else omega2[:, k // 2] - omega2[:, k // 2 + 1] for k in range(2 * g)]
-        top = np.sum(periods.omega1, axis=1)
-        self.anchors = [reduce_mod_lattice(periods, top - sum(segs[j:], np.zeros(g)))
-                        for j in range(self.chain.size)]
+        tails = np.cumsum(periods.segments[:, ::-1], axis=1)[:, ::-1]
+        images = np.sum(periods.omega1, axis=1)[:, None] - np.hstack(
+            [tails, np.zeros((curve.genus, 1))])
+        self.anchors = [reduce_mod_lattice(periods, u) for u in images.T]
 
     def _leg(self, j, xp, factor, s_hi, s_lo, depth=0):
         """Integrals of the g forms from s = s_lo to s_hi on the leg e_j -> x_P.
@@ -142,21 +138,24 @@ class _AbelEngine:
                     + self._leg(j, xp, factor, s_mid, s_lo, depth + 1))
         return v2
 
-    def to_point(self, p: CurvePoint) -> np.ndarray:
-        if p.at_infinity:
-            return np.zeros(self.curve.genus, dtype=complex)
-        j = int(np.argmin(np.abs(p.x - self.chain)))
+    def _final_branch_leg(self, j, p: CurvePoint) -> np.ndarray:
+        """Integrals of the g forms from the branch point e_j to the point P."""
         d = p.x - self.chain[j]
-        if abs(d) < 1e-10 * self.curve.scale:
-            return self.anchors[j].copy()
         # y over x_P from the roots; an off-curve y_P is near neither sign
         y = cmath.sqrt(d) * cmath.sqrt(complex(np.prod(p.x - self.others[j])))
         d_same, d_flip = abs(y - p.y), abs(y + p.y)
         if min(d_same, d_flip) > 0.25 * max(d_same, d_flip):
             raise PathThroughBranchPoint(f"y = {p.y} lies on neither sheet over x = {p.x}")
-        factor = d / (y if d_same <= d_flip else -y)
+        return self._leg(j, p.x, d / (y if d_same <= d_flip else -y), 1.0, 0.0)
+
+    def to_point(self, p: CurvePoint) -> np.ndarray:
+        if p.at_infinity:
+            return np.zeros(self.curve.genus, dtype=complex)
+        j = int(np.argmin(np.abs(p.x - self.chain)))
+        if abs(p.x - self.chain[j]) < 1e-10 * self.curve.scale:
+            return self.anchors[j].copy()
         return reduce_mod_lattice(self.periods,
-                                  self.anchors[j] + self._leg(j, p.x, factor, 1.0, 0.0))
+                                  self.anchors[j] + self._final_branch_leg(j, p))
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ COUNT_OPTIONS = [
 @pytest.mark.parametrize("argv, flag", COUNT_OPTIONS,
                          ids=[f"{a[0]}{f}" for a, f in COUNT_OPTIONS])
 def test_count_below_one_is_refused_by_name(argv, flag, capsys):
-    for bad in ("0", "-1", "2.5"):
+    for bad in ("0", "-1", "2.5", "\u00b2"):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, bad])
         assert exc.value.code == 2

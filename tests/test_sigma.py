@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import mpmath as mp
@@ -27,14 +28,7 @@ from sigmatoda.errors import (
     QuadratureNonConvergence,
     ThetaDivisorPole,
 )
-from sigmatoda.periods import (
-    PeriodData,
-    _continue_y,
-    _continuous_sqrt,
-    _refine,
-    build_cycles,
-    compute_periods,
-)
+from sigmatoda.periods import _continue_y, _continuous_sqrt, _refine, compute_periods
 from sigmatoda.sigma import (
     LEG_SPLIT,
     _AbelEngine,
@@ -121,8 +115,9 @@ def test_characteristics_genus1_odd(ctx1):
 
 def test_characteristics_negative_control(ctx1):
     pd = ctx1.periods
-    bad = PeriodData(pd.omega1 * (1 + 1e-3), pd.omega2, pd.eta1, pd.eta2,
-                     pd.riemann * (1 + 1e-3), 0.0, 0.0)
+    bad = dataclasses.replace(pd, omega1=pd.omega1 * (1 + 1e-3),
+                              riemann=pd.riemann * (1 + 1e-3),
+                              legendre_residual=0.0, error_estimate=0.0)
     with pytest.raises(CharacteristicsNotFound):
         riemann_characteristics(ctx1.curve, bad)
 
@@ -705,10 +700,14 @@ def _near_points(curve, rng, radii, per_radius):
 # y^2 = x (x - 0.01) (x - 1): a point's leg from 0 or 0.01 passes close to
 # the other one of the pair, so its integrand varies fast and the leg halves
 CLOSE_PAIR_G1 = make_curve(1, [0.0, 0.01, -1.01])
+# complex coefficients; the branch point 2e-7 + 0.3i lies within 1e-6 of the
+# lexicographic segment (-i, i), so ``build_cycles`` takes its angular chain
+FALLBACK_G2 = make_curve(2, np.poly([-1.3 + 0.2j, -1j, 1j, 2e-7 + 0.3j, 1.5 - 0.3j])[:0:-1])
 
 
 @pytest.mark.parametrize("curve", [make_curve(1, [0, -1, 0]),
-                                   make_curve(2, [1, 0, 0, 0, 0]), CLOSE_PAIR_G1])
+                                   make_curve(2, [1, 0, 0, 0, 0]), CLOSE_PAIR_G1,
+                                   FALLBACK_G2])
 def test_anchored_images_agree_with_the_basepoint_engine(curve, monkeypatch):
     periods = compute_periods(curve)
     engine, oracle = _AbelEngine(curve, periods), _BasepointEngine(curve)
@@ -732,24 +731,12 @@ def test_anchored_images_agree_with_the_basepoint_engine(curve, monkeypatch):
         assert lattice_distance(periods, img - oracle.to_point(p)) <= 1e-12
         # reduced: lattice coordinates within half a generator of zero
         assert max(np.max(np.abs(c)) for c in lattice_decompose(periods, img)) <= 0.5 + 1e-12
+        if p.y == 0:  # a branch point's image is a half period
+            assert lattice_distance(periods, 2.0 * img) < 1e-12
+    if curve is FALLBACK_G2:
+        assert not np.array_equal(periods.chain, curve.branch_points)
     affine = len(pts) - curve.branch_points.size
     if curve is CLOSE_PAIR_G1:
         assert len(legs) > affine  # some legs were halved
     else:
         assert len(legs) == affine
-
-
-def test_branch_point_images_are_the_period_anchors(ctx1, ctx2, monkeypatch):
-    # abel(e_{2g}) = sum omega1 and abel(e_j) = abel(e_{2g}) - sum_{k>=j} seg_k
-    monkeypatch.setattr(_AbelEngine, "_leg", None)  # no quadrature for these
-    for ctx in (ctx1, ctx2):
-        g, om1, om2 = ctx.genus, ctx.periods.omega1, ctx.periods.omega2
-        segs = [om1[:, k // 2] if k % 2 == 0 else om2[:, k // 2]
-                - (om2[:, k // 2 + 1] if k // 2 + 1 < g else 0) for k in range(2 * g)]
-        chain = build_cycles(ctx.curve).branch_points
-        for j, e in enumerate(chain):
-            expected = om1.sum(axis=1) - sum(segs[j:], np.zeros(g))
-            img = ctx.abel.to_point(CurvePoint(complex(e), 0j))
-            assert lattice_distance(ctx.periods, img - expected) < 1e-13
-            # a half period: twice the image is a lattice vector
-            assert lattice_distance(ctx.periods, 2.0 * img) < 1e-12
