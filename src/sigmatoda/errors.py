@@ -50,6 +50,10 @@ class ThetaDivisorPole(SigmaTodaError):
     """sigma(u) is numerically zero; a logarithmic derivative has a pole."""
 
 
+class VanishingGap(SigmaTodaError):
+    """A lattice potential equals its constant; log(v - c) has a pole."""
+
+
 class PathThroughBranchPoint(SigmaTodaError):
     """An integration path could not be routed around a branch point."""
 

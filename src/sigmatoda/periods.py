@@ -17,6 +17,7 @@ on every result; a residual above tolerance signals a sheet-tracking error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,9 +91,15 @@ class PeriodData:
         return self.omega1.shape[0]
 
     def lattice_matrix(self) -> np.ndarray:
-        """Real 2g x 2g matrix whose columns generate the period lattice."""
+        """Real 2g x 2g matrix whose columns generate the lattice; built once, read-only."""
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> np.ndarray:
         gens = np.hstack([2.0 * self.omega1, 2.0 * self.omega2])
-        return np.vstack([gens.real, gens.imag])
+        mat = np.vstack([gens.real, gens.imag])
+        mat.flags.writeable = False
+        return mat
 
 
 def first_kind_diff(curve: HyperellipticCurve, i: int, p: CurvePoint) -> complex:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ from .errors import (
     PathThroughBranchPoint,
     QuadratureNonConvergence,
     ThetaDivisorPole,
+    VanishingGap,
 )
 from .periods import PeriodData, compute_periods
 from .theta import JET, _theta_sum, suggested_radius
@@ -378,21 +380,51 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex | list:
     return _partial(ctx, jets, idx)
 
 
-def sigma_jet2(ctx: SigmaContext, u):
-    """sigma, its gradient and Hessian, and the scale |env| L1, in one pass.
+def sigma_jet2(ctx: SigmaContext, u, d1, d2):
+    """The 2-jet of sigma along d1 and d2 at u, from one theta pass.
 
-    The scale is the one ``sigma_with_scale`` returns for divisor detection.
-    A stack u of shape (K, g) returns the list of the K points' tuples.
+    With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
+    D1 D2 sigma, |env| L1, moments) as Python scalars; sigma and the scale
+    carry the bits of ``sigma_with_scale``. ``moments`` are the theta
+    moments along w_i = P d_i relative to theta, (m10, m01, m20, m11, m02,
+    m21, m12, m22) with m_ij for D1^i D2^j, from the pass's mixed moments;
+    ``_log_gap`` turns them into the exact -D1 D2 log(v - c). A stack u of
+    shape (K, g) takes one pass and returns the list of the K points'
+    tuples, each with the bits of its own call.
     """
-    jets = _jet(ctx, u, 2)
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
+    w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
+    pts = u.reshape(-1, ctx.genus)
+    theta0, grad, hess, l1, mixed = _theta_sum(
+        JET[2], ctx.chars.a, ctx.chars.b, np.array([ctx.pmat @ p for p in pts]),
+        ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
+    # per pass, on scalars: q.d_i = -u.(kappa d_i) with kappa symmetric, and
+    # w_a.H.w_b as the flat Hessian against the flat outer product w_a w_b
+    d1, d2, w1, w2 = (x.tolist() for x in (d1, d2, w1, w2))
+    kappa = ctx.kappa.tolist()
+    kd1, kd2 = ([_dot(row, d) for row in kappa] for d in (d1, d2))
+    kd = _dot(d1, kd2)
+    outer = [[a * b for a in wa for b in wb] for wa, wb in ((w1, w1), (w1, w2), (w2, w2))]
     out = []
-    for env, theta0, l1, q, tvec, hmat in jets if isinstance(jets, list) else [jets]:
-        sig = env * theta0
-        dsig = env * (q * theta0 + tvec)
-        ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
-                       + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
-        out.append((sig, dsig, ddsig, abs(env) * l1))
-    return out if isinstance(jets, list) else out[0]
+    for p, pl, t0, gr, he, mass, (t21, t12, t22) in zip(
+            pts, pts.tolist(), theta0.tolist(), grad.tolist(),
+            hess.reshape(len(pts), -1).tolist(), l1.tolist(), mixed.tolist()):
+        env = ctx.gamma0 * np.exp(-0.5 * (p @ ctx.kappa @ p))
+        sig = complex(env * t0)
+        q1, q2 = -_dot(pl, kd1), -_dot(pl, kd2)
+        g1, g2 = _dot(gr, w1), _dot(gr, w2)
+        h11, h12, h22 = (_dot(he, o) for o in outer)
+        env = complex(env)
+        out.append((sig, env * (q1 * t0 + g1), env * (q2 * t0 + g2),
+                    env * ((q1 * q2 - kd) * t0 + q1 * g2 + q2 * g1 + h12),
+                    float(abs(env) * mass),
+                    tuple(m / t0 for m in (g1, g2, h11, h12, h22, t21, t12, t22))))
+    return out if u.ndim > 1 else out[0]
+
+
+def _dot(a: list, b: list) -> complex:
+    return sum(map(operator.mul, a, b))
 
 
 def natural_index_set(g: int, n: int) -> tuple:
@@ -432,37 +464,41 @@ def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
     return _guarded(ctx, env * theta0, abs(env) * l1, u)
 
 
-def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
-    """(v, -D1 D2 log(v - c)) at u, exact, with v = -D1 D2 log sigma.
+def _log_gap(ctx: SigmaContext, d1, d2, moments, c, where):
+    """(v, -D1 D2 log(v - c)) from the theta moments of ``sigma_jet2``.
 
-    D_i is the derivative along d_i, and one theta pass with the mixed
-    moments along w_i = P d_i serves both. The envelope of sigma is
-    quadratic, so past it only log theta counts: with k_ab the joint
-    cumulants of log theta, v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12
-    and D1 D2 v = -k22.
+    The envelope of sigma is quadratic, so past it only log theta counts:
+    with k_ab the joint cumulants of log theta along d1 and d2,
+    v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12 and D1 D2 v = -k22.
+    A gap |v - c| below pole_tol * max(1, |c|) raises VanishingGap;
+    ``where`` is formatted only then.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
-    w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
-    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    theta0, grad, hess, l1, (t21, t12, t22) = _theta_sum(
-        JET[2], ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann,
-        ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
-    _guarded(ctx, env * theta0, abs(env) * l1, u)
-    # moments of theta along (w1, w2) relative to theta, then cumulants
-    m10, m01 = (w1 @ grad) / theta0, (w2 @ grad) / theta0
-    m20, m11, m02 = ((wa @ hess @ wb) / theta0
-                     for wa, wb in ((w1, w1), (w1, w2), (w2, w2)))
-    m21, m12, m22 = t21 / theta0, t12 / theta0, t22 / theta0
+    m10, m01, m20, m11, m02, m21, m12, m22 = moments
     k11 = m11 - m10 * m01
     k21 = m21 - m20 * m01 - 2 * m11 * m10 + 2 * m10**2 * m01
     k12 = m12 - m02 * m10 - 2 * m11 * m01 + 2 * m01**2 * m10
     k22 = (m22 - 2 * (m21 * m01 + m12 * m10 + m11**2) - m20 * m02
            + 2 * (m20 * m01**2 + m02 * m10**2) + 8 * m11 * m10 * m01
            - 6 * m10**2 * m01**2)
-    v = d1 @ ctx.kappa @ d2 - k11
+    v = complex(np.asarray(d1) @ ctx.kappa @ np.asarray(d2)) - k11
     gap = v - c
-    return complex(v), complex((k22 * gap + k21 * k12) / gap**2)
+    if abs(gap) < ctx.pole_tol * max(1.0, abs(c)):
+        raise VanishingGap(f"v - c vanished at {where}")
+    return v, (k22 * gap + k21 * k12) / gap**2
+
+
+def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
+    """(v, -D1 D2 log(v - c)) at u, exact, with v = -D1 D2 log sigma.
+
+    D_i is the derivative along d_i. One theta pass with the mixed moments
+    along w_i = P d_i serves both (``sigma_jet2``), and ``_log_gap`` turns
+    them into the cumulants of log theta. ThetaDivisorPole guards sigma and
+    VanishingGap the gap v - c.
+    """
+    sig, *_, scale, moments = sigma_jet2(ctx, _one_point(u), d1, d2)
+    _guarded(ctx, sig, scale, u)
+    v, lhs = _log_gap(ctx, d1, d2, moments, c, u)
+    return complex(v), complex(lhs)
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:

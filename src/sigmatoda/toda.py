@@ -6,9 +6,11 @@ x1'^(i-1). Site n at time t lives at u = u0 + n c + t * direction. The site
 potential is V(u) = sum wp_ij(u) x1'^(i+j-2) and the exact solutions are
 checked through two-sided residuals of the second-difference equation, its
 bilinear (Hirota) form, the two-time variant, and the Flaschka equations of
-motion. Every derivative in the lattice checks is exact: the time
-derivatives of log(V - V_c) come from one theta pass with mixed moments at
-the site, not from a finite difference.
+motion. Every derivative in the lattice checks is exact, and every check
+reads sigma along the flow direction only: one stacked theta pass per
+window of sites gives each site's sigma, its first and second derivatives
+along the direction, and the theta moments from which the time derivatives
+of log(V - V_c) follow, with no finite difference and no pass of their own.
 
 Flaschka pairs are indexed so the standard equations hold:
 
@@ -32,9 +34,9 @@ from .sigma import (
     SigmaContext,
     _guarded,
     _jet,
+    _log_gap,
     _partial,
     abel_map,
-    log_gap_curvature,
     natural_index_set,
     quasi_period,
     sigma_jet2,
@@ -56,7 +58,8 @@ class TodaFrame:
     v_c: complex = 0.0
     zeta_c: complex = 0.0
     direction: np.ndarray = field(default=None, repr=False)
-    # sigma 2-jets of the sites at one time, keyed (t, n); see site_jets
+    # sigma 2-jets along the direction of the sites at one time, keyed
+    # (t, n); see site_jets
     _site_jets: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
 
@@ -94,46 +97,55 @@ def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:
 
 
 def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
-    """(sigma, gradient, Hessian, |env| L1) at each site n of ``sites`` at time t.
+    """The 2-jets along the frame's direction at each site n of ``sites``.
 
-    The frame keeps the jets of one time; a call at another time drops them.
-    The missing sites take one stacked theta pass, each with its own bits.
+    Each is ``sigma_jet2`` with d1 = d2 = the direction: (sigma, D sigma,
+    D sigma, D^2 sigma, |env| L1, theta moments), Python scalars. The frame
+    keeps the jets of one time; a call at another time drops them. The
+    missing sites take one stacked theta pass, each with its own bits.
     """
     memo, t = frame._site_jets, complex(t)
     if memo and next(iter(memo))[0] != t:
         memo.clear()
     missing = [n for n in sites if (t, n) not in memo]
     if missing:
-        jets = sigma_jet2(frame.ctx, np.array([site_u(frame, n, t) for n in missing]))
+        d = frame.direction
+        jets = sigma_jet2(frame.ctx, np.array([site_u(frame, n, t) for n in missing]), d, d)
         memo.update(zip([(t, n) for n in missing], jets))
     return [memo[t, n] for n in sites]
 
 
-def _potential(frame: TodaFrame, jet, where) -> complex:
-    """-D^2 log sigma along the frame's direction, from sigma's 2-jet at one point."""
-    sig, grad, hess, scale = jet
-    _guarded(frame.ctx, sig, scale, where)
-    d = frame.direction
-    first = (d @ grad) / sig
-    return first**2 - (d @ hess @ d) / sig
+def _potential(ctx: SigmaContext, jet, where) -> complex:
+    """-D1 D2 log sigma from a ``sigma_jet2`` tuple at one point."""
+    sig, d1_sig, d2_sig, dd_sig, scale = jet[:5]
+    _guarded(ctx, sig, scale, where)
+    return (d1_sig / sig) * (d2_sig / sig) - dd_sig / sig
 
 
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
-    return _potential(frame, sigma_jet2(frame.ctx, u), "V")
+    d = frame.direction
+    return _potential(frame.ctx, sigma_jet2(frame.ctx, u, d, d), "V")
 
 
 def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Second-difference Toda residual at site n along the flow direction.
 
-    The left side -(d/dt)^2 log(V - V_c) is exact, from one theta pass with
-    mixed moments at the site (``log_gap_curvature``); the right side reads
-    the site jets of n-1, n and n+1.
+    Both sides read the site jets of n-1, n and n+1: the right side their
+    potentials, and the exact left side -(d/dt)^2 log(V - V_c) the theta
+    moments of site n (``sigma._log_gap``), so the check takes no theta pass
+    of its own. A vanishing V - V_c at site n raises VanishingGap.
     """
-    lhs = log_gap_curvature(frame.ctx, site_u(frame, n, t), frame.direction,
-                            frame.direction, frame.v_c)[1]
-    v_hi, v_n, v_lo = (_potential(frame, jet, f"V at site {n + 1 - i}")
-                       for i, jet in enumerate(site_jets(frame, range(n + 1, n - 2, -1), t)))
+    d = frame.direction
+    return _lattice_residual(frame.ctx, site_jets(frame, range(n - 1, n + 2), t),
+                             d, d, frame.v_c, n)
+
+
+def _lattice_residual(ctx: SigmaContext, jets, d1, d2, c, n: int) -> float:
+    """Residual of -D1 D2 log(v - c) = v(n+1) - 2 v(n) + v(n-1) from the jets of n-1..n+1."""
+    v_lo, v_n, v_hi = (_potential(ctx, jet, f"v at site {n - 1 + i}")
+                       for i, jet in enumerate(jets))
+    lhs = _log_gap(ctx, d1, d2, jets[1][5], c, f"site {n}")[1]
     rhs = v_hi - 2 * v_n + v_lo
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
@@ -148,9 +160,9 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     until this holds.
     """
     for jet in site_jets(frame, n_range, t):
-        if abs(jet[0]) < 1e-3 * jet[3]:
+        if abs(jet[0]) < 1e-3 * jet[4]:
             return False
-        gap = abs(_potential(frame, jet, "a conditioned site") - frame.v_c)
+        gap = abs(_potential(frame.ctx, jet, "a conditioned site") - frame.v_c)
         if gap < gap_floor * max(1.0, abs(frame.v_c)):
             return False
     return True
@@ -158,11 +170,8 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
 
 def hirota_residual(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     """Bilinear form of the lattice equation, all derivatives exact."""
-    d = frame.direction
-    lo, (sig, grad, hess, _), hi = site_jets(frame, range(n - 1, n + 2), t)
+    lo, (sig, d_sig, _, dd_sig, *_), hi = site_jets(frame, range(n - 1, n + 2), t)
     sc2 = frame.sigma_flat_c**2
-    d_sig = d @ grad
-    dd_sig = d @ hess @ d
     t1 = sig * sc2 * dd_sig
     t2 = -sc2 * d_sig**2
     t3 = frame.v_c * sc2 * sig**2
@@ -178,8 +187,9 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
     """Two-time lattice residual with step c = abel(v1) + abel(v2).
 
     With v = -D1 D2 log sigma along d1 and d2, it checks
-    -D1 D2 log(v - v_c) = v(n+1) - 2 v(n) + v(n-1), the left side exact from
-    one theta pass with mixed moments (``log_gap_curvature``).
+    -D1 D2 log(v - v_c) = v(n+1) - 2 v(n) + v(n-1). The three sites take one
+    stacked ``sigma_jet2`` pass along d1 and d2; the left side is exact, from
+    the theta moments of site n (``sigma._log_gap``).
     """
     from .curves import random_curve_points
 
@@ -196,10 +206,8 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
     vhat_c = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) \
         / (v1.x - v2.x) ** 2
     base = u0 + t1 * d1 + t2 * d2
-    (v_lo, _), (v_n, lhs), (v_hi, _) = (
-        log_gap_curvature(ctx, base + k * c, d1, d2, vhat_c) for k in (n - 1, n, n + 1))
-    rhs = v_hi - 2 * v_n + v_lo
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    jets = sigma_jet2(ctx, np.array([base + k * c for k in (n - 1, n, n + 1)]), d1, d2)
+    return _lattice_residual(ctx, jets, d1, d2, vhat_c, n)
 
 
 def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, complex]:
@@ -209,13 +217,13 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    ctx, d = frame.ctx, frame.direction
-    (s_k, grad_k, _, scale_k), (s_k1, grad_k1, _, scale_k1), (s_k2, *_) = \
+    ctx = frame.ctx
+    (s_k, d_k, _, _, scale_k, _), (s_k1, d_k1, _, _, scale_k1, _), (s_k2, *_) = \
         site_jets(frame, range(k, k + 3), t)
     _guarded(ctx, s_k1, scale_k1, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
     _guarded(ctx, s_k, scale_k, f"zeta at site {k}")
-    b_k = (d @ grad_k1) / s_k1 - (d @ grad_k) / s_k - frame.zeta_c
+    b_k = d_k1 / s_k1 - d_k / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
 
@@ -228,7 +236,7 @@ def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     """a_k recomputed as the potential difference V_c - V at site k+1."""
     jet = site_jets(frame, [k + 1], t)[0]
-    return complex(frame.v_c - _potential(frame, jet, f"V at site {k + 1}"))
+    return complex(frame.v_c - _potential(frame.ctx, jet, f"V at site {k + 1}"))
 
 
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,

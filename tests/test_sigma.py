@@ -740,3 +740,12 @@ def test_anchored_images_agree_with_the_basepoint_engine(curve, monkeypatch):
         assert len(legs) > affine  # some legs were halved
     else:
         assert len(legs) == affine
+
+
+def test_lattice_matrix_is_built_once_and_read_only(ctx2):
+    pd = ctx2.periods
+    mat = pd.lattice_matrix()
+    assert mat is pd.lattice_matrix()
+    assert not mat.flags.writeable
+    gens = np.hstack([2.0 * pd.omega1, 2.0 * pd.omega2])
+    assert np.array_equal(mat, np.vstack([gens.real, gens.imag]))

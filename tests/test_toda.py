@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
-from sigmatoda.errors import ConfluentInput, ThetaDivisorPole
+from sigmatoda.errors import ConfluentInput, SigmaTodaError, ThetaDivisorPole, VanishingGap
 from sigmatoda.sigma import (
+    _jet,
+    _log_gap,
     abel_map,
     log_gap_curvature,
     sigma_context,
@@ -16,8 +18,10 @@ from sigmatoda.sigma import (
     wp,
     zeta,
 )
+from sigmatoda.theta import JET
 from sigmatoda.toda import (
     V,
+    _potential,
     char_poly,
     direction_vector,
     flaschka,
@@ -28,6 +32,7 @@ from sigmatoda.toda import (
     invariant_drift,
     lax_det_residual,
     lax_matrix,
+    site_jets,
     site_u,
     spectral_morphism,
     toda2d_residual,
@@ -53,6 +58,61 @@ def conditioned_frame(ctx, rng, n_range=range(-4, 5)):
         if frame_well_conditioned(frame, n_range):
             return frame
     raise RuntimeError("no conditioned frame found")
+
+
+def former_sigma_jet2(ctx, u):
+    """Oracle: the former full-gradient sigma_jet2, (sigma, grad, Hessian, |env| L1).
+
+    A stack u of shape (K, g) returns the list of the K points' tuples.
+    """
+    jets = _jet(ctx, u, 2)
+    out = []
+    for env, theta0, l1, q, tvec, hmat in jets if isinstance(jets, list) else [jets]:
+        sig = env * theta0
+        dsig = env * (q * theta0 + tvec)
+        ddsig = env * ((np.outer(q, q) - ctx.kappa) * theta0
+                       + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
+        out.append((sig, dsig, ddsig, abs(env) * l1))
+    return out if isinstance(jets, list) else out[0]
+
+
+def former_directional_jet(ctx, u, d1, d2):
+    """Oracle: (sigma, D1 sigma, D2 sigma, D1 D2 sigma, scale) by contraction."""
+    sig, grad, hess, scale = former_sigma_jet2(ctx, u)
+    return sig, d1 @ grad, d2 @ grad, d1 @ hess @ d2, scale
+
+
+def former_potential(ctx, u, d) -> complex:
+    """Oracle: the former -D^2 log sigma along d, from the full jet."""
+    sig, grad, hess, _ = former_sigma_jet2(ctx, u)
+    first = (d @ grad) / sig
+    return first**2 - (d @ hess @ d) / sig
+
+
+def former_log_gap_curvature(ctx, u, d1, d2, c):
+    """Oracle: the former log_gap_curvature, with a theta pass of its own."""
+    import importlib
+
+    theta_sum = importlib.import_module("sigmatoda.sigma")._theta_sum
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
+    w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
+    theta0, grad, hess, _, (t21, t12, t22) = theta_sum(
+        JET[2], ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann,
+        ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
+    m10, m01 = (w1 @ grad) / theta0, (w2 @ grad) / theta0
+    m20, m11, m02 = ((wa @ hess @ wb) / theta0
+                     for wa, wb in ((w1, w1), (w1, w2), (w2, w2)))
+    m21, m12, m22 = t21 / theta0, t12 / theta0, t22 / theta0
+    k11 = m11 - m10 * m01
+    k21 = m21 - m20 * m01 - 2 * m11 * m10 + 2 * m10**2 * m01
+    k12 = m12 - m02 * m10 - 2 * m11 * m01 + 2 * m01**2 * m10
+    k22 = (m22 - 2 * (m21 * m01 + m12 * m10 + m11**2) - m20 * m02
+           + 2 * (m20 * m01**2 + m02 * m10**2) + 8 * m11 * m10 * m01
+           - 6 * m10**2 * m01**2)
+    v = d1 @ ctx.kappa @ d2 - k11
+    gap = v - c
+    return complex(v), complex((k22 * gap + k21 * k12) / gap**2)
 
 
 def directional_derivative(ctx, xp: complex, h, u, order: int = 1,
@@ -94,8 +154,8 @@ def mixed_lattice_lhs(gap, h: float) -> complex:
 
 
 def two_direction_potential(ctx, u, d1, d2) -> complex:
-    """-D1 D2 log sigma from sigma's 2-jet: the oracle's potential."""
-    sig, grad, hess, _ = sigma_jet2(ctx, u)
+    """-D1 D2 log sigma from sigma's former full 2-jet: the oracle's potential."""
+    sig, grad, hess, _ = former_sigma_jet2(ctx, u)
     return (d1 @ grad) * (d2 @ grad) / sig**2 - (d1 @ hess @ d2) / sig
 
 
@@ -125,11 +185,11 @@ def test_directional_derivative_exact_vs_fd(ctx2):
         return np.log(sigma(ctx2, v))
 
     d = direction_vector(xp, ctx2.genus)
-    sig, grad, hess, _ = sigma_jet2(ctx2, u)
-    exact = (d @ grad) / sig
+    sig, d_sig, _, dd_sig, _, _ = sigma_jet2(ctx2, u, d, d)
+    exact = d_sig / sig
     fd = directional_derivative(ctx2, xp, log_sigma, u, order=1)
     assert exact == pytest.approx(fd, abs=1e-6)
-    exact2 = (d @ hess @ d) / sig - exact**2
+    exact2 = dd_sig / sig - exact**2
     fd2 = directional_derivative(ctx2, xp, log_sigma, u, order=2, fd_step=1e-4)
     assert exact2 == pytest.approx(fd2, rel=1e-5, abs=1e-5)
 
@@ -139,14 +199,13 @@ def test_directional_derivatives_commute(ctx2):
     rng = np.random.default_rng(1)
     pts = random_curve_points(ctx2.curve, rng, 2)
     u = abel_map(ctx2, pts).u
-    from sigmatoda.sigma import sigma_jet2
-    from sigmatoda.toda import direction_vector
-
     d1 = direction_vector(0.3 + 0.4j, 2)
     d2 = direction_vector(-1.2 + 0.1j, 2)
-    sig, grad, hess, _ = sigma_jet2(ctx2, u)
-    m12 = (d1 @ hess @ d2) / sig - (d1 @ grad) * (d2 @ grad) / sig**2
-    m21 = (d2 @ hess @ d1) / sig - (d2 @ grad) * (d1 @ grad) / sig**2
+    sig, s1, s2, s12, _, _ = sigma_jet2(ctx2, u, d1, d2)
+    _, t2, t1, s21, _, _ = sigma_jet2(ctx2, u, d2, d1)
+    assert (s1, s2) == (t1, t2)
+    m12 = s12 / sig - s1 * s2 / sig**2
+    m21 = s21 / sig - t2 * t1 / sig**2
     assert m12 == pytest.approx(m21, rel=1e-14)
 
 
@@ -253,6 +312,100 @@ def test_benchmark_ops_pass_their_second_difference_gates(seed, op):
     result = workloads.toda_op(workloads.toda_setup(seed), seed, op)
     assert result.failures == []
     assert max(result.residuals) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_directional_jets_match_the_former_full_jet(seed):
+    # every site of a toda op's window, on all four set-up frames: sigma and
+    # the scale bit for bit; D sigma and D^2 sigma within 1e-12 of their
+    # size; V within 1e-12 of max(1, |V|), as it cancels (D sigma / sigma)^2
+    # against D^2 sigma / sigma (at |V| = 3.4e-3 these are 6.5 in size); the
+    # exact left side from the window's moments within 1e-10 of max(1, |lhs|)
+    workloads = _benchmark_workloads()
+    state = workloads.toda_setup(seed)
+    for k in range(30):
+        n, t = workloads._site_time(state, workloads._op_rng(seed, k))
+        for spec in state:
+            frame = spec.frame
+            ctx, d = frame.ctx, frame.direction
+            jets = site_jets(frame, range(n - 1, n + 2), t)
+            for site, jet in zip(range(n - 1, n + 2), jets):
+                u = site_u(frame, site, t)
+                ref = former_directional_jet(ctx, u, d, d)
+                assert (jet[0], jet[4]) == (ref[0], ref[4])
+                assert jet[1] == jet[2]
+                for got, want in zip(jet[1:4], ref[1:4]):
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                v, v_ref = _potential(ctx, jet, site), former_potential(ctx, u, d)
+                assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+            lhs = _log_gap(ctx, d, d, jets[1][5], frame.v_c, n)[1]
+            lhs_ref = former_log_gap_curvature(ctx, site_u(frame, n, t), d, d, frame.v_c)[1]
+            assert abs(lhs - lhs_ref) <= 1e-10 * max(1.0, abs(lhs_ref))
+            assert toda_residual_1d(frame, n, t) < 1e-9
+
+
+def test_log_gap_curvature_matches_its_former_code(ctx1, ctx2):
+    rng = np.random.default_rng(32)
+    for ctx in (ctx1, ctx2):
+        for _ in range(10):
+            u = abel_map(ctx, random_curve_points(ctx.curve, rng, ctx.genus)).u
+            d1, d2 = (direction_vector(complex(*rng.normal(size=2)), ctx.genus)
+                      for _ in range(2))
+            c = complex(rng.normal(), rng.normal())
+            (v, lhs), (v_ref, lhs_ref) = (f(ctx, u, d1, d2, c) for f in (
+                log_gap_curvature, former_log_gap_curvature))
+            assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+            assert abs(lhs - lhs_ref) <= 1e-10 * max(1.0, abs(lhs_ref))
+
+
+def test_vanishing_gap_is_a_typed_error():
+    # V_c set to site 0's own V: the gap is roundoff, and the former code
+    # returned a residual of 1.0 instead of naming the failure
+    frame = _benchmark_workloads().toda_setup(3)[0].frame
+    u = site_u(frame, 0)
+    on_gap = dataclasses.replace(frame, v_c=V(frame, u))
+    assert issubclass(VanishingGap, SigmaTodaError)
+    with pytest.raises(VanishingGap):
+        toda_residual_1d(on_gap, 0)
+    d = frame.direction
+    with pytest.raises(VanishingGap):
+        log_gap_curvature(frame.ctx, u, d, d, on_gap.v_c)
+    # one gap away, both read numbers again
+    assert toda_residual_1d(frame, 0) < 1e-9
+    assert np.isfinite(log_gap_curvature(frame.ctx, u, d, d, frame.v_c)[1])
+
+
+def test_two_time_residual_makes_one_theta_pass(ctx2, monkeypatch):
+    import importlib
+
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    kernel = sigma_mod._theta_sum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[3]))
+        return kernel(*args, **kwargs)
+
+    rng = np.random.default_rng(6)
+    v1, v2 = random_curve_points(ctx2.curve, rng, 2)
+    u0 = abel_map(ctx2, random_curve_points(ctx2.curve, rng, 2)).u
+    with monkeypatch.context() as patch:
+        patch.setattr(sigma_mod, "_theta_sum", counted)
+        r = toda2d_residual(ctx2, v1, v2, 0, 0.02, -0.01, u0=u0)
+    assert calls == [(3, 2)]
+    assert r < 1e-9
+
+    # the former three log_gap_curvature passes read the same residual
+    from sigmatoda.curves import baker_f2
+
+    d1, d2 = direction_vector(v1.x, 2), direction_vector(v2.x, 2)
+    c = abel_map(ctx2, [v1, v2]).u
+    vhat_c = (baker_f2(ctx2.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
+    base = u0 + 0.02 * d1 - 0.01 * d2
+    (v_lo, _), (v_n, lhs), (v_hi, _) = (
+        former_log_gap_curvature(ctx2, base + k * c, d1, d2, vhat_c) for k in (-1, 0, 1))
+    rhs = v_hi - 2 * v_n + v_lo
+    assert abs(r - abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)) < 1e-10
 
 
 def test_hirota_residual_and_joint_pass(ctx1, ctx2):
@@ -507,8 +660,8 @@ def _memo_frames(ctx1, ctx2):
 def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
     import importlib
 
-    from sigmatoda.sigma import sigma, sigma_jet2, sigma_with_scale
-    from sigmatoda.toda import site_jets, toda_state
+    from sigmatoda.sigma import sigma, sigma_with_scale
+    from sigmatoda.toda import toda_state
 
     # the package attribute ``sigma`` is the function, not the module
     sigma_mod = importlib.import_module("sigmatoda.sigma")
@@ -530,21 +683,22 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
                        flaschka(frame, n, t), flaschka_wp_path(frame, n, t),
                        toda_state(frame, n_sites, t))
         # one pass per window with missing sites: n-1..n+1 for the conditioning
-        # check, the mixed pass at site n, n+2 for flaschka and 3..N+2 for
-        # the state; each site is summed once
+        # check, whose jets also give the second difference its left side,
+        # n+2 for flaschka and 3..N+2 for the state; each site is summed once
         sites = set(range(n - 1, n + 3)) | set(range(1, n_sites + 3))
-        assert calls == [3, 1, 1, 3]
+        assert calls == [3, 1, 3]
         assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
 
-        # the memo's values are those of the per-call evaluators
-        for site, (sig, grad, hess, scale) in zip(sorted(sites),
-                                                  site_jets(frame, sorted(sites), t)):
+        # the memo's values are those of the former full jet along d: sigma
+        # and the scale bit for bit, the derivatives within 1e-12
+        d = frame.direction
+        for site, jet in zip(sorted(sites), site_jets(frame, sorted(sites), t)):
             u = site_u(frame, site, t)
-            ref_sig, ref_grad, ref_hess, ref_scale = sigma_jet2(frame.ctx, u)
-            assert sig == ref_sig == sigma(frame.ctx, u)
-            assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
-            assert (sig, scale) == (ref_sig, ref_scale) \
-                == sigma_with_scale(frame.ctx, u)
+            ref = former_directional_jet(frame.ctx, u, d, d)
+            assert jet[0] == ref[0] == sigma(frame.ctx, u)
+            assert (jet[0], jet[4]) == (ref[0], ref[4]) == sigma_with_scale(frame.ctx, u)
+            for got, want in zip(jet[1:4], ref[1:4]):
+                assert abs(got - want) <= 1e-12 * abs(want)
             assert flaschka_wp_path(frame, site - 1, t) == frame.v_c - V(frame, u)
         # and every check reads the same as on a frame with an empty memo
         assert toda_residual_1d(dataclasses.replace(frame), n, t) == results[0]
