@@ -51,6 +51,6 @@ from .sigma import (
     wp_matrix,
     zeta,
 )
-from .theta import suggested_radius, theta_char
+from .theta import theta_char
 
 __version__ = "0.1.0"

@@ -92,14 +92,19 @@ class PeriodData:
 
     def lattice_matrix(self) -> np.ndarray:
         """Real 2g x 2g matrix whose columns generate the lattice; built once, read-only."""
-        return self._lattice
+        return self._lattice[0]
+
+    def lattice_inverse(self) -> np.ndarray:
+        """The inverse of ``lattice_matrix()``; built once beside it, read-only."""
+        return self._lattice[1]
 
     @cached_property
-    def _lattice(self) -> np.ndarray:
+    def _lattice(self) -> tuple:
         gens = np.hstack([2.0 * self.omega1, 2.0 * self.omega2])
         mat = np.vstack([gens.real, gens.imag])
-        mat.flags.writeable = False
-        return mat
+        inv = np.linalg.inv(mat)
+        mat.flags.writeable = inv.flags.writeable = False
+        return mat, inv
 
 
 def first_kind_diff(curve: HyperellipticCurve, i: int, p: CurvePoint) -> complex:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +32,7 @@ from .errors import (
     VanishingGap,
 )
 from .periods import PeriodData, compute_periods
-from .theta import JET, _theta_sum, suggested_radius
+from .theta import JET, _dot, _plan, _theta_sum
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -166,7 +165,7 @@ class SigmaContext:
     periods: PeriodData
     chars: Characteristics
     gamma0: complex
-    trunc_radius: int
+    trunc_radius: int  # reach of the widest theta plan; a wider plan raises
     tol: float = 1e-12
     pole_tol: float = 1e-10
     kappa: np.ndarray = field(repr=False, default=None)
@@ -181,9 +180,7 @@ class SigmaContext:
 def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
     """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2)."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    m = pd.lattice_matrix()
-    rhs = np.concatenate([u.real, u.imag])
-    c = np.linalg.solve(m, rhs)
+    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag])
     g = pd.genus
     if tol is not None:
         r = c - np.round(c)
@@ -223,7 +220,7 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
 
     g = curve.genus
     t_matrix = pd.riemann
-    radius = suggested_radius(t_matrix, 1e-12)
+    radius = _plan(t_matrix, 1e-12, 0).extent
     pmat = 0.5 * np.linalg.inv(pd.omega1)
     # lattice translates of 0 in W_{g-1}; they probe omega/T consistency
     test_z = [np.zeros(g, dtype=complex)]
@@ -263,9 +260,9 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
     if g > 2:
         raise NotImplementedError("gamma0 normalization implemented for genus <= 2")
     pmat = 0.5 * np.linalg.inv(pd.omega1)
-    radius = suggested_radius(pd.riemann, 1e-12)
     z0 = np.zeros(g, dtype=complex)
-    grad = _theta_sum(JET[1], chars.a, chars.b, z0, pd.riemann, radius, 1e-12)[1]
+    grad = _theta_sum(JET[1], chars.a, chars.b, z0, pd.riemann,
+                      _plan(pd.riemann, 1e-12, 1).extent, 1e-12)[1]
     d_u1 = grad @ pmat[:, 0]
     if abs(d_u1) < 1e-12:
         raise NormalizationUnstable("vanishing leading derivative at the origin")
@@ -283,7 +280,8 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     if asym > 1e-7:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
-    ctx = SigmaContext(curve, pd, chars, gamma0, suggested_radius(pd.riemann, 1e-12),
+    # the widest plan of the context: the 2-jet with the three mixed rows
+    ctx = SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, 1e-12, 2, 3).extent,
                        kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
     _spot_check_vanishing(ctx)
     return ctx
@@ -314,7 +312,7 @@ def _jet(ctx: SigmaContext, u, order: int):
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     moments = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
-                         np.array([ctx.pmat @ p for p in u]) if u.ndim > 1 else ctx.pmat @ u,
+                         np.einsum("ij,...j->...i", ctx.pmat, u),
                          ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
     if u.ndim > 1:
         return [_point_jet(ctx, p, *(None if m is None else m[k] for m in moments))
@@ -385,7 +383,8 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
 
     With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
     D1 D2 sigma, |env| L1, moments) as Python scalars; sigma and the scale
-    carry the bits of ``sigma_with_scale``. ``moments`` are the theta
+    are those of ``sigma_with_scale`` within rounding, as the mixed rows'
+    theta plan is wider than the value's. ``moments`` are the theta
     moments along w_i = P d_i relative to theta, (m10, m01, m20, m11, m02,
     m21, m12, m22) with m_ij for D1^i D2^j, from the pass's mixed moments;
     ``_log_gap`` turns them into the exact -D1 D2 log(v - c). A stack u of
@@ -394,10 +393,11 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
-    w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
+    w1 = ctx.pmat @ d1
+    w2 = w1 if d2 is d1 else ctx.pmat @ d2  # one mixed row of order 3 when equal
     pts = u.reshape(-1, ctx.genus)
     theta0, grad, hess, l1, mixed = _theta_sum(
-        JET[2], ctx.chars.a, ctx.chars.b, np.array([ctx.pmat @ p for p in pts]),
+        JET[2], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
         ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
     # per pass, on scalars: q.d_i = -u.(kappa d_i) with kappa symmetric, and
     # w_a.H.w_b as the flat Hessian against the flat outer product w_a w_b
@@ -407,24 +407,19 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
     kd = _dot(d1, kd2)
     outer = [[a * b for a in wa for b in wb] for wa, wb in ((w1, w1), (w1, w2), (w2, w2))]
     out = []
-    for p, pl, t0, gr, he, mass, (t21, t12, t22) in zip(
-            pts, pts.tolist(), theta0.tolist(), grad.tolist(),
+    gamma0 = complex(ctx.gamma0)
+    for pl, t0, gr, he, mass, (t21, t12, t22) in zip(
+            pts.tolist(), theta0.tolist(), grad.tolist(),
             hess.reshape(len(pts), -1).tolist(), l1.tolist(), mixed.tolist()):
-        env = ctx.gamma0 * np.exp(-0.5 * (p @ ctx.kappa @ p))
-        sig = complex(env * t0)
+        env = gamma0 * cmath.exp(-0.5 * _dot(pl, [_dot(row, pl) for row in kappa]))
         q1, q2 = -_dot(pl, kd1), -_dot(pl, kd2)
         g1, g2 = _dot(gr, w1), _dot(gr, w2)
         h11, h12, h22 = (_dot(he, o) for o in outer)
-        env = complex(env)
-        out.append((sig, env * (q1 * t0 + g1), env * (q2 * t0 + g2),
+        out.append((env * t0, env * (q1 * t0 + g1), env * (q2 * t0 + g2),
                     env * ((q1 * q2 - kd) * t0 + q1 * g2 + q2 * g1 + h12),
                     float(abs(env) * mass),
                     tuple(m / t0 for m in (g1, g2, h11, h12, h22, t21, t12, t22))))
     return out if u.ndim > 1 else out[0]
-
-
-def _dot(a: list, b: list) -> complex:
-    return sum(map(operator.mul, a, b))
 
 
 def natural_index_set(g: int, n: int) -> tuple:
@@ -464,23 +459,38 @@ def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
     return _guarded(ctx, env * theta0, abs(env) * l1, u)
 
 
-def _log_gap(ctx: SigmaContext, d1, d2, moments, c, where):
+def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
+    """d1.kappa.d2, the part of -D1 D2 log sigma that the envelope adds."""
+    return complex(np.asarray(d1) @ ctx.kappa @ np.asarray(d2))
+
+
+def _cumulant_potential(curvature: complex, moments) -> complex:
+    """v = -D1 D2 log sigma = d1.kappa.d2 - k11 from the moments of ``sigma_jet2``.
+
+    k11 = m11 - m10 m01 is the joint cumulant of log theta along d1 and d2,
+    so the envelope terms of the quotient form never enter.
+    """
+    m10, m01, _, m11 = moments[:4]
+    return curvature - (m11 - m10 * m01)
+
+
+def _log_gap(ctx: SigmaContext, curvature: complex, moments, c, where):
     """(v, -D1 D2 log(v - c)) from the theta moments of ``sigma_jet2``.
 
     The envelope of sigma is quadratic, so past it only log theta counts:
-    with k_ab the joint cumulants of log theta along d1 and d2,
+    with k_ab the joint cumulants of log theta along d1 and d2 and
+    ``curvature`` = d1.kappa.d2 (``_envelope_curvature``),
     v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12 and D1 D2 v = -k22.
     A gap |v - c| below pole_tol * max(1, |c|) raises VanishingGap;
     ``where`` is formatted only then.
     """
     m10, m01, m20, m11, m02, m21, m12, m22 = moments
-    k11 = m11 - m10 * m01
     k21 = m21 - m20 * m01 - 2 * m11 * m10 + 2 * m10**2 * m01
     k12 = m12 - m02 * m10 - 2 * m11 * m01 + 2 * m01**2 * m10
     k22 = (m22 - 2 * (m21 * m01 + m12 * m10 + m11**2) - m20 * m02
            + 2 * (m20 * m01**2 + m02 * m10**2) + 8 * m11 * m10 * m01
            - 6 * m10**2 * m01**2)
-    v = complex(np.asarray(d1) @ ctx.kappa @ np.asarray(d2)) - k11
+    v = _cumulant_potential(curvature, moments)
     gap = v - c
     if abs(gap) < ctx.pole_tol * max(1.0, abs(c)):
         raise VanishingGap(f"v - c vanished at {where}")
@@ -497,7 +507,7 @@ def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
     """
     sig, *_, scale, moments = sigma_jet2(ctx, _one_point(u), d1, d2)
     _guarded(ctx, sig, scale, u)
-    v, lhs = _log_gap(ctx, d1, d2, moments, c, u)
+    v, lhs = _log_gap(ctx, _envelope_curvature(ctx, d1, d2), moments, c, u)
     return complex(v), complex(lhs)
 
 

@@ -3,24 +3,52 @@
 theta[a; b](z; T) = sum over n in Z^g of
     exp(2 pi i ((1/2) (n+a)^T T (n+a) + (n+a)^T (z+b))).
 
-The sum is truncated to a box ||n - n0||_inf <= R centered on the index n0
-that maximizes the Gaussian envelope, so moderate shifts of z cost nothing
-in accuracy. One pass over the box builds the terms once and takes the
-value, the gradient and the Hessian as moments of the terms by 2 pi i (n+a),
-together with the L1 mass of the value's terms. Every component keeps its
-own tail check: the outermost shell's estimate is checked against the
-requested tolerance relative to that component's L1 mass. A stack of points
+With Y = Im T and x = n + a + Y^{-1} Im z, a term has modulus
+E exp(-pi x^T Y x), E = exp(pi Im z^T Y^{-1} Im z). The sum is truncated to
+the lattice points of an ellipsoid pi m^T Y m <= (R + delta)^2, m = n - n0,
+about the rounded centre n0 = round(-a - Y^{-1} Im z), where delta bounds
+the rounding offset, so every omitted term has pi x^T Y x > R^2 and moderate
+shifts of z cost nothing in accuracy. One pass over the ellipsoid builds the
+terms once and takes the value, the gradient and the Hessian as moments of
+the terms by 2 pi i (n+a), together with each row's L1 mass.
+
+The ellipsoid comes from a plan, built once per (T, tol, row layout) and
+cached (``_plan``); a pass's ``radius`` caps how far from the centre its
+plan may reach. The plan's R is the least, in steps of 1/16, for which two
+checks pass for every row order N of the layout at the row's unit scale
+(2 pi tau)^N, with the value's L1 mass at least E exp(-delta^2):
+
+- the proven bound of Deconinck, Heil, Bobenko, van Hoeij and Schmies
+  (Math. Comp. 73 (2004), Theorem 2 for the value, Theorem 3 for a
+  derivative of order N <= 4): the omitted terms' L1 mass is at most E
+  times (2 pi)^N prod |w_i| sum_j C(N, j) tau^j c^(N-j) G_j(R), with
+  c = |Y^{-1} Im z|, G_j(R) = (g/2) (2/rho)^g Gamma((g+j)/2, (R - rho/2)^2),
+  rho the shortest nonzero vector of sqrt(pi) chol(Y) Z^g and
+  tau = 1/sqrt(pi lambda_min(Y)), for R past the theorems' subharmonic radius;
+- the measured shell estimate: the largest term on the discrete shell (the
+  points with a neighbour m +- e_i outside the ellipsoid) times the shell's
+  size. On the shell pi x^T Y x > (R - e_max)^2, e_max the longest
+  sqrt(pi Y_ii), which sizes R for it beforehand.
+
+Every row of every point then runs both checks against tol times that row's
+own L1 mass, the proven one with E bounded by exp(delta^2) times the value's
+L1 mass, and either failing raises TruncationInsufficient. A stack of points
 shares one pass, each point with its own checks and the bits of its own call.
 
 Given two z-directions w1 and w2, the same pass also sums the mixed moments
 of orders (2, 1), (1, 2) and (2, 2) along them, with s_i = 2 pi i (n+a).w_i:
 the terms by s1^2 s2, s1 s2^2 and s1^2 s2^2. With the gradient and Hessian
 they give every derivative D1^i D2^j theta with i, j <= 2, each with its
-own tail check.
+own two checks. When w1 equals w2 the rows (2, 1) and (1, 2) are one row,
+summed and checked once.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,82 +58,253 @@ from .errors import TruncationInsufficient
 DEFAULT_TOL = 1e-12
 # derivative orders a jet of order 0, 1 or 2 takes beside the value
 JET = ((), (1,), (1, 2))
+_R_STEP = 1.0 / 16  # granularity of a plan's R, in units of sqrt(pi x^T Y x)
 
 
-@lru_cache(maxsize=64)
-def _lattice(genus: int, radius: int):
-    """Box ||n||_inf <= radius and its shell's indices; shared, so read-only."""
-    axis = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([axis] * genus), indexing="ij")
-    box = np.stack([grid.ravel() for grid in grids], axis=1)
-    shell = np.flatnonzero(np.max(np.abs(box), axis=1) >= radius)
-    box.flags.writeable = shell.flags.writeable = False
-    return box, shell
+def _upper_gamma(s2: int, x: float) -> float:
+    """Gamma(s2 / 2, x), the upper incomplete gamma at a half-integer order.
+
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), Gamma(1, x) = exp(-x), and
+    Gamma(s + 1, x) = s Gamma(s, x) + x^s exp(-x).
+    """
+    s = 0.5 if s2 % 2 else 1.0
+    val = math.sqrt(math.pi) * math.erfc(math.sqrt(x)) if s2 % 2 else math.exp(-x)
+    while 2 * s < s2:
+        val = s * val + x**s * math.exp(-x)
+        s += 1.0
+    return val
 
 
-def suggested_radius(t_matrix, tol: float = DEFAULT_TOL) -> int:
-    """Truncation radius from the Gaussian tail bound of the series."""
-    t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
-    lam_min = float(np.min(np.linalg.eigvalsh(t_matrix.imag)))
+def _dot(a: list, b: list):
+    """sum a_i b_i over two lists of Python numbers."""
+    return sum(map(operator.mul, a, b))
+
+
+def _norms(vecs: np.ndarray, y_matrix: np.ndarray) -> np.ndarray:
+    """sqrt(pi v^T Y v) for each row v."""
+    return np.sqrt(np.pi * np.einsum("ki,ij,kj->k", vecs, y_matrix, vecs))
+
+
+def _box(extents) -> np.ndarray:
+    """The lattice points with |m_i| <= extents[i], as rows of floats."""
+    axes = np.meshgrid(*(np.arange(-e, e + 1.0) for e in extents), indexing="ij")
+    return np.stack([axis.ravel() for axis in axes], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaPlan:
+    """The truncation of theta at one (T, tol, row layout); read-only.
+
+    ``radius`` is R; ``points`` are the offsets m from the rounded centre,
+    those from index ``shell`` on having a neighbour m +- e_i outside the
+    ellipsoid; ``sigma`` = 2 pi m and ``quad`` = 2 pi i (1/2) m^T T m per
+    point, ``yinv`` = (Im T)^{-1}, ``t_rows`` the rows of T as Python
+    numbers and ``extent`` the largest |m_i|. ``coef[N, p]`` is the
+    coefficient of c^p in the proven bound, over E, of the omitted L1 mass
+    of a row of order N along unit directions, c = |Y^{-1} Im z|;
+    ``row_coef`` holds it per row of the plan's layout (``row_orders``),
+    times exp(delta^2) / tol, and ``hess_rows`` the row of each Hessian
+    entry (k, m).
+    """
+
+    radius: float
+    points: np.ndarray
+    shell: int
+    sigma: np.ndarray
+    quad: np.ndarray
+    yinv: np.ndarray
+    t_rows: list
+    extent: int
+    coef: np.ndarray
+    row_orders: tuple
+    row_coef: np.ndarray
+    hess_rows: np.ndarray
+
+
+def _row_orders(g: int, order: int, n_mixed: int) -> tuple:
+    """Derivative order of each row of a pass: value, gradient, Hessian, mixed.
+
+    The mixed rows are s1^2 s2, s1 s2^2, s1^2 s2^2, or s^3, s^4 along one
+    direction (``n_mixed`` 3 or 2).
+    """
+    rows = [0] + [1] * g * (order >= 1) + [2] * (g * (g + 1) // 2) * (order >= 2)
+    return tuple(rows + [[], [], [3, 4], [3, 3, 4]][n_mixed])
+
+
+def _plan(t_matrix: np.ndarray, tol: float, order: int, n_mixed: int = 0) -> ThetaPlan:
+    """The cached plan of a pass of ``JET[order]`` with ``n_mixed`` mixed rows."""
+    return _cached_plan(t_matrix.tobytes(), t_matrix.shape[0], float(tol), order, n_mixed)
+
+
+@lru_cache(maxsize=32)
+def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -> ThetaPlan:
+    t_matrix = np.frombuffer(t_bytes, dtype=complex).reshape(g, g)
+    y = t_matrix.imag
+    row_orders = _row_orders(g, order, n_mixed)
+    top = max(row_orders)
+    lam_min = float(np.linalg.eigvalsh(y)[0])
     if lam_min <= 0:
         raise ValueError("Im T must be positive definite")
-    return int(np.ceil(np.sqrt(-np.log(tol) / (np.pi * lam_min)))) + 2
+    tau = 1.0 / math.sqrt(math.pi * lam_min)
+    # shortest nonzero lattice vector: |m|^2 <= Y_kk / lam_min bounds its m
+    reach = int(math.ceil(math.sqrt(float(np.min(np.diag(y))) / lam_min)))
+    cand = _box([reach] * g)
+    rho = float(np.min(_norms(cand[np.any(cand != 0, axis=1)], y)))
+    corners = 0.5 * np.array(list(itertools.product((-1.0, 1.0), repeat=g)))
+    delta = float(np.max(_norms(corners, y)))
+    e_max = float(np.max(_norms(np.eye(g), y)))
+    # the value's floor: the term nearest the centre has pi x^T Y x <= delta^2
+    floor = tol * math.exp(-delta * delta)
+    pref = 0.5 * g * (2.0 / rho) ** g
+
+    def gam(j, r):
+        return pref * _upper_gamma(g + j, (r - 0.5 * rho) ** 2)
+
+    # Theorem 3 needs the Gaussian moments subharmonic outside R - rho/2
+    r = 0.5 * (math.sqrt(g + 2 * top + math.sqrt(g * g + 8 * top)) + rho)
+    while any(gam(n, r) > floor for n in range(top + 1)):
+        r += _R_STEP
+    # the measured shell estimate: a shell point lies beyond R - e_max
+    outer = r + delta + 8.0
+    cand = _box([int(math.ceil(outer * math.sqrt(y_ii / math.pi)))
+                 for y_ii in np.diag(np.linalg.inv(y))])
+    nu = _norms(cand, y)
+    cand, nu = cand[nu <= outer], nu[nu <= outer]
+    mu = np.max([_norms(cand + sgn * e, y) for e in np.eye(g) for sgn in (1, -1)], axis=0)
+    while True:
+        inner = r - e_max
+        size = np.count_nonzero((nu <= r + delta) & (mu > r + delta))
+        if inner >= math.sqrt(top / 2) and all(
+                size * inner**n * math.exp(-inner * inner) <= floor
+                for n in range(top + 1)):
+            break
+        r += _R_STEP
+        if r + delta > outer:
+            raise TruncationInsufficient(f"no theta plan within radius {outer}")
+    keep = nu <= r + delta
+    on_shell = mu[keep] > r + delta
+    # interior first, then the shell, so the shell is one slice
+    points = np.concatenate([cand[keep][~on_shell], cand[keep][on_shell]])
+    quad = (1j * np.pi) * np.einsum("ki,ij,kj->k", points, t_matrix, points)
+    coef = np.zeros((top + 1, top + 1))
+    for n in range(top + 1):
+        for p in range(n + 1):
+            coef[n, p] = ((2 * math.pi) ** n * math.comb(n, p) * tau ** (n - p)
+                          * gam(n - p, r))
+    # the rows 1, sigma_k, sigma_k sigma_m (m >= k) of a pass hold the Hessian
+    pairs = [(k, m) for k in range(g) for m in range(k, g)]
+    hess_rows = np.array([g + 1 + pairs.index((min(k, m), max(k, m)))
+                          for k in range(g) for m in range(g)])
+    plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), 2.0 * np.pi * points,
+                     quad, np.linalg.inv(y), t_matrix.tolist(), int(np.max(np.abs(points))),
+                     coef, row_orders,
+                     coef.T[:, list(row_orders)] * (math.exp(delta * delta) / tol), hess_rows)
+    for arr in (plan.points, plan.sigma, quad, plan.yinv, coef, plan.row_coef, hess_rows):
+        arr.flags.writeable = False
+    return plan
+
+
+_TWO_PI_I, _PI_I = 2j * math.pi, 1j * math.pi
+_SAME_DIRECTION = np.array([0, 0, 1])  # (2, 1) and (1, 2) are one row when w1 == w2
 
 
 def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     """(value, grad, hess, l1) of theta[a; b] at z from one lattice pass.
 
     ``deriv`` is ``JET[order]`` for order 0, 1 or 2; grad and hess are None
-    above that order. l1 is the L1 mass of the value's terms. With
-    ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
-    orders (2, 1), (1, 2) and (2, 2). A stack z of shape (K, g) adds a leading
-    axis of size K to every entry.
+    above that order. l1 is the L1 mass of the value's terms. The pass sums
+    the plan of (T, tol) for its rows, whose points must lie within
+    ``radius`` of the centre in every coordinate, else TruncationInsufficient.
+    With ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
+    orders (2, 1), (1, 2) and (2, 2). A stack z of shape (K, g) adds a
+    leading axis of size K to every entry.
     """
     order = JET.index(tuple(deriv))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     g = t_matrix.shape[0]
-    zb = (z + b).reshape(-1, g)
-    if radius is None:
-        radius = suggested_radius(t_matrix, tol)
-    center = np.round(-a - np.linalg.solve(t_matrix.imag, zb.imag.T).T)
-    box, shell = _lattice(g, int(radius))
-    na = box + center[:, None, :] + a
-    flat = na.reshape(-1, g)
-    quad = 0.5 * np.einsum("ki,ij,kj->k", flat, t_matrix, flat).reshape(len(zb), -1)
-    lin = np.matmul(na, zb[:, :, None])[..., 0]
-    base = np.exp(2j * np.pi * (quad + lin))
-    # rows 1, s_k, s_k s_m (m >= k) and the mixed moments, s = 2 pi i (n+a);
-    # each product in the operand order of one sum per multi-index, bit for bit
-    s = 2j * np.pi * na if order or mixed is not None else None
-    pairs = [(k, m) for k in range(g) for m in range(k, g)] if order >= 2 else []
-    terms = np.empty((len(zb), 1 + g * (order >= 1) + len(pairs) + 3 * (mixed is not None),
-                      box.shape[0]), dtype=complex)
-    terms[:, 0] = 1.0
-    if order >= 1:
-        terms[:, 1:g + 1] = s.transpose(0, 2, 1)
-    for j, (k, m) in enumerate(pairs, start=g + 1):
-        np.multiply(terms[:, 1 + k], s[..., m], out=terms[:, j])
+    n_mixed = 0
     if mixed is not None:
-        s1, s2 = (s @ w for w in mixed)
-        terms[:, -3:] = np.stack([s1 * s1 * s2, s1 * s2 * s2, s1 * s1 * s2 * s2], axis=1)
-    terms *= base[:, None, :]
-    sums = terms.sum(axis=2)
-    mags = np.abs(terms)
-    l1s = mags.sum(axis=2)
-    tails = mags.take(shell, axis=2).max(axis=2) * float(shell.size)
-    for tail, l1 in zip(tails.ravel().tolist(), l1s.ravel().tolist()):
-        if tail > tol * max(l1, 1e-300):
-            raise TruncationInsufficient(
-                f"theta tail estimate {tail:.3e} exceeds tol {tol:.1e} "
-                f"(radius {radius})")
-    hess = np.empty((len(zb), g, g), dtype=complex) if order >= 2 else None
-    for j, (k, m) in enumerate(pairs, start=g + 1):
-        hess[:, k, m] = hess[:, m, k] = sums[:, j]
-    out = [sums[:, 0], sums[:, 1:g + 1] if order >= 1 else None, hess, l1s[:, 0]]
-    out += [sums[:, -3:]] if mixed is not None else []
+        w1, w2 = mixed
+        n_mixed = 2 if w1 is w2 or bool((np.asarray(w1) == w2).all()) else 3
+    plan = _plan(t_matrix, tol, order, n_mixed)
+    if plan.extent > radius:
+        raise TruncationInsufficient(
+            f"the theta plan at tol {tol:.1e} reaches {plan.extent} > radius {radius}")
+    zb = z.reshape(-1, g) + b
+    k_pts, n_pts = zb.shape[0], plan.points.shape[0]
+    shift = zb.imag @ plan.yinv  # its bits reach the outputs only through the rounding
+    ca = a - np.rint(shift + a)  # n0 + a at the rounded centre n0
+    # 2 pi i ((1/2)(m+ca)^T T (m+ca) + (m+ca).zb) = quad + m.lin + const with
+    # lin = 2 pi i (T ca + zb) and const = pi i ca.(T ca + 2 zb), and the
+    # powers of c = |Y^-1 Im z| for the proven bound: per point in Python
+    # numbers, as a stack holds few points and each keeps its own call's bits
+    lin, const, c_pow = [], [], []
+    n_pow = plan.row_coef.shape[0]
+    for zk, ck, sk in zip(zb.tolist(), ca.tolist(), shift.tolist()):
+        tc = [_dot(row, ck) for row in plan.t_rows]
+        lin.append([_TWO_PI_I * (t + v) for t, v in zip(tc, zk)])
+        const.append(_PI_I * _dot(ck, [t + 2.0 * v for t, v in zip(tc, zk)]))
+        c = math.sqrt(_dot(sk, sk))
+        c_pow.append([c**p for p in range(n_pow)])
+    lin, const = np.array(lin), np.array(const)
+    expo = np.matmul(plan.points, lin.view(float).reshape(k_pts, g, 2)).view(complex)
+    expo += plan.quad[:, None]
+    expo += const[:, None, None]
+    base = np.exp(expo)  # (K, M, 1): the terms, and below their moduli
+    mod = np.exp(expo.real[..., 0])
+    base = base.view(float)
+    # real rows 1, sigma_k, sigma_k sigma_m (m >= k), sigma = 2 pi (n+a), so
+    # s = i sigma; the mixed rows along w1, w2 are complex
+    n_real = len(plan.row_orders) - n_mixed
+    mags = np.empty((k_pts, n_real + n_mixed, n_pts))
+    rows = mags[:, :n_real]
+    rows[:, 0] = 1.0
+    if order or n_mixed:
+        sig = plan.sigma + (2.0 * np.pi) * ca[:, None, :]
+    if order >= 1:
+        rows[:, 1:g + 1] = sig.transpose(0, 2, 1)
+    if order >= 2:
+        j = g + 1
+        for k in range(g):
+            np.multiply(rows[:, k + 1:k + 2], rows[:, k + 1:g + 1], out=rows[:, j:j + g - k])
+            j += g - k
+    sums = np.matmul(rows, base).view(complex)[..., 0]
+    np.abs(rows, out=rows)
+    if n_mixed:
+        # s.w_i = i sigma.w_i, so these rows carry their unit factors
+        p1 = sig @ (1j * w1)
+        p2 = p1 if n_mixed == 2 else sig @ (1j * w2)
+        p12 = p1 * p2
+        mix = np.empty((k_pts, n_mixed, n_pts), dtype=complex)
+        np.multiply(p12, p1, out=mix[:, 0])
+        if n_mixed == 3:
+            np.multiply(p12, p2, out=mix[:, 1])
+        np.multiply(p12, p12, out=mix[:, -1])
+        mix_sums = np.matmul(mix, base.view(complex))[..., 0]
+        np.abs(mix, out=mags[:, n_real:])
+    l1s = np.matmul(mags, mod[:, :, None])[..., 0]
+    tails = (mags[:, :, plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
+    tails *= (n_pts - plan.shell) / tol
+    # the proven bound E sum_p coef c^p per row, over tol, with c = |Y^-1 Im z|
+    # and E = exp(pi Im z.Y^-1 Im z) <= exp(delta^2) l1 of the value: the
+    # term at the centre has modulus at least E exp(-delta^2)
+    row_coef = plan.row_coef
+    if n_mixed:  # the mixed rows' bounds scale by prod |w_i|
+        n1 = math.sqrt(np.vdot(w1, w1).real)
+        n2 = n1 if n_mixed == 2 else math.sqrt(np.vdot(w2, w2).real)
+        scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
+        row_coef = row_coef * ([1.0] * n_real + (scale[::2] if n_mixed == 2 else scale))
+    proven = (np.array(c_pow) @ row_coef) * l1s[:, :1]
+    if (np.maximum(tails, proven) > l1s).any():
+        raise TruncationInsufficient(
+            f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")
+    # the rows of order 1 and 2 carry s = i sigma and s s = -sigma sigma
+    out = [sums[:, 0], 1j * sums[:, 1:g + 1] if order >= 1 else None,
+           -sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
+           l1s[:, 0]]
+    if n_mixed:
+        out.append(mix_sums[:, _SAME_DIRECTION] if n_mixed == 2 else mix_sums)
     if z.ndim == 1:  # one point: drop the stack axis
         out = [None if x is None else x[0] for x in out]
         out[3] = float(out[3])
@@ -114,6 +313,12 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
 
 def theta_char(a, b, z, t_matrix, radius: int | None = None,
                tol: float = DEFAULT_TOL) -> complex:
-    """Theta with characteristics a (quadratic slot) and b (linear slot)."""
-    return _theta_sum(JET[0], a, b, z, t_matrix, radius, tol)[0]
+    """Theta with characteristics a (quadratic slot) and b (linear slot).
 
+    ``radius`` caps the plan's reach from the centre; by default it is the
+    plan's own extent.
+    """
+    if radius is None:
+        t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+        radius = _plan(t, tol, 0).extent
+    return _theta_sum(JET[0], a, b, z, t_matrix, radius, tol)[0]

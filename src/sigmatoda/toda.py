@@ -32,6 +32,8 @@ from .errors import ConfluentInput
 from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
+    _cumulant_potential,
+    _envelope_curvature,
     _guarded,
     _jet,
     _log_gap,
@@ -66,6 +68,11 @@ class TodaFrame:
     @property
     def genus(self) -> int:
         return self.ctx.genus
+
+    @cached_property
+    def curvature(self) -> complex:
+        """d.kappa.d along the frame's direction (``sigma._envelope_curvature``)."""
+        return _envelope_curvature(self.ctx, self.direction, self.direction)
 
 
 def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
@@ -115,17 +122,22 @@ def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
     return [memo[t, n] for n in sites]
 
 
-def _potential(ctx: SigmaContext, jet, where) -> complex:
-    """-D1 D2 log sigma from a ``sigma_jet2`` tuple at one point."""
-    sig, d1_sig, d2_sig, dd_sig, scale = jet[:5]
+def _potential(ctx: SigmaContext, jet, curvature: complex, where) -> complex:
+    """-D1 D2 log sigma from a ``sigma_jet2`` tuple at one point.
+
+    ``curvature`` is d1.kappa.d2 (``TodaFrame.curvature`` along d); the value
+    is the cumulant form of ``sigma._cumulant_potential``, after the pole
+    test on sigma.
+    """
+    sig, scale, moments = jet[0], jet[4], jet[5]
     _guarded(ctx, sig, scale, where)
-    return (d1_sig / sig) * (d2_sig / sig) - dd_sig / sig
+    return _cumulant_potential(curvature, moments)
 
 
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
     d = frame.direction
-    return _potential(frame.ctx, sigma_jet2(frame.ctx, u, d, d), "V")
+    return _potential(frame.ctx, sigma_jet2(frame.ctx, u, d, d), frame.curvature, "V")
 
 
 def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
@@ -136,16 +148,18 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     moments of site n (``sigma._log_gap``), so the check takes no theta pass
     of its own. A vanishing V - V_c at site n raises VanishingGap.
     """
-    d = frame.direction
     return _lattice_residual(frame.ctx, site_jets(frame, range(n - 1, n + 2), t),
-                             d, d, frame.v_c, n)
+                             frame.curvature, frame.v_c, n)
 
 
-def _lattice_residual(ctx: SigmaContext, jets, d1, d2, c, n: int) -> float:
-    """Residual of -D1 D2 log(v - c) = v(n+1) - 2 v(n) + v(n-1) from the jets of n-1..n+1."""
-    v_lo, v_n, v_hi = (_potential(ctx, jet, f"v at site {n - 1 + i}")
+def _lattice_residual(ctx: SigmaContext, jets, curvature, c, n: int) -> float:
+    """Residual of -D1 D2 log(v - c) = v(n+1) - 2 v(n) + v(n-1) from the jets of n-1..n+1.
+
+    ``curvature`` is d1.kappa.d2 for the jets' directions.
+    """
+    v_lo, v_n, v_hi = (_potential(ctx, jet, curvature, f"v at site {n - 1 + i}")
                        for i, jet in enumerate(jets))
-    lhs = _log_gap(ctx, d1, d2, jets[1][5], c, f"site {n}")[1]
+    lhs = _log_gap(ctx, curvature, jets[1][5], c, f"site {n}")[1]
     rhs = v_hi - 2 * v_n + v_lo
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
@@ -162,7 +176,8 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     for jet in site_jets(frame, n_range, t):
         if abs(jet[0]) < 1e-3 * jet[4]:
             return False
-        gap = abs(_potential(frame.ctx, jet, "a conditioned site") - frame.v_c)
+        gap = abs(_potential(frame.ctx, jet, frame.curvature, "a conditioned site")
+                  - frame.v_c)
         if gap < gap_floor * max(1.0, abs(frame.v_c)):
             return False
     return True
@@ -207,7 +222,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
         / (v1.x - v2.x) ** 2
     base = u0 + t1 * d1 + t2 * d2
     jets = sigma_jet2(ctx, np.array([base + k * c for k in (n - 1, n, n + 1)]), d1, d2)
-    return _lattice_residual(ctx, jets, d1, d2, vhat_c, n)
+    return _lattice_residual(ctx, jets, _envelope_curvature(ctx, d1, d2), vhat_c, n)
 
 
 def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, complex]:
@@ -236,7 +251,8 @@ def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     """a_k recomputed as the potential difference V_c - V at site k+1."""
     jet = site_jets(frame, [k + 1], t)[0]
-    return complex(frame.v_c - _potential(frame.ctx, jet, f"V at site {k + 1}"))
+    return complex(frame.v_c - _potential(frame.ctx, jet, frame.curvature,
+                                          f"V at site {k + 1}"))
 
 
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,

@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+from box_theta import box_theta_sum
 
 from sigmatoda.addition import (
     _coincident,
@@ -355,7 +356,19 @@ def _former_deg2(ctx, u_pts, v1):
     return _rel(lhs, complex(np.prod([v1.x - p.x for p in u_pts])))
 
 
-def test_stacked_residuals_equal_the_former_per_argument_code(ctx1, ctx2):
+def _box_kernel(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
+    """The former box kernel at radius 12, in place of the plan's pass."""
+    return box_theta_sum(deriv, a, b, z, t_matrix, 12, tol, mixed)
+
+
+# a swap of the theta kernel moves a residual by at most 1% of its gate
+KERNEL_SWAP = {1: 1e-11, 2: 1e-8}
+
+
+def test_stacked_residuals_equal_the_former_per_argument_code(ctx1, ctx2, monkeypatch):
+    # bit for bit against the per-argument code on the plan kernel, and
+    # within KERNEL_SWAP of the per-argument code on the box reference
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
     rng = np.random.default_rng(33)
     for ctx in (ctx1, ctx2):
         g = ctx.genus
@@ -363,11 +376,16 @@ def test_stacked_residuals_equal_the_former_per_argument_code(ctx1, ctx2):
             base = random_curve_points(ctx.curve, rng, g)
             v1, v2 = random_curve_points(ctx.curve, rng, 2)
             others = random_curve_points(ctx.curve, rng, 3)
-            for m_pts, n_pts in ((base, [v1]), (base, [v1, v2]), ([v1], others[:2]),
-                                 (others, [v2])):
-                assert thm_add_residual(ctx, m_pts, n_pts) == \
-                    _former_thm_add(ctx, m_pts, n_pts)
-            assert deg2_F_check(ctx, base, v1) == _former_deg2(ctx, base, v1)
+            cases = [(thm_add_residual, _former_thm_add, (ctx, m_pts, n_pts))
+                     for m_pts, n_pts in ((base, [v1]), (base, [v1, v2]), ([v1], others[:2]),
+                                          (others, [v2]))]
+            cases.append((deg2_F_check, _former_deg2, (ctx, base, v1)))
+            for check, former, args in cases:
+                value = check(*args)
+                assert value == former(*args)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sigma_mod, "_theta_sum", _box_kernel)
+                    assert abs(value - former(*args)) <= KERNEL_SWAP[g]
             for n in (1, 2, 3):
                 assert _fs_sides(ctx, others[:n]) == _former_fs_sides(ctx, others[:n])
 

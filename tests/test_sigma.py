@@ -4,6 +4,7 @@ import importlib
 import mpmath as mp
 import numpy as np
 import pytest
+from box_theta import box_theta_sum
 
 from sigmatoda.addition import (
     _rel,
@@ -528,15 +529,30 @@ def _former_deg1(ctx, u_pts, v1):
     return _rel(lhs, f12(ctx.curve, v1.x) - ssum)
 
 
-def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2):
+def _box_kernel(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
+    """The former box kernel at radius 12, in place of the plan's pass."""
+    return box_theta_sum(deriv, a, b, z, t_matrix, 12, tol, mixed)
+
+
+def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2, monkeypatch):
+    # bit for bit against the per-entry sums on the plan kernel, and within
+    # 1% of the residual gate (1e-9 at genus 1, 1e-6 at genus 2) of the
+    # per-entry sums on the box reference
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    swap = {1: 1e-11, 2: 1e-8}
     rng = np.random.default_rng(29)
     for ctx in (ctx1, ctx2):
         for _ in range(5):
             base = random_curve_points(ctx.curve, rng, ctx.genus)
             v1, v2 = random_curve_points(ctx.curve, rng, 2)
-            assert baker_residual(ctx, base, v1, v2) == _former_baker(ctx, base, v1, v2)
-            assert fay_residual(ctx, base, v1, v2) == _former_fay(ctx, base, v1, v2)
-            assert deg1_residual(ctx, base, v1) == _former_deg1(ctx, base, v1)
+            for check, former, args in ((baker_residual, _former_baker, (ctx, base, v1, v2)),
+                                        (fay_residual, _former_fay, (ctx, base, v1, v2)),
+                                        (deg1_residual, _former_deg1, (ctx, base, v1))):
+                value = check(*args)
+                assert value == former(*args)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sigma_mod, "_theta_sum", _box_kernel)
+                    assert abs(value - former(*args)) <= swap[ctx.genus]
 
 
 def test_abel_third_quadrature_rules_are_checked(ctx2):
@@ -749,3 +765,22 @@ def test_lattice_matrix_is_built_once_and_read_only(ctx2):
     assert not mat.flags.writeable
     gens = np.hstack([2.0 * pd.omega1, 2.0 * pd.omega2])
     assert np.array_equal(mat, np.vstack([gens.real, gens.imag]))
+
+
+def test_lattice_inverse_is_cached_and_reduction_picks_the_solved_vector(ctx1, ctx2):
+    # the cached inverse replaces a solve per call; on seeded draws the
+    # rounded coordinates, so the lattice vector taken off, are those of
+    # the solve
+    for ctx in (ctx1, ctx2):
+        pd, g = ctx.periods, ctx.genus
+        inv = pd.lattice_inverse()
+        assert inv is pd.lattice_inverse() and not inv.flags.writeable
+        assert np.allclose(inv @ pd.lattice_matrix(), np.eye(2 * g), atol=1e-12)
+        rng = np.random.default_rng(90 + g)
+        for _ in range(200):
+            u = 3.0 * (rng.normal(size=g) + 1j * rng.normal(size=g))
+            solved = np.linalg.solve(pd.lattice_matrix(), np.concatenate([u.real, u.imag]))
+            u1, u2 = lattice_decompose(pd, u)
+            assert np.array_equal(np.round(np.concatenate([u1, u2])), np.round(solved))
+            shift = 2.0 * pd.omega1 @ np.round(solved[:g]) + 2.0 * pd.omega2 @ np.round(solved[g:])
+            assert np.array_equal(reduce_mod_lattice(pd, u), u - shift)

@@ -1,19 +1,30 @@
+import dataclasses
 import itertools
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from box_theta import box_theta_sum as _box_theta_sum
+from sigmatoda import theta as theta_mod
 from sigmatoda.errors import TruncationInsufficient
 from sigmatoda.theta import (
     JET,
+    _plan,
     _theta_sum,
-    suggested_radius,
     theta_char,
 )
 
 T1 = np.array([[10j]])
 T_FAST = np.array([[0.3 + 1.1j]])
 T2 = np.array([[-0.5 + 1.2139j, 0.5257j], [0.5257j, -0.5 + 0.6882j]])
+
+
+def _radius(t_matrix, tol=1e-12):
+    """The reach of the widest plan at (T, tol): the 2-jet with three mixed rows."""
+    return _plan(np.asarray(t_matrix, dtype=complex), tol, 2, 3).extent
 
 
 def theta_deriv(multi_index, a, b, z, t_matrix, radius=None, tol=1e-12):
@@ -28,6 +39,7 @@ def theta_deriv(multi_index, a, b, z, t_matrix, radius=None, tol=1e-12):
     if len(idx) > 2:
         raise NotImplementedError("theta derivatives of order > 2 not supported")
     # the jet's value, gradient or Hessian, indexed by idx
+    radius = _radius(t_matrix, tol) if radius is None else radius
     return _theta_sum(JET[len(idx)], a, b, z, t_matrix, radius, tol)[len(idx)][idx]
 
 
@@ -37,7 +49,7 @@ def test_leading_term_dominates():
 
 
 def _value_and_l1(a, b, z, t_matrix):
-    value, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, None, 1e-12)
+    value, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, _radius(t_matrix), 1e-12)
     return value, l1
 
 
@@ -124,13 +136,13 @@ def test_truncation_insufficient_raised():
 
 
 def test_recentering_keeps_shifted_arguments_accurate():
-    # moderate imaginary shifts should not need a larger radius
+    # moderate imaginary shifts need no larger plan: the box reference with a
+    # wide radius agrees within 1e-12 of its L1 mass
     z0 = np.array([0.1 + 0.05j])
-    shift = np.array([3.0 + 2.0j])
-    r = suggested_radius(T_FAST)
-    ref = theta_char([0.5], [0.5], z0 + shift, T_FAST, radius=r + 12)
-    val = theta_char([0.5], [0.5], z0 + shift, T_FAST, radius=r)
-    assert val == pytest.approx(ref, rel=1e-10)
+    for shift in (3.0 + 2.0j, -1.0 - 4.5j):
+        z = z0 + shift
+        ref, _, _, l1 = _box_theta_sum(JET[0], [0.5], [0.5], z, T_FAST, 30, 1e-15)
+        assert abs(theta_char([0.5], [0.5], z, T_FAST) - ref) <= 1e-12 * l1
 
 
 def test_theta_deriv_rejects_order_three():
@@ -139,7 +151,7 @@ def test_theta_deriv_rejects_order_three():
 
 
 def _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, tol):
-    """One lattice sum per multi-index: the kernel's reference.
+    """One box sum per multi-index, with the reference's tail check.
 
     ``deriv`` lists 0-based coordinates, or z-directions w for the moments
     along them; returns (value, L1 of the terms).
@@ -149,8 +161,6 @@ def _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, tol):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     g = z.size
-    if radius is None:
-        radius = suggested_radius(t_matrix, tol)
     center = np.round(-a - np.linalg.solve(t_matrix.imag, (z + b).imag))
     n = np.stack([grid.ravel() for grid in np.meshgrid(
         *([np.arange(-radius, radius + 1)] * g), indexing="ij")], axis=1) + center
@@ -179,91 +189,146 @@ def _half_characteristics(g):
     return [(np.array(a), np.array(b)) for a in halves for b in halves]
 
 
+# the reference sums a wide box at tol 1e-15; the plan's truncation is within
+# tol = 1e-12 of each row's L1 mass, so rows agree within 2e-12 of it
+REF_RADIUS, MATCH = 12, 2e-12
+
+
+def _rows_close(got, want, l1):
+    return abs(got - want) <= MATCH * l1
+
+
 @pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
-def test_kernel_matches_per_index_sums_bit_for_bit(t_matrix):
+def test_kernel_matches_the_box_reference(t_matrix):
     g = t_matrix.shape[0]
     rng = np.random.default_rng(17)
-    radius = suggested_radius(t_matrix)
     points = [np.zeros(g, dtype=complex)] + [
         rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.4 for _ in range(3)]
     for a, b in _half_characteristics(g):
         for z in points:
             def ref(deriv):
-                return _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, 1e-12)
+                return _per_index_theta_sum(deriv, a, b, z, t_matrix, REF_RADIUS, 1e-15)
 
             ref_value, ref_l1 = ref(())
             for order in (0, 1, 2):
                 value, grad, hess, l1 = _theta_sum(JET[order], a, b, z, t_matrix,
-                                                   radius, 1e-12)
-                assert value == ref_value
-                assert l1 == ref_l1
+                                                   _radius(t_matrix), 1e-12)
+                assert _rows_close(value, ref_value, ref_l1)
+                assert abs(l1 - ref_l1) <= MATCH * ref_l1
                 if order == 0:
                     assert grad is None
                 else:
                     assert grad.shape == (g,)
                     for k in range(g):
-                        assert grad[k] == ref((k,))[0]
+                        assert _rows_close(grad[k], *ref((k,)))
                 if order < 2:
                     assert hess is None
                 else:
                     assert hess.shape == (g, g)
+                    assert np.array_equal(hess, hess.T)
                     for k, m in itertools.product(range(g), repeat=2):
-                        assert hess[k, m] == ref((k, m))[0]
+                        assert _rows_close(hess[k, m], *ref((k, m)))
+
+
+@pytest.fixture
+def plans_at_1e12(monkeypatch):
+    """Every pass sums the widest plan built at tol 1e-12, whatever tol it asks for.
+
+    The proven bound keeps its 1e-12 and the shell estimate meets the
+    call's tol, so a call's tol sets where the measured check fails; every
+    row layout sums the same ellipsoid.
+    """
+    built = theta_mod._plan
+
+    def fixed(t_matrix, tol, order, n_mixed=0):
+        widest = built(t_matrix, 1e-12, 2, 3)
+        plan = built(t_matrix, 1e-12, order, n_mixed)
+        return dataclasses.replace(plan, points=widest.points, shell=widest.shell,
+                                   sigma=widest.sigma, quad=widest.quad,
+                                   extent=widest.extent, radius=widest.radius)
+
+    monkeypatch.setattr(theta_mod, "_plan", fixed)
+
+
+def _threshold(call):
+    """The tol below which ``call(tol)`` raises TruncationInsufficient, in log10."""
+    lo, hi = -60.0, -12.0  # raises at 10**lo, passes at 10**hi
+    call(10.0**hi)
+    with pytest.raises(TruncationInsufficient):
+        call(10.0**lo)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        try:
+            call(10.0**mid)
+            hi = mid
+        except TruncationInsufficient:
+            lo = mid
+    return hi
 
 
 @pytest.mark.parametrize("args, failing", [
-    # radius 3: the value's tail is within tol and the gradient's is not
-    (([0.0], [0.0], [0.1], T_FAST, 3, 1e-12), 1),
-    # radius 5: the value's and the gradient's tails are within tol and a
-    # Hessian entry's is not
-    (([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, 5, 1e-12), 2),
+    (([0.0], [0.0], [0.1], T_FAST), 1),
+    (([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2), 2),
 ], ids=["gradient", "hessian"])
-def test_derivative_moments_keep_their_own_tail_check(args, failing):
-    g = len(args[2])
-    moments = [[()], [(k,) for k in range(g)],
-               list(itertools.product(range(g), repeat=2))]
-    for indices in moments[:failing]:
-        for idx in indices:
-            _per_index_theta_sum(idx, *args)
+def test_derivative_moments_keep_their_own_tail_check(plans_at_1e12, args, failing):
+    # on one ellipsoid, the derivative rows' shell estimates fail at a tol
+    # where the lower orders' rows still pass
+    radius = _radius(args[3])
+
+    def call(order):
+        return lambda tol: _theta_sum(JET[order], *args, radius, tol)
+
+    lower, higher = _threshold(call(failing - 1)), _threshold(call(failing))
+    assert higher > lower + 0.3
+    tol = 10.0 ** (0.5 * (lower + higher))
+    call(failing - 1)(tol)
     with pytest.raises(TruncationInsufficient):
-        for idx in moments[failing]:
-            _per_index_theta_sum(idx, *args)
-    _theta_sum(JET[failing - 1], *args)
-    with pytest.raises(TruncationInsufficient):
-        _theta_sum(JET[failing], *args)
+        call(failing)(tol)
 
 
 @pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
 def test_mixed_moments_are_direct_sums_and_leave_the_jet_alone(t_matrix):
     g = t_matrix.shape[0]
     rng = np.random.default_rng(18)
-    radius = suggested_radius(t_matrix)
+    radius = _radius(t_matrix)
     for a, b in _half_characteristics(g):
         z = rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.4
         w1, w2 = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
 
         def ref(deriv):
-            return _per_index_theta_sum(deriv, a, b, z, t_matrix, radius, 1e-12)[0]
+            return _per_index_theta_sum(deriv, a, b, z, t_matrix, REF_RADIUS, 1e-15)
 
-        value, grad, hess, l1, mixed = _theta_sum(
-            JET[2], a, b, z, t_matrix, radius, 1e-12, mixed=(w1, w2))
-        jet = _theta_sum(JET[2], a, b, z, t_matrix, radius, 1e-12)
-        assert (value, l1) == (jet[0], jet[3]) and value == ref(())
-        assert np.array_equal(grad, jet[1]) and np.array_equal(hess, jet[2])
-        assert [grad[k] for k in range(g)] == [ref((k,)) for k in range(g)]
-        assert mixed.tolist() == [ref((w1, w1, w2)), ref((w1, w2, w2)),
-                                  ref((w1, w1, w2, w2))]
+        for pair in ((w1, w2), (w1, w1), (w1, w1.copy())):
+            value, grad, hess, l1, mixed = _theta_sum(
+                JET[2], a, b, z, t_matrix, radius, 1e-12, mixed=pair)
+            jet = _theta_sum(JET[2], a, b, z, t_matrix, radius, 1e-12)
+            ref_value, ref_l1 = ref(())
+            assert _rows_close(value, jet[0], ref_l1) and _rows_close(value, ref_value, ref_l1)
+            assert abs(l1 - jet[3]) <= MATCH * ref_l1
+            for k in range(g):
+                assert _rows_close(grad[k], jet[1][k], ref((k,))[1])
+                for m in range(g):
+                    assert _rows_close(hess[k, m], jet[2][k, m], ref((k, m))[1])
+            wa, wb = pair
+            for got, deriv in zip(mixed, ((wa, wa, wb), (wa, wb, wb), (wa, wa, wb, wb))):
+                assert _rows_close(got, *ref(deriv))
+            if pair[0] is pair[1] or np.array_equal(*pair):
+                # one direction: the rows (2, 1) and (1, 2) are one row
+                assert mixed[0] == mixed[1]
 
 
-def test_mixed_moments_keep_their_own_tail_check():
-    # radius 5: the 2-jet's tails are within tol and a mixed moment's is not
+def test_mixed_moments_keep_their_own_tail_check(plans_at_1e12):
+    # on one ellipsoid, a mixed moment's shell estimate fails at a tol where
+    # the 2-jet's rows still pass
     w1, w2 = np.array([2.0, -1.0 + 0.5j]), np.array([1.5j, 2.0])
-    args = ([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, 5, 1e-11)
-    _theta_sum(JET[2], *args)
+    args = ([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, _radius(T2))
+    jet = _threshold(lambda tol: _theta_sum(JET[2], *args, tol))
+    mixed = _threshold(lambda tol: _theta_sum(JET[2], *args, tol, mixed=(w1, w2)))
+    assert mixed > jet + 0.3
+    tol = 10.0 ** (0.5 * (jet + mixed))
+    _theta_sum(JET[2], *args, tol)
     with pytest.raises(TruncationInsufficient):
-        _per_index_theta_sum((w1, w1, w2, w2), *args)
-    with pytest.raises(TruncationInsufficient):
-        _theta_sum(JET[2], *args, mixed=(w1, w2))
+        _theta_sum(JET[2], *args, tol, mixed=(w1, w2))
 
 
 def _bits(x):
@@ -274,11 +339,11 @@ def _bits(x):
 def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
     g = t_matrix.shape[0]
     rng = np.random.default_rng(19)
-    radius = suggested_radius(t_matrix)
+    radius = _radius(t_matrix)
     points = rng.normal(size=(6, g)) * 0.6 + 1j * rng.normal(size=(6, g)) * 0.4
     w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
     for a, b in _half_characteristics(g):
-        for order, mixed in itertools.product((0, 1, 2), (None, w)):
+        for order, mixed in itertools.product((0, 1, 2), (None, w, (w[0], w[0]))):
             def call(z):
                 return _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12,
                                   mixed=mixed)
@@ -294,16 +359,139 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
 
 
 @pytest.mark.parametrize("args, good, bad", [
-    (([0.0], [0.0]), [[0.1 + 1.1j], [-0.3 + 1.1j]], [0.1 + 0.5j]),
-    (([0.5, 0.0], [0.0, 0.0]), [[0.4j, 0.2j], [0.3 + 0.4j, 0.2j]], [0.0, 0.2j]),
+    # the rounding offset of the centre: near 0 for the good points, near 1/2
+    # for the bad one, whose shell holds the larger terms
+    (([0.0], [0.0], T_FAST), [[0.1 + 0.02j], [-0.3 - 0.01j]], [0.1 + 0.55j]),
+    (([0.5, 0.0], [0.0, 0.0], T2), [[-0.607j, -0.263j], [0.3 - 0.59j, 0.02 - 0.25j]],
+     [0.3 + 0.2455j, 0.3319j]),
 ], ids=["genus1", "genus2"])
-def test_one_failing_point_fails_its_stack(args, good, bad):
-    t_matrix, radius = (T_FAST, 3) if len(bad) == 1 else (T2, 5)
+def test_one_failing_point_fails_its_stack(plans_at_1e12, args, good, bad):
+    a, b, t_matrix = args
+    radius = _radius(t_matrix)
     for order in (0, 1, 2):
+        def call(z):
+            return lambda tol: _theta_sum(JET[order], a, b, np.array(z), t_matrix, radius, tol)
+
+        worst_good = max(_threshold(call(z)) for z in good)
+        at_bad = _threshold(call(bad))
+        assert at_bad > worst_good + 0.3
+        tol = 10.0 ** (0.5 * (worst_good + at_bad))
         for z in good:
-            _theta_sum(JET[order], *args, z, t_matrix, radius, 1e-12)
+            call(z)(tol)
         with pytest.raises(TruncationInsufficient):
-            _theta_sum(JET[order], *args, bad, t_matrix, radius, 1e-12)
+            call(bad)(tol)
         for stack in ([*good, bad], [bad, *good], [good[0], bad, good[1]]):
             with pytest.raises(TruncationInsufficient):
-                _theta_sum(JET[order], *args, np.array(stack), t_matrix, radius, 1e-12)
+                call(stack)(tol)
+
+
+def _random_siegel(rng, g, max_cond=10.0):
+    """T = X + iY with X uniform in [-1/2, 1/2] and cond(Y) at most max_cond."""
+    x = rng.uniform(-0.5, 0.5, size=(g, g))
+    q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    lam = np.exp(rng.uniform(0.0, math.log(max_cond), size=g)) * rng.uniform(0.4, 1.5)
+    lam[0] = lam.max() / max_cond if g > 1 and rng.uniform() < 0.5 else lam[0]
+    y = q @ np.diag(lam) @ q.T
+    return 0.5 * (x + x.T) + 1j * 0.5 * (y + y.T)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_seeded_siegel_sweep_matches_the_box_reference(g):
+    # every row, and the mixed rows along two random directions, within 2e-12
+    # of the row's L1 mass of the box reference at radius REF_RADIUS + 6
+    rng = np.random.default_rng(100 + g)
+    for _ in range(12):
+        t_matrix = _random_siegel(rng, g)
+        assert np.linalg.cond(t_matrix.imag) <= 10.0 + 1e-9
+        radius = _radius(t_matrix)
+        for _ in range(3):
+            a, b = (rng.choice([0.0, 0.5], size=g) for _ in range(2))
+            z = rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.5
+            w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+
+            def ref(deriv):
+                return _per_index_theta_sum(deriv, a, b, z, t_matrix, REF_RADIUS + 6, 1e-15)
+
+            value, grad, hess, l1, mixed = _theta_sum(JET[2], a, b, z, t_matrix, radius,
+                                                      1e-12, mixed=w)
+            assert _rows_close(value, *ref(()))
+            for k in range(g):
+                assert _rows_close(grad[k], *ref((k,)))
+                for m in range(g):
+                    assert _rows_close(hess[k, m], *ref((k, m)))
+            for got, deriv in zip(mixed, ((w[0], w[0], w[1]), (w[0], w[1], w[1]),
+                                          (w[0], w[0], w[1], w[1]))):
+                assert _rows_close(got, *ref(deriv))
+            for order in (0, 1):
+                low = _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12)
+                assert _rows_close(low[0], *ref(()))
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_proven_bound_covers_the_omitted_tail(g):
+    # the omitted terms' L1 mass, summed over a wide box about the same
+    # centre, is at most the plan's bound E sum_p coef c^p for every row order
+    rng = np.random.default_rng(200 + g)
+    for _ in range(12):
+        t_matrix = _random_siegel(rng, g)
+        y = t_matrix.imag
+        plan = _plan(t_matrix, 1e-12, 2, 3)
+        inside = {tuple(m) for m in plan.points.astype(int).tolist()}
+        wide = np.array(list(itertools.product(range(-plan.extent - 8, plan.extent + 9),
+                                               repeat=g)), dtype=float)
+        outside = wide[[tuple(m) not in inside for m in wide.astype(int).tolist()]]
+        for _ in range(3):
+            a = rng.choice([0.0, 0.5], size=g)
+            z = rng.normal(size=g) * 0.6 + 1j * rng.normal(size=g) * 0.5
+            shift = np.linalg.solve(y, z.imag)
+            na = outside + np.round(-a - shift) + a
+            # |term| = E exp(-pi x^T Y x), x = n + a + Y^-1 Im z
+            x = na + shift
+            mod = np.exp(np.pi * z.imag @ shift - np.pi * np.einsum("ki,ij,kj->k", x, y, x))
+            bounds = plan.coef @ np.linalg.norm(shift) ** np.arange(5.0)
+            unit = np.linalg.norm(na, axis=1)  # |2 pi (n+a).w| <= 2 pi |n+a| for |w| = 1
+            for order in range(5):
+                omitted = float(np.sum(mod * (2 * np.pi * unit) ** order))
+                assert omitted <= math.exp(np.pi * z.imag @ shift) * bounds[order]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_a_plan_beyond_the_radius_raises(g):
+    rng = np.random.default_rng(300 + g)
+    for _ in range(4):
+        t_matrix = _random_siegel(rng, g)
+        z = rng.normal(size=g) * 0.3
+        for order in (0, 1, 2):
+            extent = _plan(t_matrix, 1e-12, order).extent
+            _theta_sum(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent, 1e-12)
+            with pytest.raises(TruncationInsufficient):
+                _theta_sum(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent - 1,
+                           1e-12)
+
+
+def test_plans_are_cached_and_read_only():
+    plan = _plan(T2, 1e-12, 2)
+    assert _plan(T2.copy(), 1e-12, 2) is plan
+    assert _plan(T2, 1e-12, 2, 3) is not plan
+    for arr in (plan.points, plan.sigma, plan.quad, plan.yinv, plan.coef, plan.row_coef,
+                plan.hess_rows):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    # the ellipsoid holds fewer points than the former box of radius 7
+    assert len(plan.points) < 15 ** 2
+    assert np.allclose(plan.yinv @ T2.imag, np.eye(2))
+
+
+def test_contexts_and_a_toda_frame_import_no_scipy():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sigmatoda import verify\n"
+        "from sigmatoda.curves import random_curve_points\n"
+        "from sigmatoda.toda import toda_frame\n"
+        "ctx1, ctx2 = verify.canonical_contexts()\n"
+        "v1 = random_curve_points(ctx1.curve, np.random.default_rng(5), 1)[0]\n"
+        "frame = toda_frame(ctx1, v1, rng=np.random.default_rng(6))\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
