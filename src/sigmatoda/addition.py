@@ -332,12 +332,15 @@ def baker_rhs(curve: HyperellipticCurve, u_pts, x1p, x2p) -> complex:
                    + baker_f2(curve, x1p, x2p) / d2)
 
 
-def baker_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> float:
-    g = ctx.genus
-    u = abel_map(ctx, u_pts).u
+def _wp_form(ctx: SigmaContext, u, x1, x2) -> complex:
+    """sum_ij wp_ij(u) x1^(i-1) x2^(j-1), from one ``wp_matrix``."""
     wpm = wp_matrix(ctx, u)
-    lhs = sum(wpm[i - 1, j - 1] * v1.x ** (i - 1) * v2.x ** (j - 1)
-              for i in range(1, g + 1) for j in range(1, g + 1))
+    labels = range(ctx.genus)
+    return sum(wpm[i, j] * x1 ** i * x2 ** j for i in labels for j in labels)
+
+
+def baker_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> float:
+    lhs = _wp_form(ctx, abel_map(ctx, u_pts).u, v1.x, v2.x)
     return _rel(lhs, baker_rhs(ctx.curve, u_pts, v1.x, v2.x))
 
 
@@ -345,27 +348,19 @@ def fay_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> fl
     """Residual of the two-point kernel identity for sigma quotients."""
     if abs(v1.x - v2.x) < 1e-12 * ctx.curve.scale:
         raise ConfluentInput("coincident primed points")
-    g = ctx.genus
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1, v2]).u
-    lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(g, 2))
+    lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(ctx.genus, 2))
     kernel = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
-    wpm = wp_matrix(ctx, u)
-    ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i - 1) * v2.x ** (j - 1)
-               for i in range(1, g + 1) for j in range(1, g + 1))
-    return _rel(lhs, kernel - ssum)
+    return _rel(lhs, kernel - _wp_form(ctx, u, v1.x, v2.x))
 
 
 def deg1_residual(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     """Residual of the coincident-point (doubling) specialization."""
-    g = ctx.genus
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1]).u
-    lhs = _sigma_quotient(ctx, u, 2 * v, (), (), natural_index_set(g, 2))
-    wpm = wp_matrix(ctx, u)
-    ssum = sum(wpm[i - 1, j - 1] * v1.x ** (i + j - 2)
-               for i in range(1, g + 1) for j in range(1, g + 1))
-    return _rel(lhs, f12(ctx.curve, v1.x) - ssum)
+    lhs = _sigma_quotient(ctx, u, 2 * v, (), (), natural_index_set(ctx.genus, 2))
+    return _rel(lhs, f12(ctx.curve, v1.x) - _wp_form(ctx, u, v1.x, v1.x))
 
 
 def deg2_F_check(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:

@@ -233,15 +233,12 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         for _ in range(6):
             u = abel_map(engine, random_curve_points(curve, rng, g - 1)).u
             test_z.append(pmat @ reduce_mod_lattice(pd, u))
+    # one stacked pass per candidate; each point keeps its own call's bits
+    test_z = np.array(test_z)
     winners = []
     for a, b in _half_char_candidates(g):
-        ok = True
-        for z in test_z:
-            val, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, radius, 1e-12)
-            if abs(val) > 1e-5 * l1:
-                ok = False
-                break
-        if ok:
+        val, _, _, l1 = _theta_sum(JET[0], a, b, test_z, t_matrix, radius, 1e-12)
+        if np.all(np.abs(val) <= 1e-5 * l1):
             winners.append(Characteristics(a, b))
     if len(winners) != 1:
         raise CharacteristicsNotFound(
@@ -435,28 +432,16 @@ def sigma_natural(ctx: SigmaContext, n: int, u) -> complex:
     return sigma_deriv(ctx, natural_index_set(ctx.genus, n), u)
 
 
-def sigma_sharp(ctx: SigmaContext, u) -> complex:
-    return sigma_natural(ctx, 1, u)
-
-
-def sigma_flat(ctx: SigmaContext, u) -> complex:
-    return sigma_natural(ctx, 2, u)
-
-
 def _guarded(ctx: SigmaContext, sig, scale: float, where):
     """``sig``, or ThetaDivisorPole when |sig| < pole_tol * scale, scale = |env| L1.
 
-    The one pole test of the package: every quotient by sigma is guarded here.
+    The one pole test of the package: every quotient by sigma, or by theta
+    in place of sigma, is guarded here.
     ``where`` (a label or the point) is formatted only when the test fires.
     """
     if abs(sig) < ctx.pole_tol * scale:
         raise ThetaDivisorPole(f"sigma vanished at {where}")
     return sig
-
-
-def _checked_sigma(ctx: SigmaContext, jet, u) -> complex:
-    env, theta0, l1 = jet[:3]
-    return _guarded(ctx, env * theta0, abs(env) * l1, u)
 
 
 def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
@@ -512,37 +497,28 @@ def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
-    """Logarithmic derivative d log sigma / du_i."""
-    u = _one_point(u)
-    jet = _jet(ctx, u, 1)
-    return _partial(ctx, jet, (i - 1,)) / _checked_sigma(ctx, jet, u)
-
-
-def _wp_entry(ctx: SigmaContext, jet, s0, i: int, j: int) -> complex:
-    si = _partial(ctx, jet, (i - 1,))
-    sj = _partial(ctx, jet, (j - 1,)) if j != i else si
-    sij = _partial(ctx, jet, (i - 1, j - 1))
-    return (si * sj - s0 * sij) / (s0 * s0)
+    """Logarithmic derivative d log sigma / du_i = q_i + t_i, t = grad theta / theta in u."""
+    env, theta0, l1, q, tvec, _ = _jet(ctx, _one_point(u), 1)
+    _guarded(ctx, env * theta0, abs(env) * l1, u)
+    return q[i - 1] + tvec[i - 1] / theta0
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
-    """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j."""
-    u = _one_point(u)
-    jet = _jet(ctx, u, 2)
-    return _wp_entry(ctx, jet, _checked_sigma(ctx, jet, u), i, j)
+    """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j, an entry of ``wp_matrix``."""
+    return wp_matrix(ctx, u)[i - 1, j - 1]
 
 
 def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
-    """All wp_{ij} at u from one 2-jet; entry [i-1, j-1] equals wp(ctx, i, j, u).
+    """All wp_{ij} at u from one theta 2-jet: wp = kappa - H / theta + t t^T.
 
-    Each entry is computed on its own, not mirrored: (i, j) and (j, i) add
-    the terms of the second partial in a different order.
+    t = grad theta / theta and H is the theta Hessian, both in u. This is
+    the matrix form of ``_cumulant_potential``: the envelope enters through
+    kappa only, and the quotient by theta is guarded as sigma's.
     """
-    u = _one_point(u)
-    jet = _jet(ctx, u, 2)
-    s0 = _checked_sigma(ctx, jet, u)
-    labels = range(1, ctx.genus + 1)
-    return np.array([[_wp_entry(ctx, jet, s0, i, j) for j in labels] for i in labels])
+    env, theta0, l1, _, tvec, hmat = _jet(ctx, _one_point(u), 2)
+    _guarded(ctx, env * theta0, abs(env) * l1, u)
+    t = tvec / theta0
+    return ctx.kappa - hmat / theta0 + np.outer(t, t)
 
 
 def abel_map(ctx_or_engine, points) -> AbelPoint:

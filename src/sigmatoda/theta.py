@@ -9,8 +9,11 @@ the lattice points of an ellipsoid pi m^T Y m <= (R + delta)^2, m = n - n0,
 about the rounded centre n0 = round(-a - Y^{-1} Im z), where delta bounds
 the rounding offset, so every omitted term has pi x^T Y x > R^2 and moderate
 shifts of z cost nothing in accuracy. One pass over the ellipsoid builds the
-terms once and takes the value, the gradient and the Hessian as moments of
-the terms by 2 pi i (n+a), together with each row's L1 mass.
+terms once and sums one complex row block against them: with
+s = 2 pi i (n+a), the rows 1, s_k and s_k s_m (m >= k) give the value, the
+gradient and the Hessian, and the optional mixed rows below follow them in
+the same block. One matmul gives every row's sum, and one abs and one
+matmul every row's L1 mass.
 
 The ellipsoid comes from a plan, built once per (T, tol, row layout) and
 cached (``_plan``); a pass's ``radius`` caps how far from the centre its
@@ -35,11 +38,11 @@ own L1 mass, the proven one with E bounded by exp(delta^2) times the value's
 L1 mass, and either failing raises TruncationInsufficient. A stack of points
 shares one pass, each point with its own checks and the bits of its own call.
 
-Given two z-directions w1 and w2, the same pass also sums the mixed moments
-of orders (2, 1), (1, 2) and (2, 2) along them, with s_i = 2 pi i (n+a).w_i:
-the terms by s1^2 s2, s1 s2^2 and s1^2 s2^2. With the gradient and Hessian
-they give every derivative D1^i D2^j theta with i, j <= 2, each with its
-own two checks. When w1 equals w2 the rows (2, 1) and (1, 2) are one row,
+Given two z-directions w1 and w2, the block also holds the mixed moments of
+orders (2, 1), (1, 2) and (2, 2) along them, with p_i = s.w_i: the terms by
+p1^2 p2, p1 p2^2 and p1^2 p2^2. With the gradient and Hessian they give
+every derivative D1^i D2^j theta with i, j <= 2, each with its own two
+checks. When w1 equals w2 the rows (2, 1) and (1, 2) are one row,
 summed and checked once.
 """
 
@@ -59,6 +62,7 @@ DEFAULT_TOL = 1e-12
 # derivative orders a jet of order 0, 1 or 2 takes beside the value
 JET = ((), (1,), (1, 2))
 _R_STEP = 1.0 / 16  # granularity of a plan's R, in units of sqrt(pi x^T Y x)
+_TWO_PI_I, _PI_I = 2j * math.pi, 1j * math.pi
 
 
 def _upper_gamma(s2: int, x: float) -> float:
@@ -97,20 +101,20 @@ class ThetaPlan:
 
     ``radius`` is R; ``points`` are the offsets m from the rounded centre,
     those from index ``shell`` on having a neighbour m +- e_i outside the
-    ellipsoid; ``sigma`` = 2 pi m and ``quad`` = 2 pi i (1/2) m^T T m per
-    point, ``yinv`` = (Im T)^{-1}, ``t_rows`` the rows of T as Python
-    numbers and ``extent`` the largest |m_i|. ``coef[N, p]`` is the
-    coefficient of c^p in the proven bound, over E, of the omitted L1 mass
-    of a row of order N along unit directions, c = |Y^{-1} Im z|;
-    ``row_coef`` holds it per row of the plan's layout (``row_orders``),
-    times exp(delta^2) / tol, and ``hess_rows`` the row of each Hessian
-    entry (k, m).
+    ellipsoid; ``s`` = 2 pi i m, one row per coordinate, and ``quad`` =
+    2 pi i (1/2) m^T T m per point, ``yinv`` = (Im T)^{-1}, ``t_rows`` the
+    rows of T as Python numbers and ``extent`` the largest |m_i|.
+    ``coef[N, p]`` is the coefficient of c^p in the proven bound, over E, of
+    the omitted L1 mass of a row of order N along unit directions,
+    c = |Y^{-1} Im z|; ``row_coef`` holds it per row of the plan's layout
+    (``row_orders``), times exp(delta^2) / tol, and ``hess_rows`` the row of
+    each Hessian entry (k, m).
     """
 
     radius: float
     points: np.ndarray
     shell: int
-    sigma: np.ndarray
+    s: np.ndarray
     quad: np.ndarray
     yinv: np.ndarray
     t_rows: list
@@ -124,7 +128,7 @@ class ThetaPlan:
 def _row_orders(g: int, order: int, n_mixed: int) -> tuple:
     """Derivative order of each row of a pass: value, gradient, Hessian, mixed.
 
-    The mixed rows are s1^2 s2, s1 s2^2, s1^2 s2^2, or s^3, s^4 along one
+    The mixed rows are p1^2 p2, p1 p2^2, p1^2 p2^2, or p^3, p^4 along one
     direction (``n_mixed`` 3 or 2).
     """
     rows = [0] + [1] * g * (order >= 1) + [2] * (g * (g + 1) // 2) * (order >= 2)
@@ -191,20 +195,19 @@ def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -
         for p in range(n + 1):
             coef[n, p] = ((2 * math.pi) ** n * math.comb(n, p) * tau ** (n - p)
                           * gam(n - p, r))
-    # the rows 1, sigma_k, sigma_k sigma_m (m >= k) of a pass hold the Hessian
+    # the rows 1, s_k, s_k s_m (m >= k) of a pass hold the Hessian
     pairs = [(k, m) for k in range(g) for m in range(k, g)]
     hess_rows = np.array([g + 1 + pairs.index((min(k, m), max(k, m)))
                           for k in range(g) for m in range(g)])
-    plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), 2.0 * np.pi * points,
+    plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), _TWO_PI_I * points.T,
                      quad, np.linalg.inv(y), t_matrix.tolist(), int(np.max(np.abs(points))),
                      coef, row_orders,
                      coef.T[:, list(row_orders)] * (math.exp(delta * delta) / tol), hess_rows)
-    for arr in (plan.points, plan.sigma, quad, plan.yinv, coef, plan.row_coef, hess_rows):
+    for arr in (plan.points, plan.s, quad, plan.yinv, coef, plan.row_coef, hess_rows):
         arr.flags.writeable = False
     return plan
 
 
-_TWO_PI_I, _PI_I = 2j * math.pi, 1j * math.pi
 _SAME_DIRECTION = np.array([0, 0, 1])  # (2, 1) and (1, 2) are one row when w1 == w2
 
 
@@ -253,36 +256,30 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     expo += const[:, None, None]
     base = np.exp(expo)  # (K, M, 1): the terms, and below their moduli
     mod = np.exp(expo.real[..., 0])
-    base = base.view(float)
-    # real rows 1, sigma_k, sigma_k sigma_m (m >= k), sigma = 2 pi (n+a), so
-    # s = i sigma; the mixed rows along w1, w2 are complex
-    n_real = len(plan.row_orders) - n_mixed
-    mags = np.empty((k_pts, n_real + n_mixed, n_pts))
-    rows = mags[:, :n_real]
+    # one complex row block: 1, s_k, s_k s_m (m >= k) with s = 2 pi i (n+a),
+    # then the mixed rows in p_i = s.w_i
+    rows = np.empty((k_pts, len(plan.row_orders), n_pts), dtype=complex)
     rows[:, 0] = 1.0
     if order or n_mixed:
-        sig = plan.sigma + (2.0 * np.pi) * ca[:, None, :]
+        s = plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
     if order >= 1:
-        rows[:, 1:g + 1] = sig.transpose(0, 2, 1)
+        rows[:, 1:g + 1] = s
     if order >= 2:
         j = g + 1
         for k in range(g):
-            np.multiply(rows[:, k + 1:k + 2], rows[:, k + 1:g + 1], out=rows[:, j:j + g - k])
+            np.multiply(s[:, k:k + 1], s[:, k:], out=rows[:, j:j + g - k])
             j += g - k
-    sums = np.matmul(rows, base).view(complex)[..., 0]
-    np.abs(rows, out=rows)
+    n_jet = len(plan.row_orders) - n_mixed
     if n_mixed:
-        # s.w_i = i sigma.w_i, so these rows carry their unit factors
-        p1 = sig @ (1j * w1)
-        p2 = p1 if n_mixed == 2 else sig @ (1j * w2)
+        p1 = np.einsum("kim,i->km", s, w1)
+        p2 = p1 if n_mixed == 2 else np.einsum("kim,i->km", s, w2)
         p12 = p1 * p2
-        mix = np.empty((k_pts, n_mixed, n_pts), dtype=complex)
-        np.multiply(p12, p1, out=mix[:, 0])
+        np.multiply(p12, p1, out=rows[:, n_jet])
         if n_mixed == 3:
-            np.multiply(p12, p2, out=mix[:, 1])
-        np.multiply(p12, p12, out=mix[:, -1])
-        mix_sums = np.matmul(mix, base.view(complex))[..., 0]
-        np.abs(mix, out=mags[:, n_real:])
+            np.multiply(p12, p2, out=rows[:, n_jet + 1])
+        np.multiply(p12, p12, out=rows[:, -1])
+    sums = np.matmul(rows, base)[..., 0]
+    mags = np.abs(rows)
     l1s = np.matmul(mags, mod[:, :, None])[..., 0]
     tails = (mags[:, :, plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
     tails *= (n_pts - plan.shell) / tol
@@ -294,17 +291,17 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
         n1 = math.sqrt(np.vdot(w1, w1).real)
         n2 = n1 if n_mixed == 2 else math.sqrt(np.vdot(w2, w2).real)
         scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
-        row_coef = row_coef * ([1.0] * n_real + (scale[::2] if n_mixed == 2 else scale))
+        row_coef = row_coef * ([1.0] * n_jet + (scale[::2] if n_mixed == 2 else scale))
     proven = (np.array(c_pow) @ row_coef) * l1s[:, :1]
     if (np.maximum(tails, proven) > l1s).any():
         raise TruncationInsufficient(
             f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")
-    # the rows of order 1 and 2 carry s = i sigma and s s = -sigma sigma
-    out = [sums[:, 0], 1j * sums[:, 1:g + 1] if order >= 1 else None,
-           -sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
+    out = [sums[:, 0], sums[:, 1:g + 1] if order >= 1 else None,
+           sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
            l1s[:, 0]]
     if n_mixed:
-        out.append(mix_sums[:, _SAME_DIRECTION] if n_mixed == 2 else mix_sums)
+        mixed_sums = sums[:, n_jet:]
+        out.append(mixed_sums[:, _SAME_DIRECTION] if n_mixed == 2 else mixed_sums)
     if z.ndim == 1:  # one point: drop the stack axis
         out = [None if x is None else x[0] for x in out]
         out[3] = float(out[3])

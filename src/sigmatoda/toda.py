@@ -35,11 +35,8 @@ from .sigma import (
     _cumulant_potential,
     _envelope_curvature,
     _guarded,
-    _jet,
     _log_gap,
-    _partial,
     abel_map,
-    natural_index_set,
     quasi_period,
     sigma_jet2,
 )
@@ -87,16 +84,13 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
         rng = rng or np.random.default_rng(2024)
         u0 = abel_map(ctx, random_curve_points(ctx.curve, rng, g)).u
     u0 = np.atleast_1d(np.asarray(u0, dtype=complex))
-    # 0-based labels of sigma_flat; one jet at c serves it and its gradient
-    flat = tuple(i - 1 for i in natural_index_set(g, 2))
-    jet = _jet(ctx, c, len(flat) + 1)
-    s_flat_c = _guarded(ctx, _partial(ctx, jet, flat), abs(jet[0]) * jet[2],
-                        "the step c (sigma_flat)")
     d = direction_vector(v1.x, g)
-    zc = sum(v1.x ** (i - 1) * _partial(ctx, jet, flat + (i - 1,))
-             for i in range(1, g + 1)) / s_flat_c
+    # sigma_flat is sigma at genus <= 2: one 2-jet along d at c gives it and
+    # zeta_c = D sigma / sigma
+    s_c, ds_c, *_, scale, _ = sigma_jet2(ctx, c, d, d)
+    s_flat_c = _guarded(ctx, s_c, scale, "the step c (sigma_flat)")
     return TodaFrame(ctx, v1, c, u0, periodic, complex(s_flat_c),
-                     complex(f12(ctx.curve, v1.x)), complex(zc), d)
+                     complex(f12(ctx.curve, v1.x)), complex(ds_c / s_flat_c), d)
 
 
 def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:

@@ -38,7 +38,6 @@ from sigmatoda.sigma import (
     sigma,
     sigma_context,
     sigma_natural,
-    sigma_sharp,
     wp,
 )
 from sigmatoda.theta import JET
@@ -329,7 +328,7 @@ def _former_fs_sides(ctx, pts):
     for i in range(n):
         for j in range(i + 1, n):
             num *= sigma_natural(ctx, 2, us[i] - us[j])
-    den = np.prod([sigma_sharp(ctx, u) ** n for u in us])
+    den = np.prod([sigma_natural(ctx, 1, u) ** n for u in us])
     return num / den, epsilon_n(ctx.genus, n) * fs_det(ctx.curve, pts)
 
 
@@ -352,7 +351,7 @@ def _former_deg2(ctx, u_pts, v1):
     u = abel_map(ctx, u_pts).u
     v = abel_map(ctx, [v1]).u
     lhs = (sigma(ctx, u + v) * sigma(ctx, u - v)
-           / (sigma(ctx, u) ** 2 * sigma_sharp(ctx, v) ** 2))
+           / (sigma(ctx, u) ** 2 * sigma_natural(ctx, 1, v) ** 2))
     return _rel(lhs, complex(np.prod([v1.x - p.x for p in u_pts])))
 
 

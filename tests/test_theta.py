@@ -244,7 +244,7 @@ def plans_at_1e12(monkeypatch):
         widest = built(t_matrix, 1e-12, 2, 3)
         plan = built(t_matrix, 1e-12, order, n_mixed)
         return dataclasses.replace(plan, points=widest.points, shell=widest.shell,
-                                   sigma=widest.sigma, quad=widest.quad,
+                                   s=widest.s, quad=widest.quad,
                                    extent=widest.extent, radius=widest.radius)
 
     monkeypatch.setattr(theta_mod, "_plan", fixed)
@@ -473,7 +473,7 @@ def test_plans_are_cached_and_read_only():
     plan = _plan(T2, 1e-12, 2)
     assert _plan(T2.copy(), 1e-12, 2) is plan
     assert _plan(T2, 1e-12, 2, 3) is not plan
-    for arr in (plan.points, plan.sigma, plan.quad, plan.yinv, plan.coef, plan.row_coef,
+    for arr in (plan.points, plan.s, plan.quad, plan.yinv, plan.coef, plan.row_coef,
                 plan.hess_rows):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0

@@ -11,8 +11,10 @@ from sigmatoda.errors import ConfluentInput, SigmaTodaError, ThetaDivisorPole, V
 from sigmatoda.sigma import (
     _jet,
     _log_gap,
+    _partial,
     abel_map,
     log_gap_curvature,
+    natural_index_set,
     sigma_context,
     sigma_jet2,
     wp,
@@ -74,6 +76,17 @@ def former_sigma_jet2(ctx, u):
                        + np.outer(q, tvec) + np.outer(tvec, q) + hmat)
         out.append((sig, dsig, ddsig, abs(env) * l1))
     return out if isinstance(jets, list) else out[0]
+
+
+def former_frame_constants(ctx, v1, c):
+    """Oracle: the former toda_frame jet code, (sigma_flat(c), zeta_c)."""
+    g = ctx.genus
+    flat = tuple(i - 1 for i in natural_index_set(g, 2))
+    jet = _jet(ctx, c, len(flat) + 1)
+    s_flat_c = _partial(ctx, jet, flat)
+    zc = sum(v1.x ** (i - 1) * _partial(ctx, jet, flat + (i - 1,))
+             for i in range(1, g + 1)) / s_flat_c
+    return s_flat_c, zc
 
 
 def former_directional_jet(ctx, u, d1, d2):
@@ -378,6 +391,18 @@ def test_log_gap_curvature_matches_its_former_code(ctx1, ctx2):
                 log_gap_curvature, former_log_gap_curvature))
             assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
             assert abs(lhs - lhs_ref) <= 1e-10 * max(1.0, abs(lhs_ref))
+
+
+def test_frame_constants_match_the_former_jet_code(ctx1, ctx2):
+    # within 1e-12 relative, fixed before toda_frame read them from sigma_jet2
+    for ctx in (ctx1, ctx2):
+        rng = np.random.default_rng(60 + ctx.genus)
+        for _ in range(5):
+            v1 = random_curve_points(ctx.curve, rng, 1)[0]
+            frame = toda_frame(ctx, v1, rng=rng)
+            s_c, z_c = former_frame_constants(ctx, v1, frame.c)
+            assert abs(frame.sigma_flat_c - s_c) <= 1e-12 * abs(s_c)
+            assert abs(frame.zeta_c - z_c) <= 1e-12 * abs(z_c)
 
 
 def test_vanishing_gap_is_a_typed_error():
