@@ -21,7 +21,6 @@ from .curves import (
     make_curve,
     phi,
     random_curve_points,
-    vandermonde,
     y_jet,
 )
 from .periods import (
@@ -29,9 +28,7 @@ from .periods import (
     PeriodData,
     build_cycles,
     compute_periods,
-    first_kind_diff,
     legendre_residual,
-    second_kind_diff,
 )
 from .sigma import (
     AbelPoint,

@@ -206,16 +206,6 @@ def y_jet(curve: HyperellipticCurve, x, k_max: int, y0=None) -> np.ndarray:
     return jets
 
 
-def vandermonde(xs) -> complex:
-    """Vandermonde product prod_{i<j} (x_j - x_i)."""
-    xs = np.asarray(xs, dtype=complex)
-    out = 1.0 + 0.0j
-    for i in range(xs.size):
-        for j in range(i + 1, xs.size):
-            out *= xs[j] - xs[i]
-    return out
-
-
 def random_curve_points(curve: HyperellipticCurve, rng: np.random.Generator,
                         count: int) -> list[CurvePoint]:
     """Sample affine points away from branch points, random sheet per point.

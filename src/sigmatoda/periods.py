@@ -21,9 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import CurvePoint, HyperellipticCurve
+from .curves import HyperellipticCurve
 from .errors import (
-    BranchPointSingularity,
     LegendreCertificateFailure,
     PathThroughBranchPoint,
     QuadratureNonConvergence,
@@ -107,15 +106,6 @@ class PeriodData:
         return mat, inv
 
 
-def first_kind_diff(curve: HyperellipticCurve, i: int, p: CurvePoint) -> complex:
-    """Coefficient of dx in the holomorphic form x^{i-1} dx / (2y)."""
-    if not 1 <= i <= curve.genus:
-        raise ValueError(f"form index {i} outside 1..{curve.genus}")
-    if p.at_infinity or p.y == 0:
-        raise BranchPointSingularity("first kind differential needs y != 0")
-    return p.x ** (i - 1) / (2.0 * p.y)
-
-
 def second_kind_numerator(curve: HyperellipticCurve, j: int) -> np.ndarray:
     """Numerator polynomial of the second-kind form, ascending coefficients."""
     g = curve.genus
@@ -125,13 +115,6 @@ def second_kind_numerator(curve: HyperellipticCurve, j: int) -> np.ndarray:
     for k in range(j, 2 * g - j + 1):
         coeffs[k] = (k + 1 - j) * curve.lam_at(k + 1 + j)
     return coeffs
-
-
-def second_kind_diff(curve: HyperellipticCurve, j: int, p: CurvePoint) -> complex:
-    """Coefficient of dx in the second-kind form with a pole at infinity."""
-    if p.at_infinity or p.y == 0:
-        raise BranchPointSingularity("second kind differential needs y != 0")
-    return polyval(second_kind_numerator(curve, j), p.x) / (2.0 * p.y)
 
 
 def _point_segment_distance(z, a, b) -> float:

@@ -10,6 +10,13 @@ vanishing of sigma on Abel images of (g-1)-point divisors. gamma0 is fixed
 so the power series of sigma at the origin starts with the Schur-polynomial
 leading term (coefficient one on u_1 for genus up to two, which for genus
 one is the classical sigma(u) = u + O(u^5)).
+
+One per-point assembly turns a theta pass into sigma and its derivatives
+along two directions (``_sigma_jets``): sigma, its partials and its
+directional 2-jet all read it, so the envelope and the product rule are
+written once. wp and zeta read log theta in cumulant form instead
+(``_log_theta``), with the pole test on theta against its own L1 mass, and
+never build the envelope.
 """
 
 from __future__ import annotations
@@ -166,11 +173,11 @@ class SigmaContext:
     chars: Characteristics
     gamma0: complex
     trunc_radius: int  # reach of the widest theta plan; a wider plan raises
+    kappa: np.ndarray = field(repr=False)
+    pmat: np.ndarray = field(repr=False)
+    abel: _AbelEngine = field(repr=False)
     tol: float = 1e-12
     pole_tol: float = 1e-10
-    kappa: np.ndarray = field(repr=False, default=None)
-    pmat: np.ndarray = field(repr=False, default=None)
-    abel: _AbelEngine = field(repr=False, default=None)
 
     @property
     def genus(self) -> int:
@@ -299,44 +306,64 @@ def _spot_check_vanishing(ctx: SigmaContext):
             "sigma does not vanish on the (g-1)-point stratum")
 
 
-def _jet(ctx: SigmaContext, u, order: int):
-    """One theta pass at u, up to ``order`` derivatives.
+def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
+    """Per-point sigma records along d1 and d2 from one theta pass.
 
-    Returns the envelope gamma0 exp(-u.kappa.u/2), theta and its L1 mass,
-    q = -kappa u, and the theta gradient and Hessian in the u variables
-    (None below their order). A stack u of shape (K, g) takes one pass for
-    all K points and returns the list of their jets, each as its own call's.
+    Each record is (sigma, D1 sigma, D2 sigma, D1 D2 sigma, |env| L1,
+    moments) as Python scalars, None above ``order``: order 0 gives sigma
+    and the scale, order 1 adds D1 sigma and D2 sigma, and order 2 adds
+    D1 D2 sigma and the theta moments along w_i = P d_i relative to theta,
+    (m10, m01, m20, m11, m02, m21, m12, m22) with m_ij for D1^i D2^j, the
+    last three from the pass's mixed rows. The directions are read from
+    order 1 on. With env = gamma0 exp(-u.kappa.u/2), q_i = -u.kappa.d_i and
+    g_i, h12 the derivatives of theta along w_i,
+
+        D_i sigma = env (q_i theta + g_i),
+        D1 D2 sigma = env ((q1 q2 - d1.kappa.d2) theta + q1 g2 + q2 g1 + h12).
+
+    u is one point or a stack of shape (K, g); the list holds one record
+    per point, each with the bits of its own call.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    moments = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
-                         np.einsum("ij,...j->...i", ctx.pmat, u),
-                         ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
-    if u.ndim > 1:
-        return [_point_jet(ctx, p, *(None if m is None else m[k] for m in moments))
-                for k, p in enumerate(u)]
-    return _point_jet(ctx, u, *moments)
-
-
-def _point_jet(ctx: SigmaContext, u, theta0, grad, hess, l1):
-    """The jet of ``_jet`` at one point u, from its theta moments."""
-    env = ctx.gamma0 * np.exp(-0.5 * (u @ ctx.kappa @ u))
-    q = -(ctx.kappa @ u)
-    tvec = None if grad is None else ctx.pmat.T @ grad
-    hmat = None if hess is None else ctx.pmat.T @ hess @ ctx.pmat
-    return env, theta0, float(l1), q, tvec, hmat
-
-
-def _partial(ctx: SigmaContext, jet, idx) -> complex:
-    """Partial derivative of sigma for 0-based labels ``idx`` from a jet."""
-    env, theta0, _, q, tvec, hmat = jet
-    if len(idx) == 0:
-        return env * theta0
-    if len(idx) == 1:
-        i = idx[0]
-        return env * (q[i] * theta0 + tvec[i])
-    i, j = idx
-    return env * ((q[i] * q[j] - ctx.kappa[i, j]) * theta0
-                  + q[i] * tvec[j] + q[j] * tvec[i] + hmat[i, j])
+    pts = np.atleast_1d(np.asarray(u, dtype=complex)).reshape(-1, ctx.genus)
+    mixed = None
+    if order:
+        d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
+        w1 = ctx.pmat @ d1
+        w2 = w1 if d2 is d1 else ctx.pmat @ d2  # one mixed row of order 3 when equal
+        if order == 2:
+            mixed = (w1, w2)
+    moments = _theta_sum(
+        JET[order], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
+        ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=mixed)
+    theta0, grad, hess, l1 = moments[:4]
+    kappa = ctx.kappa.tolist()
+    if order:
+        # per pass, on scalars: q.d_i = -u.(kappa d_i) with kappa symmetric, and
+        # w_a.H.w_b as the flat Hessian against the flat outer product w_a w_b
+        d1, d2, w1, w2 = (x.tolist() for x in (d1, d2, w1, w2))
+        kd1, kd2 = ([_dot(row, d) for row in kappa] for d in (d1, d2))
+        kd = _dot(d1, kd2)
+        outer = [[a * b for a in wa for b in wb] for wa, wb in ((w1, w1), (w1, w2), (w2, w2))]
+    blank = itertools.repeat(None)
+    out = []
+    gamma0 = complex(ctx.gamma0)
+    for pl, t0, mass, gr, he, mx in zip(
+            pts.tolist(), theta0.tolist(), l1.tolist(),
+            grad.tolist() if order else blank,
+            hess.reshape(len(pts), -1).tolist() if order == 2 else blank,
+            moments[4].tolist() if order == 2 else blank):
+        env = gamma0 * cmath.exp(-0.5 * _dot(pl, [_dot(row, pl) for row in kappa]))
+        rec = [env * t0, None, None, None, float(abs(env) * mass), None]
+        if order:
+            q1, q2 = -_dot(pl, kd1), -_dot(pl, kd2)
+            g1, g2 = _dot(gr, w1), _dot(gr, w2)
+            rec[1:3] = env * (q1 * t0 + g1), env * (q2 * t0 + g2)
+        if order == 2:
+            h11, h12, h22 = (_dot(he, o) for o in outer)
+            rec[3] = env * ((q1 * q2 - kd) * t0 + q1 * g2 + q2 * g1 + h12)
+            rec[5] = tuple(m / t0 for m in (g1, g2, h11, h12, h22, *mx))
+        out.append(tuple(rec))
+    return out
 
 
 def _one_point(u) -> np.ndarray:
@@ -349,8 +376,8 @@ def _one_point(u) -> np.ndarray:
 
 def sigma_with_scale(ctx: SigmaContext, u) -> tuple[complex, float]:
     """sigma(u) and the cancellation scale used for divisor detection."""
-    env, theta0, l1 = _jet(ctx, _one_point(u), 0)[:3]
-    return env * theta0, abs(env) * l1
+    sig, *_, scale, _ = _sigma_jets(ctx, _one_point(u), 0, None, None)[0]
+    return sig, scale
 
 
 def sigma(ctx: SigmaContext, u) -> complex:
@@ -362,60 +389,34 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex | list:
 
     Orders zero to two are supported; that covers every derivative the
     sigma-quotient identities need at genus <= 2, the genera that
-    ``normalize_gamma0`` supports. A stack u of shape (K, g) takes one theta
-    pass and returns the list of the K values, each with the bits of its own
-    call.
+    ``normalize_gamma0`` supports. A partial is the derivative along unit
+    vectors (``_sigma_jets``). A stack u of shape (K, g) takes one theta
+    pass and returns the list of the K values, each with the bits of its
+    own call.
     """
     idx = tuple(int(i) - 1 for i in multi_index)
     if len(idx) > 2:
         raise NotImplementedError("sigma derivatives of order > 2 not supported")
-    jets = _jet(ctx, u, len(idx))
-    if isinstance(jets, list):
-        return [_partial(ctx, jet, idx) for jet in jets]
-    return _partial(ctx, jets, idx)
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    units = np.eye(ctx.genus, dtype=complex)
+    d1, d2 = (units[idx[0]], units[idx[-1]]) if idx else (None, None)
+    vals = [rec[(0, 1, 3)[len(idx)]] for rec in _sigma_jets(ctx, u, len(idx), d1, d2)]
+    return vals if u.ndim > 1 else vals[0]
 
 
 def sigma_jet2(ctx: SigmaContext, u, d1, d2):
     """The 2-jet of sigma along d1 and d2 at u, from one theta pass.
 
     With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
-    D1 D2 sigma, |env| L1, moments) as Python scalars; sigma and the scale
-    are those of ``sigma_with_scale`` within rounding, as the mixed rows'
-    theta plan is wider than the value's. ``moments`` are the theta
-    moments along w_i = P d_i relative to theta, (m10, m01, m20, m11, m02,
-    m21, m12, m22) with m_ij for D1^i D2^j, from the pass's mixed moments;
-    ``_log_gap`` turns them into the exact -D1 D2 log(v - c). A stack u of
-    shape (K, g) takes one pass and returns the list of the K points'
-    tuples, each with the bits of its own call.
+    D1 D2 sigma, |env| L1, moments) as Python scalars, the order-2 record
+    of ``_sigma_jets``; sigma and the scale are those of
+    ``sigma_with_scale`` within rounding, as the mixed rows' theta plan is
+    wider than the value's. ``_log_gap`` turns the moments into the exact
+    -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and returns
+    the list of the K points' tuples, each with the bits of its own call.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
-    w1 = ctx.pmat @ d1
-    w2 = w1 if d2 is d1 else ctx.pmat @ d2  # one mixed row of order 3 when equal
-    pts = u.reshape(-1, ctx.genus)
-    theta0, grad, hess, l1, mixed = _theta_sum(
-        JET[2], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
-        ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=(w1, w2))
-    # per pass, on scalars: q.d_i = -u.(kappa d_i) with kappa symmetric, and
-    # w_a.H.w_b as the flat Hessian against the flat outer product w_a w_b
-    d1, d2, w1, w2 = (x.tolist() for x in (d1, d2, w1, w2))
-    kappa = ctx.kappa.tolist()
-    kd1, kd2 = ([_dot(row, d) for row in kappa] for d in (d1, d2))
-    kd = _dot(d1, kd2)
-    outer = [[a * b for a in wa for b in wb] for wa, wb in ((w1, w1), (w1, w2), (w2, w2))]
-    out = []
-    gamma0 = complex(ctx.gamma0)
-    for pl, t0, gr, he, mass, (t21, t12, t22) in zip(
-            pts.tolist(), theta0.tolist(), grad.tolist(),
-            hess.reshape(len(pts), -1).tolist(), l1.tolist(), mixed.tolist()):
-        env = gamma0 * cmath.exp(-0.5 * _dot(pl, [_dot(row, pl) for row in kappa]))
-        q1, q2 = -_dot(pl, kd1), -_dot(pl, kd2)
-        g1, g2 = _dot(gr, w1), _dot(gr, w2)
-        h11, h12, h22 = (_dot(he, o) for o in outer)
-        out.append((env * t0, env * (q1 * t0 + g1), env * (q2 * t0 + g2),
-                    env * ((q1 * q2 - kd) * t0 + q1 * g2 + q2 * g1 + h12),
-                    float(abs(env) * mass),
-                    tuple(m / t0 for m in (g1, g2, h11, h12, h22, t21, t12, t22))))
+    out = _sigma_jets(ctx, u, 2, d1, d2)
     return out if u.ndim > 1 else out[0]
 
 
@@ -436,7 +437,8 @@ def _guarded(ctx: SigmaContext, sig, scale: float, where):
     """``sig``, or ThetaDivisorPole when |sig| < pole_tol * scale, scale = |env| L1.
 
     The one pole test of the package: every quotient by sigma, or by theta
-    in place of sigma, is guarded here.
+    in place of sigma, is guarded here; for theta the scale is its L1 mass,
+    as |env| cancels from both sides.
     ``where`` (a label or the point) is formatted only when the test fires.
     """
     if abs(sig) < ctx.pole_tol * scale:
@@ -496,11 +498,27 @@ def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
     return complex(v), complex(lhs)
 
 
+def _log_theta(ctx: SigmaContext, u, order: int):
+    """(t, H / theta) at one point u from one theta pass, t = grad theta / theta.
+
+    The gradient and the Hessian H are in the u variables; H is None below
+    order 2. Past the envelope, whose factor is never built, only log theta
+    counts. The pole test compares theta with its own L1 mass, the test of
+    |sigma| < pole_tol |env| L1 with |env| cancelled.
+    """
+    theta0, grad, hess, l1 = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
+                                        np.einsum("ij,j->i", ctx.pmat, u),
+                                        ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
+    _guarded(ctx, theta0, l1, u)
+    t = (ctx.pmat.T @ grad) / theta0
+    return t, None if hess is None else (ctx.pmat.T @ hess @ ctx.pmat) / theta0
+
+
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
-    """Logarithmic derivative d log sigma / du_i = q_i + t_i, t = grad theta / theta in u."""
-    env, theta0, l1, q, tvec, _ = _jet(ctx, _one_point(u), 1)
-    _guarded(ctx, env * theta0, abs(env) * l1, u)
-    return q[i - 1] + tvec[i - 1] / theta0
+    """Logarithmic derivative d log sigma / du_i = q_i + t_i, q = -kappa u (``_log_theta``)."""
+    u = _one_point(u)
+    t = _log_theta(ctx, u, 1)[0]
+    return -(ctx.kappa @ u)[i - 1] + t[i - 1]
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
@@ -511,14 +529,12 @@ def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
 def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
     """All wp_{ij} at u from one theta 2-jet: wp = kappa - H / theta + t t^T.
 
-    t = grad theta / theta and H is the theta Hessian, both in u. This is
-    the matrix form of ``_cumulant_potential``: the envelope enters through
-    kappa only, and the quotient by theta is guarded as sigma's.
+    t = grad theta / theta and H is the theta Hessian, both in u
+    (``_log_theta``). This is the matrix form of ``_cumulant_potential``:
+    the envelope enters through kappa only.
     """
-    env, theta0, l1, _, tvec, hmat = _jet(ctx, _one_point(u), 2)
-    _guarded(ctx, env * theta0, abs(env) * l1, u)
-    t = tvec / theta0
-    return ctx.kappa - hmat / theta0 + np.outer(t, t)
+    t, h = _log_theta(ctx, _one_point(u), 2)
+    return ctx.kappa - h + np.outer(t, t)
 
 
 def abel_map(ctx_or_engine, points) -> AbelPoint:

@@ -8,7 +8,6 @@ from sigmatoda.curves import (
     make_curve,
     phi,
     random_curve_points,
-    vandermonde,
 )
 from sigmatoda.errors import BadArity, BranchPointSingularity, DegenerateCurve
 from sigmatoda.polyutil import poly_from_roots, polyval
@@ -126,19 +125,9 @@ def test_f12_branch_point_raises():
         f12(curve_g1(), 1.0)
 
 
-def test_f_poly_and_vandermonde_basics():
-    assert vandermonde([0.0, 1.0, 2.0]) == pytest.approx(2.0)
-    assert vandermonde([1.0, 1.0, 5.0]) == 0.0
+def test_f_poly_basics():
     coeffs = poly_from_roots([1.0, -1.0, 0.0])
     assert np.allclose(coeffs, [0, -1, 0, 1])  # x^3 - x ascending
-
-
-def test_vandermonde_matches_determinant():
-    rng = np.random.default_rng(11)
-    for n in range(2, 9):
-        xs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        mat = np.vander(xs, increasing=True)
-        assert vandermonde(xs) == pytest.approx(np.linalg.det(mat), rel=1e-8)
 
 
 def test_phi_linear_independence_on_curve():

@@ -15,9 +15,10 @@ def test_output_digest_repeats_and_tells_seeds_apart():
     tool = _tool()
     first = tool.digest(1, 2, 2)
     assert first == tool.digest(1, 2, 2)
-    assert set(first) == {"seed", "addition", "toda", "toda_frames"}
+    assert set(first) == {"seed", "addition", "toda", "toda_setup", "toda_constants"}
     other = tool.digest(2, 2, 2)
     for key in ("addition", "toda"):
         assert first[key]["ops"] == 2 and len(first[key]["sha256"]) == 64
         assert other[key]["sha256"] != first[key]["sha256"]
-    assert other["toda_frames"] != first["toda_frames"]
+    for key in ("toda_setup", "toda_constants"):
+        assert len(first[key]) == 64 and other[key] != first[key]

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sigmatoda.curves import CurvePoint, make_curve
+from sigmatoda.curves import make_curve
 import sigmatoda.periods as periods_mod
-from sigmatoda.errors import BranchPointSingularity, QuadratureNonConvergence
+from sigmatoda.errors import QuadratureNonConvergence
 from sigmatoda.periods import (
     _continuous_sqrt,
     _refine,
     build_cycles,
     compute_periods,
-    first_kind_diff,
     legendre_residual,
-    second_kind_diff,
     second_kind_numerator,
 )
 
@@ -31,21 +29,10 @@ def g2():
     return curve, compute_periods(curve)
 
 
-def test_first_kind_diff_values():
-    curve = make_curve(2, [1, 0, 0, 0, 0])
-    p = CurvePoint(2.0, 3.0)
-    assert first_kind_diff(curve, 1, p) == pytest.approx(1 / 6)
-    assert first_kind_diff(curve, 2, p) == pytest.approx(2 / 6)
-    with pytest.raises(BranchPointSingularity):
-        first_kind_diff(curve, 1, CurvePoint(-1.0, 0.0))
-
-
 def test_second_kind_diff_genus1_classical():
     # for y^2 = x^3 - x the only second-kind numerator is lambda_3 x = x
     curve = make_curve(1, [0, -1, 0])
     assert np.allclose(second_kind_numerator(curve, 1), [0, 1])
-    p = CurvePoint(2.0, np.sqrt(6.0))
-    assert second_kind_diff(curve, 1, p) == pytest.approx(2.0 / (2 * np.sqrt(6.0)))
 
 
 def test_second_kind_diff_genus2_top_form():

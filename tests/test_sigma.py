@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from box_theta import box_theta_sum
+from former_jet import former_jet, former_partial
 
 from sigmatoda.addition import (
     _rel,
@@ -34,13 +35,11 @@ from sigmatoda.sigma import (
     LEG_SPLIT,
     _AbelEngine,
     _gauss_nodes,
-    _jet,
     _leg_nodes,
     _monomials,
     abel_map,
     lattice_decompose,
     lattice_distance,
-    _partial,
     natural_index_set,
     quasi_period,
     reduce_mod_lattice,
@@ -519,12 +518,12 @@ def test_wp_matrix_raises_where_wp_does(ctx1, ctx2):
 
 def _former_wp_matrix(ctx, u):
     """Oracle: the former product-rule quotient (s_i s_j - s s_ij) / s^2 per entry."""
-    jet = _jet(ctx, u, 2)
-    s0 = _partial(ctx, jet, ())
+    jet = former_jet(ctx, u, 2)
+    s0 = former_partial(ctx, jet, ())
 
     def entry(i, j):
-        si, sj = _partial(ctx, jet, (i,)), _partial(ctx, jet, (j,))
-        return (si * sj - s0 * _partial(ctx, jet, (i, j))) / (s0 * s0)
+        si, sj = former_partial(ctx, jet, (i,)), former_partial(ctx, jet, (j,))
+        return (si * sj - s0 * former_partial(ctx, jet, (i, j))) / (s0 * s0)
 
     labels = range(ctx.genus)
     return np.array([[entry(i, j) for j in labels] for i in labels])
@@ -532,8 +531,8 @@ def _former_wp_matrix(ctx, u):
 
 def _former_zeta(ctx, u):
     """Oracle: the former quotient s_i / s for every i, from one 1-jet."""
-    jet = _jet(ctx, u, 1)
-    return np.array([_partial(ctx, jet, (i,)) / _partial(ctx, jet, ())
+    jet = former_jet(ctx, u, 1)
+    return np.array([former_partial(ctx, jet, (i,)) / former_partial(ctx, jet, ())
                      for i in range(ctx.genus)])
 
 
@@ -644,6 +643,27 @@ def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
         assert np.array_equal(sigma_deriv(ctx, (), stack), [sigma(ctx, u) for u in stack])
         assert np.array_equal(sigma_natural(ctx, 1, stack),
                               [sigma_natural(ctx, 1, u) for u in stack])
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_sigma_deriv_matches_the_former_product_rule(ctx1, ctx2, genus):
+    # every index set, at single points and in stacks of 1, 2 and 6, within
+    # 1e-14 of |env| L1 (the scale of sigma_with_scale), fixed before
+    # sigma_deriv read its partials from the one per-point assembly
+    ctx = ctx1 if genus == 1 else ctx2
+    labels = range(1, genus + 1)
+    index_sets = [()] + [(i,) for i in labels] + [(i, j) for i in labels for j in labels]
+    rng = np.random.default_rng(60 + genus)
+    for k in (1, 2, 6):
+        stack = 0.4 * (rng.normal(size=(k, genus)) + 1j * rng.normal(size=(k, genus)))
+        scales = [sigma_with_scale(ctx, u)[1] for u in stack]
+        for idx in index_sets:
+            labels0 = tuple(i - 1 for i in idx)
+            want = [former_partial(ctx, jet, labels0)
+                    for jet in former_jet(ctx, stack, len(idx))]
+            for got in (sigma_deriv(ctx, idx, stack), [sigma_deriv(ctx, idx, u) for u in stack]):
+                for value, ref, scale in zip(got, want, scales, strict=True):
+                    assert abs(value - ref) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])

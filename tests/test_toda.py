@@ -5,13 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from former_jet import former_jet, former_partial
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
 from sigmatoda.errors import ConfluentInput, SigmaTodaError, ThetaDivisorPole, VanishingGap
 from sigmatoda.sigma import (
-    _jet,
     _log_gap,
-    _partial,
     abel_map,
     log_gap_curvature,
     natural_index_set,
@@ -67,7 +66,7 @@ def former_sigma_jet2(ctx, u):
 
     A stack u of shape (K, g) returns the list of the K points' tuples.
     """
-    jets = _jet(ctx, u, 2)
+    jets = former_jet(ctx, u, 2)
     out = []
     for env, theta0, l1, q, tvec, hmat in jets if isinstance(jets, list) else [jets]:
         sig = env * theta0
@@ -82,9 +81,9 @@ def former_frame_constants(ctx, v1, c):
     """Oracle: the former toda_frame jet code, (sigma_flat(c), zeta_c)."""
     g = ctx.genus
     flat = tuple(i - 1 for i in natural_index_set(g, 2))
-    jet = _jet(ctx, c, len(flat) + 1)
-    s_flat_c = _partial(ctx, jet, flat)
-    zc = sum(v1.x ** (i - 1) * _partial(ctx, jet, flat + (i - 1,))
+    jet = former_jet(ctx, c, len(flat) + 1)
+    s_flat_c = former_partial(ctx, jet, flat)
+    zc = sum(v1.x ** (i - 1) * former_partial(ctx, jet, flat + (i - 1,))
              for i in range(1, g + 1)) / s_flat_c
     return s_flat_c, zc
 

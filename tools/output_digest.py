@@ -7,9 +7,12 @@ Run from the root of a checkout:
 It prints one JSON line. For each workload of ``perfbench/workloads.py``
 (read, never changed) it holds the sha256 of the residual bytes (float64)
 followed by ``repr`` of the failure list, op after op, for ops
-0..N-1 of the seed after one set-up. ``toda_frames`` is the sha256 of the
-``toda`` set-up frames of the seed. ``--verify-all`` adds the sha256 of the
-``verify-all`` checks with ``elapsed`` and the ``*_seconds`` checks left out.
+0..N-1 of the seed after one set-up. ``toda_setup`` is the sha256 of the
+inputs of the seed's ``toda`` set-up frames (genus, period, v1, c, u0, the
+direction and v_c), and ``toda_constants`` that of their sigma constants
+(sigma_flat(c) and zeta_c), so a change that moves only the constants' last
+bits reads as such. ``--verify-all`` adds the sha256 of the ``verify-all``
+checks with ``elapsed`` and the ``*_seconds`` checks left out.
 
 Run it on the parent and on the change on one machine: numpy fuses complex
 array products (FMA) on some CPUs, so the digests depend on the machine.
@@ -54,8 +57,8 @@ def op_digest(name: str, seed: int, n_ops: int, state=None) -> str:
     return h.hexdigest()
 
 
-def frames_digest(state) -> str:
-    """sha256 of the frames a ``toda`` set-up built."""
+def setup_digest(state) -> str:
+    """sha256 of the inputs of the frames a ``toda`` set-up built."""
     import numpy as np
 
     h = hashlib.sha256()
@@ -64,7 +67,17 @@ def frames_digest(state) -> str:
         h.update(repr((spec.genus, spec.period, fr.periodic)).encode())
         for arr in (fr.c, fr.u0, fr.direction):
             h.update(np.asarray(arr, dtype=complex).tobytes())
-        h.update(np.array([fr.v1.x, fr.v1.y, fr.sigma_flat_c, fr.v_c, fr.zeta_c],
+        h.update(np.array([fr.v1.x, fr.v1.y, fr.v_c], dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+def constants_digest(state) -> str:
+    """sha256 of the sigma constants of those frames, sigma_flat(c) and zeta_c."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for spec in state:
+        h.update(np.array([spec.frame.sigma_flat_c, spec.frame.zeta_c],
                           dtype=complex).tobytes())
     return h.hexdigest()
 
@@ -88,7 +101,8 @@ def digest(seed: int, addition_ops: int, toda_ops: int,
                      "sha256": op_digest("addition", seed, addition_ops)},
         "toda": {"ops": toda_ops,
                  "sha256": op_digest("toda", seed, toda_ops, toda_state)},
-        "toda_frames": frames_digest(toda_state),
+        "toda_setup": setup_digest(toda_state),
+        "toda_constants": constants_digest(toda_state),
     }
     if with_verify_all:
         out["verify_all"] = verify_all_digest(seed)
