@@ -214,6 +214,16 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
 
 
+def _abel_maps(ctx: SigmaContext, *divisors) -> list:
+    """``abel_map(ctx, d).u`` of each divisor d, all points in one node pass.
+
+    The first call integrates every point of every divisor at once; the
+    sums per divisor then read the images cached on the points, in order.
+    """
+    abel_map(ctx, [p for d in divisors for p in d])
+    return [abel_map(ctx, d).u for d in divisors]
+
+
 def _sigma_values(ctx: SigmaContext, requests) -> list:
     """``sigma_deriv(ctx, idx, u)`` for each (idx, u) of ``requests``, in order.
 
@@ -245,7 +255,7 @@ def _sigma_quotient(ctx: SigmaContext, u, v, idx_pm, idx_u, idx_v):
 def _fs_sides(ctx: SigmaContext, pts):
     n = len(pts)
     g = ctx.genus
-    us = [abel_map(ctx, [p]).u for p in pts]
+    us = _abel_maps(ctx, *([p] for p in pts))
     total = np.sum(us, axis=0)
     diffs = [us[i] - us[j] for i in range(n) for j in range(i + 1, n)]
     vals = _sigma_values(ctx, [(natural_index_set(g, n), total)]
@@ -309,8 +319,7 @@ def thm_add_residual(ctx: SigmaContext, m_pts, n_pts) -> float:
     """Residual of the general m+n addition identity."""
     g = ctx.genus
     m, n = len(m_pts), len(n_pts)
-    u = abel_map(ctx, m_pts).u
-    v = abel_map(ctx, n_pts).u
+    u, v = _abel_maps(ctx, m_pts, n_pts)
     lhs = _sigma_quotient(ctx, u, v, natural_index_set(g, m + n),
                           natural_index_set(g, m), natural_index_set(g, n))
     flipped = [p.conj() for p in n_pts]
@@ -348,8 +357,7 @@ def fay_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> fl
     """Residual of the two-point kernel identity for sigma quotients."""
     if abs(v1.x - v2.x) < 1e-12 * ctx.curve.scale:
         raise ConfluentInput("coincident primed points")
-    u = abel_map(ctx, u_pts).u
-    v = abel_map(ctx, [v1, v2]).u
+    u, v = _abel_maps(ctx, u_pts, [v1, v2])
     lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(ctx.genus, 2))
     kernel = (baker_f2(ctx.curve, v1.x, v2.x) - 2 * v1.y * v2.y) / (v1.x - v2.x) ** 2
     return _rel(lhs, kernel - _wp_form(ctx, u, v1.x, v2.x))
@@ -357,16 +365,14 @@ def fay_residual(ctx: SigmaContext, u_pts, v1: CurvePoint, v2: CurvePoint) -> fl
 
 def deg1_residual(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     """Residual of the coincident-point (doubling) specialization."""
-    u = abel_map(ctx, u_pts).u
-    v = abel_map(ctx, [v1]).u
+    u, v = _abel_maps(ctx, u_pts, [v1])
     lhs = _sigma_quotient(ctx, u, 2 * v, (), (), natural_index_set(ctx.genus, 2))
     return _rel(lhs, f12(ctx.curve, v1.x) - _wp_form(ctx, u, v1.x, v1.x))
 
 
 def deg2_F_check(ctx: SigmaContext, u_pts, v1: CurvePoint) -> float:
     """Residual of the one-point specialization against F(x_1')."""
-    u = abel_map(ctx, u_pts).u
-    v = abel_map(ctx, [v1]).u
+    u, v = _abel_maps(ctx, u_pts, [v1])
     lhs = _sigma_quotient(ctx, u, v, (), (), natural_index_set(ctx.genus, 1))
     rhs = np.prod([v1.x - p.x for p in u_pts])
     return _rel(lhs, complex(rhs))

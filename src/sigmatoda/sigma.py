@@ -82,11 +82,14 @@ def _leg_nodes():
 
 
 def _monomials(x: np.ndarray, g: int) -> np.ndarray:
-    """Rows x^0, ..., x^(g-1): the numerators of the g holomorphic forms."""
-    powers = np.empty((g, x.size), dtype=complex)
-    powers[0] = 1.0
+    """x^0, ..., x^(g-1) on a new second-to-last axis: the numerators of the forms.
+
+    x of shape (N,) gives rows of shape (g, N), and a stack (L, N) gives (L, g, N).
+    """
+    powers = np.empty((*x.shape[:-1], g, x.shape[-1]), dtype=complex)
+    powers[..., 0, :] = 1.0
     for i in range(1, g):
-        powers[i] = powers[i - 1] * x
+        powers[..., i, :] = powers[..., i - 1, :] * x
     return powers
 
 
@@ -101,9 +104,12 @@ class _AbelEngine:
         abel(e_j) = abel(e_{2g}) - sum_{k >= j} seg_k,
 
     half periods read off the periods with no quadrature of their own. An
-    affine point P is reached by one leg from the branch point e_j nearest
-    to it, with x = e_j + (x_P - e_j) s^2 (``_final_branch_leg``). Every
-    image is returned reduced modulo the lattice.
+    affine point P is reached by a leg from the branch point e_j nearest to
+    it, with x = e_j + (x_P - e_j) s^2; its sheet and the leg's factor are
+    found per point (``_final_branch_leg``), and the legs of all points of
+    one call share one node pass (``to_points``). Every image is returned
+    reduced modulo the lattice, those of one call by one product with
+    ``lattice_inverse()``.
     """
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
@@ -111,13 +117,13 @@ class _AbelEngine:
         self.periods = periods
         self.tol = 1e-11  # agreement of two quadrature levels, per unit scale
         self.chain = periods.chain
-        self.others = [np.delete(self.chain, j) for j in range(self.chain.size)]
+        self.others = np.array([np.delete(self.chain, j) for j in range(self.chain.size)])
         tails = np.cumsum(periods.segments[:, ::-1], axis=1)[:, ::-1]
         images = np.sum(periods.omega1, axis=1)[:, None] - np.hstack(
             [tails, np.zeros((curve.genus, 1))])
-        self.anchors = [reduce_mod_lattice(periods, u) for u in images.T]
+        self.anchors = np.array([reduce_mod_lattice(periods, u) for u in images.T])
 
-    def _leg(self, j, xp, factor, s_hi, s_lo, depth=0):
+    def _leg(self, j, xp, factor, s_hi, s_lo, depth):
         """Integrals of the g forms from s = s_lo to s_hi on the leg e_j -> x_P.
 
         On x = e_j + (x_P - e_j) s^2 the form x^i dx / (2y) is factor * x^i
@@ -128,7 +134,9 @@ class _AbelEngine:
         sheet on y_P. Two Gauss-Legendre levels, 48 and 96 nodes, share one
         evaluation on the concatenated nodes (``_leg_nodes``); where they
         disagree beyond tol the interval is halved. Another branch point can
-        lie close to the leg near e_j, where the halving resolves it.
+        lie close to the leg near e_j, where the halving resolves it. The
+        legs of several points are summed together by ``_node_pass``, which
+        calls this on the halves of a leg that fails its check there.
         """
         if depth > 24:
             raise QuadratureNonConvergence("Abel leg subdivision stalled")
@@ -146,24 +154,78 @@ class _AbelEngine:
                     + self._leg(j, xp, factor, s_mid, s_lo, depth + 1))
         return v2
 
-    def _final_branch_leg(self, j, p: CurvePoint) -> np.ndarray:
-        """Integrals of the g forms from the branch point e_j to the point P."""
+    def _final_branch_leg(self, j, p: CurvePoint) -> complex:
+        """The factor (x_P - e_j) / y_P of the leg from e_j to P, on P's sheet.
+
+        Python scalars: y over x_P from the roots, and an off-curve y_P,
+        near neither sign of it, raises.
+        """
         d = p.x - self.chain[j]
-        # y over x_P from the roots; an off-curve y_P is near neither sign
         y = cmath.sqrt(d) * cmath.sqrt(complex(np.prod(p.x - self.others[j])))
         d_same, d_flip = abs(y - p.y), abs(y + p.y)
         if min(d_same, d_flip) > 0.25 * max(d_same, d_flip):
             raise PathThroughBranchPoint(f"y = {p.y} lies on neither sheet over x = {p.x}")
-        return self._leg(j, p.x, d / (y if d_same <= d_flip else -y), 1.0, 0.0)
+        return d / (y if d_same <= d_flip else -y)
 
     def to_point(self, p: CurvePoint) -> np.ndarray:
-        if p.at_infinity:
-            return np.zeros(self.curve.genus, dtype=complex)
-        j = int(np.argmin(np.abs(p.x - self.chain)))
-        if abs(p.x - self.chain[j]) < 1e-10 * self.curve.scale:
-            return self.anchors[j].copy()
-        return reduce_mod_lattice(self.periods,
-                                  self.anchors[j] + self._final_branch_leg(j, p))
+        """The image of one point, the one-point call of ``to_points``."""
+        return self.to_points([p])[0]
+
+    def to_points(self, points) -> np.ndarray:
+        """Images of the points, shape (K, g), with one node pass for all legs.
+
+        Infinity maps to 0 and a point within 1e-10 scale of a branch point
+        to its anchor. The legs of the other points, s from 0 to 1, take one
+        node pass (``_node_pass``); a single leg takes ``_leg``, whose 1-D
+        arrays cost less for one. Every image has the bits of its own
+        one-point call.
+        """
+        g = self.curve.genus
+        out = np.zeros((len(points), g), dtype=complex)
+        legs = []  # (row, j, x_P, factor) of each point reached by a leg
+        for k, p in enumerate(points):
+            if p.at_infinity:
+                continue
+            j = int(np.argmin(np.abs(p.x - self.chain)))
+            if abs(p.x - self.chain[j]) < 1e-10 * self.curve.scale:
+                out[k] = self.anchors[j]
+            else:
+                legs.append((k, j, p.x, self._final_branch_leg(j, p)))
+        if len(legs) == 1:
+            k, j, xp, f = legs[0]
+            out[k] = reduce_mod_lattice(self.periods,
+                                        self.anchors[j] + self._leg(j, xp, f, 1.0, 0.0, 0))
+        elif legs:
+            rows, js, xps, factors = zip(*legs)
+            out[list(rows)] = reduce_mod_lattice(
+                self.periods, self.anchors[list(js)] + self._node_pass(js, xps, factors))
+        return out
+
+    def _node_pass(self, js, xps, factors) -> np.ndarray:
+        """The legs of ``_leg`` from s = 0 to 1 of several points, shape (L, g).
+
+        One evaluation on an (L, 144) node array serves every leg; each keeps
+        its own two-level check, and a leg that fails it is halved by ``_leg``.
+        """
+        t, w = _leg_nodes()
+        js = list(js)
+        xp, e, others = np.array(xps), self.chain[js], self.others[js]
+        x = e[:, None] + (xp - e)[:, None] * (1.0 - t) ** 2  # s_hi = 1, s_lo = 0
+        q = np.prod(np.sqrt((x[:, :, None] - others[:, None])
+                            / (xp[:, None] - others)[:, None]), axis=-1)
+        integrand = (w * _monomials(x, self.curve.genus)) / q[:, None]
+        coarse = np.sum(integrand[..., :LEG_SPLIT], axis=-1)
+        fine = np.sum(integrand[..., LEG_SPLIT:], axis=-1)
+        # the factor multiplies one leg's row at a time, the scalar product
+        # of ``_leg``: a stacked product may fuse differently (FMA) and move
+        # the last bit
+        v1 = np.array([f * row for f, row in zip(factors, coarse)])
+        v2 = np.array([f * row for f, row in zip(factors, fine)])
+        diverged = np.max(np.abs(v2 - v1), axis=1) > self.tol * self.curve.scale
+        for i in np.flatnonzero(diverged):  # the halves, as ``_leg`` splits
+            v2[i] = (self._leg(js[i], xps[i], factors[i], 1.0, 0.5, 1)
+                     + self._leg(js[i], xps[i], factors[i], 0.5, 0.0, 1))
+        return v2
 
 
 @dataclass(frozen=True)
@@ -178,6 +240,9 @@ class SigmaContext:
     abel: _AbelEngine = field(repr=False)
     tol: float = 1e-12
     pole_tol: float = 1e-10
+    # the wp matrix at the last u asked for, one entry keyed by u's bytes;
+    # see wp_matrix
+    _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def genus(self) -> int:
@@ -185,9 +250,13 @@ class SigmaContext:
 
 
 def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
-    """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2)."""
+    """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2).
+
+    A stack u of shape (K, g) takes one product and gives coordinates of
+    shape (g, K), a column per point.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag])
+    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag], axis=-1).T
     g = pd.genus
     if tol is not None:
         r = c - np.round(c)
@@ -198,10 +267,13 @@ def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
 
 
 def reduce_mod_lattice(pd: PeriodData, u) -> np.ndarray:
-    """Representative of u modulo the period lattice, with rounded coordinates."""
+    """Representative of u modulo the period lattice, with rounded coordinates.
+
+    A stack u of shape (K, g) is reduced row by row (``lattice_decompose``).
+    """
     u1, u2 = lattice_decompose(pd, u)
     shift = 2.0 * pd.omega1 @ np.round(u1) + 2.0 * pd.omega2 @ np.round(u2)
-    return np.atleast_1d(np.asarray(u, dtype=complex)) - shift
+    return np.atleast_1d(np.asarray(u, dtype=complex)) - shift.T
 
 
 def lattice_distance(pd: PeriodData, u) -> float:
@@ -235,11 +307,11 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         test_z.append(pmat @ (2.0 * pd.omega2[:, j]))
         test_z.append(pmat @ (2.0 * pd.omega1[:, j] + 2.0 * pd.omega2[:, j]))
     if g > 1:
+        # six one-point divisors (g - 1 = 1 at genus two), so each image is
+        # its divisor's u; one node pass maps them all
         engine = engine or _AbelEngine(curve, pd)
-        rng = np.random.default_rng(12345)
-        for _ in range(6):
-            u = abel_map(engine, random_curve_points(curve, rng, g - 1)).u
-            test_z.append(pmat @ reduce_mod_lattice(pd, u))
+        pts = random_curve_points(curve, np.random.default_rng(12345), 6)
+        test_z.extend(pmat @ u for u in engine.to_points(pts))
     # one stacked pass per candidate; each point keeps its own call's bits
     test_z = np.array(test_z)
     winners = []
@@ -298,9 +370,9 @@ def _spot_check_vanishing(ctx: SigmaContext):
     if g == 1:
         val, scale = sigma_with_scale(ctx, np.zeros(1))
     else:
-        rng = np.random.default_rng(999)
-        u = abel_map(ctx, random_curve_points(ctx.curve, rng, g - 1)).u
-        val, scale = sigma_with_scale(ctx, u)
+        # one point (g - 1 = 1 at genus two), so its image is u
+        p = random_curve_points(ctx.curve, np.random.default_rng(999), 1)[0]
+        val, scale = sigma_with_scale(ctx, ctx.abel.to_point(p))
     if abs(val) > 1e-6 * scale:
         raise CharacteristicsNotFound(
             "sigma does not vanish on the (g-1)-point stratum")
@@ -531,31 +603,44 @@ def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
 
     t = grad theta / theta and H is the theta Hessian, both in u
     (``_log_theta``). This is the matrix form of ``_cumulant_potential``:
-    the envelope enters through kappa only.
+    the envelope enters through kappa only. The context keeps the matrix of
+    the last u it was asked for, read-only, so checks that read wp at one
+    divisor's image share one pass.
     """
-    t, h = _log_theta(ctx, _one_point(u), 2)
-    return ctx.kappa - h + np.outer(t, t)
+    u = _one_point(u)
+    key = u.tobytes()
+    wpm = ctx._wp.get(key)
+    if wpm is None:
+        t, h = _log_theta(ctx, u, 2)
+        wpm = ctx.kappa - h + np.outer(t, t)
+        wpm.flags.writeable = False
+        ctx._wp.clear()
+        ctx._wp[key] = wpm
+    return wpm
 
 
 def abel_map(ctx_or_engine, points) -> AbelPoint:
     """Abel map of a list of curve points (the empty list maps to zero).
 
     Each affine point keeps its image per engine on itself (read-only), so a
-    point object is integrated once however many divisors it enters.
+    point object is integrated once however many divisors it enters. The
+    points of a call that have no image yet, each object once, share one
+    node pass (``_AbelEngine.to_points``); a pass that raises stores no image.
     """
     engine = ctx_or_engine.abel if isinstance(ctx_or_engine, SigmaContext) else ctx_or_engine
+    fresh = list({id(p): p for p in points
+                  if not p.at_infinity and engine not in p._abel}.values())
+    if fresh:
+        images = engine.to_points(fresh)
+        images.flags.writeable = False
+        for p, img in zip(fresh, images):
+            p._abel[engine] = img
     g = engine.curve.genus
     u = np.zeros(g, dtype=complex)
     affine = 0
     for p in points:
-        img = p._abel.get(engine)
-        if img is None:
-            img = engine.to_point(p)
-            if not p.at_infinity:
-                img.flags.writeable = False
-                p._abel[engine] = img
-        u = u + img
         if not p.at_infinity:
+            u = u + p._abel[engine]
             affine += 1
     return AbelPoint(u, min(affine, g))
 

@@ -39,6 +39,7 @@ from sigmatoda.sigma import (
     sigma_context,
     sigma_natural,
     wp,
+    wp_matrix,
 )
 from sigmatoda.theta import JET
 
@@ -389,8 +390,8 @@ def test_stacked_residuals_equal_the_former_per_argument_code(ctx1, ctx2, monkey
                 assert _fs_sides(ctx, others[:n]) == _former_fs_sides(ctx, others[:n])
 
 
-def test_addition_op_makes_seven_theta_passes(ctx1, ctx2, monkeypatch):
-    # the five checks of one op of the benchmark's addition workload
+def _counted_passes(monkeypatch):
+    """(order, stack shape) of every theta pass from here on."""
     sigma_mod = importlib.import_module("sigmatoda.sigma")
     kernel = sigma_mod._theta_sum
     passes = []
@@ -399,17 +400,50 @@ def test_addition_op_makes_seven_theta_passes(ctx1, ctx2, monkeypatch):
         passes.append((JET.index(tuple(deriv)), np.shape(z)[:-1]))
         return kernel(deriv, a, b, z, *args, **kwargs)
 
+    monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
+    return passes
+
+
+def test_addition_op_makes_six_theta_passes(ctx1, ctx2, monkeypatch):
+    # the five checks of one op of the benchmark's addition workload
     rng = np.random.default_rng(34)
     p, q = random_curve_points(ctx1.curve, rng, 2)
     base = random_curve_points(ctx2.curve, rng, 2)
     v1, v2 = random_curve_points(ctx2.curve, rng, 2)
-    monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
+    passes = _counted_passes(monkeypatch)
     thm_add_residual(ctx1, [p], [q])
     thm_add_residual(ctx2, base, [v1, v2])
     thm_add_residual(ctx2, base, [v1])
     fay_residual(ctx2, base, v1, v2)
     baker_residual(ctx2, base, v1, v2)
     # (order, stack shape): values in one pass per check, sigma_2 at v in a
-    # pass of its own, and one 2-jet per wp matrix
-    assert passes == [(0, (4,)), (0, (4,)), (0, (3,)), (1, (1,)), (0, (4,)),
-                      (2, ()), (2, ())]
+    # pass of its own, and one 2-jet for the wp matrix that the Fay and
+    # Baker checks read at the same u
+    assert passes == [(0, (4,)), (0, (4,)), (0, (3,)), (1, (1,)), (0, (4,)), (2, ())]
+
+
+def test_wp_matrix_is_kept_for_the_last_u_only(ctx2, monkeypatch):
+    rng = np.random.default_rng(36)
+    base = random_curve_points(ctx2.curve, rng, 2)
+    v1, v2 = random_curve_points(ctx2.curve, rng, 2)
+    u = abel_map(ctx2, base).u
+    passes = _counted_passes(monkeypatch)
+    fay = fay_residual(ctx2, base, v1, v2)
+    wpm = wp_matrix(ctx2, u)
+    baker = baker_residual(ctx2, base, v1, v2)
+    assert [d for d, _ in passes].count(2) == 1  # one order-2 pass at u
+    assert wp_matrix(ctx2, u) is wpm and not wpm.flags.writeable
+    with pytest.raises(ValueError):
+        wpm[0, 0] = 0.0
+    # another u recomputes and displaces it; back at u, the same bits
+    other = wp_matrix(ctx2, u + 0.01)
+    assert [d for d, _ in passes].count(2) == 2 and not np.array_equal(other, wpm)
+    again = wp_matrix(ctx2, u)
+    assert [d for d, _ in passes].count(2) == 3 and again is not wpm
+    assert np.array_equal(again, wpm)
+    assert (fay_residual(ctx2, base, v1, v2), baker_residual(ctx2, base, v1, v2)) == (fay, baker)
+    # a second context of the same curve keeps its own entry
+    twin = sigma_context(ctx2.curve)
+    assert twin._wp == {} and wp_matrix(twin, u) is not wpm
+    assert list(twin._wp) == list(ctx2._wp) == [u.tobytes()]
+    assert twin._wp[u.tobytes()] is not ctx2._wp[u.tobytes()]

@@ -394,16 +394,20 @@ def test_gauss_nodes_cached_read_only_and_exact(n):
 
 @pytest.fixture()
 def integrations(monkeypatch):
-    """Points passed to _AbelEngine.to_point, in call order."""
+    """The point lists passed to _AbelEngine.to_points, one per node pass."""
     seen = []
-    original = _AbelEngine.to_point
+    original = _AbelEngine.to_points
 
-    def counted(self, p):
-        seen.append(p)
-        return original(self, p)
+    def counted(self, points):
+        seen.append(list(points))
+        return original(self, points)
 
-    monkeypatch.setattr(_AbelEngine, "to_point", counted)
+    monkeypatch.setattr(_AbelEngine, "to_points", counted)
     return seen
+
+
+def _integrated(batches):
+    return [id(p) for batch in batches for p in batch]
 
 
 def _fresh(*pts):
@@ -420,14 +424,17 @@ def test_addition_checks_integrate_each_point_once(ctx1, ctx2, integrations):
               thm_add_residual(ctx2, base, [v1]),
               fay_residual(ctx2, base, v1, v2),
               baker_residual(ctx2, base, v1, v2)]
-    assert [id(x) for x in integrations] == [id(x) for x in (p, q, *base, v1, v2)]
-    # a fresh copy of every point in every check integrates 15 times, same bits
+    # one node pass per genus: the first check of each maps all six points
+    assert _integrated(integrations) == [id(x) for x in (p, q, *base, v1, v2)]
+    assert [len(batch) for batch in integrations] == [2, 4]
+    # a fresh copy of every point in every check integrates 15 times, same
+    # bits, one node pass per check
     unshared = [thm_add_residual(ctx1, _fresh(p), _fresh(q)),
                 thm_add_residual(ctx2, _fresh(*base), _fresh(v1, v2)),
                 thm_add_residual(ctx2, _fresh(*base), _fresh(v1)),
                 fay_residual(ctx2, _fresh(*base), *_fresh(v1, v2)),
                 baker_residual(ctx2, _fresh(*base), *_fresh(v1, v2))]
-    assert len(integrations) == 6 + 15
+    assert len(_integrated(integrations)) == 6 + 15 and len(integrations) == 2 + 5
     assert unshared == shared
 
 
@@ -436,22 +443,30 @@ def test_equal_points_integrate_once_each(ctx2, integrations):
     twin = CurvePoint(p.x, p.y)
     assert twin == p and hash(twin) == hash(p)
     abel_map(ctx2, [p, twin, p, twin])
-    assert [id(x) for x in integrations] == [id(p), id(twin)]
+    # equal objects each once, the same object once, in one node pass
+    assert len(integrations) == 1 and _integrated(integrations) == [id(p), id(twin)]
     assert np.array_equal(p._abel[ctx2.abel], twin._abel[ctx2.abel])
 
 
-def test_abel_image_is_read_only_and_exact(ctx1, ctx2):
+def test_abel_image_is_read_only_and_exact(ctx1, ctx2, integrations):
     rng = np.random.default_rng(23)
     for ctx in (ctx1, ctx2):
         branch = CurvePoint(complex(ctx.curve.branch_points[-1]), 0j)
-        for p in [*random_curve_points(ctx.curve, rng, 3), branch]:
-            u = abel_map(ctx, [p]).u
+        pts = [*random_curve_points(ctx.curve, rng, 3), branch]
+        integrations.clear()
+        total = abel_map(ctx, pts).u
+        assert len(integrations) == 1  # the four points in one node pass
+        one_point = _AbelEngine(ctx.curve, ctx.periods)
+        for p in pts:
             assert list(p._abel) == [ctx.abel]
             img = p._abel[ctx.abel]
             with pytest.raises(ValueError):
                 img[0] = 0.0
-            assert np.array_equal(img, _AbelEngine(ctx.curve, ctx.periods).to_point(p))
-            assert np.array_equal(abel_map(ctx, [p]).u, u)
+            # the batch's image has the bits of a fresh engine's one-point call
+            assert np.array_equal(img, one_point.to_point(p))
+            assert np.array_equal(abel_map(ctx, [p]).u, img)
+        assert np.array_equal(abel_map(ctx, pts).u, total)
+        assert len(integrations) == 1 + len(pts)  # only the fresh engine's calls
 
 
 def test_each_context_keeps_its_own_image():
@@ -478,6 +493,12 @@ def test_failed_integration_leaves_no_image(ctx1, integrations):
         with pytest.raises(PathThroughBranchPoint):
             abel_map(ctx1, [p])
     assert p._abel == {} and len(integrations) == 2
+    # a node pass that raises stores no image for any of its points
+    good = random_curve_points(ctx1.curve, np.random.default_rng(26), 2)
+    with pytest.raises(PathThroughBranchPoint):
+        abel_map(ctx1, [good[0], p, good[1]])
+    assert integrations[-1] == [good[0], p, good[1]]
+    assert p._abel == {} and good[0]._abel == {} and good[1]._abel == {}
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -839,6 +860,43 @@ def test_anchored_images_agree_with_the_basepoint_engine(curve, monkeypatch):
         assert len(legs) > affine  # some legs were halved
     else:
         assert len(legs) == affine
+
+
+# y^2 = x (x - 0.01) (x + 1) (x - 1) (x - 2): the genus-two close pair
+CLOSE_PAIR_G2 = make_curve(2, np.poly([-1.0, 0.0, 0.01, 1.0, 2.0])[:0:-1])
+
+
+@pytest.mark.parametrize("curve", [CLOSE_PAIR_G1, CLOSE_PAIR_G2])
+def test_batched_images_equal_one_point_calls(curve, monkeypatch):
+    engine = _AbelEngine(curve, compute_periods(curve))
+    rng = np.random.default_rng(35)
+    # the leg to x = i scale leaves 0 past 0.01 and halves; a point 1e-3 scale
+    # from a branch point; a branch point, which maps to its anchor; infinity
+    halving = curve.point(1j * curve.scale, 0)
+    pool = [halving, *_near_points(curve, rng, (1e-3,), 1)[:1],
+            CurvePoint(complex(curve.branch_points[-1]), 0j), INFINITY,
+            *random_curve_points(curve, rng, 6)]
+    single = {id(p): engine.to_point(p) for p in pool}
+    for k in range(1, 7):
+        for start in range(len(pool)):
+            pts = [pool[(start + i) % len(pool)] for i in range(k)]
+            if k > 1:
+                pts[-1] = pts[0]  # one object passed twice
+            imgs = engine.to_points(pts)
+            assert imgs.shape == (k, curve.genus)
+            for p, img in zip(pts, imgs):
+                assert np.array_equal(img, single[id(p)])
+    legs = []
+    original = _AbelEngine._leg
+
+    def counted(self, *args):
+        legs.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_AbelEngine, "_leg", counted)
+    engine.to_points([pool[-1], halving, pool[-2]])
+    # one node pass for the three legs; only the halving point's is halved
+    assert legs and all(args[1] == halving.x and args[-1] >= 1 for args in legs)
 
 
 def test_lattice_matrix_is_built_once_and_read_only(ctx2):
