@@ -33,7 +33,14 @@ from .polyutil import (
     sorted_roots,
     trim,
 )
-from .sigma import SigmaContext, abel_map, natural_index_set, sigma_deriv, wp_matrix
+from .sigma import (
+    SigmaContext,
+    _abel_maps,
+    abel_map,
+    natural_index_set,
+    sigma_deriv,
+    wp_matrix,
+)
 
 TINY = 1e-30
 
@@ -212,16 +219,6 @@ def delta_sign(g: int, m: int, n: int) -> float:
 
 def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), TINY)
-
-
-def _abel_maps(ctx: SigmaContext, *divisors) -> list:
-    """``abel_map(ctx, d).u`` of each divisor d, all points in one node pass.
-
-    The first call integrates every point of every divisor at once; the
-    sums per divisor then read the images cached on the points, in order.
-    """
-    abel_map(ctx, [p for d in divisors for p in d])
-    return [abel_map(ctx, d).u for d in divisors]
 
 
 def _sigma_values(ctx: SigmaContext, requests) -> list:

@@ -108,8 +108,7 @@ class _AbelEngine:
     it, with x = e_j + (x_P - e_j) s^2; its sheet and the leg's factor are
     found per point (``_final_branch_leg``), and the legs of all points of
     one call share one node pass (``to_points``). Every image is returned
-    reduced modulo the lattice, those of one call by one product with
-    ``lattice_inverse()``.
+    reduced modulo the lattice.
     """
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
@@ -123,35 +122,43 @@ class _AbelEngine:
             [tails, np.zeros((curve.genus, 1))])
         self.anchors = np.array([reduce_mod_lattice(periods, u) for u in images.T])
 
-    def _leg(self, j, xp, factor, s_hi, s_lo, depth):
-        """Integrals of the g forms from s = s_lo to s_hi on the leg e_j -> x_P.
+    def _leg(self, js, xp, factor, s_hi, depth):
+        """Integrals of the g forms on legs e_j -> x_P over s in [s_hi - 2^-depth, s_hi].
 
-        On x = e_j + (x_P - e_j) s^2 the form x^i dx / (2y) is factor * x^i
-        ds / q(s), with factor = (x_P - e_j) / y_P and q = prod_{k != j}
+        One row per leg, shape (L, g): js, xp, factor and s_hi are arrays of
+        length L, and every leg of a pass has the width 2^-depth in s. On
+        x = e_j + (x_P - e_j) s^2 the form x^i dx / (2y) is factor * x^i ds
+        / q(s), with factor = (x_P - e_j) / y_P and q = prod_{k != j}
         sqrt((x - e_k) / (x_P - e_k)), regular at s = 0. As e_j is the
         branch point nearest x_P, each ratio lies in the disk |z - 1| <= 1,
         so its principal root is the continuous one and q(1) = 1 anchors the
         sheet on y_P. Two Gauss-Legendre levels, 48 and 96 nodes, share one
-        evaluation on the concatenated nodes (``_leg_nodes``); where they
-        disagree beyond tol the interval is halved. Another branch point can
-        lie close to the leg near e_j, where the halving resolves it. The
-        legs of several points are summed together by ``_node_pass``, which
-        calls this on the halves of a leg that fails its check there.
+        evaluation on the concatenated nodes (``_leg_nodes``) for all legs;
+        each leg keeps its own check, and a leg whose levels disagree beyond
+        tol is halved, its two halves in one pass. Another branch point can
+        lie close to a leg near e_j, where the halving resolves it.
         """
         if depth > 24:
             raise QuadratureNonConvergence("Abel leg subdivision stalled")
         t, w = _leg_nodes()
-        e, others = self.chain[j], self.others[j]
-        x = e + (xp - e) * (s_hi + (s_lo - s_hi) * t) ** 2
-        q = np.prod(np.sqrt((x[:, None] - others) / (xp - others)), axis=1)
-        integrand = (w * _monomials(x, self.curve.genus)) / q
-        width = factor * (s_hi - s_lo)
-        v1 = width * np.sum(integrand[:, :LEG_SPLIT], axis=-1)
-        v2 = width * np.sum(integrand[:, LEG_SPLIT:], axis=-1)
-        if np.max(np.abs(v2 - v1)) > self.tol * self.curve.scale:
-            s_mid = 0.5 * (s_lo + s_hi)
-            return (self._leg(j, xp, factor, s_hi, s_mid, depth + 1)
-                    + self._leg(j, xp, factor, s_mid, s_lo, depth + 1))
+        width = 0.5 ** depth
+        e, others = self.chain[js], self.others[js]
+        x = e[:, None] + (xp - e)[:, None] * (s_hi[:, None] - width * t) ** 2
+        q = np.prod(np.sqrt((x[..., None] - others[:, None])
+                            / (xp[:, None] - others)[:, None]), axis=-1)
+        integrand = (w * _monomials(x, self.curve.genus)) / q[:, None]
+        # the factor multiplies one leg's sums at a time, a scalar product: a
+        # stacked complex product may fuse differently (FMA) and move the last bit
+        scales = (factor * width).tolist()
+        v1, v2 = (np.array([c * row for c, row in zip(scales, np.sum(level, axis=-1))])
+                  for level in (integrand[..., :LEG_SPLIT], integrand[..., LEG_SPLIT:]))
+        for i in np.flatnonzero(np.max(np.abs(v2 - v1), axis=1) > self.tol * self.curve.scale):
+            # depth first, as a leg that never settles must reach the cap in
+            # 25 passes, not after 2^25 legs; its two halves share one pass
+            pair = [i, i]
+            halves = self._leg(js[pair], xp[pair], factor[pair],
+                               np.array([s_hi[i], s_hi[i] - 0.5 * width]), depth + 1)
+            v2[i] = halves[0] + halves[1]
         return v2
 
     def _final_branch_leg(self, j, p: CurvePoint) -> complex:
@@ -172,16 +179,14 @@ class _AbelEngine:
         return self.to_points([p])[0]
 
     def to_points(self, points) -> np.ndarray:
-        """Images of the points, shape (K, g), with one node pass for all legs.
+        """Images of the points, shape (K, g), with one node pass for all their legs.
 
         Infinity maps to 0 and a point within 1e-10 scale of a branch point
-        to its anchor. The legs of the other points, s from 0 to 1, take one
-        node pass (``_node_pass``); a single leg takes ``_leg``, whose 1-D
-        arrays cost less for one. Every image has the bits of its own
-        one-point call.
+        to its anchor. The legs of the other points, s from 0 to 1, share
+        the passes of ``_leg``, and each image is reduced modulo the lattice
+        on its own, so it has the bits of its own one-point call.
         """
-        g = self.curve.genus
-        out = np.zeros((len(points), g), dtype=complex)
+        out = np.zeros((len(points), self.curve.genus), dtype=complex)
         legs = []  # (row, j, x_P, factor) of each point reached by a leg
         for k, p in enumerate(points):
             if p.at_infinity:
@@ -191,41 +196,13 @@ class _AbelEngine:
                 out[k] = self.anchors[j]
             else:
                 legs.append((k, j, p.x, self._final_branch_leg(j, p)))
-        if len(legs) == 1:
-            k, j, xp, f = legs[0]
-            out[k] = reduce_mod_lattice(self.periods,
-                                        self.anchors[j] + self._leg(j, xp, f, 1.0, 0.0, 0))
-        elif legs:
+        if legs:
             rows, js, xps, factors = zip(*legs)
-            out[list(rows)] = reduce_mod_lattice(
-                self.periods, self.anchors[list(js)] + self._node_pass(js, xps, factors))
+            sums = self._leg(np.array(js), np.array(xps, dtype=complex),
+                             np.array(factors, dtype=complex), np.ones(len(legs)), 0)
+            for k, j, row in zip(rows, js, sums):
+                out[k] = reduce_mod_lattice(self.periods, self.anchors[j] + row)
         return out
-
-    def _node_pass(self, js, xps, factors) -> np.ndarray:
-        """The legs of ``_leg`` from s = 0 to 1 of several points, shape (L, g).
-
-        One evaluation on an (L, 144) node array serves every leg; each keeps
-        its own two-level check, and a leg that fails it is halved by ``_leg``.
-        """
-        t, w = _leg_nodes()
-        js = list(js)
-        xp, e, others = np.array(xps), self.chain[js], self.others[js]
-        x = e[:, None] + (xp - e)[:, None] * (1.0 - t) ** 2  # s_hi = 1, s_lo = 0
-        q = np.prod(np.sqrt((x[:, :, None] - others[:, None])
-                            / (xp[:, None] - others)[:, None]), axis=-1)
-        integrand = (w * _monomials(x, self.curve.genus)) / q[:, None]
-        coarse = np.sum(integrand[..., :LEG_SPLIT], axis=-1)
-        fine = np.sum(integrand[..., LEG_SPLIT:], axis=-1)
-        # the factor multiplies one leg's row at a time, the scalar product
-        # of ``_leg``: a stacked product may fuse differently (FMA) and move
-        # the last bit
-        v1 = np.array([f * row for f, row in zip(factors, coarse)])
-        v2 = np.array([f * row for f, row in zip(factors, fine)])
-        diverged = np.max(np.abs(v2 - v1), axis=1) > self.tol * self.curve.scale
-        for i in np.flatnonzero(diverged):  # the halves, as ``_leg`` splits
-            v2[i] = (self._leg(js[i], xps[i], factors[i], 1.0, 0.5, 1)
-                     + self._leg(js[i], xps[i], factors[i], 0.5, 0.0, 1))
-        return v2
 
 
 @dataclass(frozen=True)
@@ -250,13 +227,9 @@ class SigmaContext:
 
 
 def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
-    """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2).
-
-    A stack u of shape (K, g) takes one product and gives coordinates of
-    shape (g, K), a column per point.
-    """
+    """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2)."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag], axis=-1).T
+    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag])
     g = pd.genus
     if tol is not None:
         r = c - np.round(c)
@@ -267,13 +240,10 @@ def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
 
 
 def reduce_mod_lattice(pd: PeriodData, u) -> np.ndarray:
-    """Representative of u modulo the period lattice, with rounded coordinates.
-
-    A stack u of shape (K, g) is reduced row by row (``lattice_decompose``).
-    """
+    """Representative of u modulo the period lattice, with rounded coordinates."""
     u1, u2 = lattice_decompose(pd, u)
     shift = 2.0 * pd.omega1 @ np.round(u1) + 2.0 * pd.omega2 @ np.round(u2)
-    return np.atleast_1d(np.asarray(u, dtype=complex)) - shift.T
+    return np.atleast_1d(np.asarray(u, dtype=complex)) - shift
 
 
 def lattice_distance(pd: PeriodData, u) -> float:
@@ -307,11 +277,11 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         test_z.append(pmat @ (2.0 * pd.omega2[:, j]))
         test_z.append(pmat @ (2.0 * pd.omega1[:, j] + 2.0 * pd.omega2[:, j]))
     if g > 1:
-        # six one-point divisors (g - 1 = 1 at genus two), so each image is
-        # its divisor's u; one node pass maps them all
+        # six divisors of g - 1 points each, all points in one node pass
         engine = engine or _AbelEngine(curve, pd)
-        pts = random_curve_points(curve, np.random.default_rng(12345), 6)
-        test_z.extend(pmat @ u for u in engine.to_points(pts))
+        pts = random_curve_points(curve, np.random.default_rng(12345), 6 * (g - 1))
+        divisors = [pts[i:i + g - 1] for i in range(0, len(pts), g - 1)]
+        test_z.extend(pmat @ reduce_mod_lattice(pd, u) for u in _abel_maps(engine, *divisors))
     # one stacked pass per candidate; each point keeps its own call's bits
     test_z = np.array(test_z)
     winners = []
@@ -370,7 +340,8 @@ def _spot_check_vanishing(ctx: SigmaContext):
     if g == 1:
         val, scale = sigma_with_scale(ctx, np.zeros(1))
     else:
-        # one point (g - 1 = 1 at genus two), so its image is u
+        # a context stops at genus two (normalize_gamma0), where a divisor of
+        # the stratum is one point, so its image is u
         p = random_curve_points(ctx.curve, np.random.default_rng(999), 1)[0]
         val, scale = sigma_with_scale(ctx, ctx.abel.to_point(p))
     if abs(val) > 1e-6 * scale:
@@ -643,6 +614,16 @@ def abel_map(ctx_or_engine, points) -> AbelPoint:
             u = u + p._abel[engine]
             affine += 1
     return AbelPoint(u, min(affine, g))
+
+
+def _abel_maps(ctx_or_engine, *divisors) -> list:
+    """``abel_map(ctx_or_engine, d).u`` of each divisor d, all points in one node pass.
+
+    The first call integrates every point of every divisor at once; the
+    sums per divisor then read the images cached on the points, in order.
+    """
+    abel_map(ctx_or_engine, [p for d in divisors for p in d])
+    return [abel_map(ctx_or_engine, d).u for d in divisors]
 
 
 def quasi_period(pd: PeriodData, ell, tol: float) -> np.ndarray:

@@ -135,11 +135,17 @@ def test_characteristics_take_one_stacked_pass_per_candidate(ctx1, ctx2, genus, 
         return kernel(deriv, *args, **kwargs)
 
     monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
+    passes = []
+    to_points = _AbelEngine.to_points
+    monkeypatch.setattr(_AbelEngine, "to_points",
+                        lambda self, pts: passes.append(len(pts)) or to_points(self, pts))
     chars = riemann_characteristics(ctx.curve, ctx.periods, ctx.abel)
     assert np.array_equal(chars.a, a) and np.array_equal(chars.b, b)
-    # 1 + 2g lattice translates of 0, and six Abel images at genus 2
+    # 1 + 2g lattice translates of 0, and six Abel images at genus 2, whose
+    # points take one node pass
     n_points = 1 + 2 * genus + 6 * (genus - 1)
     assert stacks == [(0, (n_points, genus))] * 4**genus
+    assert passes == [6 * (genus - 1)] * (genus - 1)
 
 
 def test_sigma_matches_classical(ctx1, classical):
@@ -895,8 +901,11 @@ def test_batched_images_equal_one_point_calls(curve, monkeypatch):
 
     monkeypatch.setattr(_AbelEngine, "_leg", counted)
     engine.to_points([pool[-1], halving, pool[-2]])
-    # one node pass for the three legs; only the halving point's is halved
-    assert legs and all(args[1] == halving.x and args[-1] >= 1 for args in legs)
+    # one node pass for the three legs at depth 0; after it, only halves of
+    # the halving point's leg, two to a pass
+    assert len(legs[0][0]) == 3 and legs[0][-1] == 0 and len(legs) > 1
+    for js, xp, factor, s_hi, depth in legs[1:]:
+        assert depth >= 1 and len(xp) == 2 and np.all(xp == halving.x)
 
 
 def test_lattice_matrix_is_built_once_and_read_only(ctx2):
