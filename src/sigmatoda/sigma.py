@@ -262,8 +262,9 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
                             engine: _AbelEngine | None = None) -> Characteristics:
     """The half-integer characteristics vanishing on the (g-1)-point stratum.
 
-    All 4^g candidates are tested on Abel images of g-1 random curve points;
-    exactly one must pass. Failure indicates wrong periods or sheet errors.
+    All 4^g candidates are tested on lattice translates of 0 and on the
+    Abel images of six divisors of g-1 random curve points; exactly one must
+    pass. Failure indicates wrong periods or sheet errors.
     """
     from .curves import random_curve_points
 
