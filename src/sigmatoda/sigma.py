@@ -5,11 +5,12 @@ The sigma function is assembled from the period data as
     sigma(u) = gamma0 * exp(-(1/2) u^T kappa u) * theta[a; b](P u; T)
 
 with kappa = eta1 * omega1^{-1}, P = (1/2) omega1^{-1}, T = omega1^{-1}
-omega2, and (a, b) the half-integer characteristics singled out by the
-vanishing of sigma on Abel images of (g-1)-point divisors. gamma0 is fixed
-so the power series of sigma at the origin starts with the Schur-polynomial
-leading term (coefficient one on u_1 for genus up to two, which for genus
-one is the classical sigma(u) = u + O(u^5)).
+omega2, and (a, b) the half-integer characteristic of the vector of
+Riemann constants, read off the branch-point images and certified on Abel
+images of (g-1)-point divisors (``riemann_characteristics``). gamma0 is
+fixed so the power series of sigma at the origin starts with the Schur
+term (coefficient one on u_1 for genus up to two, which for genus one is
+the classical sigma(u) = u + O(u^5)).
 
 One per-point assembly turns a theta pass into sigma and its derivatives
 along two directions (``_sigma_jets``): sigma, its partials and its
@@ -68,6 +69,7 @@ def _gauss_nodes(n: int):
     return nodes, weights
 
 
+POLE_TOL = 1e-10  # |sigma| below this times its scale is a pole (``_guarded``)
 LEG_SPLIT = 48  # the coarse level of an Abel leg; the fine level has 96 nodes
 
 
@@ -216,7 +218,6 @@ class SigmaContext:
     pmat: np.ndarray = field(repr=False)
     abel: _AbelEngine = field(repr=False)
     tol: float = 1e-12
-    pole_tol: float = 1e-10
     # the wp matrix at the last u asked for, one entry keyed by u's bytes;
     # see wp_matrix
     _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -251,27 +252,31 @@ def lattice_distance(pd: PeriodData, u) -> float:
     return float(np.max(np.abs(reduce_mod_lattice(pd, u))))
 
 
-def _half_char_candidates(g: int):
-    vals = (0.0, 0.5)
-    for a in itertools.product(vals, repeat=g):
-        for b in itertools.product(vals, repeat=g):
-            yield np.array(a), np.array(b)
+def riemann_characteristics(engine: _AbelEngine) -> Characteristics:
+    """The characteristic of the vector of Riemann constants, read off the anchors.
 
-
-def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
-                            engine: _AbelEngine | None = None) -> Characteristics:
-    """The half-integer characteristics vanishing on the (g-1)-point stratum.
-
-    All 4^g candidates are tested on lattice translates of 0 and on the
-    Abel images of six divisors of g-1 random curve points; exactly one must
-    pass. Failure indicates wrong periods or sheet errors.
+    With base point infinity that vector is the sum of the images of the
+    branch points at the odd 0-based chain indices, e_1, e_3, ..., e_{2g-1}
+    (Mumford, Tata Lectures on Theta II, Ch. IIIa section 5). z = P times
+    that sum is b + T a, with 2a and 2b integers within 1e-6, reduced mod 2.
+    One theta pass certifies that theta[a; b] vanishes on the lattice
+    translates of 0 and, from genus two on, the Abel images of six seeded
+    divisors of g-1 points. Either test failing raises
+    CharacteristicsNotFound: wrong periods or sheet errors.
     """
     from .curves import random_curve_points
 
+    curve, pd = engine.curve, engine.periods
     g = curve.genus
     t_matrix = pd.riemann
-    radius = _plan(t_matrix, 1e-12, 0).extent
     pmat = 0.5 * np.linalg.inv(pd.omega1)
+    z = pmat @ np.sum(engine.anchors[1::2], axis=0)
+    a = np.linalg.solve(t_matrix.imag, z.imag)
+    twice = 2.0 * np.concatenate([a, z.real - t_matrix.real @ a])
+    off = float(np.max(np.abs(twice - np.round(twice))))
+    if off > 1e-6:
+        raise CharacteristicsNotFound(f"the Riemann constant lies {off:.1e} off a half period")
+    a, b = np.split((np.round(twice).astype(int) % 2) * 0.5, 2)
     # lattice translates of 0 in W_{g-1}; they probe omega/T consistency
     test_z = [np.zeros(g, dtype=complex)]
     for j in range(g):
@@ -279,21 +284,14 @@ def riemann_characteristics(curve: HyperellipticCurve, pd: PeriodData,
         test_z.append(pmat @ (2.0 * pd.omega1[:, j] + 2.0 * pd.omega2[:, j]))
     if g > 1:
         # six divisors of g - 1 points each, all points in one node pass
-        engine = engine or _AbelEngine(curve, pd)
         pts = random_curve_points(curve, np.random.default_rng(12345), 6 * (g - 1))
         divisors = [pts[i:i + g - 1] for i in range(0, len(pts), g - 1)]
         test_z.extend(pmat @ reduce_mod_lattice(pd, u) for u in _abel_maps(engine, *divisors))
-    # one stacked pass per candidate; each point keeps its own call's bits
-    test_z = np.array(test_z)
-    winners = []
-    for a, b in _half_char_candidates(g):
-        val, _, _, l1 = _theta_sum(JET[0], a, b, test_z, t_matrix, radius, 1e-12)
-        if np.all(np.abs(val) <= 1e-5 * l1):
-            winners.append(Characteristics(a, b))
-    if len(winners) != 1:
-        raise CharacteristicsNotFound(
-            f"{len(winners)} candidate characteristics vanish on the stratum")
-    return winners[0]
+    val, _, _, l1 = _theta_sum(JET[0], a, b, np.array(test_z), t_matrix,
+                               _plan(t_matrix, 1e-12, 0).extent, 1e-12)
+    if not np.all(np.abs(val) <= 1e-5 * l1):
+        raise CharacteristicsNotFound(f"theta[{a}; {b}] does not vanish on the stratum")
+    return Characteristics(a, b)
 
 
 def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
@@ -320,7 +318,7 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     """Build periods, characteristics, and normalization for a curve."""
     pd = compute_periods(curve)
     engine = _AbelEngine(curve, pd)
-    chars = riemann_characteristics(curve, pd, engine)
+    chars = riemann_characteristics(engine)
     gamma0 = normalize_gamma0(curve, pd, chars)
     kappa = pd.eta1 @ np.linalg.inv(pd.omega1)
     asym = float(np.max(np.abs(kappa - kappa.T)))
@@ -365,10 +363,14 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
         D_i sigma = env (q_i theta + g_i),
         D1 D2 sigma = env ((q1 q2 - d1.kappa.d2) theta + q1 g2 + q2 g1 + h12).
 
-    u is one point or a stack of shape (K, g); the list holds one record
-    per point, each with the bits of its own call.
+    u is one point or a stack of shape (K, g), any other shape raises
+    ValueError; the list holds one record per point, each with the bits of
+    its own call.
     """
-    pts = np.atleast_1d(np.asarray(u, dtype=complex)).reshape(-1, ctx.genus)
+    g = ctx.genus
+    pts = np.atleast_2d(np.asarray(u, dtype=complex))
+    if pts.ndim > 2 or pts.shape[-1] != g:
+        raise ValueError(f"u of shape ({g},) or (K, {g}) expected, not {np.shape(u)}")
     mixed = None
     if order:
         d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
@@ -410,17 +412,17 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     return out
 
 
-def _one_point(u) -> np.ndarray:
-    """u as one point; a stack of points raises ValueError."""
+def _one_point(ctx: SigmaContext, u) -> np.ndarray:
+    """u as one point of C^g; a stack or a u of another length raises ValueError."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    if u.ndim != 1:
-        raise ValueError(f"one point expected, not an array of shape {u.shape}")
+    if u.shape != (ctx.genus,):
+        raise ValueError(f"one point expected, of shape ({ctx.genus},), not {u.shape}")
     return u
 
 
 def sigma_with_scale(ctx: SigmaContext, u) -> tuple[complex, float]:
     """sigma(u) and the cancellation scale used for divisor detection."""
-    sig, *_, scale, _ = _sigma_jets(ctx, _one_point(u), 0, None, None)[0]
+    sig, *_, scale, _ = _sigma_jets(ctx, _one_point(ctx, u), 0, None, None)[0]
     return sig, scale
 
 
@@ -477,15 +479,15 @@ def sigma_natural(ctx: SigmaContext, n: int, u) -> complex:
     return sigma_deriv(ctx, natural_index_set(ctx.genus, n), u)
 
 
-def _guarded(ctx: SigmaContext, sig, scale: float, where):
-    """``sig``, or ThetaDivisorPole when |sig| < pole_tol * scale, scale = |env| L1.
+def _guarded(sig, scale: float, where):
+    """``sig``, or ThetaDivisorPole when |sig| < POLE_TOL * scale, scale = |env| L1.
 
     The one pole test of the package: every quotient by sigma, or by theta
     in place of sigma, is guarded here; for theta the scale is its L1 mass,
     as |env| cancels from both sides.
     ``where`` (a label or the point) is formatted only when the test fires.
     """
-    if abs(sig) < ctx.pole_tol * scale:
+    if abs(sig) < POLE_TOL * scale:
         raise ThetaDivisorPole(f"sigma vanished at {where}")
     return sig
 
@@ -505,14 +507,14 @@ def _cumulant_potential(curvature: complex, moments) -> complex:
     return curvature - (m11 - m10 * m01)
 
 
-def _log_gap(ctx: SigmaContext, curvature: complex, moments, c, where):
+def _log_gap(curvature: complex, moments, c, where):
     """(v, -D1 D2 log(v - c)) from the theta moments of ``sigma_jet2``.
 
     The envelope of sigma is quadratic, so past it only log theta counts:
     with k_ab the joint cumulants of log theta along d1 and d2 and
     ``curvature`` = d1.kappa.d2 (``_envelope_curvature``),
     v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12 and D1 D2 v = -k22.
-    A gap |v - c| below pole_tol * max(1, |c|) raises VanishingGap;
+    A gap |v - c| below POLE_TOL * max(1, |c|) raises VanishingGap;
     ``where`` is formatted only then.
     """
     m10, m01, m20, m11, m02, m21, m12, m22 = moments
@@ -523,7 +525,7 @@ def _log_gap(ctx: SigmaContext, curvature: complex, moments, c, where):
            - 6 * m10**2 * m01**2)
     v = _cumulant_potential(curvature, moments)
     gap = v - c
-    if abs(gap) < ctx.pole_tol * max(1.0, abs(c)):
+    if abs(gap) < POLE_TOL * max(1.0, abs(c)):
         raise VanishingGap(f"v - c vanished at {where}")
     return v, (k22 * gap + k21 * k12) / gap**2
 
@@ -536,9 +538,9 @@ def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
     them into the cumulants of log theta. ThetaDivisorPole guards sigma and
     VanishingGap the gap v - c.
     """
-    sig, *_, scale, moments = sigma_jet2(ctx, _one_point(u), d1, d2)
-    _guarded(ctx, sig, scale, u)
-    v, lhs = _log_gap(ctx, _envelope_curvature(ctx, d1, d2), moments, c, u)
+    sig, *_, scale, moments = sigma_jet2(ctx, _one_point(ctx, u), d1, d2)
+    _guarded(sig, scale, u)
+    v, lhs = _log_gap(_envelope_curvature(ctx, d1, d2), moments, c, u)
     return complex(v), complex(lhs)
 
 
@@ -548,19 +550,19 @@ def _log_theta(ctx: SigmaContext, u, order: int):
     The gradient and the Hessian H are in the u variables; H is None below
     order 2. Past the envelope, whose factor is never built, only log theta
     counts. The pole test compares theta with its own L1 mass, the test of
-    |sigma| < pole_tol |env| L1 with |env| cancelled.
+    |sigma| < POLE_TOL |env| L1 with |env| cancelled.
     """
     theta0, grad, hess, l1 = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
                                         np.einsum("ij,j->i", ctx.pmat, u),
                                         ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
-    _guarded(ctx, theta0, l1, u)
+    _guarded(theta0, l1, u)
     t = (ctx.pmat.T @ grad) / theta0
     return t, None if hess is None else (ctx.pmat.T @ hess @ ctx.pmat) / theta0
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
     """Logarithmic derivative d log sigma / du_i = q_i + t_i, q = -kappa u (``_log_theta``)."""
-    u = _one_point(u)
+    u = _one_point(ctx, u)
     t = _log_theta(ctx, u, 1)[0]
     return -(ctx.kappa @ u)[i - 1] + t[i - 1]
 
@@ -579,7 +581,7 @@ def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
     the last u it was asked for, read-only, so checks that read wp at one
     divisor's image share one pass.
     """
-    u = _one_point(u)
+    u = _one_point(ctx, u)
     key = u.tobytes()
     wpm = ctx._wp.get(key)
     if wpm is None:

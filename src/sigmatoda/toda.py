@@ -88,7 +88,7 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
     # sigma_flat is sigma at genus <= 2: one 2-jet along d at c gives it and
     # zeta_c = D sigma / sigma
     s_c, ds_c, *_, scale, _ = sigma_jet2(ctx, c, d, d)
-    s_flat_c = _guarded(ctx, s_c, scale, "the step c (sigma_flat)")
+    s_flat_c = _guarded(s_c, scale, "the step c (sigma_flat)")
     return TodaFrame(ctx, v1, c, u0, periodic, complex(s_flat_c),
                      complex(f12(ctx.curve, v1.x)), complex(ds_c / s_flat_c), d)
 
@@ -116,7 +116,7 @@ def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
     return [memo[t, n] for n in sites]
 
 
-def _potential(ctx: SigmaContext, jet, curvature: complex, where) -> complex:
+def _potential(jet, curvature: complex, where) -> complex:
     """-D1 D2 log sigma from a ``sigma_jet2`` tuple at one point.
 
     ``curvature`` is d1.kappa.d2 (``TodaFrame.curvature`` along d); the value
@@ -124,14 +124,14 @@ def _potential(ctx: SigmaContext, jet, curvature: complex, where) -> complex:
     test on sigma.
     """
     sig, scale, moments = jet[0], jet[4], jet[5]
-    _guarded(ctx, sig, scale, where)
+    _guarded(sig, scale, where)
     return _cumulant_potential(curvature, moments)
 
 
 def V(frame: TodaFrame, u) -> complex:
     """Site potential sum wp_ij(u) x1'^(i+j-2), equal to -D1^2 log sigma."""
     d = frame.direction
-    return _potential(frame.ctx, sigma_jet2(frame.ctx, u, d, d), frame.curvature, "V")
+    return _potential(sigma_jet2(frame.ctx, u, d, d), frame.curvature, "V")
 
 
 def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
@@ -142,18 +142,18 @@ def toda_residual_1d(frame: TodaFrame, n: int, t: complex = 0.0) -> float:
     moments of site n (``sigma._log_gap``), so the check takes no theta pass
     of its own. A vanishing V - V_c at site n raises VanishingGap.
     """
-    return _lattice_residual(frame.ctx, site_jets(frame, range(n - 1, n + 2), t),
+    return _lattice_residual(site_jets(frame, range(n - 1, n + 2), t),
                              frame.curvature, frame.v_c, n)
 
 
-def _lattice_residual(ctx: SigmaContext, jets, curvature, c, n: int) -> float:
+def _lattice_residual(jets, curvature, c, n: int) -> float:
     """Residual of -D1 D2 log(v - c) = v(n+1) - 2 v(n) + v(n-1) from the jets of n-1..n+1.
 
     ``curvature`` is d1.kappa.d2 for the jets' directions.
     """
-    v_lo, v_n, v_hi = (_potential(ctx, jet, curvature, f"v at site {n - 1 + i}")
+    v_lo, v_n, v_hi = (_potential(jet, curvature, f"v at site {n - 1 + i}")
                        for i, jet in enumerate(jets))
-    lhs = _log_gap(ctx, curvature, jets[1][5], c, f"site {n}")[1]
+    lhs = _log_gap(curvature, jets[1][5], c, f"site {n}")[1]
     rhs = v_hi - 2 * v_n + v_lo
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
@@ -170,8 +170,7 @@ def frame_well_conditioned(frame: TodaFrame, n_range, t: complex = 0.0,
     for jet in site_jets(frame, n_range, t):
         if abs(jet[0]) < 1e-3 * jet[4]:
             return False
-        gap = abs(_potential(frame.ctx, jet, frame.curvature, "a conditioned site")
-                  - frame.v_c)
+        gap = abs(_potential(jet, frame.curvature, "a conditioned site") - frame.v_c)
         if gap < gap_floor * max(1.0, abs(frame.v_c)):
             return False
     return True
@@ -216,7 +215,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
         / (v1.x - v2.x) ** 2
     base = u0 + t1 * d1 + t2 * d2
     jets = sigma_jet2(ctx, np.array([base + k * c for k in (n - 1, n, n + 1)]), d1, d2)
-    return _lattice_residual(ctx, jets, _envelope_curvature(ctx, d1, d2), vhat_c, n)
+    return _lattice_residual(jets, _envelope_curvature(ctx, d1, d2), vhat_c, n)
 
 
 def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, complex]:
@@ -226,12 +225,11 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    ctx = frame.ctx
     (s_k, d_k, _, _, scale_k, _), (s_k1, d_k1, _, _, scale_k1, _), (s_k2, *_) = \
         site_jets(frame, range(k, k + 3), t)
-    _guarded(ctx, s_k1, scale_k1, f"site {k + 1}")
+    _guarded(s_k1, scale_k1, f"site {k + 1}")
     a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
-    _guarded(ctx, s_k, scale_k, f"zeta at site {k}")
+    _guarded(s_k, scale_k, f"zeta at site {k}")
     b_k = d_k1 / s_k1 - d_k / s_k - frame.zeta_c
     return complex(a_k), complex(b_k)
 
@@ -245,8 +243,7 @@ def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     """a_k recomputed as the potential difference V_c - V at site k+1."""
     jet = site_jets(frame, [k + 1], t)[0]
-    return complex(frame.v_c - _potential(frame.ctx, jet, frame.curvature,
-                                          f"V at site {k + 1}"))
+    return complex(frame.v_c - _potential(jet, frame.curvature, f"V at site {k + 1}"))
 
 
 def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,

@@ -77,6 +77,14 @@ def test_sigma_and_abel_round_trip(curve_file, capsys):
                abs(complex(*u) + 0.31 + 0.12j)) < 1e-6
 
 
+def test_sigma_refuses_a_u_of_the_wrong_length(curve_file, capsys):
+    # 2g pairs at genus one: refused before sigma is evaluated anywhere
+    status = main(["sigma", "--curve", curve_file, "--u", "0.31,0.12,0.2,0.1"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("input error: one point expected")
+
+
 def test_division_degree_certificate(curve_file, capsys):
     status, out = run(capsys, ["division", "--curve", curve_file, "--n", "5"])
     assert status == 0

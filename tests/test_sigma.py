@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from box_theta import box_theta_sum
+from former_characteristics import former_characteristics
 from former_jet import former_jet, former_partial
 
 from sigmatoda.addition import (
@@ -28,6 +29,7 @@ from sigmatoda.errors import (
     NotALatticeVector,
     PathThroughBranchPoint,
     QuadratureNonConvergence,
+    SigmaTodaError,
     ThetaDivisorPole,
 )
 from sigmatoda.periods import _continue_y, _continuous_sqrt, _refine, compute_periods
@@ -40,6 +42,7 @@ from sigmatoda.sigma import (
     abel_map,
     lattice_decompose,
     lattice_distance,
+    log_gap_curvature,
     natural_index_set,
     quasi_period,
     reduce_mod_lattice,
@@ -47,6 +50,7 @@ from sigmatoda.sigma import (
     sigma,
     sigma_context,
     sigma_deriv,
+    sigma_jet2,
     sigma_natural,
     sigma_with_scale,
     wp,
@@ -113,18 +117,26 @@ def test_characteristics_genus1_odd(ctx1):
     assert np.allclose(ctx1.chars.b, [0.5])
 
 
-def test_characteristics_negative_control(ctx1):
-    pd = ctx1.periods
+@pytest.mark.parametrize("genus", [1, 2])
+def test_characteristics_negative_control(ctx1, ctx2, genus):
+    ctx = ctx1 if genus == 1 else ctx2
+    pd = ctx.periods
     bad = dataclasses.replace(pd, omega1=pd.omega1 * (1 + 1e-3),
                               riemann=pd.riemann * (1 + 1e-3),
                               legendre_residual=0.0, error_estimate=0.0)
-    with pytest.raises(CharacteristicsNotFound):
-        riemann_characteristics(ctx1.curve, bad)
+    # perturbed periods move the Riemann constant 2e-3 off a half period
+    with pytest.raises(CharacteristicsNotFound, match="off a half period"):
+        riemann_characteristics(_AbelEngine(ctx.curve, bad))
+    # an anchor shifted by a half period gives another half-integer (a, b),
+    # which the certificate refuses
+    engine = _AbelEngine(ctx.curve, pd)
+    engine.anchors[1] += pd.omega1[:, 0]
+    with pytest.raises(CharacteristicsNotFound, match="does not vanish"):
+        riemann_characteristics(engine)
 
 
 @pytest.mark.parametrize("genus, a, b", [(1, [0.5], [0.5]), (2, [0.5, 0.5], [0.0, 0.5])])
-def test_characteristics_take_one_stacked_pass_per_candidate(ctx1, ctx2, genus, a, b,
-                                                             monkeypatch):
+def test_characteristics_take_one_stacked_pass(ctx1, ctx2, genus, a, b, monkeypatch):
     ctx = ctx1 if genus == 1 else ctx2
     sigma_mod = importlib.import_module("sigmatoda.sigma")
     kernel = sigma_mod._theta_sum
@@ -139,13 +151,39 @@ def test_characteristics_take_one_stacked_pass_per_candidate(ctx1, ctx2, genus, 
     to_points = _AbelEngine.to_points
     monkeypatch.setattr(_AbelEngine, "to_points",
                         lambda self, pts: passes.append(len(pts)) or to_points(self, pts))
-    chars = riemann_characteristics(ctx.curve, ctx.periods, ctx.abel)
+    chars = riemann_characteristics(ctx.abel)
     assert np.array_equal(chars.a, a) and np.array_equal(chars.b, b)
+    # exact half-integers: no -0.0
+    assert not np.any(np.signbit(np.concatenate([chars.a, chars.b])))
     # 1 + 2g lattice translates of 0, and six Abel images at genus 2, whose
-    # points take one node pass
+    # points take one node pass; all certified in one theta pass
     n_points = 1 + 2 * genus + 6 * (genus - 1)
-    assert stacks == [(0, (n_points, genus))] * 4**genus
+    assert stacks == [(0, (n_points, genus))]
     assert passes == [6 * (genus - 1)] * (genus - 1)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_characteristics_closed_form_matches_the_former_search(genus):
+    # monic curves with N(0, 1) coefficients, real and complex; a curve whose
+    # periods fail (the open chord-transport defect) is counted, not compared
+    rng = np.random.default_rng(77)
+    compared, no_periods = 0, 0
+    for complex_class in (False, True):
+        for _ in range(60):
+            lam = rng.normal(size=2 * genus + 1)
+            if complex_class:
+                lam = lam + 1j * rng.normal(size=2 * genus + 1)
+            curve = make_curve(genus, lam)
+            try:
+                periods = compute_periods(curve)
+            except SigmaTodaError:
+                no_periods += 1
+                continue
+            engine = _AbelEngine(curve, periods)
+            want, got = former_characteristics(engine), riemann_characteristics(engine)
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b), lam
+            compared += 1
+    assert compared >= 40, f"{compared} curves compared, {no_periods} without periods"
 
 
 def test_sigma_matches_classical(ctx1, classical):
@@ -695,14 +733,31 @@ def test_sigma_deriv_matches_the_former_product_rule(ctx1, ctx2, genus):
 
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_single_point_entries_refuse_a_stack(ctx1, ctx2, k):
+    # the stack, and the same k g numbers flattened to one u of the wrong
+    # length, which was read as the stack's first point
     for ctx in (ctx1, ctx2):
         g = ctx.genus
         stack = 0.1 * (np.arange(k * g) + 0.5j).reshape(k, g)
-        for call in (lambda: sigma(ctx, stack), lambda: sigma_with_scale(ctx, stack),
-                     lambda: zeta(ctx, 1, stack), lambda: wp(ctx, 1, 1, stack),
-                     lambda: wp_matrix(ctx, stack)):
-            with pytest.raises(ValueError, match="one point expected"):
-                call()
+        d = np.ones(g)
+        for u in (stack, stack.ravel()):
+            for call in (lambda: sigma(ctx, u), lambda: sigma_with_scale(ctx, u),
+                         lambda: zeta(ctx, 1, u), lambda: wp(ctx, 1, 1, u),
+                         lambda: wp_matrix(ctx, u),
+                         lambda: log_gap_curvature(ctx, u, d, d, 0.0)):
+                with pytest.raises(ValueError, match="one point expected"):
+                    call()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 2), (4, 1, 2)])
+def test_stack_entries_refuse_a_wrong_last_axis(ctx2, shape):
+    # a 1-D or (K, g) u with a last axis other than g, or a deeper array
+    u = 0.1 * (np.arange(np.prod(shape)) + 0.5j).reshape(shape)
+    d = np.ones(2)
+    for call in (lambda: sigma_deriv(ctx2, (), u), lambda: sigma_deriv(ctx2, (1,), u),
+                 lambda: sigma_deriv(ctx2, (1, 2), u), lambda: sigma_jet2(ctx2, u, d, d),
+                 lambda: sigma_natural(ctx2, 1, u)):
+        with pytest.raises(ValueError, match=r"u of shape \(2,\) or \(K, 2\) expected"):
+            call()
 
 
 def test_leg_nodes_are_the_two_levels_read_only():

@@ -341,7 +341,7 @@ def test_potential_cumulant_form_matches_the_quotient_form(seed):
             for site, jet in zip(range(n - 1, n + 2), site_jets(frame, range(n - 1, n + 2), t)):
                 sig, d_sig, _, dd_sig = jet[:4]
                 first, second = (d_sig / sig) ** 2, dd_sig / sig
-                v = _potential(ctx, jet, frame.curvature, site)
+                v = _potential(jet, frame.curvature, site)
                 assert abs(v - (first - second)) <= 1e-13 * max(1.0, abs(first), abs(second))
 
 
@@ -369,10 +369,10 @@ def test_directional_jets_match_the_former_full_jet(seed):
                 assert jet[1] == jet[2]
                 for got, want in zip(jet[1:4], ref[1:4]):
                     assert abs(got - want) <= 1e-12 * abs(want)
-                v = _potential(ctx, jet, frame.curvature, site)
+                v = _potential(jet, frame.curvature, site)
                 v_ref = former_potential(ctx, u, d)
                 assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
-            lhs = _log_gap(ctx, frame.curvature, jets[1][5], frame.v_c, n)[1]
+            lhs = _log_gap(frame.curvature, jets[1][5], frame.v_c, n)[1]
             lhs_ref = former_log_gap_curvature(ctx, site_u(frame, n, t), d, d, frame.v_c)[1]
             assert abs(lhs - lhs_ref) <= 1e-10 * max(1.0, abs(lhs_ref))
             assert toda_residual_1d(frame, n, t) < 1e-9

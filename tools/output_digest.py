@@ -11,7 +11,10 @@ followed by ``repr`` of the failure list, op after op, for ops
 inputs of the seed's ``toda`` set-up frames (genus, period, v1, c, u0, the
 direction and v_c), and ``toda_constants`` that of their sigma constants
 (sigma_flat(c) and zeta_c), so a change that moves only the constants' last
-bits reads as such. ``--verify-all`` adds the sha256 of the ``verify-all``
+bits reads as such. ``contexts`` is the sha256 of the set-up of both
+canonical sigma contexts (characteristics, gamma0, kappa, P and the theta
+radius), so a change of the set-up shows apart from the op digests.
+``--verify-all`` adds the sha256 of the ``verify-all``
 checks with ``elapsed`` and the ``*_seconds`` checks left out.
 
 Run it on the parent and on the change on one machine: numpy fuses complex
@@ -82,6 +85,22 @@ def constants_digest(state) -> str:
     return h.hexdigest()
 
 
+def contexts_digest() -> str:
+    """sha256 of both canonical contexts' a, b, gamma0, kappa, P and theta radius."""
+    import numpy as np
+
+    from sigmatoda.verify import canonical_contexts
+
+    h = hashlib.sha256()
+    for ctx in canonical_contexts():
+        for arr in (ctx.chars.a, ctx.chars.b):
+            h.update(np.asarray(arr, dtype=float).tobytes())
+        for arr in (ctx.gamma0, ctx.kappa, ctx.pmat):
+            h.update(np.asarray(arr, dtype=complex).tobytes())
+        h.update(repr(ctx.trunc_radius).encode())
+    return h.hexdigest()
+
+
 def verify_all_digest(seed: int) -> str:
     """sha256 of the ``verify-all`` checks without their timings."""
     from sigmatoda import verify
@@ -103,6 +122,7 @@ def digest(seed: int, addition_ops: int, toda_ops: int,
                  "sha256": op_digest("toda", seed, toda_ops, toda_state)},
         "toda_setup": setup_digest(toda_state),
         "toda_constants": constants_digest(toda_state),
+        "contexts": contexts_digest(),
     }
     if with_verify_all:
         out["verify_all"] = verify_all_digest(seed)
