@@ -211,32 +211,41 @@ def cmd_torsion(args) -> int:
     return 0
 
 
+def _chain_frame(ctx, point: CurvePoint, sites: int, seed: int):
+    """(frame, lattice residual, periodic) of the chain stepped by c = 2 abel(point).
+
+    A lattice distance of sites * c below 1e-6 makes the chain periodic with
+    that many sites, and its frame is ``torsion_to_frame``'s; otherwise the
+    frame is ``toda_frame``'s at the seed, with periodic False.
+    """
+    c = 2.0 * abel_map(ctx, [point]).u
+    lattice_res = lattice_distance(ctx.periods, sites * c)
+    if lattice_res < 1e-6:
+        cand = division.TorsionCandidate(point, sites, (0.0,))
+        return division.torsion_to_frame(ctx, cand, sites), lattice_res, True
+    frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(seed))
+    return frame, lattice_res, False
+
+
 def cmd_toda_run(args) -> int:
     curve = load_curve(args.curve)
     ctx = sigma_context(curve)
     point = parse_points(args.point)[0]
     times = np.linspace(args.t0, args.t1, args.steps)
-    c = 2.0 * abel_map(ctx, [point]).u
-    lattice_res = lattice_distance(ctx.periods, args.sites * c)
-    periodic = args.sites if lattice_res < 1e-6 else None
-    if periodic:
-        cand = division.TorsionCandidate(point, args.sites, (0.0,))
-        frame = division.torsion_to_frame(ctx, cand, args.sites)
-    else:
-        frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(args.seed))
+    frame, lattice_res, periodic = _chain_frame(ctx, point, args.sites, args.seed)
     rows = []
     for t in times:
         state = toda.toda_state(frame, args.sites, complex(t))
         for k in range(args.sites):
             rows.append([repr(float(t)), k + 1,
-                         repr(state.a[k].real), repr(state.a[k].imag),
-                         repr(state.b[k].real), repr(state.b[k].imag)])
+                         *(repr(float(x)) for x in (state.a[k].real, state.a[k].imag,
+                                                    state.b[k].real, state.b[k].imag))])
     if args.format == "csv" or args.out and str(args.out).endswith(".csv"):
         emit_csv(args, ["t", "site", "a_re", "a_im", "b_re", "b_im"], rows)
         return 0
     summary = {
         "sites": args.sites,
-        "periodic": bool(periodic),
+        "periodic": periodic,
         "lattice_residual": lattice_res,
         "toda_residual": toda.toda_residual_1d(frame, 0, complex(times[0])),
         "ode_residual": toda.flaschka_ode_residual(frame, min(args.sites, 3),
@@ -254,14 +263,12 @@ def cmd_spectral(args) -> int:
     curve = load_curve(args.curve)
     ctx = sigma_context(curve)
     point = parse_points(args.point)[0]
-    cand = division.TorsionCandidate(point, args.sites, (0.0,))
-    try:
-        frame = division.torsion_to_frame(ctx, cand, args.sites)
-    except SigmaTodaError:
-        frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(args.seed))
+    frame, lattice_res, periodic = _chain_frame(ctx, point, args.sites, args.seed)
     state = toda.toda_state(frame, args.sites, complex(args.t))
     morph, data = toda.spectral_morphism(state)
     emit(args, {
+        "periodic": periodic,
+        "lattice_residual": lattice_res,
         "characteristic_coefficients": _vector(data.p_coeffs),
         "invariants": _vector(data.invariants),
         "weierstrass_z": _vector(data.weierstrass_z),
@@ -287,12 +294,13 @@ def cmd_poncelet(args) -> int:
     rows = []
     worst_close = worst_tan = 0.0
     for t in times:
-        verts, t_used = poncelet.poncelet_vertices(pair, cand, args.N,
-                                                   complex(t), ctx=ctx)
+        # a sweep shifted off a pole is labelled with the t it used
+        verts, t_used = poncelet.poncelet_vertices(ctx, cand.point, args.N, complex(t))
         worst_close = max(worst_close, poncelet.closure_residual(verts, args.N))
         worst_tan = max(worst_tan, poncelet.side_tangency_max(pair, verts))
         for n, v in enumerate(verts):
-            rows.append([repr(float(t)), n, repr(v[0].real), repr(v[0].imag)])
+            rows.append([repr(float(t_used.real)), n,
+                         repr(float(v[0].real)), repr(float(v[0].imag))])
     if args.format == "csv":
         emit_csv(args, ["t", "vertex", "x_re", "x_im"], rows)
         return 0

@@ -12,6 +12,11 @@ N-torsion point; sides are chords of C tangent to D. `pair_for_torsion`
 constructs the inner conic whose Poncelet translation matches a given
 torsion step, by solving the single chord-tangency condition left open in
 the one-parameter family of matrices with a fixed reduced curve.
+
+The vertex sequence x_n = wp(n u0 + t) is the genus-one Toda potential with
+step u0 = abel(P), and it is read the way a Toda window is: one stacked
+sigma 2-jet per sweep time gives every vertex its pole test and its wp
+(``_sweep``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, make_curve
 from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole
-from .sigma import SigmaContext, abel_map, log_gap_curvature, sigma_with_scale, wp
+from .sigma import SigmaContext, _envelope_curvature, abel_map, sigma_jet2
+from .toda import _lattice_residual, _potential
+
+_D = np.ones(1, dtype=complex)  # the direction of the sweep, d1 = d2 at genus one
 
 
 def _adjugate3(mat: np.ndarray) -> np.ndarray:
@@ -109,23 +117,20 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint) -> ConicPair:
 
     u0 = abel_map(ctx, [point]).u
     t0 = 0.21  # sweep parameter of the chord whose tangency is imposed
-    xa = wp(ctx, 1, 1, [t0])
-    xb = wp(ctx, 1, 1, u0 + t0)
-    line = chord_line(xa, xb)
+    line = chord_line(*_vertex_wps(ctx, _sweep(ctx, u0, range(2), t0)))
     nodes = np.array([0.3, 1.1, 2.3])
     vals = np.array([line @ _adjugate3(family(a)) @ line for a in nodes])
     roots = np.roots(np.polyfit(nodes, vals, 2))
+    # the chords of two further sweeps check each root
+    checks = [_vertex_wps(ctx, _sweep(ctx, u0, range(3), t_check))
+              for t_check in (t0 + 0.17, t0 - 0.29)]
     best = None
     for a_sol in roots:
         candidate = ConicPair(family(a_sol))
         if abs(np.linalg.det(candidate.symmetric)) < 1e-10:
             continue
-        worst = 0.0
-        for t_check in (t0 + 0.17, t0 - 0.29):
-            xs = [wp(ctx, 1, 1, n * u0 + t_check) for n in range(3)]
-            for n in range(2):
-                worst = max(worst, tangency_residual(
-                    candidate, chord_line(xs[n], xs[n + 1])))
+        worst = max(tangency_residual(candidate, chord_line(xs[n], xs[n + 1]))
+                    for xs in checks for n in range(2))
         if worst < 1e-8 and (best is None or worst < best[0]):
             best = (worst, candidate)
     if best is None:
@@ -148,38 +153,42 @@ def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext):
     side-tangency test.
     """
     for cand in candidates:
-        verts, _ = poncelet_vertices(pair, cand, cand.order_target, 0.17, ctx=ctx)
+        verts, _ = poncelet_vertices(ctx, cand.point, cand.order_target, 0.17)
         if side_tangency_max(pair, verts) < 1e-6:
             return cand
     return None
 
 
-def poncelet_vertices(pair: ConicPair, torsion, n_sides: int, t: complex,
-                      ctx: SigmaContext):
+def _sweep(ctx: SigmaContext, u0: np.ndarray, sites, t: complex) -> list:
+    """The ``sigma_jet2`` records at n u0 + t for n in ``sites``: one stacked pass."""
+    return sigma_jet2(ctx, np.array([n * u0 + t for n in sites]), _D, _D)
+
+
+def _vertex_wps(ctx: SigmaContext, jets) -> list:
+    """wp at each point of a ``_sweep``: its Toda potential (``toda._potential``)."""
+    curvature = _envelope_curvature(ctx, _D, _D)
+    return [_potential(jet, curvature, f"vertex {n}") for n, jet in enumerate(jets)]
+
+
+def poncelet_vertices(ctx: SigmaContext, point: CurvePoint, n_sides: int, t: complex):
     """Vertices (x_n, x_n^2, 1) of the polygon at sweep parameter t.
 
-    x_n is the wp value at n steps of the torsion Abel image. When a vertex
-    passes through the pole the sweep parameter is shifted deterministically
-    and the value used is reported back.
+    x_n is the wp value at n steps of the Abel image of the torsion point.
+    When a vertex passes near a pole (|sigma| below 1e-2 of its scale) the
+    sweep parameter is shifted by 0.1137 and the value used is reported
+    back. Each try takes one stacked theta pass for all vertices.
     """
-    point = torsion.point if hasattr(torsion, "point") else torsion
     u0 = abel_map(ctx, [point]).u
     t_used = complex(t)
     # keep well away from vertex poles; closure conditioning degrades there
     for _ in range(6):
-        ok = True
-        for n in range(n_sides + 1):
-            val, scale = sigma_with_scale(ctx, n * u0 + t_used)
-            if abs(val) < 1e-2 * scale:
-                ok = False
-                break
-        if ok:
+        jets = _sweep(ctx, u0, range(n_sides + 1), t_used)
+        if all(abs(jet[0]) >= 1e-2 * jet[4] for jet in jets):
             break
         t_used += 0.1137
     else:
         raise ThetaDivisorPole("could not move the sweep off the poles")
-    xs = [wp(ctx, 1, 1, n * u0 + t_used) for n in range(n_sides + 1)]
-    verts = [np.array([x, x * x, 1.0], dtype=complex) for x in xs]
+    verts = [np.array([x, x * x, 1.0], dtype=complex) for x in _vertex_wps(ctx, jets)]
     return verts, t_used
 
 
@@ -201,11 +210,10 @@ def vertex_toda_residual(ctx: SigmaContext, point: CurvePoint, n: int,
     """Second-difference lattice equation along the vertex sequence.
 
     Matches the one-time lattice identity with step equal to the Abel image
-    of the polygon's torsion point and constant wp at that image; the left
-    side -(d/dt)^2 log(x_n - x_c) is exact (``log_gap_curvature``).
+    of the polygon's torsion point and constant x_c = wp(abel P) = P.x; the
+    left side -(d/dt)^2 log(x_n - x_c) is exact. The vertices n-1..n+1 take
+    one stacked pass, read as a Toda window (``toda._lattice_residual``).
     """
     u0 = abel_map(ctx, [point]).u
-    x_c = wp(ctx, 1, 1, u0)
-    x_n, lhs = log_gap_curvature(ctx, n * u0 + t, [1.0], [1.0], x_c)
-    rhs = wp(ctx, 1, 1, (n + 1) * u0 + t) - 2.0 * x_n + wp(ctx, 1, 1, (n - 1) * u0 + t)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    return _lattice_residual(_sweep(ctx, u0, range(n - 1, n + 2), t),
+                             _envelope_curvature(ctx, _D, _D), point.x, n)

@@ -326,26 +326,8 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
     # the widest plan of the context: the 2-jet with the three mixed rows
-    ctx = SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, 1e-12, 2, 3).extent,
-                       kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
-    _spot_check_vanishing(ctx)
-    return ctx
-
-
-def _spot_check_vanishing(ctx: SigmaContext):
-    from .curves import random_curve_points
-
-    g = ctx.genus
-    if g == 1:
-        val, scale = sigma_with_scale(ctx, np.zeros(1))
-    else:
-        # a context stops at genus two (normalize_gamma0), where a divisor of
-        # the stratum is one point, so its image is u
-        p = random_curve_points(ctx.curve, np.random.default_rng(999), 1)[0]
-        val, scale = sigma_with_scale(ctx, ctx.abel.to_point(p))
-    if abs(val) > 1e-6 * scale:
-        raise CharacteristicsNotFound(
-            "sigma does not vanish on the (g-1)-point stratum")
+    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, 1e-12, 2, 3).extent,
+                        kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
 
 
 def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
@@ -528,20 +510,6 @@ def _log_gap(curvature: complex, moments, c, where):
     if abs(gap) < POLE_TOL * max(1.0, abs(c)):
         raise VanishingGap(f"v - c vanished at {where}")
     return v, (k22 * gap + k21 * k12) / gap**2
-
-
-def log_gap_curvature(ctx: SigmaContext, u, d1, d2, c):
-    """(v, -D1 D2 log(v - c)) at u, exact, with v = -D1 D2 log sigma.
-
-    D_i is the derivative along d_i. One theta pass with the mixed moments
-    along w_i = P d_i serves both (``sigma_jet2``), and ``_log_gap`` turns
-    them into the cumulants of log theta. ThetaDivisorPole guards sigma and
-    VanishingGap the gap v - c.
-    """
-    sig, *_, scale, moments = sigma_jet2(ctx, _one_point(ctx, u), d1, d2)
-    _guarded(sig, scale, u)
-    v, lhs = _log_gap(_envelope_curvature(ctx, d1, d2), moments, c, u)
-    return complex(v), complex(lhs)
 
 
 def _log_theta(ctx: SigmaContext, u, order: int):

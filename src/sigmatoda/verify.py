@@ -274,7 +274,7 @@ def criterion_poncelet(ctx1) -> CriterionResult:
         pair = poncelet.pair_for_torsion(ctx1, cand.point)
         worst_close = worst_tan = 0.0
         for t in (0.1, 0.45, -0.2, 0.8, 1.3):
-            verts, _ = poncelet.poncelet_vertices(pair, cand, order, t, ctx=ctx1)
+            verts, _ = poncelet.poncelet_vertices(ctx1, cand.point, order, t)
             worst_close = max(worst_close, poncelet.closure_residual(verts, order))
             worst_tan = max(worst_tan, poncelet.side_tangency_max(pair, verts))
         res.add(f"polygon_closure_order{order}", worst_close, 1e-6)

@@ -137,6 +137,46 @@ def test_toda_run_csv(curve_file, capsys):
     assert len(lines) == 1 + 3 * 3
 
 
+TORSION3 = json.dumps([[1.4678898250138706, 0.0, 1.3019113530593938, 0.0]])
+X2 = json.dumps([[2.0, 0.0, 6.0 ** 0.5, 0.0]])  # not of order 3: 3 c is off the lattice
+
+
+def assert_cells_are_floats(rows):
+    for row in rows:
+        for cell in row:
+            float(cell)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_toda_run_series_are_plain_numbers(curve_file, capsys, fmt):
+    # numpy 2 scalars print as np.float64(...) under repr; every cell parses
+    status, out = run(capsys, [
+        "toda-run", "--format", fmt, "--curve", curve_file, "--point", TORSION3,
+        "--sites", "3", "--t0", "0.0", "--t1", "0.2", "--steps", "2"])
+    assert status == 0
+    rows = ([line.split(",") for line in out.strip().splitlines()[1:]] if fmt == "csv"
+            else json.loads(out)["series"])
+    assert len(rows) == 2 * 3
+    assert_cells_are_floats(rows)
+
+
+@pytest.mark.parametrize("point, periodic", [(TORSION3, True), (X2, False)],
+                         ids=["3-torsion", "x=2"])
+def test_spectral_reports_whether_the_chain_is_periodic(curve_file, capsys, point, periodic):
+    status, out = run(capsys, ["spectral", "--curve", curve_file, "--point", point,
+                               "--sites", "3"])
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["periodic"] is periodic
+    assert (payload["lattice_residual"] < 1e-6) is periodic
+    status, out = run(capsys, ["toda-run", "--curve", curve_file, "--point", point,
+                               "--sites", "3", "--steps", "2"])
+    assert status == 0
+    run_payload = json.loads(out)
+    assert run_payload["periodic"] is periodic
+    assert run_payload["lattice_residual"] == payload["lattice_residual"]
+
+
 def test_spectral_subcommand(curve_file, capsys):
     status, out = run(capsys, [
         "spectral", "--curve", curve_file,
@@ -169,6 +209,14 @@ def test_poncelet_subcommand(curve_file, tmp_path, capsys):
     payload = json.loads(out)
     assert payload["closure_residual_max"] < 1e-6
     assert payload["side_tangency_max"] < 1e-6
+    assert_cells_are_floats(payload["vertices"])
+    # t = 0 puts vertex 0 on a pole: the sweep moves to 0.1137, and its rows say so
+    status, out = run(capsys, ["poncelet", "--conic", str(conic), "--N", "3",
+                               "--t0", "0", "--t1", "0.5", "--steps", "2", "--format", "csv"])
+    assert status == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert_cells_are_floats(rows)
+    assert [float(row[0]) for row in rows] == [0.1137] * 4 + [0.5] * 4
 
 
 def test_parser_has_all_subcommands():

@@ -42,7 +42,6 @@ from sigmatoda.sigma import (
     abel_map,
     lattice_decompose,
     lattice_distance,
-    log_gap_curvature,
     natural_index_set,
     quasi_period,
     reduce_mod_lattice,
@@ -742,8 +741,7 @@ def test_single_point_entries_refuse_a_stack(ctx1, ctx2, k):
         for u in (stack, stack.ravel()):
             for call in (lambda: sigma(ctx, u), lambda: sigma_with_scale(ctx, u),
                          lambda: zeta(ctx, 1, u), lambda: wp(ctx, 1, 1, u),
-                         lambda: wp_matrix(ctx, u),
-                         lambda: log_gap_curvature(ctx, u, d, d, 0.0)):
+                         lambda: wp_matrix(ctx, u)):
                 with pytest.raises(ValueError, match="one point expected"):
                     call()
 

@@ -10,9 +10,10 @@ from former_jet import former_jet, former_partial
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
 from sigmatoda.errors import ConfluentInput, SigmaTodaError, ThetaDivisorPole, VanishingGap
 from sigmatoda.sigma import (
+    _envelope_curvature,
+    _guarded,
     _log_gap,
     abel_map,
-    log_gap_curvature,
     natural_index_set,
     sigma_context,
     sigma_jet2,
@@ -101,6 +102,13 @@ def former_potential(ctx, u, d) -> complex:
     return first**2 - (d @ hess @ d) / sig
 
 
+def jet_log_gap(ctx, u, d1, d2, c):
+    """(v, -D1 D2 log(v - c)) at one u: ``_log_gap`` of its ``sigma_jet2`` record."""
+    sig, *_, scale, moments = sigma_jet2(ctx, u, d1, d2)
+    _guarded(sig, scale, u)
+    return _log_gap(_envelope_curvature(ctx, d1, d2), moments, c, u)
+
+
 def former_log_gap_curvature(ctx, u, d1, d2, c):
     """Oracle: the former log_gap_curvature, with a theta pass of its own."""
     import importlib
@@ -177,9 +185,9 @@ def gap_derivatives(ctx, u, d1, d2, c):
     lhs * w^2 = -D1 D2 v * w + D1 v * D2 v with w = v - c, so two values of
     c separate the two derivative terms.
     """
-    v, lhs = log_gap_curvature(ctx, u, d1, d2, c)
+    v, lhs = jet_log_gap(ctx, u, d1, d2, c)
     shift = max(1.0, abs(v))
-    _, lhs_far = log_gap_curvature(ctx, u, d1, d2, c - shift)
+    _, lhs_far = jet_log_gap(ctx, u, d1, d2, c - shift)
     near, far = lhs * (v - c) ** 2, lhs_far * (v - c + shift) ** 2
     dd_v = (near - far) / shift
     return v, dd_v, near + dd_v * (v - c)
@@ -286,7 +294,7 @@ def test_exact_lhs_matches_the_finite_difference_oracle(ctx2, x2):
         v0 = two_direction_potential(ctx2, u, d1, d2)
         # a gap |v - c| of 1 + |v| keeps the oracle's steps well resolved
         c = v0 - (1.0 + abs(v0)) * np.exp(2j * np.pi * rng.random())
-        v, lhs = log_gap_curvature(ctx2, u, d1, d2, c)
+        v, lhs = jet_log_gap(ctx2, u, d1, d2, c)
         assert v == pytest.approx(v0, rel=1e-12)
 
         def w(s1, s2):
@@ -387,7 +395,7 @@ def test_log_gap_curvature_matches_its_former_code(ctx1, ctx2):
                       for _ in range(2))
             c = complex(rng.normal(), rng.normal())
             (v, lhs), (v_ref, lhs_ref) = (f(ctx, u, d1, d2, c) for f in (
-                log_gap_curvature, former_log_gap_curvature))
+                jet_log_gap, former_log_gap_curvature))
             assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
             assert abs(lhs - lhs_ref) <= 1e-10 * max(1.0, abs(lhs_ref))
 
@@ -415,10 +423,10 @@ def test_vanishing_gap_is_a_typed_error():
         toda_residual_1d(on_gap, 0)
     d = frame.direction
     with pytest.raises(VanishingGap):
-        log_gap_curvature(frame.ctx, u, d, d, on_gap.v_c)
+        jet_log_gap(frame.ctx, u, d, d, on_gap.v_c)
     # one gap away, both read numbers again
     assert toda_residual_1d(frame, 0) < 1e-9
-    assert np.isfinite(log_gap_curvature(frame.ctx, u, d, d, frame.v_c)[1])
+    assert np.isfinite(jet_log_gap(frame.ctx, u, d, d, frame.v_c)[1])
 
 
 def test_two_time_residual_makes_one_theta_pass(ctx2, monkeypatch):
