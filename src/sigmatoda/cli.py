@@ -77,6 +77,8 @@ def emit(args, payload: dict) -> None:
 
 
 def emit_csv(args, header: list, rows: list) -> None:
+    # the csv writer writes a float cell as its repr, the shortest text that
+    # reads back to the same float
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -237,9 +239,9 @@ def cmd_toda_run(args) -> int:
     for t in times:
         state = toda.toda_state(frame, args.sites, complex(t))
         for k in range(args.sites):
-            rows.append([repr(float(t)), k + 1,
-                         *(repr(float(x)) for x in (state.a[k].real, state.a[k].imag,
-                                                    state.b[k].real, state.b[k].imag))])
+            rows.append([float(t), k + 1,
+                         *(float(x) for x in (state.a[k].real, state.a[k].imag,
+                                              state.b[k].real, state.b[k].imag))])
     if args.format == "csv" or args.out and str(args.out).endswith(".csv"):
         emit_csv(args, ["t", "site", "a_re", "a_im", "b_re", "b_im"], rows)
         return 0
@@ -299,8 +301,7 @@ def cmd_poncelet(args) -> int:
         worst_close = max(worst_close, poncelet.closure_residual(verts, args.N))
         worst_tan = max(worst_tan, poncelet.side_tangency_max(pair, verts))
         for n, v in enumerate(verts):
-            rows.append([repr(float(t_used.real)), n,
-                         repr(float(v[0].real)), repr(float(v[0].imag))])
+            rows.append([float(t_used.real), n, float(v[0].real), float(v[0].imag)])
     if args.format == "csv":
         emit_csv(args, ["t", "vertex", "x_re", "x_im"], rows)
         return 0

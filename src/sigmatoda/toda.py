@@ -7,10 +7,13 @@ potential is V(u) = sum wp_ij(u) x1'^(i+j-2) and the exact solutions are
 checked through two-sided residuals of the second-difference equation, its
 bilinear (Hirota) form, the two-time variant, and the Flaschka equations of
 motion. Every derivative in the lattice checks is exact, and every check
-reads sigma along the flow direction only: one stacked theta pass per
-window of sites gives each site's sigma, its first and second derivatives
-along the direction, and the theta moments from which the time derivatives
-of log(V - V_c) follow, with no finite difference and no pass of their own.
+reads sigma along the flow direction only: one stacked theta pass per frame
+and time gives each site's sigma, its first and second derivatives along
+the direction, and the theta moments from which the time derivatives of
+log(V - V_c) follow, with no finite difference and no pass of their own.
+The pass fills the frame's window at that time: the sites asked for and
+their neighbours, which hold every check's stencil, and on a periodic frame
+the sites 1..N+2 of its state (``site_jets``).
 
 Flaschka pairs are indexed so the standard equations hold:
 
@@ -57,8 +60,8 @@ class TodaFrame:
     v_c: complex = 0.0
     zeta_c: complex = 0.0
     direction: np.ndarray = field(default=None, repr=False)
-    # sigma 2-jets along the direction of the sites at one time, keyed
-    # (t, n); see site_jets
+    # sigma 2-jets along the direction of the window of sites at one time,
+    # keyed (t, n); a call at another time drops them (see site_jets)
     _site_jets: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
 
@@ -102,14 +105,23 @@ def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
 
     Each is ``sigma_jet2`` with d1 = d2 = the direction: (sigma, D sigma,
     D sigma, D^2 sigma, |env| L1, theta moments), Python scalars. The frame
-    keeps the jets of one time; a call at another time drops them. The
-    missing sites take one stacked theta pass, each with its own bits.
+    keeps the jets of one time; a call at another time drops them. A call
+    that misses a site fills the frame's window at t in one stacked theta
+    pass: every site asked for with its neighbours n - 1 and n + 1 (the union,
+    not the hull, so a sparse call stays small), and on a periodic frame
+    (``frame.periodic = N``) the sites 1..N+2 that its state reads. The pass
+    sums the window's sites the frame lacks, each with the bits of its own
+    call.
     """
     memo, t = frame._site_jets, complex(t)
     if memo and next(iter(memo))[0] != t:
         memo.clear()
-    missing = [n for n in sites if (t, n) not in memo]
-    if missing:
+    sites = list(sites)
+    if any((t, n) not in memo for n in sites):
+        window = {m for n in sites for m in (n - 1, n, n + 1)}
+        if frame.periodic is not None:
+            window.update(_pair_sites(_period_pairs(frame.periodic)))
+        missing = sorted(n for n in window if (t, n) not in memo)
         d = frame.direction
         jets = sigma_jet2(frame.ctx, np.array([site_u(frame, n, t) for n in missing]), d, d)
         memo.update(zip([(t, n) for n in missing], jets))
@@ -234,9 +246,19 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     return complex(a_k), complex(b_k)
 
 
+def _pair_sites(ks: range) -> range:
+    """The sites k..k+2 that the Flaschka pairs k in ks read."""
+    return range(ks.start, ks.stop + 2)
+
+
+def _period_pairs(n_sites: int) -> range:
+    """The Flaschka indices k = 1..N of the state of one lattice period."""
+    return range(1, n_sites + 1)
+
+
 def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
     """Flaschka pairs by k in ks, after one window fill of their sites."""
-    site_jets(frame, range(ks.start, ks.stop + 2), t)
+    site_jets(frame, _pair_sites(ks), t)
     return {k: flaschka(frame, k, t) for k in ks}
 
 
@@ -275,19 +297,34 @@ def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
 
 @dataclass(frozen=True)
 class TodaState:
-    """Flaschka variables a_1..a_N, b_1..b_N of one lattice period."""
+    """Flaschka variables a_1..a_N, b_1..b_N of one lattice period.
+
+    ``a`` and ``b`` are kept as read-only copies, so ``spectral``, built on
+    its first read, stays the characteristic data of the state.
+    """
 
     a: np.ndarray
     b: np.ndarray
     t: complex = 0.0
 
+    def __post_init__(self):
+        for name in ("a", "b"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def n_sites(self) -> int:
         return self.a.size
 
+    @cached_property
+    def spectral(self) -> SpectralData:
+        """``char_poly`` of the state, built once for every check that reads it."""
+        return char_poly(self)
+
 
 def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
-    pairs = list(_flaschka_pairs(frame, range(1, n_sites + 1), t).values())
+    pairs = list(_flaschka_pairs(frame, _period_pairs(n_sites), t).values())
     return TodaState(np.array([p[0] for p in pairs]),
                      np.array([p[1] for p in pairs]), t)
 
@@ -371,7 +408,7 @@ def lax_det_residual(state: TodaState) -> float:
 
     The direct determinant is the oracle for the recursion-built P.
     """
-    data = char_poly(state)
+    data = state.spectral
     p, prod_a = data.p_coeffs, data.prod_a
     n = state.n_sites
     dets = np.linalg.det(np.array([lax_matrix(state, w_hat) - z * np.eye(n)
@@ -392,7 +429,7 @@ def spectral_morphism(state: TodaState):
     squares to the degree-2N model whose 2N roots are
     ``data.weierstrass_z``, found only when read.
     """
-    data = char_poly(state)
+    data = state.spectral
     n = state.n_sites
     worst = 0.0
     for p_val in polyval(data.p_coeffs, SPECTRAL_Z).tolist():
@@ -410,10 +447,10 @@ def spectral_morphism(state: TodaState):
 def invariant_drift(frame: TodaFrame, n_sites: int, t_samples) -> float:
     """Max relative drift of the invariants over the sampled times."""
     t_samples = list(t_samples)
-    base = char_poly(toda_state(frame, n_sites, t_samples[0])).invariants
+    base = toda_state(frame, n_sites, t_samples[0]).spectral.invariants
     worst = 0.0
     for t in t_samples[1:]:
-        cur = char_poly(toda_state(frame, n_sites, t)).invariants
+        cur = toda_state(frame, n_sites, t).spectral.invariants
         worst = max(worst, float(np.max(np.abs(cur - base) / (1.0 + np.abs(base)))))
     return worst
 
@@ -431,7 +468,7 @@ def invariant_sigma_relations(frame: TodaFrame, n_sites: int,
     if frame.periodic is None:
         raise ValueError("sigma-form invariants need a periodic frame")
     q = quasi_period(frame.ctx.periods, n_sites * frame.c, 1e-5)
-    inv = char_poly(toda_state(frame, n_sites, t)).invariants
+    inv = toda_state(frame, n_sites, t).spectral.invariants
     i1_exact = -(frame.direction @ q) - n_sites * frame.zeta_c
     in1_exact = frame.sigma_flat_c ** (-2 * n_sites) * np.exp(-(frame.c @ q))
     return {

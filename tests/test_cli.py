@@ -147,6 +147,13 @@ def assert_cells_are_floats(rows):
             float(cell)
 
 
+def assert_cells_are_json_numbers(rows):
+    # a JSON reader gets numbers, not the strings of their repr
+    for row in rows:
+        for cell in row:
+            assert type(cell) in (int, float), cell
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_toda_run_series_are_plain_numbers(curve_file, capsys, fmt):
     # numpy 2 scalars print as np.float64(...) under repr; every cell parses
@@ -158,6 +165,8 @@ def test_toda_run_series_are_plain_numbers(curve_file, capsys, fmt):
             else json.loads(out)["series"])
     assert len(rows) == 2 * 3
     assert_cells_are_floats(rows)
+    if fmt == "json":
+        assert_cells_are_json_numbers(rows)
 
 
 @pytest.mark.parametrize("point, periodic", [(TORSION3, True), (X2, False)],
@@ -210,6 +219,11 @@ def test_poncelet_subcommand(curve_file, tmp_path, capsys):
     assert payload["closure_residual_max"] < 1e-6
     assert payload["side_tangency_max"] < 1e-6
     assert_cells_are_floats(payload["vertices"])
+    assert_cells_are_json_numbers(payload["vertices"])
+    status, out = run(capsys, ["poncelet", "--conic", str(conic), "--N", "3",
+                               "--format", "json"])
+    assert status == 0
+    assert json.loads(out)["vertices"] == payload["vertices"]
     # t = 0 puts vertex 0 on a pole: the sweep moves to 0.1137, and its rows say so
     status, out = run(capsys, ["poncelet", "--conic", str(conic), "--N", "3",
                                "--t0", "0", "--t1", "0.5", "--steps", "2", "--format", "csv"])

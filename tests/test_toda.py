@@ -22,6 +22,7 @@ from sigmatoda.sigma import (
 )
 from sigmatoda.theta import JET
 from sigmatoda.toda import (
+    TodaState,
     V,
     _potential,
     char_poly,
@@ -701,6 +702,45 @@ def test_lax_det_residual_needs_no_spectral_roots(ctx1, monkeypatch):
         assert data.weierstrass_z is data.weierstrass_z  # found once
 
 
+def test_one_characteristic_polynomial_per_state(ctx1, monkeypatch):
+    import sigmatoda.toda as toda_mod
+
+    built = []
+
+    def counted(state):
+        built.append(state)
+        return char_poly(state)
+
+    for order in (3, 4):
+        state = _periodic_state(ctx1, order)
+        expected = (_lax_det_through_char_poly(state), _spectral_morphism_per_sample(state))
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(toda_mod, "char_poly", counted)
+            det_res = lax_det_residual(state)
+            morph_res, data = spectral_morphism(state)
+        assert len(built) == 1 and built[0] is state
+        assert data is state.spectral
+        assert (det_res, morph_res) == expected
+
+
+def test_toda_state_arrays_are_read_only(ctx1):
+    state = _periodic_state(ctx1, 3)
+    data = state.spectral
+    for arr in (state.a, state.b):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert state.spectral is data
+    # a state built by hand keeps read-only copies, which the caller's
+    # arrays cannot reach
+    a, b = np.ones(3, dtype=complex), np.arange(3, dtype=complex)
+    hand = TodaState(a, b)
+    with pytest.raises(ValueError):
+        hand.b[0] = 1.0
+    a[0] = 2.0
+    assert hand.a[0] == 1.0 and a.flags.writeable
+
+
 def _memo_frames(ctx1, ctx2):
     from sigmatoda.division import torsion_to_frame, xi_set
 
@@ -738,11 +778,19 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
             results = (toda_residual_1d(frame, n, t), hirota_residual(frame, n, t),
                        flaschka(frame, n, t), flaschka_wp_path(frame, n, t),
                        toda_state(frame, n_sites, t))
-        # one pass per window with missing sites: n-1..n+1 for the conditioning
-        # check, whose jets also give the second difference its left side,
-        # n+2 for flaschka and 3..N+2 for the state; each site is summed once
-        sites = set(range(n - 1, n + 3)) | set(range(1, n_sites + 3))
-        assert calls == [3, 1, 3]
+        # a miss fills the window: the conditioning check asks for n-1..n+1,
+        # so the pass sums n-2..n+2, which holds the second difference, the
+        # bilinear form and flaschka's n..n+2; the 3-torsion frame also sums
+        # its state's sites 1..N+2 in that pass, while a quasi-periodic frame
+        # takes a second pass for the state's sites 1..5 and their
+        # neighbours; each site is summed once
+        sites = set(range(n - 2, n + 3))
+        if frame.periodic is None:
+            sites |= set(range(0, n_sites + 4))
+            assert calls == [5, 4]
+        else:
+            sites |= set(range(1, n_sites + 3))
+            assert calls == [8]
         assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
 
         # the memo's values are those of the former full jet along d: sigma
@@ -770,9 +818,44 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
         assert np.array_equal(state.a, results[4].a)
         assert np.array_equal(state.b, results[4].b)
 
-        # a new time keeps only its own sites
+        # a new time keeps only its own window: sites 1..3 and their
+        # neighbours, and the state's 1..N+2 on the torsion frame
         flaschka(frame, 1, 0.05)
-        assert set(frame._site_jets) == {(0.05, 1), (0.05, 2), (0.05, 3)}
+        stop = 5 if frame.periodic is None else n_sites + 3
+        assert set(frame._site_jets) == {(0.05, m) for m in range(0, stop)}
+
+
+def test_site_jets_fill_only_the_neighbours_of_a_sparse_request(ctx1, ctx2, monkeypatch):
+    import importlib
+
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    kernel = sigma_mod._theta_sum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        return kernel(*args, **kwargs)
+
+    t = 0.01 + 0.02j
+    for frame in _memo_frames(ctx1, ctx2):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sigma_mod, "_theta_sum", counted)
+            jets = site_jets(frame, [0, 12], t)
+            # the union of the neighbourhoods, not the hull 0..12
+            state_sites = set() if frame.periodic is None \
+                else set(range(1, frame.periodic + 3))
+            sites = {-1, 0, 1, 11, 12, 13} | state_sites
+            assert calls == [len(sites)]
+            assert {key[1] for key in frame._site_jets} == sites
+            # a neighbour is read from the memo, with no pass
+            assert site_jets(frame, [13, -1], t)[0] == frame._site_jets[t, 13]
+            assert calls == [len(sites)]
+        # each jet is that of an empty memo
+        assert jets == site_jets(dataclasses.replace(frame), [0, 12], t)
+        # a new time drops every site of the old one
+        site_jets(frame, [12], 2 * t)
+        assert set(frame._site_jets) == {(2 * t, m) for m in {11, 12, 13} | state_sites}
 
 
 def _on_divisor_point(ctx2):
