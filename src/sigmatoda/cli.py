@@ -22,7 +22,7 @@ import numpy as np
 
 from . import addition, division, poncelet, toda, verify
 from .curves import CurvePoint, make_curve, random_curve_points
-from .errors import SigmaTodaError, ThetaDivisorPole
+from .errors import SigmaTodaError, ThetaDivisorPole, worst_of
 from .periods import compute_periods
 from .sigma import (
     abel_map,
@@ -298,8 +298,8 @@ def cmd_poncelet(args) -> int:
     for t in times:
         # a sweep shifted off a pole is labelled with the t it used
         verts, t_used = poncelet.poncelet_vertices(ctx, cand.point, args.N, complex(t))
-        worst_close = max(worst_close, poncelet.closure_residual(verts, args.N))
-        worst_tan = max(worst_tan, poncelet.side_tangency_max(pair, verts))
+        worst_close = worst_of(worst_close, poncelet.closure_residual(verts, args.N))
+        worst_tan = worst_of(worst_tan, poncelet.side_tangency_max(pair, verts))
         for n, v in enumerate(verts):
             rows.append([float(t_used.real), n, float(v[0].real), float(v[0].imag)])
     if args.format == "csv":

@@ -3,7 +3,17 @@
 Every failure mode that callers are expected to handle gets its own class so
 that numerical trouble (quadrature, truncation, root finding) is
 distinguishable from contract violations (bad input shapes, degenerate data).
+``worst_of`` is the running max of the checks, which keeps a NaN.
 """
+
+
+def worst_of(*values):
+    """The largest value, or NaN if one is NaN; max(0.0, nan) is 0.0."""
+    worst = values[0]
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 class SigmaTodaError(Exception):
@@ -48,6 +58,10 @@ class NormalizationUnstable(SigmaTodaError):
 
 class ThetaDivisorPole(SigmaTodaError):
     """sigma(u) is numerically zero; a logarithmic derivative has a pole."""
+
+
+class NonFiniteValue(SigmaTodaError):
+    """A sigma record or a quotient of them overflowed to inf or NaN."""
 
 
 class VanishingGap(SigmaTodaError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, make_curve
-from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole
+from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole, worst_of
 from .sigma import SigmaContext, _envelope_curvature, abel_map, sigma_jet2
 from .toda import _lattice_residual, _potential
 
@@ -129,8 +129,8 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint) -> ConicPair:
         candidate = ConicPair(family(a_sol))
         if abs(np.linalg.det(candidate.symmetric)) < 1e-10:
             continue
-        worst = max(tangency_residual(candidate, chord_line(xs[n], xs[n + 1]))
-                    for xs in checks for n in range(2))
+        worst = worst_of(*(tangency_residual(candidate, chord_line(xs[n], xs[n + 1]))
+                           for xs in checks for n in range(2)))
         if worst < 1e-8 and (best is None or worst < best[0]):
             best = (worst, candidate)
     if best is None:
@@ -201,7 +201,7 @@ def closure_residual(vertices, n_sides: int) -> float:
 def side_tangency_max(pair: ConicPair, vertices) -> float:
     worst = 0.0
     for va, vb in zip(vertices[:-1], vertices[1:]):
-        worst = max(worst, tangency_residual(pair, chord_line(va[0], vb[0])))
+        worst = worst_of(worst, tangency_residual(pair, chord_line(va[0], vb[0])))
     return worst
 
 

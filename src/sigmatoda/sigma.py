@@ -12,18 +12,20 @@ fixed so the power series of sigma at the origin starts with the Schur
 term (coefficient one on u_1 for genus up to two, which for genus one is
 the classical sigma(u) = u + O(u^5)).
 
-One per-point assembly turns a theta pass into sigma and its derivatives
-along two directions (``_sigma_jets``): sigma, its partials and its
-directional 2-jet all read it, so the envelope and the product rule are
-written once. wp and zeta read log theta in cumulant form instead
-(``_log_theta``), with the pole test on theta against its own L1 mass, and
-never build the envelope.
+One assembly turns a theta pass into per-point records of sigma and its
+derivatives along two directions (``_sigma_jets``): sigma, its partials and
+its directional 2-jet all read it, so the envelope and the product rule are
+written once. Each record column is one expression over the K points of a
+pass, in elementwise ufuncs and two-operand einsum, which give a point in a
+stack the bits of its own call; a matmul with a (K, g) operand or a
+three-operand einsum can sum in another order per stack. wp and zeta read
+log theta in cumulant form instead (``_log_theta``), with the pole test on
+theta against its own L1 mass, and never build the envelope.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,6 +35,7 @@ from .curves import CurvePoint, HyperellipticCurve
 from .errors import (
     CharacteristicsNotFound,
     NormalizationUnstable,
+    NonFiniteValue,
     NotALatticeVector,
     PathThroughBranchPoint,
     QuadratureNonConvergence,
@@ -40,7 +43,7 @@ from .errors import (
     VanishingGap,
 )
 from .periods import PeriodData, compute_periods
-from .theta import JET, _dot, _plan, _theta_sum
+from .theta import JET, _plan, _theta_sum
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -71,6 +74,7 @@ def _gauss_nodes(n: int):
 
 POLE_TOL = 1e-10  # |sigma| below this times its scale is a pole (``_guarded``)
 LEG_SPLIT = 48  # the coarse level of an Abel leg; the fine level has 96 nodes
+DIRECTIONS_KEPT = 8  # direction pairs whose constants a context keeps
 
 
 @lru_cache(maxsize=1)
@@ -221,6 +225,9 @@ class SigmaContext:
     # the wp matrix at the last u asked for, one entry keyed by u's bytes;
     # see wp_matrix
     _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the constants of the last DIRECTIONS_KEPT direction pairs; see _directions
+    _directions: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
 
     @property
     def genus(self) -> int:
@@ -330,6 +337,29 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
                         kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
 
 
+def _directions(ctx: SigmaContext, d1, d2) -> tuple:
+    """(w, -kd, d1.kappa.d2, outer, (w1, w2)) along d1 and d2, kept per context.
+
+    w = (P d1, P d2) and kd = (kappa d1, kappa d2) are (g, 2) arrays by
+    column, outer holds the flat w1 w1, w1 w2, w2 w2 as the columns of a
+    (g^2, 3) array, and w2 is w1 when d2 equals d1. The context keeps the
+    last ``DIRECTIONS_KEPT`` pairs, keyed by their bytes.
+    """
+    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
+    key = d1.tobytes() + d2.tobytes()
+    if key not in ctx._directions:
+        w1 = ctx.pmat @ d1
+        w2 = w1 if np.array_equal(d1, d2) else ctx.pmat @ d2
+        kd = np.stack([ctx.kappa @ d1, ctx.kappa @ d2], axis=1)
+        outer = np.stack([np.outer(wa, wb).ravel()
+                          for wa, wb in ((w1, w1), (w1, w2), (w2, w2))], axis=1)
+        if len(ctx._directions) >= DIRECTIONS_KEPT:
+            del ctx._directions[next(iter(ctx._directions))]
+        ctx._directions[key] = (np.stack([w1, w2], axis=1), -kd, complex(d1 @ kd[:, 1]),
+                                outer, (w1, w2))
+    return ctx._directions[key]
+
+
 def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     """Per-point sigma records along d1 and d2 from one theta pass.
 
@@ -339,59 +369,48 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     D1 D2 sigma and the theta moments along w_i = P d_i relative to theta,
     (m10, m01, m20, m11, m02, m21, m12, m22) with m_ij for D1^i D2^j, the
     last three from the pass's mixed rows. The directions are read from
-    order 1 on. With env = gamma0 exp(-u.kappa.u/2), q_i = -u.kappa.d_i and
-    g_i, h12 the derivatives of theta along w_i,
+    order 1 on (``_directions``). With env = gamma0 exp(-u.kappa.u/2),
+    q_i = -u.kappa.d_i and g_i, h12 the derivatives of theta along w_i,
 
         D_i sigma = env (q_i theta + g_i),
         D1 D2 sigma = env ((q1 q2 - d1.kappa.d2) theta + q1 g2 + q2 g1 + h12).
 
     u is one point or a stack of shape (K, g), any other shape raises
-    ValueError; the list holds one record per point, each with the bits of
-    its own call.
+    ValueError; each record has the bits of its own call. A non-finite
+    column, as where sigma overflows far from the origin, raises
+    NonFiniteValue.
     """
     g = ctx.genus
     pts = np.atleast_2d(np.asarray(u, dtype=complex))
     if pts.ndim > 2 or pts.shape[-1] != g:
         raise ValueError(f"u of shape ({g},) or (K, {g}) expected, not {np.shape(u)}")
-    mixed = None
-    if order:
-        d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
-        w1 = ctx.pmat @ d1
-        w2 = w1 if d2 is d1 else ctx.pmat @ d2  # one mixed row of order 3 when equal
-        if order == 2:
-            mixed = (w1, w2)
-    moments = _theta_sum(
-        JET[order], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
-        ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=mixed)
-    theta0, grad, hess, l1 = moments[:4]
-    kappa = ctx.kappa.tolist()
-    if order:
-        # per pass, on scalars: q.d_i = -u.(kappa d_i) with kappa symmetric, and
-        # w_a.H.w_b as the flat Hessian against the flat outer product w_a w_b
-        d1, d2, w1, w2 = (x.tolist() for x in (d1, d2, w1, w2))
-        kd1, kd2 = ([_dot(row, d) for row in kappa] for d in (d1, d2))
-        kd = _dot(d1, kd2)
-        outer = [[a * b for a in wa for b in wb] for wa, wb in ((w1, w1), (w1, w2), (w2, w2))]
-    blank = itertools.repeat(None)
-    out = []
-    gamma0 = complex(ctx.gamma0)
-    for pl, t0, mass, gr, he, mx in zip(
-            pts.tolist(), theta0.tolist(), l1.tolist(),
-            grad.tolist() if order else blank,
-            hess.reshape(len(pts), -1).tolist() if order == 2 else blank,
-            moments[4].tolist() if order == 2 else blank):
-        env = gamma0 * cmath.exp(-0.5 * _dot(pl, [_dot(row, pl) for row in kappa]))
-        rec = [env * t0, None, None, None, float(abs(env) * mass), None]
+    w, nkd, curvature, outer, mixed = _directions(ctx, d1, d2) if order else (None,) * 5
+    # the columns sigma, |env| L1, D1 sigma, D2 sigma, D1 D2 sigma, moments
+    block = np.empty((len(pts), (2, 4, 13)[order]), dtype=complex)
+    with np.errstate(all="ignore"):  # an overflow is the NonFiniteValue below
+        theta0, grad, hess, l1, *mx = _theta_sum(
+            JET[order], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
+            ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=mixed if order == 2 else None)
+        env = ctx.gamma0 * np.exp(
+            -0.5 * np.einsum("ki,ki->k", pts, np.einsum("ij,kj->ki", ctx.kappa, pts)))
+        block[:, 0], block[:, 1] = env * theta0, np.abs(env) * l1
         if order:
-            q1, q2 = -_dot(pl, kd1), -_dot(pl, kd2)
-            g1, g2 = _dot(gr, w1), _dot(gr, w2)
-            rec[1:3] = env * (q1 * t0 + g1), env * (q2 * t0 + g2)
+            q = np.einsum("ki,ij->kj", pts, nkd)  # (q1, q2) per point
+            gw = np.einsum("ki,ij->kj", grad, w)  # (g1, g2)
+            block[:, 2:4] = env[:, None] * (q * theta0[:, None] + gw)
         if order == 2:
-            h11, h12, h22 = (_dot(he, o) for o in outer)
-            rec[3] = env * ((q1 * q2 - kd) * t0 + q1 * g2 + q2 * g1 + h12)
-            rec[5] = tuple(m / t0 for m in (g1, g2, h11, h12, h22, *mx))
-        out.append(tuple(rec))
-    return out
+            h = np.einsum("ki,ij->kj", hess.reshape(len(pts), g * g), outer)
+            (q1, q2), (g1, g2) = q.T, gw.T
+            block[:, 4] = env * ((q1 * q2 - curvature) * theta0 + q1 * g2 + q2 * g1 + h[:, 1])
+            block[:, 5:] = np.concatenate([gw, h, mx[0]], axis=1) / theta0[:, None]
+    finite = np.isfinite(block)
+    if not finite.all():
+        where = pts[np.flatnonzero(~finite.all(axis=1))[0]]
+        raise NonFiniteValue(f"the sigma record at u = {where} is not finite")
+    rows = block.tolist()
+    if order == 2:
+        return [(r[0], r[2], r[3], r[4], r[1].real, tuple(r[5:])) for r in rows]
+    return [(r[0], *(r[2:] or (None, None)), None, r[1].real, None) for r in rows]
 
 
 def _one_point(ctx: SigmaContext, u) -> np.ndarray:
@@ -437,7 +456,8 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
 
     With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
     D1 D2 sigma, |env| L1, moments) as Python scalars, the order-2 record
-    of ``_sigma_jets``; sigma and the scale are those of
+    of ``_sigma_jets`` read off the pass's K-wide columns; sigma and the
+    scale are those of
     ``sigma_with_scale`` within rounding, as the mixed rows' theta plan is
     wider than the value's. ``_log_gap`` turns the moments into the exact
     -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and returns
@@ -476,7 +496,7 @@ def _guarded(sig, scale: float, where):
 
 def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
     """d1.kappa.d2, the part of -D1 D2 log sigma that the envelope adds."""
-    return complex(np.asarray(d1) @ ctx.kappa @ np.asarray(d2))
+    return _directions(ctx, d1, d2)[2]
 
 
 def _cumulant_potential(curvature: complex, moments) -> complex:

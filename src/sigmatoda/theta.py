@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,11 +78,6 @@ def _upper_gamma(s2: int, x: float) -> float:
     return val
 
 
-def _dot(a: list, b: list):
-    """sum a_i b_i over two lists of Python numbers."""
-    return sum(map(operator.mul, a, b))
-
-
 def _norms(vecs: np.ndarray, y_matrix: np.ndarray) -> np.ndarray:
     """sqrt(pi v^T Y v) for each row v."""
     return np.sqrt(np.pi * np.einsum("ki,ij,kj->k", vecs, y_matrix, vecs))
@@ -102,8 +96,8 @@ class ThetaPlan:
     ``radius`` is R; ``points`` are the offsets m from the rounded centre,
     those from index ``shell`` on having a neighbour m +- e_i outside the
     ellipsoid; ``s`` = 2 pi i m, one row per coordinate, and ``quad`` =
-    2 pi i (1/2) m^T T m per point, ``yinv`` = (Im T)^{-1}, ``t_rows`` the
-    rows of T as Python numbers and ``extent`` the largest |m_i|.
+    2 pi i (1/2) m^T T m per point, ``yinv`` = (Im T)^{-1} and ``extent``
+    the largest |m_i|.
     ``coef[N, p]`` is the coefficient of c^p in the proven bound, over E, of
     the omitted L1 mass of a row of order N along unit directions,
     c = |Y^{-1} Im z|; ``row_coef`` holds it per row of the plan's layout
@@ -117,7 +111,6 @@ class ThetaPlan:
     s: np.ndarray
     quad: np.ndarray
     yinv: np.ndarray
-    t_rows: list
     extent: int
     coef: np.ndarray
     row_orders: tuple
@@ -200,7 +193,7 @@ def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -
     hess_rows = np.array([g + 1 + pairs.index((min(k, m), max(k, m)))
                           for k in range(g) for m in range(g)])
     plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), _TWO_PI_I * points.T,
-                     quad, np.linalg.inv(y), t_matrix.tolist(), int(np.max(np.abs(points))),
+                     quad, np.linalg.inv(y), int(np.max(np.abs(points))),
                      coef, row_orders,
                      coef.T[:, list(row_orders)] * (math.exp(delta * delta) / tol), hess_rows)
     for arr in (plan.points, plan.s, quad, plan.yinv, coef, plan.row_coef, hess_rows):
@@ -240,17 +233,14 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     ca = a - np.rint(shift + a)  # n0 + a at the rounded centre n0
     # 2 pi i ((1/2)(m+ca)^T T (m+ca) + (m+ca).zb) = quad + m.lin + const with
     # lin = 2 pi i (T ca + zb) and const = pi i ca.(T ca + 2 zb), and the
-    # powers of c = |Y^-1 Im z| for the proven bound: per point in Python
-    # numbers, as a stack holds few points and each keeps its own call's bits
-    lin, const, c_pow = [], [], []
-    n_pow = plan.row_coef.shape[0]
-    for zk, ck, sk in zip(zb.tolist(), ca.tolist(), shift.tolist()):
-        tc = [_dot(row, ck) for row in plan.t_rows]
-        lin.append([_TWO_PI_I * (t + v) for t, v in zip(tc, zk)])
-        const.append(_PI_I * _dot(ck, [t + 2.0 * v for t, v in zip(tc, zk)]))
-        c = math.sqrt(_dot(sk, sk))
-        c_pow.append([c**p for p in range(n_pow)])
-    lin, const = np.array(lin), np.array(const)
+    # powers of c = |Y^-1 Im z| for the proven bound: elementwise ufuncs and
+    # two-operand einsum over the K points, which give each point the bits of
+    # its own call (a matmul with a (K, g) operand does not)
+    tc = np.einsum("ij,kj->ki", t_matrix, ca)
+    lin = _TWO_PI_I * (tc + zb)
+    const = _PI_I * np.einsum("ki,ki->k", ca, tc + 2.0 * zb)
+    c_pow = np.sqrt(np.einsum("ki,ki->k", shift, shift))[:, None] \
+        ** np.arange(plan.row_coef.shape[0])
     expo = np.matmul(plan.points, lin.view(float).reshape(k_pts, g, 2)).view(complex)
     expo += plan.quad[:, None]
     expo += const[:, None, None]
@@ -292,7 +282,7 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
         n2 = n1 if n_mixed == 2 else math.sqrt(np.vdot(w2, w2).real)
         scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
         row_coef = row_coef * ([1.0] * n_jet + (scale[::2] if n_mixed == 2 else scale))
-    proven = (np.array(c_pow) @ row_coef) * l1s[:, :1]
+    proven = (c_pow @ row_coef) * l1s[:, :1]
     if (np.maximum(tails, proven) > l1s).any():
         raise TruncationInsufficient(
             f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")

@@ -25,13 +25,14 @@ b_k = zeta^(k+1) - zeta^(k) - zeta_c.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .curves import CurvePoint, baker_f2, f12
-from .errors import ConfluentInput
+from .errors import ConfluentInput, NonFiniteValue, worst_of
 from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
@@ -101,7 +102,7 @@ def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:
 
 
 def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
-    """The 2-jets along the frame's direction at each site n of ``sites``.
+    """The 2-jets along the frame's direction at each site n of ``sites``, a sequence.
 
     Each is ``sigma_jet2`` with d1 = d2 = the direction: (sigma, D sigma,
     D sigma, D^2 sigma, |env| L1, theta moments), Python scalars. The frame
@@ -110,21 +111,22 @@ def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
     pass: every site asked for with its neighbours n - 1 and n + 1 (the union,
     not the hull, so a sparse call stays small), and on a periodic frame
     (``frame.periodic = N``) the sites 1..N+2 that its state reads. The pass
-    sums the window's sites the frame lacks, each with the bits of its own
-    call.
+    sums the window's sites the frame lacks, their u in one expression with
+    the bits of ``site_u``, each jet with the bits of its own call.
     """
     memo, t = frame._site_jets, complex(t)
     if memo and next(iter(memo))[0] != t:
         memo.clear()
-    sites = list(sites)
-    if any((t, n) not in memo for n in sites):
+    try:
+        return [memo[t, n] for n in sites]
+    except KeyError:
         window = {m for n in sites for m in (n - 1, n, n + 1)}
         if frame.periodic is not None:
             window.update(_pair_sites(_period_pairs(frame.periodic)))
         missing = sorted(n for n in window if (t, n) not in memo)
         d = frame.direction
-        jets = sigma_jet2(frame.ctx, np.array([site_u(frame, n, t) for n in missing]), d, d)
-        memo.update(zip([(t, n) for n in missing], jets))
+        u = frame.u0 + np.multiply.outer(missing, frame.c) + t * d
+        memo.update(zip([(t, n) for n in missing], sigma_jet2(frame.ctx, u, d, d)))
     return [memo[t, n] for n in sites]
 
 
@@ -240,9 +242,12 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     (s_k, d_k, _, _, scale_k, _), (s_k1, d_k1, _, _, scale_k1, _), (s_k2, *_) = \
         site_jets(frame, range(k, k + 3), t)
     _guarded(s_k1, scale_k1, f"site {k + 1}")
-    a_k = s_k2 * s_k / (s_k1**2 * frame.sigma_flat_c**2)
+    # s_k1 * s_k1, not s_k1**2, which raises an untyped OverflowError
+    a_k = s_k2 * s_k / (s_k1 * s_k1 * frame.sigma_flat_c**2)
     _guarded(s_k, scale_k, f"zeta at site {k}")
     b_k = d_k1 / s_k1 - d_k / s_k - frame.zeta_c
+    if not (cmath.isfinite(a_k) and cmath.isfinite(b_k)):
+        raise NonFiniteValue(f"the Flaschka pair at k = {k}, t = {t} is not finite")
     return complex(a_k), complex(b_k)
 
 
@@ -291,7 +296,7 @@ def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
 
         res_a = abs(ddt(0) - a_k * (b_k1 - b_k)) / max(1.0, abs(a_k))
         res_b = abs(ddt(1) - (a_k - a_km)) / max(1.0, abs(a_k), abs(a_km))
-        worst = max(worst, res_a, res_b)
+        worst = worst_of(worst, res_a, res_b)
     return worst
 
 
@@ -417,7 +422,7 @@ def lax_det_residual(state: TodaState) -> float:
     worst = 0.0
     for det, p_val, (_, w_hat) in zip(dets, p_z, LAX_SAMPLES):
         model = p_val + (-1.0) ** (n - 1) * (w_hat + prod_a / w_hat)
-        worst = max(worst, abs(det - model) / max(1.0, abs(det)))
+        worst = worst_of(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
 
 
@@ -440,7 +445,7 @@ def spectral_morphism(state: TodaState):
             w_hat = 0.5 * (p_hat - disc)
         w = 2.0 * w_hat - p_hat
         target = p_val ** 2 - 4.0 * data.prod_a
-        worst = max(worst, abs(w**2 - target) / max(1.0, abs(target)))
+        worst = worst_of(worst, abs(w**2 - target) / max(1.0, abs(target)))
     return worst, data
 
 
@@ -451,7 +456,7 @@ def invariant_drift(frame: TodaFrame, n_sites: int, t_samples) -> float:
     worst = 0.0
     for t in t_samples[1:]:
         cur = toda_state(frame, n_sites, t).spectral.invariants
-        worst = max(worst, float(np.max(np.abs(cur - base) / (1.0 + np.abs(base)))))
+        worst = worst_of(worst, float(np.max(np.abs(cur - base) / (1.0 + np.abs(base)))))
     return worst
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import addition, division, poncelet, toda
 from .curves import CurvePoint, make_curve, random_curve_points
 from .sigma import abel_map, lattice_distance, sigma_context, wp_matrix
-from .errors import SigmaTodaError
+from .errors import SigmaTodaError, worst_of
 
 
 @dataclass
@@ -97,11 +97,11 @@ def criterion_legendre(ctx1, ctx2) -> CriterionResult:
         seeded = [random_curve_points(ctx.curve, rng, ctx.genus) for _ in range(20)]
         branch = [CurvePoint(complex(e), 0j) for e in ctx.curve.branch_points]
         res.add(f"jacobi_inversion_{label}",
-                max(_inversion_defect(ctx, pts) for pts in seeded), 1e-9,
+                worst_of(*(_inversion_defect(ctx, pts) for pts in seeded)), 1e-9,
                 "20 seeded divisors")
         res.add(f"jacobi_inversion_branch_points_{label}",
-                max(_inversion_defect(ctx, list(pts))
-                    for pts in itertools.combinations(branch, ctx.genus)), 1e-9,
+                worst_of(*(_inversion_defect(ctx, list(pts))
+                           for pts in itertools.combinations(branch, ctx.genus))), 1e-9,
                 "every divisor of distinct branch points: the closed-form anchors")
     return res
 
@@ -112,17 +112,17 @@ def criterion_addition(ctx1, ctx2, seed: int = 0, samples: int = 50) -> Criterio
     worst = 0.0
     for _ in range(samples):
         p, q = random_curve_points(ctx1.curve, rng, 2)
-        worst = max(worst, addition.thm_add_residual(ctx1, [p], [q]))
+        worst = worst_of(worst, addition.thm_add_residual(ctx1, [p], [q]))
     res.add("two_point_addition_g1", worst, 1e-9,
             "sigma quotient against the coordinate difference")
     worst_pair = worst_gen = worst_fay = worst_baker = 0.0
     for _ in range(samples):
         base = random_curve_points(ctx2.curve, rng, 2)
         v1, v2 = random_curve_points(ctx2.curve, rng, 2)
-        worst_pair = max(worst_pair, addition.thm_add_residual(ctx2, base, [v1, v2]))
-        worst_gen = max(worst_gen, addition.thm_add_residual(ctx2, base, [v1]))
-        worst_fay = max(worst_fay, addition.fay_residual(ctx2, base, v1, v2))
-        worst_baker = max(worst_baker, addition.baker_residual(ctx2, base, v1, v2))
+        worst_pair = worst_of(worst_pair, addition.thm_add_residual(ctx2, base, [v1, v2]))
+        worst_gen = worst_of(worst_gen, addition.thm_add_residual(ctx2, base, [v1]))
+        worst_fay = worst_of(worst_fay, addition.fay_residual(ctx2, base, v1, v2))
+        worst_baker = worst_of(worst_baker, addition.baker_residual(ctx2, base, v1, v2))
     res.add("pair_addition_g2", worst_pair, 1e-6, "g plus two point identity")
     res.add("general_addition_g2", worst_gen, 1e-6, "mixed (2, 1) identity")
     res.add("fay_kernel_g2", worst_fay, 1e-6)
@@ -153,8 +153,8 @@ def criterion_toda(ctx1, ctx2, seed: int = 1, samples: int = 20) -> CriterionRes
             if not toda.frame_well_conditioned(frame, range(-4, 5), t0):
                 t0 = 0.0
             for n in range(-3, 4):
-                worst = max(worst, toda.toda_residual_1d(frame, n, t0))
-                worst_h = max(worst_h, toda.hirota_residual(frame, n, t0))
+                worst = worst_of(worst, toda.toda_residual_1d(frame, n, t0))
+                worst_h = worst_of(worst_h, toda.hirota_residual(frame, n, t0))
         res.add(f"toda_second_difference_{label}", worst, tol)
         res.add(f"hirota_bilinear_{label}", worst_h, tol,
                 "bilinear form passes jointly with the second difference")
@@ -168,7 +168,7 @@ def criterion_toda(ctx1, ctx2, seed: int = 1, samples: int = 20) -> CriterionRes
                                      complex(rng.normal() * 0.03), rng=rng)
         except SigmaTodaError:
             continue
-        worst2d = max(worst2d, r)
+        worst2d = worst_of(worst2d, r)
         done += 1
     res.add("two_time_lattice_g2", worst2d, 1e-5)
     return res
@@ -192,14 +192,14 @@ def criterion_division(ctx1) -> CriterionResult:
         pts = random_curve_points(curve, rng, 10)
         ratios = np.array([division.kiepert_psi(curve, n, p)
                            / division.cantor_psi(curve, n, p) for p in pts])
-        worst_ratio = max(worst_ratio, float(np.std(ratios) / abs(np.mean(ratios))))
+        worst_ratio = worst_of(worst_ratio, float(np.std(ratios) / abs(np.mean(ratios))))
     res.add("kiepert_cantor_cross_ratio", worst_ratio, 1e-8)
     worst_orc = 0.0
     for n in range(2, 9):
         mine = division.cantor_alpha(curve, n).alpha
         oracle = division.elliptic_psi_oracle(curve, n)
         ratio = mine[-1] / oracle[-1]
-        worst_orc = max(worst_orc, float(
+        worst_orc = worst_of(worst_orc, float(
             np.max(np.abs(mine - ratio * oracle)) / np.max(np.abs(mine))))
     res.add("recurrence_oracle_agreement", worst_orc, 1e-9)
     deg5 = division.cantor_alpha(curve, 5).degree
@@ -225,7 +225,7 @@ def criterion_torsion(ctx1) -> CriterionResult:
         for k in range(0, 2 * order + 1):
             a0, b0 = toda.flaschka(frame, k, 0.013)
             a1, b1 = toda.flaschka(frame, k + order, 0.013)
-            worst = max(worst, abs(a0 - a1), abs(b0 - b1))
+            worst = worst_of(worst, abs(a0 - a1), abs(b0 - b1))
         res.add(f"flaschka_periodicity_order{order}", worst, 1e-7)
     return res
 
@@ -234,9 +234,9 @@ def criterion_spectral(ctx1) -> CriterionResult:
     res = CriterionResult(6, "Flaschka coordinates, Lax data, invariants")
     rng = np.random.default_rng(9)
     frame_free = _conditioned_frame(ctx1, rng, range(-2, 5))
-    worst = max(abs(toda.flaschka(frame_free, k, 0.02)[0]
-                    - toda.flaschka_wp_path(frame_free, k, 0.02))
-                for k in (-1, 0, 1, 2))
+    worst = worst_of(*(abs(toda.flaschka(frame_free, k, 0.02)[0]
+                           - toda.flaschka_wp_path(frame_free, k, 0.02))
+                       for k in (-1, 0, 1, 2)))
     res.add("flaschka_double_path", worst, 1e-7,
             "sigma-quotient path against the potential-difference path")
     res.add("flaschka_equations_of_motion",
@@ -248,8 +248,8 @@ def criterion_spectral(ctx1) -> CriterionResult:
                                      np.linspace(0.0, 0.45, 10).tolist())
         res.add(f"invariant_drift_order{order}", drift, 1e-7)
         rel = toda.invariant_sigma_relations(frame, order)
-        dev = max(abs(rel["I1"] - rel["I1_sigma"]) / (1 + abs(rel["I1"])),
-                  abs(rel["IN1"] - rel["IN1_sigma"]) / (1 + abs(rel["IN1"])))
+        dev = worst_of(abs(rel["I1"] - rel["I1_sigma"]) / (1 + abs(rel["I1"])),
+                       abs(rel["IN1"] - rel["IN1_sigma"]) / (1 + abs(rel["IN1"])))
         plain_dev = max(abs(rel["I1"] - rel["I1_plain"]),
                         abs(rel["IN1"] - rel["IN1_plain"]))
         res.add(f"hamiltonian_closed_forms_order{order}", dev, 1e-6,
@@ -275,8 +275,8 @@ def criterion_poncelet(ctx1) -> CriterionResult:
         worst_close = worst_tan = 0.0
         for t in (0.1, 0.45, -0.2, 0.8, 1.3):
             verts, _ = poncelet.poncelet_vertices(ctx1, cand.point, order, t)
-            worst_close = max(worst_close, poncelet.closure_residual(verts, order))
-            worst_tan = max(worst_tan, poncelet.side_tangency_max(pair, verts))
+            worst_close = worst_of(worst_close, poncelet.closure_residual(verts, order))
+            worst_tan = worst_of(worst_tan, poncelet.side_tangency_max(pair, verts))
         res.add(f"polygon_closure_order{order}", worst_close, 1e-6)
         res.add(f"side_tangency_order{order}", worst_tan, 1e-6)
     return res

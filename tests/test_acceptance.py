@@ -6,11 +6,13 @@ checks back the command line `sigmatoda verify-all`.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from sigmatoda import verify
+from sigmatoda.errors import worst_of
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +165,32 @@ def test_hamiltonian_forms_without_quasi_period_factors():
     rel = invariant_sigma_relations(frame, 3)
     assert abs(rel["I1"] - rel["I1_plain"]) < 1e-6
     assert abs(rel["IN1"] - rel["IN1_plain"]) < 1e-6
+
+
+def test_worst_of_keeps_the_nan_that_max_drops():
+    nan = float("nan")
+    assert max(0.0, nan) == 0.0  # every comparison with NaN is false
+    assert math.isnan(worst_of(0.0, nan))
+    assert math.isnan(worst_of(0.0, 1e-3, nan, 2.0))
+    assert math.isnan(worst_of(nan, 0.0))
+    assert worst_of(0.0, 3.0, 1.0) == 3.0
+    assert worst_of(*(x for x in (0.5, 0.25))) == 0.5
+    assert worst_of(0.0, float("inf")) == float("inf")
+
+
+def test_a_nan_residual_after_the_first_fails_its_check(monkeypatch):
+    # one sweep's closure residual is NaN: the criterion's check now fails
+    # with NaN, where max(worst, nan) kept the earlier value and passed
+    real = verify.poncelet.closure_residual
+    calls = []
+
+    def closure(verts, n_sides):
+        calls.append(n_sides)
+        return float("nan") if len(calls) == 2 else real(verts, n_sides)
+
+    ctx1, _ = verify.canonical_contexts()
+    monkeypatch.setattr(verify.poncelet, "closure_residual", closure)
+    result = verify.criterion_poncelet(ctx1)
+    check = next(c for c in result.checks if c.name == "polygon_closure_order3")
+    assert math.isnan(check.value) and not check.passed and not result.passed
+    assert all(c.passed for c in result.checks if c is not check)

@@ -692,21 +692,29 @@ def test_abel_third_quadrature_rules_are_checked(ctx2):
             engine.to_point(p)
 
 
+def _bits(x):
+    return np.complex128(x).tobytes()
+
+
 @pytest.mark.parametrize("genus", [1, 2])
 def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
     ctx = ctx1 if genus == 1 else ctx2
     labels = range(1, genus + 1)
     index_sets = [()] + [(i,) for i in labels] + [(i, j) for i in labels for j in labels]
     rng = np.random.default_rng(40 + genus)
-    for k in (1, 2, 6):
-        stack = 0.4 * (rng.normal(size=(k, genus)) + 1j * rng.normal(size=(k, genus)))
-        for idx in index_sets:
-            vals = sigma_deriv(ctx, idx, stack)
-            assert isinstance(vals, list) and len(vals) == k
-            assert np.array_equal(vals, [sigma_deriv(ctx, idx, u) for u in stack])
-        assert np.array_equal(sigma_deriv(ctx, (), stack), [sigma(ctx, u) for u in stack])
-        assert np.array_equal(sigma_natural(ctx, 1, stack),
-                              [sigma_natural(ctx, 1, u) for u in stack])
+    points = 0.4 * (rng.normal(size=(8, genus)) + 1j * rng.normal(size=(8, genus)))
+    singles = {idx: [sigma_deriv(ctx, idx, u) for u in points] for idx in index_sets}
+    # K = 1..8, in both row orders: the K-wide record columns keep each
+    # point's bits wherever it sits in the stack
+    for k in range(1, 9):
+        for rows in (list(range(k)), list(range(k))[::-1]):
+            for idx in index_sets:
+                vals = sigma_deriv(ctx, idx, points[rows])
+                assert isinstance(vals, list) and len(vals) == k
+                assert [_bits(v) for v in vals] == [_bits(singles[idx][r]) for r in rows]
+    assert np.array_equal(sigma_deriv(ctx, (), points), [sigma(ctx, u) for u in points])
+    assert np.array_equal(sigma_natural(ctx, 1, points),
+                          [sigma_natural(ctx, 1, u) for u in points])
 
 
 @pytest.mark.parametrize("genus", [1, 2])

@@ -8,7 +8,13 @@ import pytest
 from former_jet import former_jet, former_partial
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
-from sigmatoda.errors import ConfluentInput, SigmaTodaError, ThetaDivisorPole, VanishingGap
+from sigmatoda.errors import (
+    ConfluentInput,
+    NonFiniteValue,
+    SigmaTodaError,
+    ThetaDivisorPole,
+    VanishingGap,
+)
 from sigmatoda.sigma import (
     _envelope_curvature,
     _guarded,
@@ -856,6 +862,81 @@ def test_site_jets_fill_only_the_neighbours_of_a_sparse_request(ctx1, ctx2, monk
         # a new time drops every site of the old one
         site_jets(frame, [12], 2 * t)
         assert set(frame._site_jets) == {(2 * t, m) for m in {11, 12, 13} | state_sites}
+
+
+def test_window_u_is_site_u_bit_for_bit(ctx1, ctx2, monkeypatch):
+    # a window's u, built in one expression, is site_u at each of its sites
+    toda_mod = importlib.import_module("sigmatoda.toda")
+    kernel = toda_mod.sigma_jet2
+    stacks = []
+
+    def spy(ctx, u, d1, d2):
+        stacks.append(np.array(u))
+        return kernel(ctx, u, d1, d2)
+
+    t = 0.01 + 0.02j
+    for frame in _memo_frames(ctx1, ctx2):
+        frame = dataclasses.replace(frame)
+        stacks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(toda_mod, "sigma_jet2", spy)
+            site_jets(frame, [-3, 0, 4, 9], t)
+        sites = sorted(key[1] for key in frame._site_jets)
+        assert len(stacks) == 1 and len(sites) == len(stacks[0])
+        for n, u in zip(sites, stacks[0]):
+            assert u.tobytes() == site_u(frame, n, t).tobytes()
+
+
+def _record_bits(rec):
+    return np.array([*rec[:5], *rec[5]], dtype=complex).tobytes()
+
+
+def test_direction_constants_stay_bounded_and_keep_the_bits(ctx2):
+    from sigmatoda.sigma import DIRECTIONS_KEPT, _directions
+
+    ctx = dataclasses.replace(ctx2)  # a context with no kept directions
+    rng = np.random.default_rng(33)
+    sizes = []
+    for _ in range(3 * DIRECTIONS_KEPT):
+        v1, v2 = random_curve_points(ctx.curve, rng, 2)
+        try:
+            toda2d_residual(ctx, v1, v2, 0, 0.01, -0.02, rng=rng)
+        except SigmaTodaError:
+            pass
+        sizes.append(len(ctx._directions))
+    # each call's fresh pair of directions is one entry, the oldest dropped
+    assert sizes[:DIRECTIONS_KEPT] == list(range(1, DIRECTIONS_KEPT + 1))
+    assert set(sizes[DIRECTIONS_KEPT:]) == {DIRECTIONS_KEPT}
+    # a hit returns the kept constants, with the bits of a cleared cache
+    d1, d2 = (direction_vector(x, 2) for x in (0.3 - 0.2j, -1.1 + 0.4j))
+    u = 0.3 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+    sigma_jet2(ctx, u, d1, d2)
+    assert _directions(ctx, d1, d2) is _directions(ctx, d1.copy(), d2.copy())
+    hit, curvature = sigma_jet2(ctx, u, d1, d2), _envelope_curvature(ctx, d1, d2)
+    ctx._directions.clear()
+    cleared = sigma_jet2(ctx, u, d1, d2)
+    assert [_record_bits(r) for r in hit] == [_record_bits(r) for r in cleared]
+    assert np.complex128(curvature).tobytes() \
+        == np.complex128(_envelope_curvature(ctx, d1, d2)).tobytes()
+
+
+def test_a_non_finite_sigma_raises_a_typed_error(ctx1, ctx2):
+    # on the genus-2 memo frame, sigma overflows from site 15 at this t
+    frame = _memo_frames(ctx1, ctx2)[1]
+    t = 0.01 + 0.02j
+    with pytest.raises(NonFiniteValue):
+        flaschka(dataclasses.replace(frame), 12, t)
+    with pytest.raises(NonFiniteValue):
+        site_jets(dataclasses.replace(frame), [16], t)
+    # Python's max dropped this window's NaN and returned 0.0
+    far = dataclasses.replace(frame, u0=frame.u0 + 10 * frame.c)
+    with pytest.raises(NonFiniteValue):
+        flaschka_ode_residual(far, 2, t)
+    # sites 10..12 have finite records, but sigma_12 sigma_10 overflows
+    fresh = dataclasses.replace(frame)
+    assert all(np.isfinite(jet[0]) for jet in site_jets(fresh, [11], t))
+    with pytest.raises(NonFiniteValue):
+        flaschka(fresh, 10, t)
 
 
 def _on_divisor_point(ctx2):
