@@ -24,7 +24,6 @@ from .curves import (
     y_jet,
 )
 from .periods import (
-    CycleBasis,
     PeriodData,
     build_cycles,
     compute_periods,

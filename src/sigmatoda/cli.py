@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -67,13 +68,16 @@ def parse_u(text: str) -> np.ndarray:
                      for i in range(len(vals) // 2)])
 
 
-def emit(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def emit_csv(args, header: list, rows: list) -> None:
@@ -83,11 +87,7 @@ def emit_csv(args, header: list, rows: list) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(args, buf.getvalue())
 
 
 def cmd_periods(args) -> int:
@@ -216,13 +216,14 @@ def cmd_torsion(args) -> int:
 def _chain_frame(ctx, point: CurvePoint, sites: int, seed: int):
     """(frame, lattice residual, periodic) of the chain stepped by c = 2 abel(point).
 
-    A lattice distance of sites * c below 1e-6 makes the chain periodic with
-    that many sites, and its frame is ``torsion_to_frame``'s; otherwise the
-    frame is ``toda_frame``'s at the seed, with periodic False.
+    A lattice distance of sites * c below ``division.TORSION_TOL`` makes the
+    chain periodic with that many sites, and its frame is
+    ``torsion_to_frame``'s; otherwise the frame is ``toda_frame``'s at the
+    seed, with periodic False.
     """
     c = 2.0 * abel_map(ctx, [point]).u
     lattice_res = lattice_distance(ctx.periods, sites * c)
-    if lattice_res < 1e-6:
+    if lattice_res < division.TORSION_TOL:
         cand = division.TorsionCandidate(point, sites, (0.0,))
         return division.torsion_to_frame(ctx, cand, sites), lattice_res, True
     frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(seed))
@@ -242,7 +243,7 @@ def cmd_toda_run(args) -> int:
             rows.append([float(t), k + 1,
                          *(float(x) for x in (state.a[k].real, state.a[k].imag,
                                               state.b[k].real, state.b[k].imag))])
-    if args.format == "csv" or args.out and str(args.out).endswith(".csv"):
+    if args.format == "csv":
         emit_csv(args, ["t", "site", "a_re", "a_im", "b_re", "b_im"], rows)
         return 0
     summary = {
@@ -319,15 +320,8 @@ def cmd_verify_all(args) -> int:
     results = verify.run_all(args.seed)
     print(verify.format_report(results))
     if args.out:
-        payload = [{
-            "index": r.index, "title": r.title, "passed": r.passed,
-            "elapsed": r.elapsed,
-            "checks": [{"name": c.name, "value": c.value,
-                        "tolerance": c.tolerance, "passed": c.passed,
-                        "note": c.note} for c in r.checks],
-        } for r in results]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        _write(args, json.dumps([dict(dataclasses.asdict(r), passed=r.passed)
+                                 for r in results], sort_keys=True, indent=1))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -352,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=0)
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("json", "csv"), default="json")
+    curved = argparse.ArgumentParser(add_help=False)
+    curved.add_argument("--curve", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the options it reads
@@ -360,35 +356,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("periods", cmd_periods, help="half-period matrices and certificate")
-    p.add_argument("--curve", required=True)
-    p = add("sigma", cmd_sigma, help="sigma, zeta, wp at a point of C^g")
-    p.add_argument("--curve", required=True)
+    add("periods", cmd_periods, curved, help="half-period matrices and certificate")
+    p = add("sigma", cmd_sigma, curved, help="sigma, zeta, wp at a point of C^g")
     p.add_argument("--u", required=True, help="re,im pairs, g of them")
-    p = add("abel", cmd_abel, help="Abel map of a point list")
-    p.add_argument("--curve", required=True)
+    p = add("abel", cmd_abel, curved, help="Abel map of a point list")
     p.add_argument("--points", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im], ...]")
-    p = add("verify-addition", cmd_verify_addition, seeded,
+    p = add("verify-addition", cmd_verify_addition, seeded, curved,
             help="sampled residuals of the addition identities")
-    p.add_argument("--curve", required=True)
     p.add_argument("--samples", type=positive_int, default=20)
-    p = add("division", cmd_division, help="division polynomial data")
-    p.add_argument("--curve", required=True)
+    p = add("division", cmd_division, curved, help="division polynomial data")
     p.add_argument("--n", type=positive_int, required=True)
-    p = add("torsion", cmd_torsion, help="torsion candidates and certificates")
-    p.add_argument("--curve", required=True)
+    p = add("torsion", cmd_torsion, curved, help="torsion candidates and certificates")
     p.add_argument("--N", type=positive_int, required=True)
-    p = add("toda-run", cmd_toda_run, seeded, formatted, help="Flaschka time series")
-    p.add_argument("--curve", required=True)
+    p = add("toda-run", cmd_toda_run, seeded, formatted, curved,
+            help="Flaschka time series")
     p.add_argument("--point", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im]] base point")
     p.add_argument("--sites", type=positive_int, default=3)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.5)
     p.add_argument("--steps", type=positive_int, default=11)
-    p = add("spectral", cmd_spectral, seeded, help="characteristic polynomial data")
-    p.add_argument("--curve", required=True)
+    p = add("spectral", cmd_spectral, seeded, curved, help="characteristic polynomial data")
     p.add_argument("--point", required=True)
     p.add_argument("--sites", type=positive_int, default=3)
     p.add_argument("--t", type=float, default=0.1)

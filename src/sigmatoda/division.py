@@ -25,6 +25,7 @@ from .errors import (
     DegreeMismatch,
     MultiplesNotDistinct,
     NotTorsion,
+    worst_of,
 )
 from .polyutil import (
     as_poly,
@@ -53,6 +54,8 @@ __all__ = [
     "y_exponent",
     "alpha_degree",
 ]
+
+TORSION_TOL = 1e-6  # bound on the lattice distance of N c for an N-periodic chain
 
 
 def y_exponent(g: int, n: int) -> int:
@@ -315,7 +318,7 @@ def xi_set(curve: HyperellipticCurve, order: int) -> list[TorsionCandidate]:
     out = []
     for x in sorted_roots(center):
         res = tuple(_alpha_rel_residual(alphas[m], x) for m in window)
-        if max(res) < 1e-6:
+        if worst_of(*res) < 1e-6:
             y = np.sqrt(complex(curve.f(x)))
             out.append(TorsionCandidate(CurvePoint(complex(x), y), order, res))
     return out
@@ -336,7 +339,7 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
     v1 = candidate.point
     c = 2.0 * abel_map(ctx, [v1]).u
     dist = lattice_distance(ctx.periods, n_period * c)
-    if dist > 1e-6:
+    if dist > TORSION_TOL:
         raise NotTorsion(
             f"{n_period} * c misses the lattice by {dist:.3e}")
     rng = rng or np.random.default_rng(31)

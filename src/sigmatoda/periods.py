@@ -1,12 +1,11 @@
 """Half-period matrices by contour integration over a canonical homology basis.
 
-Branch points are chained in lexicographic order e_1, ..., e_{2g+1}. The
-cycle alpha_j is a loop around the pair (e_{2j-1}, e_{2j}); beta_j is a loop
-around the even set {e_{2j}, ..., e_{2g+1}}, realized as the sum of the pair
-loops around (e_{2k}, e_{2k+1}) for k = j..g. A loop integral around a pair
-equals twice the open-segment integral on a fixed branch of y, and the
-branch is propagated between segments by analytic continuation through a
-corridor passing on the left of the shared branch point.
+``build_cycles`` returns the branch points as a chain e_0, ..., e_{2g}, and
+the basis is a fixed pattern of its segments (e_k, e_{k+1}) (the rule is in
+``build_cycles``). A loop integral around a segment equals twice the
+open-segment integral on a fixed branch of y, and the branch is propagated
+between segments by analytic continuation through a corridor passing on the
+left of the shared branch point.
 
 The substitution x = midpoint + halfspan*cos(theta) absorbs the inverse
 square-root endpoint singularities, so the midpoint rule in theta converges
@@ -33,44 +32,6 @@ from .polyutil import polyval
 MAX_NODES = 4096  # period quadrature gives up beyond this many nodes
 AGREE_TOL = 1e-11  # agreement of two node levels, per unit curve scale
 CERTIFICATE_TOL = 1e-8  # bound on the Legendre residual
-
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """Chain encoding of the homology basis.
-
-    ``alpha_pairs[j]`` and ``beta_chains[j]`` hold 0-based indices k of chain
-    segments (e_k, e_{k+1}); a cycle is the sum of the pair loops around its
-    segments.
-    """
-
-    branch_points: np.ndarray
-    alpha_pairs: tuple
-    beta_chains: tuple
-
-    @property
-    def genus(self) -> int:
-        return len(self.alpha_pairs)
-
-    def intersection_matrix(self) -> np.ndarray:
-        """Pairing of the encoded cycles, computed combinatorially.
-
-        Adjacent pair loops around (e_k, e_{k+1}) and (e_{k+1}, e_{k+2})
-        meet once with sign +1; all other pairs are disjoint.
-        """
-        g = self.genus
-        nseg = 2 * g
-        skew = np.zeros((nseg, nseg), dtype=int)
-        for k in range(nseg - 1):
-            skew[k, k + 1] = 1
-            skew[k + 1, k] = -1
-        vecs = np.zeros((2 * g, nseg), dtype=int)
-        for j, k in enumerate(self.alpha_pairs):
-            vecs[j, k] = 1
-        for j, chain in enumerate(self.beta_chains):
-            for k in chain:
-                vecs[g + j, k] = 1
-        return vecs @ skew @ vecs.T
 
 
 @dataclass(frozen=True)
@@ -134,11 +95,13 @@ def _chain_is_simple(e: np.ndarray, margin: float) -> bool:
     return True
 
 
-def build_cycles(curve: HyperellipticCurve) -> CycleBasis:
-    """Deterministic canonical basis from the sorted branch points.
+def build_cycles(curve: HyperellipticCurve) -> np.ndarray:
+    """The chain e_0, ..., e_{2g} of the canonical basis: the sorted branch points.
 
     Falls back to an angular ordering when the lexicographic chain passes
-    too close to a branch point it does not end on.
+    too close to a branch point it does not end on. With seg_k the loop
+    around the segment (e_k, e_{k+1}), alpha_j is seg_{2j} and beta_j is the
+    sum of seg_{2k+1} for k = j..g-1, a loop around {e_{2j+1}, ..., e_{2g}}.
     """
     e = curve.branch_points.copy()
     margin = 1e-6 * curve.scale
@@ -151,15 +114,7 @@ def build_cycles(curve: HyperellipticCurve) -> CycleBasis:
         if not _chain_is_simple(e, margin):
             raise PathThroughBranchPoint(
                 "no simple branch-point chain found for cycle construction")
-    g = curve.genus
-    alpha = tuple(2 * j for j in range(g))
-    beta = tuple(tuple(2 * k + 1 for k in range(j, g)) for j in range(g))
-    basis = CycleBasis(e, alpha, beta)
-    inter = basis.intersection_matrix()
-    expected = np.block([[np.zeros((g, g), int), np.eye(g, dtype=int)],
-                         [-np.eye(g, dtype=int), np.zeros((g, g), int)]])
-    assert np.array_equal(inter, expected)
-    return basis
+    return e
 
 
 def _other_roots(e: np.ndarray, k: int) -> np.ndarray:
@@ -278,18 +233,6 @@ def _transport_signs(curve: HyperellipticCurve, e: np.ndarray) -> np.ndarray:
     return taus
 
 
-def _assemble(cycles: CycleBasis, glob: np.ndarray,
-              g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-period matrices over alpha and beta from global-sheet segments."""
-    n_forms = glob.shape[0]
-    alpha_mat = np.zeros((n_forms, g), dtype=complex)
-    beta_mat = np.zeros((n_forms, g), dtype=complex)
-    for j in range(g):
-        alpha_mat[:, j] = glob[:, cycles.alpha_pairs[j]]
-        beta_mat[:, j] = np.sum(glob[:, list(cycles.beta_chains[j])], axis=1)
-    return alpha_mat, beta_mat
-
-
 def _refine(level, n: int, bound: float, n_max: int):
     """The node-doubling ladder of the period quadrature: level(n), level(2n), ...
 
@@ -329,8 +272,7 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
     first-kind integrals over the chain segments that omega1 and omega2 are
     assembled from, on the same global sheet and with the same sign.
     """
-    cycles = build_cycles(curve)
-    e = cycles.branch_points
+    e = build_cycles(curve)
     g = curve.genus
     numerators = [np.array([0.0] * (i - 1) + [1.0], dtype=complex)
                   for i in range(1, g + 1)]
@@ -344,7 +286,10 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
     (cur,), err = _refine(level, base_nodes, AGREE_TOL * curve.scale, MAX_NODES)
     transports = _transport_signs(curve, e)
     glob = cur * np.concatenate([[1.0], np.cumprod(transports)])[None, :]
-    alpha_mat, beta_mat = _assemble(cycles, glob, g)
+    # the basis rule of build_cycles; contiguous, so that products with the
+    # periods take the numpy paths (and bits) of contiguous operands
+    alpha_mat = np.ascontiguousarray(glob[:, 0::2])
+    beta_mat = np.ascontiguousarray(np.cumsum(glob[:, 1::2][:, ::-1], axis=1)[:, ::-1])
     omega1, eta1 = alpha_mat[:g], alpha_mat[g:]
     omega2, eta2 = beta_mat[:g], beta_mat[g:]
     segments = glob[:g]

@@ -42,8 +42,8 @@ from .errors import (
     ThetaDivisorPole,
     VanishingGap,
 )
-from .periods import PeriodData, compute_periods
-from .theta import JET, _plan, _theta_sum
+from .periods import AGREE_TOL, PeriodData, compute_periods
+from .theta import DEFAULT_TOL, JET, _plan, _theta_sum
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -120,7 +120,7 @@ class _AbelEngine:
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
         self.curve = curve
         self.periods = periods
-        self.tol = 1e-11  # agreement of two quadrature levels, per unit scale
+        self.tol = AGREE_TOL  # agreement of two quadrature levels, per unit scale
         self.chain = periods.chain
         self.others = np.array([np.delete(self.chain, j) for j in range(self.chain.size)])
         tails = np.cumsum(periods.segments[:, ::-1], axis=1)[:, ::-1]
@@ -221,7 +221,7 @@ class SigmaContext:
     kappa: np.ndarray = field(repr=False)
     pmat: np.ndarray = field(repr=False)
     abel: _AbelEngine = field(repr=False)
-    tol: float = 1e-12
+    tol: float = DEFAULT_TOL
     # the wp matrix at the last u asked for, one entry keyed by u's bytes;
     # see wp_matrix
     _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -295,7 +295,7 @@ def riemann_characteristics(engine: _AbelEngine) -> Characteristics:
         divisors = [pts[i:i + g - 1] for i in range(0, len(pts), g - 1)]
         test_z.extend(pmat @ reduce_mod_lattice(pd, u) for u in _abel_maps(engine, *divisors))
     val, _, _, l1 = _theta_sum(JET[0], a, b, np.array(test_z), t_matrix,
-                               _plan(t_matrix, 1e-12, 0).extent, 1e-12)
+                               _plan(t_matrix, DEFAULT_TOL, 0).extent, DEFAULT_TOL)
     if not np.all(np.abs(val) <= 1e-5 * l1):
         raise CharacteristicsNotFound(f"theta[{a}; {b}] does not vanish on the stratum")
     return Characteristics(a, b)
@@ -314,7 +314,7 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
     pmat = 0.5 * np.linalg.inv(pd.omega1)
     z0 = np.zeros(g, dtype=complex)
     grad = _theta_sum(JET[1], chars.a, chars.b, z0, pd.riemann,
-                      _plan(pd.riemann, 1e-12, 1).extent, 1e-12)[1]
+                      _plan(pd.riemann, DEFAULT_TOL, 1).extent, DEFAULT_TOL)[1]
     d_u1 = grad @ pmat[:, 0]
     if abs(d_u1) < 1e-12:
         raise NormalizationUnstable("vanishing leading derivative at the origin")
@@ -333,7 +333,7 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
     # the widest plan of the context: the 2-jet with the three mixed rows
-    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, 1e-12, 2, 3).extent,
+    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, DEFAULT_TOL, 2, 3).extent,
                         kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
 
 

@@ -56,11 +56,11 @@ class TodaFrame:
     v1: CurvePoint
     c: np.ndarray
     u0: np.ndarray
+    sigma_flat_c: complex
+    v_c: complex
+    zeta_c: complex
+    direction: np.ndarray = field(repr=False)
     periodic: int | None = None
-    sigma_flat_c: complex = 0.0
-    v_c: complex = 0.0
-    zeta_c: complex = 0.0
-    direction: np.ndarray = field(default=None, repr=False)
     # sigma 2-jets along the direction of the window of sites at one time,
     # keyed (t, n); a call at another time drops them (see site_jets)
     _site_jets: dict = field(default_factory=dict, init=False, compare=False,
@@ -93,8 +93,8 @@ def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
     # zeta_c = D sigma / sigma
     s_c, ds_c, *_, scale, _ = sigma_jet2(ctx, c, d, d)
     s_flat_c = _guarded(s_c, scale, "the step c (sigma_flat)")
-    return TodaFrame(ctx, v1, c, u0, periodic, complex(s_flat_c),
-                     complex(f12(ctx.curve, v1.x)), complex(ds_c / s_flat_c), d)
+    return TodaFrame(ctx, v1, c, u0, complex(s_flat_c), complex(f12(ctx.curve, v1.x)),
+                     complex(ds_c / s_flat_c), d, periodic)
 
 
 def site_u(frame: TodaFrame, n: int, t: complex = 0.0) -> np.ndarray:

@@ -68,6 +68,25 @@ def test_criterion_4_division_polynomials(report):
     assert "discrepancy" in notes  # the degree-14 tabulation is reported
 
 
+def test_psi5_degree_check_reads_the_oracle(monkeypatch):
+    # the agreement check reads the oracle's psi_5 first; the degree check's
+    # own call then gets a degree-13 polynomial and must fail
+    real = verify.division.elliptic_psi_oracle
+    calls = []
+
+    def oracle(curve, n):
+        calls.append(n)
+        out = real(curve, n)
+        return np.append(out, 1.0) if calls.count(5) == 2 and n == 5 else out
+
+    ctx1, _ = verify.canonical_contexts()
+    monkeypatch.setattr(verify.division, "elliptic_psi_oracle", oracle)
+    result = verify.criterion_division(ctx1)
+    check = next(c for c in result.checks if c.name == "psi5_reference_tabulation")
+    assert check.value == 1.0 and not check.passed
+    assert all(c.passed for c in result.checks if c is not check)
+
+
 def test_criterion_5_torsion_periodicity(report):
     assert _criterion(report, 5).passed
 
@@ -80,7 +99,9 @@ def test_criterion_6_flaschka_lax_spectral(report):
 
 
 def test_criterion_7_poncelet(report):
-    assert _criterion(report, 7).passed
+    result = _criterion(report, 7)
+    assert result.passed
+    assert {"vertex_toda_order3", "vertex_toda_order4"} <= {c.name for c in result.checks}
 
 
 def test_criterion_8_runtime(report):

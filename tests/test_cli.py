@@ -141,6 +141,14 @@ TORSION3 = json.dumps([[1.4678898250138706, 0.0, 1.3019113530593938, 0.0]])
 X2 = json.dumps([[2.0, 0.0, 6.0 ** 0.5, 0.0]])  # not of order 3: 3 c is off the lattice
 
 
+def test_toda_run_format_alone_picks_the_writer(curve_file, tmp_path):
+    # an --out ending in .csv gets JSON under the default --format json
+    out = tmp_path / "run.csv"
+    assert main(["toda-run", "--curve", curve_file, "--out", str(out), "--point", TORSION3,
+                 "--sites", "3", "--steps", "2"]) == 0
+    assert len(json.loads(out.read_text())["series"]) == 2 * 3
+
+
 def assert_cells_are_floats(rows):
     for row in rows:
         for cell in row:

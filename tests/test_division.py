@@ -11,6 +11,7 @@ from sigmatoda.curves import (
     random_curve_points,
     y_jet,
 )
+import sigmatoda.division as division_mod
 from sigmatoda.division import (
     TorsionCandidate,
     alpha_degree,
@@ -224,6 +225,18 @@ def test_xi_set_known_torsion_values(g1):
     assert min(abs(x - target3) for x in xs3) < 1e-9
     xs4 = [c.point.x for c in xi_set(g1, 4)]
     assert min(abs(x - (1 + np.sqrt(2))) for x in xs4) < 1e-9
+
+
+def test_xi_set_drops_a_candidate_with_a_nan_window_residual(g2, monkeypatch):
+    # genus 2, order 5: six candidates, each with the window alpha_4..alpha_6
+    assert len(xi_set(g2, 5)) == 6
+    real, middle = division_mod._alpha_rel_residual, cantor_alpha(g2, 5).alpha
+
+    def residual(alpha, x):
+        return float("nan") if np.array_equal(alpha, middle) else real(alpha, x)
+
+    monkeypatch.setattr(division_mod, "_alpha_rel_residual", residual)
+    assert xi_set(g2, 5) == []  # max(1e-9, nan, 1e-9) is 1e-9 and kept all six
 
 
 def test_xi_set_genus1_window_is_single_poly(g1):

@@ -25,3 +25,12 @@ def test_output_digest_repeats_and_tells_seeds_apart():
         assert len(first[key]) == 64 and other[key] != first[key]
     # the canonical contexts draw no seed
     assert len(first["contexts"]) == 64 and other["contexts"] == first["contexts"]
+
+
+def test_cli_digest_repeats():
+    tool = _tool()
+    first = tool.cli_digest(0)
+    assert first == tool.cli_digest(0)
+    assert set(first) == set(tool.cli_invocations(0, "tmp"))
+    # every invocation has its own output
+    assert len(set(first.values())) == len(first)

@@ -48,26 +48,11 @@ def test_second_kind_diff_index_contract():
         second_kind_numerator(curve, 2)
 
 
-def test_build_cycles_canonical_intersection(g2):
-    curve, _ = g2
-    basis = build_cycles(curve)
-    g = curve.genus
-    inter = basis.intersection_matrix()
-    expected = np.block([[np.zeros((g, g), int), np.eye(g, dtype=int)],
-                         [-np.eye(g, dtype=int), np.zeros((g, g), int)]])
-    assert np.array_equal(inter, expected)
-
-
 def test_build_cycles_deterministic(g1):
     curve, _ = g1
-    b1, b2 = build_cycles(curve), build_cycles(curve)
-    assert np.array_equal(b1.branch_points, b2.branch_points)
-    assert b1.alpha_pairs == b2.alpha_pairs
-    assert b1.beta_chains == b2.beta_chains
-    # genus 1: alpha around {-1, 0}, beta around {0, 1}
-    assert np.allclose(b1.branch_points, [-1, 0, 1])
-    assert b1.alpha_pairs == (0,)
-    assert b1.beta_chains == ((1,),)
+    assert np.array_equal(build_cycles(curve), build_cycles(curve))
+    # genus 1: alpha around segment 0, {-1, 0}; beta around segment 1, {0, 1}
+    assert np.allclose(build_cycles(curve), [-1, 0, 1])
 
 
 def test_legendre_certificate_genus1(g1):
@@ -109,6 +94,17 @@ def test_perturbed_periods_fail_certificate(g1):
     bad = dataclasses.replace(pd, omega1=pd.omega1 * (1 + 1e-3),
                               legendre_residual=0.0, error_estimate=0.0)
     assert legendre_residual(bad) > 1e-4
+
+
+def test_a_basis_off_the_slicing_rule_fails_the_certificate(g2):
+    # beta_0 as segment 1 alone, not segments 1 + 3: it meets alpha_1 too
+    _, pd = g2
+
+    def off(m):
+        return np.column_stack([m[:, 0] - m[:, 1], m[:, 1]])
+
+    bad = dataclasses.replace(pd, omega2=off(pd.omega2), eta2=off(pd.eta2))
+    assert legendre_residual(pd) < 1e-8 < 1e-2 < legendre_residual(bad)
 
 
 def test_refinement_agrees_within_reported_error(g2):

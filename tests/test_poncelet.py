@@ -151,6 +151,7 @@ def test_poncelet_passes_are_one_stacked_sweep_each(ctx1, monkeypatch):
         assert calls == [(3, 1)]
         calls.clear()
         result = verify.criterion_poncelet(ctx1)
-    # criterion 7, per order: 3 passes for the pair and one per sweep, none shifted
-    assert len(calls) == 16
+    # criterion 7, per order: 3 passes for the pair, and per t one for the
+    # sweep, none shifted, and one for the vertex Toda residual
+    assert len(calls) == 26
     assert result.passed

@@ -15,7 +15,11 @@ bits reads as such. ``contexts`` is the sha256 of the set-up of both
 canonical sigma contexts (characteristics, gamma0, kappa, P and the theta
 radius), so a change of the set-up shows apart from the op digests.
 ``--verify-all`` adds the sha256 of the ``verify-all``
-checks with ``elapsed`` and the ``*_seconds`` checks left out.
+checks with ``elapsed`` and the ``*_seconds`` checks left out. ``--cli`` adds
+``cli``: per invocation of a fixed list of ``sigmatoda`` commands on the
+curves in ``curves/``, the sha256 of its exit status, stdout, stderr and
+output file (of ``verify-all --out``, its file without ``elapsed`` and the
+``*_seconds`` checks, since its stdout holds timings).
 
 Run it on the parent and on the change on one machine: numpy fuses complex
 array products (FMA) on some CPUs, so the digests depend on the machine.
@@ -24,11 +28,14 @@ array products (FMA) on some CPUs, so the digests depend on the machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,8 +118,69 @@ def verify_all_digest(seed: int) -> str:
     return hashlib.sha256(json.dumps(checks).encode()).hexdigest()
 
 
+# x of the real 3-torsion point of y^2 = x^3 - x, and x = 2, not torsion
+TORSION3 = "[[1.4678898250138706,0.0,1.3019113530593938,0.0]]"
+X2 = "[[2.0,0.0,2.449489742783178,0.0]]"
+
+
+def cli_invocations(seed: int, tmp: str) -> dict:
+    """name -> argv of the ``sigmatoda`` commands that ``cli_digest`` runs."""
+    g1, g2 = (str(ROOT / "curves" / n) for n in ("lemniscatic_g1.json", "quintic_g2.json"))
+    out, s = os.path.join(tmp, "out"), str(seed)
+    return {
+        "periods": ["periods", "--curve", g1],
+        "periods_g2_out": ["periods", "--curve", g2, "--out", out],
+        "sigma": ["sigma", "--curve", g1, "--u", "0.31,0.12"],
+        "sigma_origin": ["sigma", "--curve", g1, "--u", "0,0"],
+        "abel": ["abel", "--curve", g1, "--points", X2],
+        "verify_addition": ["verify-addition", "--curve", g2, "--samples", "5",
+                            "--seed", s],
+        "division": ["division", "--curve", g1, "--n", "5"],
+        "torsion": ["torsion", "--curve", g1, "--N", "3"],
+        "toda_run_csv": ["toda-run", "--format", "csv", "--curve", g1, "--point",
+                         TORSION3, "--sites", "3", "--seed", s],
+        "toda_run_json_out": ["toda-run", "--curve", g1, "--point", X2, "--sites", "3",
+                              "--steps", "3", "--seed", s, "--out", out],
+        "spectral": ["spectral", "--curve", g1, "--point", TORSION3, "--sites", "3"],
+        "argparse_error": ["periods"],
+        "verify_all_out": ["verify-all", "--seed", s, "--out", out],
+    }
+
+
+def cli_digest(seed: int) -> dict:
+    """sha256 per invocation of its exit status, stdout, stderr and output file."""
+    from sigmatoda.cli import main
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in cli_invocations(seed, tmp).items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            h = hashlib.sha256(repr(status).encode())
+            if argv[0] == "verify-all":
+                with open(argv[-1]) as fh:
+                    results = json.load(fh)
+                for r in results:
+                    del r["elapsed"]
+                    r["checks"] = [c for c in r["checks"]
+                                   if not c["name"].endswith("_seconds")]
+                h.update(json.dumps(results, sort_keys=True).encode())
+            else:
+                h.update(stdout.getvalue().encode())
+                if "--out" in argv:
+                    with open(argv[-1], "rb") as fh:
+                        h.update(fh.read())
+            h.update(stderr.getvalue().encode())
+            digests[name] = h.hexdigest()
+    return digests
+
+
 def digest(seed: int, addition_ops: int, toda_ops: int,
-           with_verify_all: bool = False) -> dict:
+           with_verify_all: bool = False, with_cli: bool = False) -> dict:
     toda_state = _workloads().WORKLOADS["toda"].setup(seed)
     out = {
         "seed": seed,
@@ -126,6 +194,8 @@ def digest(seed: int, addition_ops: int, toda_ops: int,
     }
     if with_verify_all:
         out["verify_all"] = verify_all_digest(seed)
+    if with_cli:
+        out["cli"] = cli_digest(seed)
     return out
 
 
@@ -135,9 +205,10 @@ def main(argv=None) -> int:
     parser.add_argument("--addition-ops", type=int, default=120)
     parser.add_argument("--toda-ops", type=int, default=200)
     parser.add_argument("--verify-all", action="store_true")
+    parser.add_argument("--cli", action="store_true")
     args = parser.parse_args(argv)
     print(json.dumps(digest(args.seed, args.addition_ops, args.toda_ops,
-                            args.verify_all), sort_keys=True))
+                            args.verify_all, args.cli), sort_keys=True))
     return 0
 
 
