@@ -69,22 +69,25 @@ def test_criterion_4_division_polynomials(report):
 
 
 def test_psi5_degree_check_reads_the_oracle(monkeypatch):
-    # the agreement check reads the oracle's psi_5 first; the degree check's
-    # own call then gets a degree-13 polynomial and must fail
+    # an oracle psi_5 of degree 13 fails both oracle checks instead of
+    # raising in the coefficient comparison, and the note names both degrees
     real = verify.division.elliptic_psi_oracle
-    calls = []
 
     def oracle(curve, n):
-        calls.append(n)
         out = real(curve, n)
-        return np.append(out, 1.0) if calls.count(5) == 2 and n == 5 else out
+        return np.append(out, 1.0) if n == 5 else out
 
     ctx1, _ = verify.canonical_contexts()
     monkeypatch.setattr(verify.division, "elliptic_psi_oracle", oracle)
     result = verify.criterion_division(ctx1)
-    check = next(c for c in result.checks if c.name == "psi5_reference_tabulation")
+    checks = {c.name: c for c in result.checks}
+    check = checks["psi5_reference_tabulation"]
     assert check.value == 1.0 and not check.passed
-    assert all(c.passed for c in result.checks if c is not check)
+    assert check.note.endswith("alpha_5 has degree 12, the recurrence oracle 13")
+    assert not checks["recurrence_oracle_agreement"].passed
+    assert all(c.passed for c in result.checks
+               if c.name not in ("psi5_reference_tabulation",
+                                 "recurrence_oracle_agreement"))
 
 
 def test_criterion_5_torsion_periodicity(report):

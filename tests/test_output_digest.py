@@ -27,10 +27,33 @@ def test_output_digest_repeats_and_tells_seeds_apart():
     assert len(first["contexts"]) == 64 and other["contexts"] == first["contexts"]
 
 
-def test_cli_digest_repeats():
+def test_cli_digest_repeats(tmp_path):
+    # verify-all's own repeatability is criterion 8's; the rest runs twice
     tool = _tool()
-    first = tool.cli_digest(0)
-    assert first == tool.cli_digest(0)
-    assert set(first) == set(tool.cli_invocations(0, "tmp"))
+    names = set(tool.cli_invocations(0, "tmp")) - {"verify_all_out"}
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = tool.cli_digest(0, str(tmp_path / "a"), names)
+    assert first == tool.cli_digest(0, str(tmp_path / "b"), names)
+    assert set(first) == names
     # every invocation has its own output
     assert len(set(first.values())) == len(first)
+
+
+def test_cli_digest_hashes_a_missing_output_file(tmp_path, monkeypatch):
+    # a failing --out invocation after a writing one hashes as it does alone
+    tool = _tool()
+    g1 = str(tool.ROOT / "curves" / "lemniscatic_g1.json")
+    missing = str(tmp_path / "missing.json")
+
+    def invocations(seed, tmp):
+        return {"good": ["periods", "--curve", g1, "--out", f"{tmp}/good"],
+                "bad": ["periods", "--curve", missing, "--out", f"{tmp}/bad"]}
+
+    monkeypatch.setattr(tool, "cli_invocations", invocations)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    both = tool.cli_digest(0, str(tmp_path / "a"))
+    alone = tool.cli_digest(0, str(tmp_path / "b"), {"bad"})
+    assert not (tmp_path / "a" / "bad").exists()
+    assert both["bad"] == alone["bad"] != both["good"]

@@ -14,12 +14,11 @@ direction and v_c), and ``toda_constants`` that of their sigma constants
 bits reads as such. ``contexts`` is the sha256 of the set-up of both
 canonical sigma contexts (characteristics, gamma0, kappa, P and the theta
 radius), so a change of the set-up shows apart from the op digests.
-``--verify-all`` adds the sha256 of the ``verify-all``
-checks with ``elapsed`` and the ``*_seconds`` checks left out. ``--cli`` adds
-``cli``: per invocation of a fixed list of ``sigmatoda`` commands on the
-curves in ``curves/``, the sha256 of its exit status, stdout, stderr and
-output file (of ``verify-all --out``, its file without ``elapsed`` and the
-``*_seconds`` checks, since its stdout holds timings).
+``--verify-all`` adds ``cli``: per invocation of a fixed list of
+``sigmatoda`` commands on the curves in ``curves/``, the sha256 of its exit
+status, stdout, stderr and output file (of ``verify-all --out``, its file
+without ``elapsed`` and the ``*_seconds`` checks, since its stdout holds
+timings), and ``verify_all``, the sha256 of the checks in that file.
 
 Run it on the parent and on the change on one machine: numpy fuses complex
 array products (FMA) on some CPUs, so the digests depend on the machine.
@@ -108,13 +107,10 @@ def contexts_digest() -> str:
     return h.hexdigest()
 
 
-def verify_all_digest(seed: int) -> str:
-    """sha256 of the ``verify-all`` checks without their timings."""
-    from sigmatoda import verify
-
-    checks = [[r.index, c.name, repr(c.value), repr(c.tolerance), c.passed, c.note]
-              for r in verify.run_all(seed) for c in r.checks
-              if not c.name.endswith("_seconds")]
+def verify_all_digest(results: list) -> str:
+    """sha256 of the ``verify-all --out`` checks without their timings."""
+    checks = [[r["index"], c["name"], repr(c["value"]), repr(c["tolerance"]),
+               c["passed"], c["note"]] for r in results for c in r["checks"]]
     return hashlib.sha256(json.dumps(checks).encode()).hexdigest()
 
 
@@ -124,12 +120,19 @@ X2 = "[[2.0,0.0,2.449489742783178,0.0]]"
 
 
 def cli_invocations(seed: int, tmp: str) -> dict:
-    """name -> argv of the ``sigmatoda`` commands that ``cli_digest`` runs."""
+    """name -> argv of the ``sigmatoda`` commands that ``cli_digest`` runs.
+
+    An invocation with ``--out`` writes to ``tmp/<name>``.
+    """
     g1, g2 = (str(ROOT / "curves" / n) for n in ("lemniscatic_g1.json", "quintic_g2.json"))
-    out, s = os.path.join(tmp, "out"), str(seed)
+    s = str(seed)
+
+    def out(name):
+        return ["--out", os.path.join(tmp, name)]
+
     return {
         "periods": ["periods", "--curve", g1],
-        "periods_g2_out": ["periods", "--curve", g2, "--out", out],
+        "periods_g2_out": ["periods", "--curve", g2, *out("periods_g2_out")],
         "sigma": ["sigma", "--curve", g1, "--u", "0.31,0.12"],
         "sigma_origin": ["sigma", "--curve", g1, "--u", "0,0"],
         "abel": ["abel", "--curve", g1, "--points", X2],
@@ -140,47 +143,59 @@ def cli_invocations(seed: int, tmp: str) -> dict:
         "toda_run_csv": ["toda-run", "--format", "csv", "--curve", g1, "--point",
                          TORSION3, "--sites", "3", "--seed", s],
         "toda_run_json_out": ["toda-run", "--curve", g1, "--point", X2, "--sites", "3",
-                              "--steps", "3", "--seed", s, "--out", out],
+                              "--steps", "3", "--seed", s, *out("toda_run_json_out")],
         "spectral": ["spectral", "--curve", g1, "--point", TORSION3, "--sites", "3"],
         "argparse_error": ["periods"],
-        "verify_all_out": ["verify-all", "--seed", s, "--out", out],
+        "verify_all_out": ["verify-all", "--seed", s, *out("verify_all_out")],
     }
 
 
-def cli_digest(seed: int) -> dict:
-    """sha256 per invocation of its exit status, stdout, stderr and output file."""
+def verify_all_results(path: str) -> list:
+    """``verify-all --out`` results without ``elapsed`` and the ``*_seconds`` checks."""
+    with open(path) as fh:
+        results = json.load(fh)
+    for r in results:
+        del r["elapsed"]
+        r["checks"] = [c for c in r["checks"] if not c["name"].endswith("_seconds")]
+    return results
+
+
+def cli_digest(seed: int, tmp: str, names=None) -> dict:
+    """sha256 per invocation of its exit status, stdout, stderr and output file.
+
+    Runs the invocations of ``cli_invocations`` (those in ``names``, if given)
+    with their output files in ``tmp``; a missing output file hashes as such.
+    """
     from sigmatoda.cli import main
 
     digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in cli_invocations(seed, tmp).items():
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    status = main(argv)
-                except SystemExit as exc:
-                    status = exc.code
-            h = hashlib.sha256(repr(status).encode())
-            if argv[0] == "verify-all":
-                with open(argv[-1]) as fh:
-                    results = json.load(fh)
-                for r in results:
-                    del r["elapsed"]
-                    r["checks"] = [c for c in r["checks"]
-                                   if not c["name"].endswith("_seconds")]
-                h.update(json.dumps(results, sort_keys=True).encode())
-            else:
-                h.update(stdout.getvalue().encode())
-                if "--out" in argv:
-                    with open(argv[-1], "rb") as fh:
-                        h.update(fh.read())
-            h.update(stderr.getvalue().encode())
-            digests[name] = h.hexdigest()
+    for name, argv in cli_invocations(seed, tmp).items():
+        if names is not None and name not in names:
+            continue
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        h = hashlib.sha256(repr(status).encode())
+        path = os.path.join(tmp, name)
+        if "--out" in argv and not os.path.exists(path):
+            h.update(b"no output file")
+        elif argv[0] == "verify-all":
+            h.update(json.dumps(verify_all_results(path), sort_keys=True).encode())
+        else:
+            h.update(stdout.getvalue().encode())
+            if "--out" in argv:
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+        h.update(stderr.getvalue().encode())
+        digests[name] = h.hexdigest()
     return digests
 
 
 def digest(seed: int, addition_ops: int, toda_ops: int,
-           with_verify_all: bool = False, with_cli: bool = False) -> dict:
+           with_verify_all: bool = False) -> dict:
     toda_state = _workloads().WORKLOADS["toda"].setup(seed)
     out = {
         "seed": seed,
@@ -193,9 +208,10 @@ def digest(seed: int, addition_ops: int, toda_ops: int,
         "contexts": contexts_digest(),
     }
     if with_verify_all:
-        out["verify_all"] = verify_all_digest(seed)
-    if with_cli:
-        out["cli"] = cli_digest(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            out["cli"] = cli_digest(seed, tmp)
+            out["verify_all"] = verify_all_digest(
+                verify_all_results(os.path.join(tmp, "verify_all_out")))
     return out
 
 
@@ -205,10 +221,9 @@ def main(argv=None) -> int:
     parser.add_argument("--addition-ops", type=int, default=120)
     parser.add_argument("--toda-ops", type=int, default=200)
     parser.add_argument("--verify-all", action="store_true")
-    parser.add_argument("--cli", action="store_true")
     args = parser.parse_args(argv)
     print(json.dumps(digest(args.seed, args.addition_ops, args.toda_ops,
-                            args.verify_all, args.cli), sort_keys=True))
+                            args.verify_all), sort_keys=True))
     return 0
 
 
