@@ -325,15 +325,17 @@ def cmd_verify_all(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def positive_int(text: str) -> int:
-    """argparse type of every count option: an integer of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def count_at_least(low: int):
+    """argparse type of a count option: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,29 +366,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON [[x_re,x_im,y_re,y_im], ...]")
     p = add("verify-addition", cmd_verify_addition, seeded, curved,
             help="sampled residuals of the addition identities")
-    p.add_argument("--samples", type=positive_int, default=20)
+    p.add_argument("--samples", type=count_at_least(1), default=20)
     p = add("division", cmd_division, curved, help="division polynomial data")
-    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--n", type=count_at_least(1), required=True)
     p = add("torsion", cmd_torsion, curved, help="torsion candidates and certificates")
-    p.add_argument("--N", type=positive_int, required=True)
+    p.add_argument("--N", type=count_at_least(1), required=True)
     p = add("toda-run", cmd_toda_run, seeded, formatted, curved,
             help="Flaschka time series")
     p.add_argument("--point", required=True,
                    help="JSON [[x_re,x_im,y_re,y_im]] base point")
-    p.add_argument("--sites", type=positive_int, default=3)
+    p.add_argument("--sites", type=count_at_least(1), default=3)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.5)
-    p.add_argument("--steps", type=positive_int, default=11)
+    p.add_argument("--steps", type=count_at_least(1), default=11)
     p = add("spectral", cmd_spectral, seeded, curved, help="characteristic polynomial data")
     p.add_argument("--point", required=True)
-    p.add_argument("--sites", type=positive_int, default=3)
+    # the Lax matrix of one lattice period needs two sites
+    p.add_argument("--sites", type=count_at_least(2), default=3)
     p.add_argument("--t", type=float, default=0.1)
     p = add("poncelet", cmd_poncelet, formatted, help="polygon vertices and residuals")
     p.add_argument("--conic", required=True, help="JSON conic matrix file")
-    p.add_argument("--N", type=positive_int, required=True)
+    p.add_argument("--N", type=count_at_least(1), required=True)
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--t1", type=float, default=1.1)
-    p.add_argument("--steps", type=positive_int, default=5)
+    p.add_argument("--steps", type=count_at_least(1), default=5)
     add("verify-all", cmd_verify_all, seeded, help="run the full acceptance suite")
     return parser
 

@@ -12,8 +12,12 @@ shifts of z cost nothing in accuracy. One pass over the ellipsoid builds the
 terms once and sums one complex row block against them: with
 s = 2 pi i (n+a), the rows 1, s_k and s_k s_m (m >= k) give the value, the
 gradient and the Hessian, and the optional mixed rows below follow them in
-the same block. One matmul gives every row's sum, and one abs and one
-matmul every row's L1 mass.
+the same block. One matmul gives every row's sum, and one more against the
+block's moduli every row's L1 mass. A block depends on a point only through
+its centre offset n0 + a, which a workload's points repeat, so each plan keeps
+its blocks and moduli per direction pair and offset (``_row_blocks``), at
+most PAIRS_KEPT x OFFSETS_KEPT blocks of 24 R M bytes for R rows and M points
+(3.7 MB for the canonical genus-2 curve's mixed plan, R = 9, M = 133).
 
 The ellipsoid comes from a plan, built once per (T, tol, row layout) and
 cached (``_plan``); a pass's ``radius`` caps how far from the centre its
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +66,8 @@ DEFAULT_TOL = 1e-12
 JET = ((), (1,), (1, 2))
 _R_STEP = 1.0 / 16  # granularity of a plan's R, in units of sqrt(pi x^T Y x)
 _TWO_PI_I, _PI_I = 2j * math.pi, 1j * math.pi
+PAIRS_KEPT = 8  # direction pairs whose row blocks a plan keeps
+OFFSETS_KEPT = 16  # centre offsets whose row blocks a pair keeps
 
 
 def _upper_gamma(s2: int, x: float) -> float:
@@ -116,6 +122,8 @@ class ThetaPlan:
     row_orders: tuple
     row_coef: np.ndarray
     hess_rows: np.ndarray
+    # the one mutable field: the row blocks of its last passes (_row_blocks)
+    blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _row_orders(g: int, order: int, n_mixed: int) -> tuple:
@@ -201,6 +209,74 @@ def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -
     return plan
 
 
+def _fill_rows(plan: ThetaPlan, order: int, n_mixed: int, ca: np.ndarray, mixed,
+               rows: np.ndarray) -> None:
+    """rows[k] = 1, s_k, s_k s_m (m >= k), mixed rows; s = 2 pi i (m + ca[k])."""
+    g = ca.shape[1]
+    rows[:, 0] = 1.0
+    if order or n_mixed:
+        s = plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
+    if order >= 1:
+        rows[:, 1:g + 1] = s
+    if order >= 2:
+        j = g + 1
+        for k in range(g):
+            np.multiply(s[:, k:k + 1], s[:, k:], out=rows[:, j:j + g - k])
+            j += g - k
+    if n_mixed:
+        n_jet = len(plan.row_orders) - n_mixed
+        p1 = np.einsum("kim,i->km", s, mixed[0])
+        p2 = p1 if n_mixed == 2 else np.einsum("kim,i->km", s, mixed[1])
+        p12 = p1 * p2
+        np.multiply(p12, p1, out=rows[:, n_jet])
+        if n_mixed == 3:
+            np.multiply(p12, p2, out=rows[:, n_jet + 1])
+        np.multiply(p12, p12, out=rows[:, -1])
+
+
+def _row_blocks(plan: ThetaPlan, order: int, ca: np.ndarray, mixed, n_mixed: int):
+    """(rows, mags, row_coef) at the centre offsets ca (K, g): one (R, M) block if equal.
+
+    ``plan.blocks`` keeps per direction pair (bytes of w1, w2; the last
+    PAIRS_KEPT) its row_coef, mixed rows scaled by prod |w_i|, a store of
+    OFFSETS_KEPT blocks and their moduli, and each offset's slot. A pass fills
+    the offsets the pair lacks, clearing it first if they do not fit.
+    """
+    pair = mixed[0].tobytes() + mixed[1].tobytes() if n_mixed else b""
+    if pair not in plan.blocks:
+        if len(plan.blocks) >= PAIRS_KEPT:
+            del plan.blocks[next(iter(plan.blocks))]
+        row_coef = plan.row_coef
+        if n_mixed:
+            n1, n2 = (math.sqrt(np.vdot(w, w).real) for w in mixed)
+            scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
+            row_coef = row_coef * ([1.0] * (len(plan.row_orders) - n_mixed)
+                                   + (scale[::2] if n_mixed == 2 else scale))
+        shape = (OFFSETS_KEPT, len(plan.row_orders), len(plan.points))
+        plan.blocks[pair] = (row_coef, np.empty(shape, complex), np.empty(shape), {})
+    row_coef, rows, mags, slots = plan.blocks[pair]
+    # the one row of an order-0 pass without mixed rows is 1 at every centre
+    raw, step = ca.tobytes(), ca.itemsize * ca.shape[1] * (len(plan.row_orders) > 1)
+    keys = [raw[k * step:(k + 1) * step] for k in range(len(ca))]
+    new = [key for key in dict.fromkeys(keys) if key not in slots]
+    if len(slots) + len(new) > OFFSETS_KEPT:
+        slots.clear()
+        new = list(dict.fromkeys(keys))
+        if len(new) > OFFSETS_KEPT:  # a pass wider than the store gets its own
+            rows, mags, slots = np.empty((len(new),) + rows.shape[1:], complex), \
+                np.empty((len(new),) + rows.shape[1:]), {}
+    if new:
+        lo, hi = len(slots), len(slots) + len(new)
+        _fill_rows(plan, order, n_mixed, ca[[keys.index(key) for key in new]], mixed,
+                   rows[lo:hi])
+        np.abs(rows[lo:hi], out=mags[lo:hi])
+        slots.update(zip(new, range(lo, hi)))
+    at = [slots[key] for key in keys]
+    if len(set(at)) == 1:
+        return rows[at[0]], mags[at[0]], row_coef
+    return rows.take(at, axis=0), mags.take(at, axis=0), row_coef
+
+
 _SAME_DIRECTION = np.array([0, 0, 1])  # (2, 1) and (1, 2) are one row when w1 == w2
 
 
@@ -221,8 +297,8 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     g = t_matrix.shape[0]
     n_mixed = 0
     if mixed is not None:
-        w1, w2 = mixed
-        n_mixed = 2 if w1 is w2 or bool((np.asarray(w1) == w2).all()) else 3
+        w1, w2 = mixed = tuple(np.asarray(w, dtype=complex) for w in mixed)
+        n_mixed = 2 if w1 is w2 or bool((w1 == w2).all()) else 3
     plan = _plan(t_matrix, tol, order, n_mixed)
     if plan.extent > radius:
         raise TruncationInsufficient(
@@ -246,42 +322,15 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     expo += const[:, None, None]
     base = np.exp(expo)  # (K, M, 1): the terms, and below their moduli
     mod = np.exp(expo.real[..., 0])
-    # one complex row block: 1, s_k, s_k s_m (m >= k) with s = 2 pi i (n+a),
-    # then the mixed rows in p_i = s.w_i
-    rows = np.empty((k_pts, len(plan.row_orders), n_pts), dtype=complex)
-    rows[:, 0] = 1.0
-    if order or n_mixed:
-        s = plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
-    if order >= 1:
-        rows[:, 1:g + 1] = s
-    if order >= 2:
-        j = g + 1
-        for k in range(g):
-            np.multiply(s[:, k:k + 1], s[:, k:], out=rows[:, j:j + g - k])
-            j += g - k
-    n_jet = len(plan.row_orders) - n_mixed
-    if n_mixed:
-        p1 = np.einsum("kim,i->km", s, w1)
-        p2 = p1 if n_mixed == 2 else np.einsum("kim,i->km", s, w2)
-        p12 = p1 * p2
-        np.multiply(p12, p1, out=rows[:, n_jet])
-        if n_mixed == 3:
-            np.multiply(p12, p2, out=rows[:, n_jet + 1])
-        np.multiply(p12, p12, out=rows[:, -1])
+    rows, mags, row_coef = _row_blocks(plan, order, ca, mixed, n_mixed)
+    # one (R, M) block broadcasts over the K points in both matmuls
     sums = np.matmul(rows, base)[..., 0]
-    mags = np.abs(rows)
     l1s = np.matmul(mags, mod[:, :, None])[..., 0]
-    tails = (mags[:, :, plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
+    tails = (mags[..., plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
     tails *= (n_pts - plan.shell) / tol
     # the proven bound E sum_p coef c^p per row, over tol, with c = |Y^-1 Im z|
     # and E = exp(pi Im z.Y^-1 Im z) <= exp(delta^2) l1 of the value: the
     # term at the centre has modulus at least E exp(-delta^2)
-    row_coef = plan.row_coef
-    if n_mixed:  # the mixed rows' bounds scale by prod |w_i|
-        n1 = math.sqrt(np.vdot(w1, w1).real)
-        n2 = n1 if n_mixed == 2 else math.sqrt(np.vdot(w2, w2).real)
-        scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
-        row_coef = row_coef * ([1.0] * n_jet + (scale[::2] if n_mixed == 2 else scale))
     proven = (c_pow @ row_coef) * l1s[:, :1]
     if (np.maximum(tails, proven) > l1s).any():
         raise TruncationInsufficient(
@@ -290,7 +339,7 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
            sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
            l1s[:, 0]]
     if n_mixed:
-        mixed_sums = sums[:, n_jet:]
+        mixed_sums = sums[:, len(plan.row_orders) - n_mixed:]
         out.append(mixed_sums[:, _SAME_DIRECTION] if n_mixed == 2 else mixed_sums)
     if z.ndim == 1:  # one point: drop the stack axis
         out = [None if x is None else x[0] for x in out]

@@ -336,17 +336,23 @@ def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
 
 def lax_matrix(state: TodaState, w_hat: complex) -> np.ndarray:
     """Periodic tridiagonal Lax matrix with spectral parameter w_hat."""
+    return _lax_minus_z(state, [(0.0, w_hat)])[0]
+
+
+def _lax_minus_z(state: TodaState, samples) -> np.ndarray:
+    """L(w_hat) - z for each sample (z, w_hat): diagonal b - z, 1 above, a
+    below, corners a_N / w_hat and w_hat, as one (S, N, N) stack."""
     n = state.n_sites
     if n < 2:
         raise ValueError("need at least two sites")
-    mat = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        mat[k, k] = state.b[k]
-        if k + 1 < n:
-            mat[k, k + 1] = 1.0
-            mat[k + 1, k] = state.a[k]
-    mat[0, n - 1] += state.a[n - 1] / w_hat
-    mat[n - 1, 0] += w_hat
+    z, w_hat = np.array(samples, dtype=complex).T
+    mat = np.zeros((z.size, n, n), dtype=complex)
+    k = np.arange(n)
+    mat[:, k, k] = state.b - z[:, None]
+    mat[:, k[:-1], k[1:]] = 1.0
+    mat[:, k[1:], k[:-1]] = state.a[:-1]
+    mat[:, 0, n - 1] += state.a[n - 1] / w_hat
+    mat[:, n - 1, 0] += w_hat
     return mat
 
 
@@ -384,17 +390,21 @@ def _tridiag_charpoly(b: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndar
     prev2 = np.array([1.0 + 0.0j])
     prev1 = np.array([b[lo], -1.0], dtype=complex)
     for k in range(lo + 1, hi + 1):
-        cur = polyadd(polymul(np.array([b[k], -1.0]), prev1), -a[k - 1] * prev2)
+        cur = np.convolve(np.array([b[k], -1.0]), prev1)
+        cur[:prev2.size] += -a[k - 1] * prev2
         prev2, prev1 = prev1, cur
     return prev1
 
 
 def char_poly(state: TodaState) -> SpectralData:
-    """P(z) by the three-term recursion and the invariants; roots on demand."""
+    """P(z) = det(block 1..N) - a_N det(block 2..N-1), for N >= 2 sites only,
+    by the three-term recursion, and the invariants; roots on demand."""
     n = state.n_sites
+    if n < 2:
+        raise ValueError("need at least two sites")
     b, a = state.b, state.a
-    p = polyadd(_tridiag_charpoly(b, a, 0, n - 1),
-                -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2))
+    p = _tridiag_charpoly(b, a, 0, n - 1)
+    p[:n - 1] += -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2)
     prod_a = complex(np.prod(a))
     invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
                           + [prod_a], dtype=complex)
@@ -416,8 +426,7 @@ def lax_det_residual(state: TodaState) -> float:
     data = state.spectral
     p, prod_a = data.p_coeffs, data.prod_a
     n = state.n_sites
-    dets = np.linalg.det(np.array([lax_matrix(state, w_hat) - z * np.eye(n)
-                                   for z, w_hat in LAX_SAMPLES]))
+    dets = np.linalg.det(_lax_minus_z(state, LAX_SAMPLES))
     p_z = polyval(p, [z for z, _ in LAX_SAMPLES]).tolist()
     worst = 0.0
     for det, p_val, (_, w_hat) in zip(dets, p_z, LAX_SAMPLES):
@@ -439,7 +448,7 @@ def spectral_morphism(state: TodaState):
     worst = 0.0
     for p_val in polyval(data.p_coeffs, SPECTRAL_Z).tolist():
         p_hat = (-1.0) ** n * p_val
-        disc = np.sqrt(p_hat**2 - 4.0 * data.prod_a)
+        disc = cmath.sqrt(p_hat**2 - 4.0 * data.prod_a)
         w_hat = 0.5 * (p_hat + disc)
         if abs(w_hat) < 1e-8:
             w_hat = 0.5 * (p_hat - disc)

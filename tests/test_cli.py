@@ -272,7 +272,6 @@ COUNT_OPTIONS = [
     (["torsion", "--curve", "c.json"], "--N"),
     (["toda-run", "--curve", "c.json", "--point", POINT], "--sites"),
     (["toda-run", "--curve", "c.json", "--point", POINT], "--steps"),
-    (["spectral", "--curve", "c.json", "--point", POINT], "--sites"),
     (["poncelet", "--conic", "p.json"], "--N"),
     (["poncelet", "--conic", "p.json", "--N", "3"], "--steps"),
 ]
@@ -289,3 +288,16 @@ def test_count_below_one_is_refused_by_name(argv, flag, capsys):
             in capsys.readouterr().err
     args = build_parser().parse_args([*argv, flag, "1"])
     assert getattr(args, flag.lstrip("-")) == 1
+
+
+def test_spectral_sites_below_two_is_refused_by_name(capsys):
+    # the Lax matrix of a period needs two sites, so one is refused while
+    # parsing, before any context or frame is built
+    argv = ["spectral", "--curve", "c.json", "--point", POINT, "--sites"]
+    for bad in ("1", "0", "-1", "2.5", "\u00b2"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, bad])
+        assert exc.value.code == 2
+        assert f"argument --sites: expected an integer >= 2, got '{bad}'" \
+            in capsys.readouterr().err
+    assert build_parser().parse_args([*argv, "2"]).sites == 2

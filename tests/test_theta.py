@@ -335,6 +335,12 @@ def _bits(x):
     return None if x is None else np.asarray(x).tobytes()
 
 
+def _centre_offsets(a, b, z, t_matrix):
+    """The centre offset ca of each point of a stack z, as ``_theta_sum`` rounds it."""
+    shift = (np.atleast_2d(z) + b).imag @ np.linalg.inv(np.asarray(t_matrix).imag)
+    return a - np.rint(shift + a)
+
+
 @pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
 def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
     g = t_matrix.shape[0]
@@ -342,20 +348,96 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
     radius = _radius(t_matrix)
     points = rng.normal(size=(6, g)) * 0.6 + 1j * rng.normal(size=(6, g)) * 0.4
     w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+    # a stack whose points share one centre offset sums one broadcast block
+    near = points[0] + 1e-3 * rng.normal(size=(3, g))
     for a, b in _half_characteristics(g):
+        assert len({c.tobytes() for c in _centre_offsets(a, b, near, t_matrix)}) == 1
         for order, mixed in itertools.product((0, 1, 2), (None, w, (w[0], w[0]))):
+            n_mixed = 0 if mixed is None else 2 if mixed[0] is mixed[1] else 3
+            plan = _plan(np.asarray(t_matrix, dtype=complex), 1e-12, order, n_mixed)
+
             def call(z):
                 return _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12,
                                   mixed=mixed)
 
-            singles = [call(z) for z in points]
-            for size in range(1, 7):
-                for rows in (list(range(size)), list(range(size))[::-1]):
-                    stack = call(points[rows])
-                    assert len(stack) == len(singles[0])
-                    for pos, row in enumerate(rows):
-                        assert [None if x is None else _bits(x[pos]) for x in stack] \
-                            == [_bits(x) for x in singles[row]]
+            stacks = [(points, rows) for size in range(1, 7)
+                      for rows in (list(range(size)), list(range(size))[::-1])]
+            for stack_points, rows in [*stacks, (near, [0, 1, 2])]:
+                singles = [call(z) for z in stack_points]
+                # on the table the singles warmed, then on a cleared one
+                warm = call(stack_points[rows])
+                plan.blocks.clear()
+                cold = call(stack_points[rows])
+                assert len(warm) == len(singles[0])
+                for pos, row in enumerate(rows):
+                    assert [None if x is None else _bits(x[pos]) for x in warm] \
+                        == [_bits(x) for x in singles[row]]
+                assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
+            # an empty stack sums nothing
+            assert [None if x is None else x.shape[0] for x in call(points[:0])] \
+                == [None if x is None else 0 for x in singles[0]]
+
+
+def test_the_row_block_tables_stay_bounded():
+    # fresh direction pairs (seeded two-time residuals) and points shifted by
+    # T m for growing m, a new centre offset on every pass, are the two
+    # sources of new keys
+    from sigmatoda.curves import make_curve, random_curve_points
+    from sigmatoda.errors import SigmaTodaError
+    from sigmatoda.sigma import sigma_context
+    from sigmatoda.toda import toda2d_residual
+
+    def tables():
+        return [plan.blocks for plan in plans]
+
+    ctx2 = sigma_context(make_curve(2, [1, 0, 0, 0, 0]))
+    rng = np.random.default_rng(31)
+    t_matrix = ctx2.periods.riemann
+    plans = [_plan(t_matrix, ctx2.tol, order, n_mixed)
+             for order, n_mixed in ((0, 0), (1, 0), (2, 0), (2, 2), (2, 3))]
+    for _ in range(theta_mod.PAIRS_KEPT + 4):
+        v1, v2 = random_curve_points(ctx2.curve, rng, 2)
+        try:
+            toda2d_residual(ctx2, v1, v2, 0, 0.01, 0.02, rng=rng)
+        except SigmaTodaError:  # a draw near a pole has still made its pass
+            pass
+        for table in tables():
+            assert len(table) <= theta_mod.PAIRS_KEPT
+            assert all(len(slots) <= theta_mod.OFFSETS_KEPT
+                       for *_, slots in table.values())
+    assert len(plans[4].blocks) == theta_mod.PAIRS_KEPT
+    a, b = ctx2.chars.a, ctx2.chars.b
+    z0 = np.array([[0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.1j, 0.05 + 0.02j]])
+    w = (np.array([1.0, 0.4j]), np.array([0.3, 1.0 + 0.2j]))
+    # every m of a growing square, (0, 0) first: far more offsets than a pair keeps
+    shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
+    assert len(shifts) > 3 * theta_mod.OFFSETS_KEPT
+    for order, mixed in ((0, None), (1, None), (2, None), (2, w)):
+        def call(m):
+            # the first point keeps its offset, a hit beside each new one
+            z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
+            return _theta_sum(JET[order], a, b, z, t_matrix, ctx2.trunc_radius,
+                              ctx2.tol, mixed=mixed)
+
+        first = call(shifts[0])
+        for m in shifts[1:]:
+            call(m)
+            for table in tables():
+                assert len(table) <= theta_mod.PAIRS_KEPT
+                assert all(len(slots) <= theta_mod.OFFSETS_KEPT
+                           for *_, slots in table.values())
+        # the second point's offset at m = (0, 0) is long evicted: the pass
+        # builds it again, bit for bit
+        assert [_bits(x) for x in call(shifts[0])] == [_bits(x) for x in first]
+    # a pass with more distinct offsets than a pair keeps builds its own blocks
+    wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
+                             for m in shifts[:theta_mod.OFFSETS_KEPT + 4]])
+    stack = _theta_sum(JET[2], a, b, wide, t_matrix, ctx2.trunc_radius, ctx2.tol, mixed=w)
+    for k, z in enumerate(wide):
+        single = _theta_sum(JET[2], a, b, z, t_matrix, ctx2.trunc_radius, ctx2.tol, mixed=w)
+        assert [_bits(x[k]) for x in stack] == [_bits(x) for x in single]
+    assert all(len(slots) <= theta_mod.OFFSETS_KEPT for table in tables()
+               for *_, slots in table.values())
 
 
 @pytest.mark.parametrize("args, good, bad", [

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from former_jet import former_jet, former_partial
+from former_lax import former_char_poly, former_lax_matrix, former_lax_minus_z
 
 from sigmatoda.curves import CurvePoint, make_curve, random_curve_points
 from sigmatoda.errors import (
@@ -624,7 +625,7 @@ def _lax_det_through_char_poly(state, samples=5):
     for _ in range(samples):
         z = complex(rng.normal(), rng.normal())
         w_hat = complex(rng.normal(), rng.normal()) + 2.0
-        det = np.linalg.det(lax_matrix(state, w_hat) - z * np.eye(n))
+        det = np.linalg.det(former_lax_matrix(state, w_hat) - z * np.eye(n))
         model = polyval(data.p_coeffs, z) \
             + (-1.0) ** (n - 1) * (w_hat + data.prod_a / w_hat)
         worst = max(worst, abs(det - model) / max(1.0, abs(det)))
@@ -653,7 +654,7 @@ def _spectral_morphism_per_sample(state):
 
 
 def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
-    from sigmatoda.toda import TodaState
+    from sigmatoda.toda import LAX_SAMPLES, TodaState, _lax_minus_z
 
     rng = np.random.default_rng(21)
     states = [_periodic_state(ctx1, order) for order in (3, 4)]
@@ -663,11 +664,29 @@ def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
         a, b = (scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
         states.append(TodaState(a, b))
     for state in states:
+        # the one-expression builders against the per-entry loop and the
+        # polyadd/polymul recursion they replaced
+        assert _lax_minus_z(state, LAX_SAMPLES).tobytes() \
+            == former_lax_minus_z(state, LAX_SAMPLES).tobytes()
+        for _, w_hat in LAX_SAMPLES:
+            assert lax_matrix(state, w_hat).tobytes() \
+                == former_lax_matrix(state, w_hat).tobytes()
+        assert char_poly(state).p_coeffs.tobytes() == former_char_poly(state).tobytes()
         det_res, morph_res = lax_det_residual(state), spectral_morphism(state)[0]
         assert np.float64(det_res).tobytes() \
             == np.float64(_lax_det_through_char_poly(state)).tobytes()
         assert np.float64(morph_res).tobytes() \
             == np.float64(_spectral_morphism_per_sample(state)).tobytes()
+
+
+def test_char_poly_refuses_a_one_site_state():
+    # P = det(block) - a_N det(inner) holds for N >= 2 only; at N = 1 it
+    # would return a polynomial off by a_1
+    state = TodaState(np.array([0.7 + 0.1j]), np.array([0.3 - 0.2j]))
+    with pytest.raises(ValueError, match="at least two sites"):
+        char_poly(state)
+    with pytest.raises(ValueError, match="at least two sites"):
+        lax_matrix(state, 1.3)
 
 
 def _branch_values_reference(state):
