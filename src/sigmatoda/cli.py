@@ -102,6 +102,7 @@ def cmd_periods(args) -> int:
         "riemann": _matrix(pd.riemann),
         "legendre_residual": pd.legendre_residual,
         "error_estimate": pd.error_estimate,
+        "transport_margin": pd.transport_margin,
     })
     return 0
 

@@ -3,9 +3,9 @@
 ``build_cycles`` returns the branch points as a chain e_0, ..., e_{2g}, and
 the basis is a fixed pattern of its segments (e_k, e_{k+1}) (the rule is in
 ``build_cycles``). A loop integral around a segment equals twice the
-open-segment integral on a fixed branch of y, and the branch is propagated
-between segments by analytic continuation through a corridor passing on the
-left of the shared branch point.
+open-segment integral on a fixed branch of y. The branch is carried between
+segments along a path passing left of the shared branch point, relative to
+travel along the chain, with its sign in closed form (``_transport_signs``).
 
 The substitution x = midpoint + halfspan*cos(theta) absorbs the inverse
 square-root endpoint singularities, so the midpoint rule in theta converges
@@ -15,6 +15,7 @@ on every result; a residual above tolerance signals a sheet-tracking error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,11 @@ from .polyutil import polyval
 MAX_NODES = 4096  # period quadrature gives up beyond this many nodes
 AGREE_TOL = 1e-11  # agreement of two node levels, per unit curve scale
 CERTIFICATE_TOL = 1e-8  # bound on the Legendre residual
+CHAIN_CLEARANCE = 0.005  # relative clearance that keeps the lexicographic chain
+MIN_CLEARANCE = 1e-6  # relative clearance below which no chain is taken
+ARC_RADIUS = 0.3  # transport arc radius, over min(half spans, clearance)
+ARC_CHORDS = 8  # chords that draw the transport arc
+DECISION_RATIO = 0.2  # min over max of |q -+ 1| past which a transport is indecisive
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,7 @@ class PeriodData:
     error_estimate: float
     chain: np.ndarray     # e_0, ..., e_2g of ``build_cycles``
     segments: np.ndarray  # g x 2g, first kind over chain segments (e_k, e_{k+1})
+    transport_margin: float  # worst |q -/+ 1| of the sheet transports
 
     @property
     def genus(self) -> int:
@@ -78,47 +85,36 @@ def second_kind_numerator(curve: HyperellipticCurve, j: int) -> np.ndarray:
     return coeffs
 
 
-def _point_segment_distance(z, a, b) -> float:
-    ab = b - a
-    t = np.clip(((z - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
-    return abs(z - (a + t * ab))
-
-
-def _chain_is_simple(e: np.ndarray, margin: float) -> bool:
-    n = e.size
-    for k in range(n - 1):
-        for j in range(n):
-            if j in (k, k + 1):
-                continue
-            if _point_segment_distance(e[j], e[k], e[k + 1]) < margin:
-                return False
-    return True
+def _relative_clearance(chains: np.ndarray) -> np.ndarray:
+    """Per row, min of dist(e_j, (e_k, e_{k+1})) / |e_{k+1} - e_k| over j != k, k+1."""
+    a = chains[:, :-1, None]
+    ab = chains[:, 1:, None] - a
+    rel = (chains[:, None, :] - a) / ab  # e_j in the frame where seg_k is [0, 1]
+    dist = np.abs(rel - np.clip(rel.real, 0.0, 1.0))
+    k = np.arange(chains.shape[1] - 1)
+    dist[:, k, k] = dist[:, k, k + 1] = np.inf
+    return dist.min(axis=(1, 2))
 
 
 def build_cycles(curve: HyperellipticCurve) -> np.ndarray:
-    """The chain e_0, ..., e_{2g} of the canonical basis: the sorted branch points.
+    """The chain e_0, ..., e_{2g} of the canonical basis.
 
-    Falls back to an angular ordering when the lexicographic chain passes
-    too close to a branch point it does not end on. With seg_k the loop
-    around the segment (e_k, e_{k+1}), alpha_j is seg_{2j} and beta_j is the
-    sum of seg_{2k+1} for k = j..g-1, a loop around {e_{2j+1}, ..., e_{2g}}.
+    The sorted branch points, if their relative clearance is at least
+    CHAIN_CLEARANCE; else the order of greatest clearance of all (2g+1)!,
+    and PathThroughBranchPoint if that is below MIN_CLEARANCE. With seg_k
+    the loop around the segment (e_k, e_{k+1}), alpha_j is seg_{2j} and
+    beta_j the sum of seg_{2k+1} for k = j..g-1, a loop around
+    {e_{2j+1}, ..., e_{2g}}.
     """
     e = curve.branch_points.copy()
-    margin = 1e-6 * curve.scale
-    if not _chain_is_simple(e, margin):
-        center = np.mean(e)
-        order = np.argsort(np.angle(e - center))
-        e = e[order]
-        start = int(np.lexsort((e.imag, e.real))[0])
-        e = np.roll(e, -start)
-        if not _chain_is_simple(e, margin):
-            raise PathThroughBranchPoint(
-                "no simple branch-point chain found for cycle construction")
-    return e
-
-
-def _other_roots(e: np.ndarray, k: int) -> np.ndarray:
-    return np.delete(e, [k, k + 1])
+    if _relative_clearance(e[None])[0] >= CHAIN_CLEARANCE:
+        return e
+    orders = e[np.array(list(itertools.permutations(range(e.size))))]
+    clearance = _relative_clearance(orders)
+    best = int(np.argmax(clearance))
+    if clearance[best] < MIN_CLEARANCE:
+        raise PathThroughBranchPoint(f"no chain clears its branch points by {MIN_CLEARANCE}")
+    return orders[best]
 
 
 def _continuous_sqrt(values: np.ndarray, anchor_index: int, anchor: complex) -> np.ndarray:
@@ -152,7 +148,7 @@ def _segment_integrals(e: np.ndarray, k: int, numerators, n_nodes: int) -> np.nd
     h = 0.5 * (b - a)
     theta = (np.arange(n_nodes) + 0.5) * np.pi / n_nodes
     x = mid + h * np.cos(theta)
-    others = _other_roots(e, k)
+    others = np.delete(e, [k, k + 1])
     r = np.prod(x[:, None] - others[None, :], axis=1)
     anchor_idx = n_nodes // 2
     anchor = np.sqrt(complex(np.prod(mid - others)))
@@ -163,16 +159,15 @@ def _segment_integrals(e: np.ndarray, k: int, numerators, n_nodes: int) -> np.nd
     ])
 
 
-def _reference_mid_y(e: np.ndarray, k: int) -> complex:
-    a, b = e[k], e[k + 1]
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    return 1j * h * np.sqrt(complex(np.prod(mid - _other_roots(e, k))))
-
-
 def _continue_y(curve: HyperellipticCurve, z0: complex, z1: complex,
                 y0: complex, min_dist_fn) -> complex:
-    """Continue y = sqrt(f) from z0 (value y0) to z1 along a straight segment."""
+    """Continue y = sqrt(f) from z0 (value y0) to z1 along a straight segment.
+
+    The package no longer steps y (``_transport_signs`` is in closed form).
+    It is kept as that sign's test oracle and as a counted entry of
+    ``perfbench/spans.py``, whose tests fail while an entry names a missing
+    function; it goes when a benchmark-only change drops the entry.
+    """
     y = y0
     z = z0
     total = abs(z1 - z0)
@@ -200,37 +195,66 @@ def _continue_y(curve: HyperellipticCurve, z0: complex, z1: complex,
     return y
 
 
-def _transport_signs(curve: HyperellipticCurve, e: np.ndarray) -> np.ndarray:
-    """Sign relating the reference branch of segment k+1 to that of segment k.
+def _transport_paths(e: np.ndarray) -> np.ndarray:
+    """Row k: the polygon from the midpoint of segment k to that of k+1.
 
-    Continuation runs through a corridor waypoint on the left of the shared
-    branch point, which fixes the homotopy class of the connection.
+    Along segment k to radius ARC_RADIUS min(half spans, clearance) of the
+    shared branch point, clockwise on that circle from -u_in to u_out (the
+    directions of travel) in ARC_CHORDS chords, so left of it relative to
+    travel, then along segment k+1. No other branch point is on the way.
     """
-    n_seg = e.size - 1
+    steps = e[1:] - e[:-1]
+    lengths = np.abs(steps)
+    apart = np.abs(e[:, None] - e[None, :]) + np.diag(np.full(e.size, np.inf))
+    radius = ARC_RADIUS * np.minimum(0.5 * np.minimum(lengths[:-1], lengths[1:]),
+                                     apart.min(axis=1)[1:-1])
+    u_in, u_out = steps[:-1] / lengths[:-1], steps[1:] / lengths[1:]
+    sweep = np.pi - np.angle(u_out / u_in)
+    arc = e[1:-1, None] - (radius * u_in)[:, None] * np.exp(
+        -1j * np.multiply.outer(sweep, np.arange(ARC_CHORDS + 1) / ARC_CHORDS))
     mids = 0.5 * (e[:-1] + e[1:])
-    spans = 0.5 * np.abs(e[1:] - e[:-1])
+    return np.concatenate([mids[:-1, None], arc, mids[1:, None]], axis=1)
 
-    def min_dist(z):
-        return float(np.min(np.abs(z - e)))
 
-    taus = np.zeros(n_seg - 1)
-    for k in range(n_seg - 1):
-        shared = e[k + 1]
-        others = np.delete(e, k + 1)
-        clearance = float(np.min(np.abs(shared - others)))
-        delta = 0.3 * min(spans[k], spans[k + 1], clearance)
-        direction = mids[k + 1] - mids[k]
-        waypoint = shared + 1j * delta * direction / abs(direction)
-        y = _reference_mid_y(e, k)
-        y = _continue_y(curve, mids[k], waypoint, y, min_dist)
-        y = _continue_y(curve, waypoint, mids[k + 1], y, min_dist)
-        target = _reference_mid_y(e, k + 1)
-        same, flip = abs(y - target), abs(y + target)
-        if min(same, flip) > 0.2 * max(same, flip):
-            raise PathThroughBranchPoint(
-                f"indecisive sheet transport across branch point {k + 1}")
-        taus[k] = 1.0 if same < flip else -1.0
-    return taus
+def _transport_quotients(e: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """y_ref of segment k (``_segment_integrals``) continued along path k, over y_ref of k+1.
+
+    Along a polygon z_0 .. z_n, y(z_n) / y(z_0) = prod_j |z_n - e_j|^(1/2) /
+    |z_0 - e_j|^(1/2) exp(i/2 sum_j sum_p arg((z_{p+1} - e_j) / (z_p - e_j))),
+    exactly: a straight piece that misses e_j subtends less than pi at it.
+    A vertex on a branch point or a non-finite q raises PathThroughBranchPoint.
+    """
+    mids = 0.5 * (e[:-1] + e[1:])
+    at_mids = mids[:, None] - e[None, :]
+    k = np.arange(mids.size)
+    at_mids[k, k] = at_mids[k, k + 1] = 1.0  # the endpoint factors are not in R
+    y_ref = 1j * (0.5 * (e[1:] - e[:-1])) * np.sqrt(np.prod(at_mids, axis=1))
+    w = paths[:, :, None] - e[None, None, :]
+    if (w == 0).any():
+        raise PathThroughBranchPoint("a sheet-transport vertex lies on a branch point")
+    with np.errstate(all="ignore"):  # a non-finite q raises below
+        winding = np.angle(w[:, 1:] / w[:, :-1]).sum(axis=(1, 2))
+        modulus = np.sqrt(np.prod(np.abs(w[:, -1] / w[:, 0]), axis=1))
+        q = y_ref[:-1] * modulus * np.exp(0.5j * winding) / y_ref[1:]
+    if not np.isfinite(q).all():
+        raise PathThroughBranchPoint("a sheet-transport quotient is not finite")
+    return q
+
+
+def _transport_signs(e: np.ndarray) -> tuple:
+    """tau_k, the +-1 nearest q of ``_transport_quotients``, and the margin max |q - tau_k|.
+
+    A q with min(|q - 1|, |q + 1|) above DECISION_RATIO of the max raises
+    PathThroughBranchPoint.
+    """
+    q = _transport_quotients(e, _transport_paths(e))
+    same, flip = np.abs(q - 1.0), np.abs(q + 1.0)
+    near = np.minimum(same, flip)
+    indecisive = near > DECISION_RATIO * np.maximum(same, flip)
+    if indecisive.any():
+        raise PathThroughBranchPoint(
+            f"indecisive sheet transport across branch point {np.argmax(indecisive) + 1}")
+    return np.where(same < flip, 1.0, -1.0), float(near.max())
 
 
 def _refine(level, n: int, bound: float, n_max: int):
@@ -284,7 +308,7 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
         ]).T,)
 
     (cur,), err = _refine(level, base_nodes, AGREE_TOL * curve.scale, MAX_NODES)
-    transports = _transport_signs(curve, e)
+    transports, margin = _transport_signs(e)
     glob = cur * np.concatenate([[1.0], np.cumprod(transports)])[None, :]
     # the basis rule of build_cycles; contiguous, so that products with the
     # periods take the numpy paths (and bits) of contiguous operands
@@ -300,9 +324,9 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
         segments = -segments
 
     riemann = np.linalg.solve(omega1, omega2)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err, e, segments)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, 0.0, err, e, segments, margin)
     res = legendre_residual(pd)
-    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err, e, segments)
+    pd = PeriodData(omega1, omega2, eta1, eta2, riemann, res, err, e, segments, margin)
 
     if res > CERTIFICATE_TOL:
         raise LegendreCertificateFailure(

@@ -39,8 +39,10 @@ checks pass for every row order N of the layout at the row's unit scale
 
 Every row of every point then runs both checks against tol times that row's
 own L1 mass, the proven one with E bounded by exp(delta^2) times the value's
-L1 mass, and either failing raises TruncationInsufficient. A stack of points
-shares one pass, each point with its own checks and the bits of its own call.
+L1 mass, and either failing raises TruncationInsufficient; an L1 mass that
+is not finite (terms that overflow far from the origin) raises
+NonFiniteValue. A stack of points shares one pass, each point with its own
+checks and the bits of its own call.
 
 Given two z-directions w1 and w2, the block also holds the mixed moments of
 orders (2, 1), (1, 2) and (2, 2) along them, with p_i = s.w_i: the terms by
@@ -59,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TruncationInsufficient
+from .errors import NonFiniteValue, TruncationInsufficient
 
 DEFAULT_TOL = 1e-12
 # derivative orders a jet of order 0, 1 or 2 takes beside the value
@@ -286,8 +288,9 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     ``deriv`` is ``JET[order]`` for order 0, 1 or 2; grad and hess are None
     above that order. l1 is the L1 mass of the value's terms. The pass sums
     the plan of (T, tol) for its rows, whose points must lie within
-    ``radius`` of the centre in every coordinate, else TruncationInsufficient.
-    With ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
+    ``radius`` of the centre in every coordinate, else TruncationInsufficient;
+    a point whose terms overflow raises NonFiniteValue. With
+    ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
     orders (2, 1), (1, 2) and (2, 2). A stack z of shape (K, g) adds a
     leading axis of size K to every entry.
     """
@@ -335,6 +338,9 @@ def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
     if (np.maximum(tails, proven) > l1s).any():
         raise TruncationInsufficient(
             f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")
+    if not np.isfinite(l1s).all():  # NaN passes the tail test; |sum| <= l1 per row
+        bad = np.argmin(np.isfinite(l1s).all(axis=1))
+        raise NonFiniteValue(f"theta terms overflow at z = {z.reshape(-1, g)[bad]}")
     out = [sums[:, 0], sums[:, 1:g + 1] if order >= 1 else None,
            sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
            l1s[:, 0]]

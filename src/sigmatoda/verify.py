@@ -82,16 +82,14 @@ def _inversion_defect(ctx, pts) -> float:
 
 def criterion_legendre(ctx1, ctx2) -> CriterionResult:
     res = CriterionResult(1, "Legendre certificate and Jacobi inversion")
-    t0 = time.perf_counter()
-    pd1 = sigma_context(ctx1.curve).periods  # rebuilt to time the full path
-    t1 = time.perf_counter() - t0
-    res.add("legendre_residual_g1", pd1.legendre_residual, 1e-10)
-    res.add("periods_runtime_g1_seconds", t1, 5.0)
-    t0 = time.perf_counter()
-    pd2 = sigma_context(ctx2.curve).periods
-    t2 = time.perf_counter() - t0
-    res.add("legendre_residual_g2", pd2.legendre_residual, 1e-8)
-    res.add("periods_runtime_g2_seconds", t2, 5.0)
+    for ctx, label, tol in ((ctx1, "g1", 1e-10), (ctx2, "g2", 1e-8)):
+        t0 = time.perf_counter()
+        pd = sigma_context(ctx.curve).periods  # rebuilt to time the full path
+        elapsed = time.perf_counter() - t0
+        res.add(f"legendre_residual_{label}", pd.legendre_residual, tol)
+        res.add(f"periods_runtime_{label}_seconds", elapsed, 5.0)
+        res.add(f"transport_margin_{label}", pd.transport_margin, 1e-10,
+                "worst |q -/+ 1| of the closed-form sheet transports")
     rng = np.random.default_rng(JACOBI_SEED)
     for ctx, label in ((ctx1, "g1"), (ctx2, "g2")):
         seeded = [random_curve_points(ctx.curve, rng, ctx.genus) for _ in range(20)]

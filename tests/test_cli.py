@@ -28,6 +28,7 @@ def test_periods_subcommand(curve_file, capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["legendre_residual"] < 1e-10
+    assert payload["transport_margin"] < 1e-10
     assert payload["genus"] == 1
 
 

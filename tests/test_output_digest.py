@@ -57,3 +57,18 @@ def test_cli_digest_hashes_a_missing_output_file(tmp_path, monkeypatch):
     alone = tool.cli_digest(0, str(tmp_path / "b"), {"bad"})
     assert not (tmp_path / "a" / "bad").exists()
     assert both["bad"] == alone["bad"] != both["good"]
+
+
+def test_generic_periods_digest_repeats_and_sees_a_sign(monkeypatch):
+    tool = _tool()
+    first = tool.generic_periods_digest(2)
+    assert len(first) == 64 and first == tool.generic_periods_digest(2)
+    assert first != tool.generic_periods_digest(3)
+    # a flipped transport sign shows, although the periods it gives fail
+    # their certificate and hash as an error name
+    import sigmatoda.periods as periods
+
+    signs = periods._transport_signs
+    monkeypatch.setattr(periods, "_transport_signs",
+                        lambda e: (-signs(e)[0], signs(e)[1]))
+    assert tool.generic_periods_digest(2) != first

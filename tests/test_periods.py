@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,10 +7,19 @@ from scipy.integrate import quad
 
 from sigmatoda.curves import make_curve
 import sigmatoda.periods as periods_mod
-from sigmatoda.errors import QuadratureNonConvergence
+from sigmatoda.errors import (
+    DegenerateCurve,
+    PathThroughBranchPoint,
+    QuadratureNonConvergence,
+)
 from sigmatoda.periods import (
+    _continue_y,
     _continuous_sqrt,
     _refine,
+    _relative_clearance,
+    _transport_paths,
+    _transport_quotients,
+    _transport_signs,
     build_cycles,
     compute_periods,
     legendre_residual,
@@ -193,3 +203,156 @@ def test_continuous_sqrt_matches_loop(seed):
             got = _continuous_sqrt(values, k, anchor)
             assert np.array_equal(got, _continuous_sqrt_loop(values, k, anchor))
     assert not np.array_equal(got, np.sqrt(values))
+
+
+def _generic_curves(seed, per_class):
+    """Monic curves with N(0, 1) coefficients, real and complex, per genus."""
+    rng = np.random.default_rng(seed)
+    for genus in (1, 2):
+        for complex_class in (False, True):
+            for _ in range(per_class):
+                lam = rng.normal(size=2 * genus + 1)
+                if complex_class:
+                    lam = lam + 1j * rng.normal(size=2 * genus + 1)
+                yield genus, lam
+
+
+def test_generic_curves_certify():
+    # the chord waypoint of the former transport gave wrong sheets on 131 of
+    # 400 curves at seed 2026, and on 67 of these 240
+    raised = []
+    for genus, lam in _generic_curves(3030, 60):
+        try:
+            pd = compute_periods(make_curve(genus, lam))
+        except (DegenerateCurve, PathThroughBranchPoint) as exc:
+            raised.append((lam, exc))
+            continue
+        assert pd.legendre_residual <= 1e-8, lam
+        assert np.max(np.abs(pd.riemann - pd.riemann.T)) <= 1e-8, lam
+        assert np.min(np.linalg.eigvalsh(pd.riemann.imag)) > 0, lam
+        assert pd.transport_margin <= 1e-10, lam
+    # a named error is an outcome, not a pass: all but a few curves certify
+    assert len(raised) <= 5, raised
+
+
+def _stepped_signs(curve, e):
+    """The transport signs from y stepped with ``_continue_y`` along the same polygon."""
+    def min_dist(z):
+        return float(np.min(np.abs(z - e)))
+
+    mids, halves = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+    y_ref = [1j * halves[k] * np.sqrt(complex(np.prod(mids[k] - np.delete(e, [k, k + 1]))))
+             for k in range(mids.size)]
+    signs = []
+    for k, path in enumerate(_transport_paths(e)):
+        y = y_ref[k]
+        for z0, z1 in zip(path[:-1], path[1:]):
+            y = _continue_y(curve, z0, z1, y, min_dist)
+        signs.append(1.0 if abs(y - y_ref[k + 1]) < abs(y + y_ref[k + 1]) else -1.0)
+    return np.array(signs)
+
+
+def _mirrored(paths, e):
+    """The paths with each arc turned counterclockwise, right of the shared point."""
+    out = paths.copy()
+    for k, path in enumerate(paths):
+        start, end = path[1] - e[k + 1], path[-2] - e[k + 1]
+        clockwise = np.angle(start / end) % (2 * np.pi)
+        out[k, 1:-1] = e[k + 1] + start * np.exp(
+            1j * (2 * np.pi - clockwise) * np.arange(9) / 8)
+    return out
+
+
+def test_closed_form_signs_equal_stepped_continuation():
+    compared = 0
+    for genus, lam in _generic_curves(3031, 30):
+        curve = make_curve(genus, lam)
+        e = build_cycles(curve)
+        signs, margin = _transport_signs(e)
+        assert np.array_equal(signs, _stepped_signs(curve, e)), lam
+        assert margin <= 1e-10
+        # the arc mirrored right of the shared branch point flips every sign
+        q = _transport_quotients(e, _mirrored(_transport_paths(e), e))
+        assert np.array_equal(np.sign(q.real), -signs), lam
+        compared += 1
+    assert compared == 120
+
+
+@pytest.mark.parametrize("genus,lam,signs", [(1, [0, -1, 0], [-1.0]),
+                                             (2, [1, 0, 0, 0, 0], [-1.0, 1.0, -1.0])])
+def test_canonical_signs_and_the_mirrored_arc(genus, lam, signs):
+    e = build_cycles(make_curve(genus, lam))
+    got, margin = _transport_signs(e)
+    assert got.tolist() == signs and margin <= 1e-10
+    paths = _transport_paths(e)
+    assert paths.shape == (2 * genus - 1, 11)
+    # the arc is drawn left of the shared branch point relative to travel
+    inward = e[1:-1] - e[:-2]
+    middle = paths[:, 5] - e[1:-1]
+    assert np.all((middle / inward).imag > 0)
+    # the two arcs differ by a loop around the shared branch point alone,
+    # so the right-hand one flips every sign
+    q = _transport_quotients(e, _mirrored(paths, e))
+    assert np.max(np.abs(np.abs(q.real) - 1) + np.abs(q.imag)) <= 1e-10
+    assert np.sign(q.real).tolist() == [-s for s in signs]
+
+
+def test_transport_raises_on_a_branch_point_or_an_indecisive_quotient(monkeypatch):
+    e = build_cycles(make_curve(2, [1, 0, 0, 0, 0]))
+    paths = _transport_paths(e)
+    for bad, match in ((e[0], "vertex"), (np.nan, "not finite")):
+        broken = paths.copy()
+        broken[1, 3] = bad
+        with pytest.raises(PathThroughBranchPoint, match=match):
+            _transport_quotients(e, broken)
+    # a chain whose first midpoint is its last branch point
+    with pytest.raises(PathThroughBranchPoint, match="vertex"):
+        _transport_signs(np.array([-1.0, 1.0, 0.0]) + 0j)
+    # |q - 1| over |q + 1| decides against the ratio 0.2; the margin is |q - tau|
+    line = np.array([-1.0, 0.0, 1.0]) + 0j
+    for q, signs, margin in ((1.15, [1.0], 0.15), (-1.3, [-1.0], 0.3)):
+        monkeypatch.setattr(periods_mod, "_transport_quotients", lambda e, p: np.array([q]))
+        got = _transport_signs(line)
+        assert got[0].tolist() == signs and got[1] == pytest.approx(margin)
+    for q in (1j, 1.6):
+        monkeypatch.setattr(periods_mod, "_transport_quotients", lambda e, p: np.array([q]))
+        with pytest.raises(PathThroughBranchPoint, match="indecisive"):
+            _transport_signs(line)
+
+
+def _roots_curve(roots):
+    return make_curve(len(roots) // 2, np.poly(roots)[:0:-1])
+
+
+def test_clearance_chain_keeps_the_lexicographic_chain_when_clear():
+    for genus, lam, clearance in ((1, [0, -1, 0], 1.0), (2, [1, 0, 0, 0, 0], 0.36327)):
+        curve = make_curve(genus, lam)
+        assert np.array_equal(build_cycles(curve), curve.branch_points)
+        assert _relative_clearance(curve.branch_points[None])[0] == pytest.approx(
+            clearance, abs=1e-5)
+
+
+@pytest.mark.parametrize("roots", [
+    # the lexicographic segment (0.031 - 1.551i, 0.031 + 1.551i) passes 0.0151
+    # from 0.016, 0.49% of its length; so did the former angular chain
+    [0.016, 0.031 - 1.551j, 0.031 + 1.551j],
+    # a third branch point within 0.15% of a lexicographic segment's length
+    [0.0, 0.003 - 1j, 0.003 + 1j, 1.0 + 0.3j, 1.5 - 0.2j],
+])
+def test_clearance_chain_takes_the_clearest_order(roots):
+    curve = _roots_curve(roots)
+    lex = curve.branch_points
+    assert _relative_clearance(lex[None])[0] < 0.005
+    chain = build_cycles(curve)
+    assert sorted(chain.tolist(), key=lambda z: (z.real, z.imag)) == lex.tolist()
+    orders = lex[np.array(list(itertools.permutations(range(lex.size))))]
+    assert _relative_clearance(chain[None])[0] == _relative_clearance(orders).max()
+    assert compute_periods(curve).legendre_residual <= 1e-8
+
+
+def test_no_clear_chain_raises(monkeypatch):
+    # every order of the canonical genus-1 chain has clearance at most 1
+    monkeypatch.setattr(periods_mod, "CHAIN_CLEARANCE", 2.0)
+    monkeypatch.setattr(periods_mod, "MIN_CLEARANCE", 1.5)
+    with pytest.raises(PathThroughBranchPoint):
+        build_cycles(make_curve(1, [0, -1, 0]))

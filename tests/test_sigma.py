@@ -164,7 +164,7 @@ def test_characteristics_take_one_stacked_pass(ctx1, ctx2, genus, a, b, monkeypa
 @pytest.mark.parametrize("genus", [1, 2])
 def test_characteristics_closed_form_matches_the_former_search(genus):
     # monic curves with N(0, 1) coefficients, real and complex; a curve whose
-    # periods fail (the open chord-transport defect) is counted, not compared
+    # periods raise a typed error is counted, not compared
     rng = np.random.default_rng(77)
     compared, no_periods = 0, 0
     for complex_class in (False, True):
@@ -887,8 +887,9 @@ def _near_points(curve, rng, radii, per_radius):
 # y^2 = x (x - 0.01) (x - 1): a point's leg from 0 or 0.01 passes close to
 # the other one of the pair, so its integrand varies fast and the leg halves
 CLOSE_PAIR_G1 = make_curve(1, [0.0, 0.01, -1.01])
-# complex coefficients; the branch point 2e-7 + 0.3i lies within 1e-6 of the
-# lexicographic segment (-i, i), so ``build_cycles`` takes its angular chain
+# complex coefficients; the branch point 2e-7 + 0.3i lies 1e-7 of its length
+# from the lexicographic segment (-i, i), so ``build_cycles`` takes the order
+# of greatest relative clearance
 FALLBACK_G2 = make_curve(2, np.poly([-1.3 + 0.2j, -1j, 1j, 2e-7 + 0.3j, 1.5 - 0.3j])[:0:-1])
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from box_theta import box_theta_sum as _box_theta_sum
 from sigmatoda import theta as theta_mod
-from sigmatoda.errors import TruncationInsufficient
+from sigmatoda.errors import NonFiniteValue, TruncationInsufficient
 from sigmatoda.theta import (
     JET,
     _plan,
@@ -133,6 +133,20 @@ def test_truncation_insufficient_raised():
                      ([0.5, 0.0], [0.0, 0.5], [0.3j, -0.2j], T2)):
             with pytest.raises(TruncationInsufficient):
                 _theta_sum(deriv, *args, 1, 1e-12)
+
+
+def test_overflowing_terms_raise_a_typed_error():
+    # 15 T from the origin the terms overflow and the tail test, False for
+    # NaN, passed: theta returned nan+nanj with RuntimeWarnings only
+    t = [[0.3 + 1.1j]]
+    assert np.isfinite(theta_char([0], [0], [0.1 + 10 * t[0][0]], t))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteValue):
+            theta_char([0], [0], [0.1 + 15 * t[0][0]], t)
+        # a stack raises for its one overflowing point
+        for deriv in JET:
+            with pytest.raises(NonFiniteValue, match="overflow"):
+                _theta_sum(deriv, [0], [0], [[0.1], [0.1 + 15 * t[0][0]]], t, 8, 1e-12)
 
 
 def test_recentering_keeps_shifted_arguments_accurate():

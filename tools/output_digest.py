@@ -18,7 +18,10 @@ radius), so a change of the set-up shows apart from the op digests.
 ``sigmatoda`` commands on the curves in ``curves/``, the sha256 of its exit
 status, stdout, stderr and output file (of ``verify-all --out``, its file
 without ``elapsed`` and the ``*_seconds`` checks, since its stdout holds
-timings), and ``verify_all``, the sha256 of the checks in that file.
+timings), and ``verify_all``, the sha256 of the checks in that file, and
+``generic_periods``, the sha256 of the chain, the transport signs and
+omega1, omega2, eta1, eta2 of a fixed seeded set of generic curves, so a
+change of the transport path, the chain or the quadrature shows.
 
 Run it on the parent and on the change on one machine: numpy fuses complex
 array products (FMA) on some CPUs, so the digests depend on the machine.
@@ -104,6 +107,42 @@ def contexts_digest() -> str:
         for arr in (ctx.gamma0, ctx.kappa, ctx.pmat):
             h.update(np.asarray(arr, dtype=complex).tobytes())
         h.update(repr(ctx.trunc_radius).encode())
+    return h.hexdigest()
+
+
+GENERIC_SEED = 2030  # draws the curves of generic_periods_digest, whatever --seed is
+
+
+def generic_periods_digest(per_class: int = 10) -> str:
+    """sha256 of the periods of seeded monic curves, ``per_class`` per genus and class.
+
+    The classes are N(0, 1) coefficients, real and complex. Per curve it
+    hashes the chain, the transport signs and omega1, omega2, eta1, eta2,
+    or the name of the error the curve raises.
+    """
+    import numpy as np
+
+    from sigmatoda.curves import make_curve
+    from sigmatoda.errors import SigmaTodaError
+    from sigmatoda.periods import _transport_signs, compute_periods
+
+    rng = np.random.default_rng(GENERIC_SEED)
+    h = hashlib.sha256()
+    for genus in (1, 2):
+        for complex_class in (False, True):
+            for _ in range(per_class):
+                lam = rng.normal(size=2 * genus + 1)
+                if complex_class:
+                    lam = lam + 1j * rng.normal(size=2 * genus + 1)
+                try:
+                    pd = compute_periods(make_curve(genus, lam))
+                except SigmaTodaError as exc:
+                    h.update(type(exc).__name__.encode())
+                    continue
+                h.update(pd.chain.tobytes())
+                h.update(_transport_signs(pd.chain)[0].tobytes())
+                for arr in (pd.omega1, pd.omega2, pd.eta1, pd.eta2):
+                    h.update(arr.tobytes())
     return h.hexdigest()
 
 
@@ -212,6 +251,7 @@ def digest(seed: int, addition_ops: int, toda_ops: int,
             out["cli"] = cli_digest(seed, tmp)
             out["verify_all"] = verify_all_digest(
                 verify_all_results(os.path.join(tmp, "verify_all_out")))
+        out["generic_periods"] = generic_periods_digest()
     return out
 
 
