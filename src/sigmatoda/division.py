@@ -269,11 +269,11 @@ def elliptic_psi_oracle(curve: HyperellipticCurve, n: int) -> np.ndarray:
                 quotient, rem = polydivmod(poly, f)
                 assert np.max(np.abs(rem)) < 1e-8 * max(np.max(np.abs(poly)), 1.0)
                 out = quotient, 1
-        table[k] = (trim(out[0], 1e-13), out[1])
+        # the closed-form degree: a relative trim dropped true leading terms
+        table[k] = (out[0][:(k * k - 1) // 2 + 1 if k % 2 else (k * k - 4) // 2 + 1], out[1])
         return table[k]
 
-    coeffs, _ = get(n)
-    return trim(coeffs, 1e-12)
+    return get(n)[0]
 
 
 def phi_roots(curve: HyperellipticCurve, n: int) -> list[CurvePoint]:

@@ -12,15 +12,15 @@ fixed so the power series of sigma at the origin starts with the Schur
 term (coefficient one on u_1 for genus up to two, which for genus one is
 the classical sigma(u) = u + O(u^5)).
 
-One assembly turns a theta pass into per-point records of sigma and its
-derivatives along two directions (``_sigma_jets``): sigma, its partials and
-its directional 2-jet all read it, so the envelope and the product rule are
-written once. Each record column is one expression over the K points of a
-pass, in elementwise ufuncs and two-operand einsum, which give a point in a
-stack the bits of its own call; a matmul with a (K, g) operand or a
-three-operand einsum can sum in another order per stack. wp and zeta read
-log theta in cumulant form instead (``_log_theta``), with the pole test on
-theta against its own L1 mass, and never build the envelope.
+Every sigma pass is bound once per context, order and pair of directions
+(``_bound``), and the envelope's exponent is folded into its theta terms.
+One assembly turns a pass into per-point records of sigma and its
+derivatives along two directions (``_sigma_jets``): sigma, its partials, its
+directional 2-jet, zeta and wp all read it, so the product rule is written
+once. Each record column is one expression over the K points of a pass, in
+elementwise ufuncs and two-operand einsum, which give a point in a stack
+the bits of its own call; a matmul with a (K, g) operand or a three-operand
+einsum can sum in another order per stack.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     VanishingGap,
 )
 from .periods import AGREE_TOL, PeriodData, compute_periods
-from .theta import DEFAULT_TOL, JET, _plan, _theta_sum
+from .theta import DEFAULT_TOL, JET, ThetaPass, _plan, _theta_sum, bind
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -74,7 +74,7 @@ def _gauss_nodes(n: int):
 
 POLE_TOL = 1e-10  # |sigma| below this times its scale is a pole (``_guarded``)
 LEG_SPLIT = 48  # the coarse level of an Abel leg; the fine level has 96 nodes
-DIRECTIONS_KEPT = 8  # direction pairs whose constants a context keeps
+PASSES_KEPT = 8  # bound passes, by order and directions, a context keeps (_bound)
 
 
 @lru_cache(maxsize=1)
@@ -225,9 +225,8 @@ class SigmaContext:
     # the wp matrix at the last u asked for, one entry keyed by u's bytes;
     # see wp_matrix
     _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the constants of the last DIRECTIONS_KEPT direction pairs; see _directions
-    _directions: dict = field(default_factory=dict, init=False, compare=False,
-                              repr=False)
+    # the last PASSES_KEPT bound passes, keyed by order and directions; see _bound
+    _passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def genus(self) -> int:
@@ -294,8 +293,9 @@ def riemann_characteristics(engine: _AbelEngine) -> Characteristics:
         pts = random_curve_points(curve, np.random.default_rng(12345), 6 * (g - 1))
         divisors = [pts[i:i + g - 1] for i in range(0, len(pts), g - 1)]
         test_z.extend(pmat @ reduce_mod_lattice(pd, u) for u in _abel_maps(engine, *divisors))
-    val, _, _, l1 = _theta_sum(JET[0], a, b, np.array(test_z), t_matrix,
-                               _plan(t_matrix, DEFAULT_TOL, 0).extent, DEFAULT_TOL)
+    tp = bind(t_matrix, DEFAULT_TOL, 0, a, b)
+    val, _, _, l1 = _theta_sum(JET[0], np.array(test_z), t_matrix, tp.plan.extent,
+                               DEFAULT_TOL, tp)
     if not np.all(np.abs(val) <= 1e-5 * l1):
         raise CharacteristicsNotFound(f"theta[{a}; {b}] does not vanish on the stratum")
     return Characteristics(a, b)
@@ -313,8 +313,8 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
         raise NotImplementedError("gamma0 normalization implemented for genus <= 2")
     pmat = 0.5 * np.linalg.inv(pd.omega1)
     z0 = np.zeros(g, dtype=complex)
-    grad = _theta_sum(JET[1], chars.a, chars.b, z0, pd.riemann,
-                      _plan(pd.riemann, DEFAULT_TOL, 1).extent, DEFAULT_TOL)[1]
+    tp = bind(pd.riemann, DEFAULT_TOL, 1, chars.a, chars.b)
+    grad = _theta_sum(JET[1], z0, pd.riemann, tp.plan.extent, DEFAULT_TOL, tp)[1]
     d_u1 = grad @ pmat[:, 0]
     if abs(d_u1) < 1e-12:
         raise NormalizationUnstable("vanishing leading derivative at the origin")
@@ -332,32 +332,46 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     if asym > 1e-7:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
-    # the widest plan of the context: the 2-jet with the three mixed rows
-    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, DEFAULT_TOL, 2, 3).extent,
+    # the widest plan of the context: rows of orders up to 4
+    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, DEFAULT_TOL, 4).extent,
                         kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
 
 
-def _directions(ctx: SigmaContext, d1, d2) -> tuple:
-    """(w, -kd, d1.kappa.d2, outer, (w1, w2)) along d1 and d2, kept per context.
+@dataclass(frozen=True, eq=False)
+class _Bound:
+    """A sigma pass bound once per context, order and pair of directions d1, d2.
 
-    w = (P d1, P d2) and kd = (kappa d1, kappa d2) are (g, 2) arrays by
-    column, outer holds the flat w1 w1, w1 w2, w2 w2 as the columns of a
-    (g^2, 3) array, and w2 is w1 when d2 equals d1. The context keeps the
-    last ``DIRECTIONS_KEPT`` pairs, keyed by their bytes.
+    ``theta`` is its theta pass along w_i = P d_i, ``umap`` maps u to (P u,
+    -kappa u / 2, q1, q2), q_i = -u.kappa.d_i, in one two-operand einsum,
+    and ``curvature`` is d1.kappa.d2; an order-0 pass has no directions.
     """
-    d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
-    key = d1.tobytes() + d2.tobytes()
-    if key not in ctx._directions:
-        w1 = ctx.pmat @ d1
-        w2 = w1 if np.array_equal(d1, d2) else ctx.pmat @ d2
-        kd = np.stack([ctx.kappa @ d1, ctx.kappa @ d2], axis=1)
-        outer = np.stack([np.outer(wa, wb).ravel()
-                          for wa, wb in ((w1, w1), (w1, w2), (w2, w2))], axis=1)
-        if len(ctx._directions) >= DIRECTIONS_KEPT:
-            del ctx._directions[next(iter(ctx._directions))]
-        ctx._directions[key] = (np.stack([w1, w2], axis=1), -kd, complex(d1 @ kd[:, 1]),
-                                outer, (w1, w2))
-    return ctx._directions[key]
+
+    theta: ThetaPass
+    umap: np.ndarray
+    curvature: complex | None
+    log_gamma0: complex
+
+
+def _bound(ctx: SigmaContext, order: int, d1=None, d2=None) -> _Bound:
+    """The bound pass of ``order`` along d1 and d2, kept for the last PASSES_KEPT keys."""
+    if d1 is not None:
+        d1 = np.asarray(d1, dtype=complex)
+        d2 = d1 if d2 is d1 else np.asarray(d2, dtype=complex)
+    key = (order, None if d1 is None else d1.tobytes() + d2.tobytes())
+    bound = ctx._passes.get(key)
+    if bound is None:
+        umap, curvature, along = [ctx.pmat.T, -0.5 * ctx.kappa], None, None
+        if d1 is not None:
+            d1, d2 = np.atleast_1d(d1), np.atleast_1d(d2)
+            kd = np.stack([ctx.kappa @ d1, ctx.kappa @ d2], axis=1)
+            umap.append(-kd)
+            curvature, along = complex(d1 @ kd[:, 1]), (ctx.pmat @ d1, ctx.pmat @ d2)
+        tp = bind(ctx.periods.riemann, ctx.tol, order, ctx.chars.a, ctx.chars.b, along)
+        if len(ctx._passes) >= PASSES_KEPT:
+            del ctx._passes[next(iter(ctx._passes))]
+        bound = ctx._passes[key] = _Bound(tp, np.concatenate(umap, axis=1), curvature,
+                                          cmath.log(ctx.gamma0))
+    return bound
 
 
 def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
@@ -368,12 +382,13 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     and the scale, order 1 adds D1 sigma and D2 sigma, and order 2 adds
     D1 D2 sigma and the theta moments along w_i = P d_i relative to theta,
     (m10, m01, m20, m11, m02, m21, m12, m22) with m_ij for D1^i D2^j, the
-    last three from the pass's mixed rows. The directions are read from
-    order 1 on (``_directions``). With env = gamma0 exp(-u.kappa.u/2),
-    q_i = -u.kappa.d_i and g_i, h12 the derivatives of theta along w_i,
+    last three from the pass's rows of order 3 and 4, with env = gamma0
+    exp(-u.kappa.u/2) folded into the terms of the context's bound pass
+    (``_bound``). With q_i = -u.kappa.d_i and g_i, h12 the derivatives of
+    theta along w_i,
 
-        D_i sigma = env (q_i theta + g_i),
-        D1 D2 sigma = env ((q1 q2 - d1.kappa.d2) theta + q1 g2 + q2 g1 + h12).
+        D_i sigma = q_i sigma + env g_i,
+        D1 D2 sigma = q1 D2 sigma + env (q2 g1 + h12) - d1.kappa.d2 sigma.
 
     u is one point or a stack of shape (K, g), any other shape raises
     ValueError; each record has the bits of its own call. A non-finite
@@ -384,25 +399,22 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     pts = np.atleast_2d(np.asarray(u, dtype=complex))
     if pts.ndim > 2 or pts.shape[-1] != g:
         raise ValueError(f"u of shape ({g},) or (K, {g}) expected, not {np.shape(u)}")
-    w, nkd, curvature, outer, mixed = _directions(ctx, d1, d2) if order else (None,) * 5
     # the columns sigma, |env| L1, D1 sigma, D2 sigma, D1 D2 sigma, moments
     block = np.empty((len(pts), (2, 4, 13)[order]), dtype=complex)
+    bound = _bound(ctx, order, d1, d2)
+    zq = np.einsum("ki,ij->kj", pts, bound.umap)
+    log_env = np.einsum("ki,ki->k", pts, zq[:, g:2 * g]) + bound.log_gamma0
     with np.errstate(all="ignore"):  # an overflow is the NonFiniteValue below
-        theta0, grad, hess, l1, *mx = _theta_sum(
-            JET[order], ctx.chars.a, ctx.chars.b, np.einsum("ij,kj->ki", ctx.pmat, pts),
-            ctx.periods.riemann, ctx.trunc_radius, ctx.tol, mixed=mixed if order == 2 else None)
-        env = ctx.gamma0 * np.exp(
-            -0.5 * np.einsum("ki,ki->k", pts, np.einsum("ij,kj->ki", ctx.kappa, pts)))
-        block[:, 0], block[:, 1] = env * theta0, np.abs(env) * l1
-        if order:
-            q = np.einsum("ki,ij->kj", pts, nkd)  # (q1, q2) per point
-            gw = np.einsum("ki,ij->kj", grad, w)  # (g1, g2)
-            block[:, 2:4] = env[:, None] * (q * theta0[:, None] + gw)
-        if order == 2:
-            h = np.einsum("ki,ij->kj", hess.reshape(len(pts), g * g), outer)
-            (q1, q2), (g1, g2) = q.T, gw.T
-            block[:, 4] = env * ((q1 * q2 - curvature) * theta0 + q1 * g2 + q2 * g1 + h[:, 1])
-            block[:, 5:] = np.concatenate([gw, h, mx[0]], axis=1) / theta0[:, None]
+        sig, along, _, scale = _theta_sum(JET[order], zq[:, :g], ctx.periods.riemann,
+                                          ctx.trunc_radius, ctx.tol, bound.theta, log_env)
+        block[:, 0], block[:, 1] = sig, scale
+        if order:  # along holds env times (g1, g2, h11, h12, h22, order 3 and 4)
+            q = zq[:, 2 * g:]  # (q1, q2) per point
+            block[:, 2:4] = q * sig[:, None] + along[:, :2]
+        if order == 2:  # q1 D2 sigma + q2 env g1 + env h12 - d1.kappa.d2 sigma
+            block[:, 4] = q[:, 0] * block[:, 3] + q[:, 1] * along[:, 0] + along[:, 3] \
+                - bound.curvature * sig
+            block[:, 5:] = along / sig[:, None]
     finite = np.isfinite(block)
     if not finite.all():
         where = pts[np.flatnonzero(~finite.all(axis=1))[0]]
@@ -457,11 +469,11 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
     With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
     D1 D2 sigma, |env| L1, moments) as Python scalars, the order-2 record
     of ``_sigma_jets`` read off the pass's K-wide columns; sigma and the
-    scale are those of
-    ``sigma_with_scale`` within rounding, as the mixed rows' theta plan is
-    wider than the value's. ``_log_gap`` turns the moments into the exact
-    -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and returns
-    the list of the K points' tuples, each with the bits of its own call.
+    scale are those of ``sigma_with_scale`` within rounding, as the plan of
+    rows of orders up to 4 is wider. ``_log_gap`` turns the moments into the
+    exact -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and
+    returns the list of the K points' tuples, each with the bits of its own
+    call.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     out = _sigma_jets(ctx, u, 2, d1, d2)
@@ -496,7 +508,7 @@ def _guarded(sig, scale: float, where):
 
 def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
     """d1.kappa.d2, the part of -D1 D2 log sigma that the envelope adds."""
-    return _directions(ctx, d1, d2)[2]
+    return _bound(ctx, 2, d1, d2).curvature
 
 
 def _cumulant_potential(curvature: complex, moments) -> complex:
@@ -532,27 +544,12 @@ def _log_gap(curvature: complex, moments, c, where):
     return v, (k22 * gap + k21 * k12) / gap**2
 
 
-def _log_theta(ctx: SigmaContext, u, order: int):
-    """(t, H / theta) at one point u from one theta pass, t = grad theta / theta.
-
-    The gradient and the Hessian H are in the u variables; H is None below
-    order 2. Past the envelope, whose factor is never built, only log theta
-    counts. The pole test compares theta with its own L1 mass, the test of
-    |sigma| < POLE_TOL |env| L1 with |env| cancelled.
-    """
-    theta0, grad, hess, l1 = _theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
-                                        np.einsum("ij,j->i", ctx.pmat, u),
-                                        ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
-    _guarded(theta0, l1, u)
-    t = (ctx.pmat.T @ grad) / theta0
-    return t, None if hess is None else (ctx.pmat.T @ hess @ ctx.pmat) / theta0
-
-
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
-    """Logarithmic derivative d log sigma / du_i = q_i + t_i, q = -kappa u (``_log_theta``)."""
+    """Logarithmic derivative d log sigma / du_i, D sigma / sigma along e_i."""
     u = _one_point(ctx, u)
-    t = _log_theta(ctx, u, 1)[0]
-    return -(ctx.kappa @ u)[i - 1] + t[i - 1]
+    unit = np.eye(ctx.genus, dtype=complex)[i - 1]
+    sig, d_sig, *_, scale, _ = _sigma_jets(ctx, u, 1, unit, unit)[0]
+    return d_sig / _guarded(sig, scale, u)
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
@@ -561,20 +558,22 @@ def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
 
 
 def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
-    """All wp_{ij} at u from one theta 2-jet: wp = kappa - H / theta + t t^T.
+    """All wp_{ij} = kappa_ij - k_ij at u from the 2-jet of one pass along e_1, e_g.
 
-    t = grad theta / theta and H is the theta Hessian, both in u
-    (``_log_theta``). This is the matrix form of ``_cumulant_potential``:
-    the envelope enters through kappa only. The context keeps the matrix of
-    the last u it was asked for, read-only, so checks that read wp at one
-    divisor's image share one pass.
+    k_ij = m_ij - m_i m_j are the joint cumulants of log theta from the
+    moments of the ``_sigma_jets`` record (``_cumulant_potential``). The
+    context keeps the matrix of the last u it was asked for, read-only, so
+    checks that read wp at one divisor's image share one pass.
     """
     u = _one_point(ctx, u)
     key = u.tobytes()
     wpm = ctx._wp.get(key)
     if wpm is None:
-        t, h = _log_theta(ctx, u, 2)
-        wpm = ctx.kappa - h + np.outer(t, t)
+        units = np.eye(ctx.genus, dtype=complex)
+        sig, *_, scale, m = _sigma_jets(ctx, u, 2, units[0], units[-1])[0]
+        _guarded(sig, scale, u)
+        g, k12 = ctx.genus, m[3] - m[0] * m[1]  # m = (m10, m01, m20, m11, m02, ...)
+        wpm = ctx.kappa - np.array([[m[2] - m[0] * m[0], k12], [k12, m[4] - m[1] * m[1]]])[:g, :g]
         wpm.flags.writeable = False
         ctx._wp.clear()
         ctx._wp[key] = wpm

@@ -9,20 +9,20 @@ the lattice points of an ellipsoid pi m^T Y m <= (R + delta)^2, m = n - n0,
 about the rounded centre n0 = round(-a - Y^{-1} Im z), where delta bounds
 the rounding offset, so every omitted term has pi x^T Y x > R^2 and moderate
 shifts of z cost nothing in accuracy. One pass over the ellipsoid builds the
-terms once and sums one complex row block against them: with
-s = 2 pi i (n+a), the rows 1, s_k and s_k s_m (m >= k) give the value, the
-gradient and the Hessian, and the optional mixed rows below follow them in
-the same block. One matmul gives every row's sum, and one more against the
-block's moduli every row's L1 mass. A block depends on a point only through
-its centre offset n0 + a, which a workload's points repeat, so each plan keeps
-its blocks and moduli per direction pair and offset (``_row_blocks``), at
-most PAIRS_KEPT x OFFSETS_KEPT blocks of 24 R M bytes for R rows and M points
-(3.7 MB for the canonical genus-2 curve's mixed plan, R = 9, M = 133).
+terms once and sums one complex row block against them: with s = 2 pi i
+(n+a) and p_k = s.w_k along directions w1, w2 (the unit vectors for the
+partials), the rows p1^i p2^j give D1^i D2^j theta. One matmul gives every
+row's sum, and the block's moduli times the terms' every row's L1 mass. A
+point's exponents are one matmul of its (lin, const, 1, i), const carrying
+any factor of its terms (sigma's envelope), against the plan's rows (m, 1,
+Re quad, Im quad). A bound pass (``bind``) keeps the blocks of OFFSETS_KEPT
+centre offsets n0 + a, which a workload's points repeat (``_row_blocks``),
+24 R M bytes each: 460 kB for the canonical genus-2 curve, R = 9, M = 133.
 
-The ellipsoid comes from a plan, built once per (T, tol, row layout) and
+The ellipsoid comes from a plan, built once per (T, tol, top row order) and
 cached (``_plan``); a pass's ``radius`` caps how far from the centre its
 plan may reach. The plan's R is the least, in steps of 1/16, for which two
-checks pass for every row order N of the layout at the row's unit scale
+checks pass for every row order N up to the top at the row's unit scale
 (2 pi tau)^N, with the value's L1 mass at least E exp(-delta^2):
 
 - the proven bound of Deconinck, Heil, Bobenko, van Hoeij and Schmies
@@ -39,17 +39,10 @@ checks pass for every row order N of the layout at the row's unit scale
 
 Every row of every point then runs both checks against tol times that row's
 own L1 mass, the proven one with E bounded by exp(delta^2) times the value's
-L1 mass, and either failing raises TruncationInsufficient; an L1 mass that
-is not finite (terms that overflow far from the origin) raises
-NonFiniteValue. A stack of points shares one pass, each point with its own
-checks and the bits of its own call.
-
-Given two z-directions w1 and w2, the block also holds the mixed moments of
-orders (2, 1), (1, 2) and (2, 2) along them, with p_i = s.w_i: the terms by
-p1^2 p2, p1 p2^2 and p1^2 p2^2. With the gradient and Hessian they give
-every derivative D1^i D2^j theta with i, j <= 2, each with its own two
-checks. When w1 equals w2 the rows (2, 1) and (1, 2) are one row,
-summed and checked once.
+L1 mass and prod |w_k| per factor, and either failing raises
+TruncationInsufficient; an L1 mass that is not finite (terms that overflow
+far from the origin) raises NonFiniteValue. A stack of points shares one
+pass, each point with its own checks and the bits of its own call.
 """
 
 from __future__ import annotations
@@ -68,8 +61,7 @@ DEFAULT_TOL = 1e-12
 JET = ((), (1,), (1, 2))
 _R_STEP = 1.0 / 16  # granularity of a plan's R, in units of sqrt(pi x^T Y x)
 _TWO_PI_I, _PI_I = 2j * math.pi, 1j * math.pi
-PAIRS_KEPT = 8  # direction pairs whose row blocks a plan keeps
-OFFSETS_KEPT = 16  # centre offsets whose row blocks a pair keeps
+OFFSETS_KEPT = 16  # centre offsets whose row blocks a bound pass keeps
 
 
 def _upper_gamma(s2: int, x: float) -> float:
@@ -99,56 +91,62 @@ def _box(extents) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ThetaPlan:
-    """The truncation of theta at one (T, tol, row layout); read-only.
+    """The truncation of theta at one (T, tol, top derivative order); read-only.
 
     ``radius`` is R; ``points`` are the offsets m from the rounded centre,
     those from index ``shell`` on having a neighbour m +- e_i outside the
-    ellipsoid; ``s`` = 2 pi i m, one row per coordinate, and ``quad`` =
-    2 pi i (1/2) m^T T m per point, ``yinv`` = (Im T)^{-1} and ``extent``
-    the largest |m_i|.
-    ``coef[N, p]`` is the coefficient of c^p in the proven bound, over E, of
-    the omitted L1 mass of a row of order N along unit directions,
-    c = |Y^{-1} Im z|; ``row_coef`` holds it per row of the plan's layout
-    (``row_orders``), times exp(delta^2) / tol, and ``hess_rows`` the row of
-    each Hessian entry (k, m).
+    ellipsoid; ``s`` = 2 pi i m, one row per coordinate, ``expo_rows`` the
+    rows (m, 1, Re quad, Im quad) with quad = 2 pi i (1/2) m^T T m, ``yinv``
+    = (Im T)^{-1} and ``extent`` the largest |m_i|. ``coef[N, p]`` is the
+    coefficient of c^p, c = |Y^{-1} Im z|, in the proven bound over E of the
+    omitted L1 mass of a row of order N along unit directions, ``tail_coef``
+    its transpose times exp(delta^2) / tol and ``half_powers`` p / 2.
     """
 
     radius: float
     points: np.ndarray
     shell: int
     s: np.ndarray
-    quad: np.ndarray
+    expo_rows: np.ndarray
     yinv: np.ndarray
     extent: int
     coef: np.ndarray
-    row_orders: tuple
-    row_coef: np.ndarray
-    hess_rows: np.ndarray
-    # the one mutable field: the row blocks of its last passes (_row_blocks)
-    blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    tail_coef: np.ndarray
+    half_powers: np.ndarray
 
 
-def _row_orders(g: int, order: int, n_mixed: int) -> tuple:
-    """Derivative order of each row of a pass: value, gradient, Hessian, mixed.
+@dataclass(frozen=True, eq=False)
+class ThetaPass:
+    """A theta pass bound once (``bind``): all its calls read but z, and its row blocks.
 
-    The mixed rows are p1^2 p2, p1 p2^2, p1^2 p2^2, or p^3, p^4 along one
-    direction (``n_mixed`` 3 or 2).
+    Its rows are p1^i p2^j, p_k = s.w_k along ``along``, i, j from ``exps``;
+    ``pick`` reads a call's sums off them (the gradient and Hessian when
+    ``partials``), ``row_coef`` is the proven bound per row, and ``rows``,
+    ``mags`` and ``slots`` keep up to OFFSETS_KEPT blocks (``_row_blocks``).
     """
-    rows = [0] + [1] * g * (order >= 1) + [2] * (g * (g + 1) // 2) * (order >= 2)
-    return tuple(rows + [[], [], [3, 4], [3, 3, 4]][n_mixed])
+
+    plan: ThetaPlan
+    a: np.ndarray
+    b: np.ndarray
+    along: tuple
+    exps: list
+    pick: list
+    partials: bool
+    row_coef: np.ndarray
+    rows: np.ndarray = field(repr=False)
+    mags: np.ndarray = field(repr=False)
+    slots: dict = field(repr=False)
 
 
-def _plan(t_matrix: np.ndarray, tol: float, order: int, n_mixed: int = 0) -> ThetaPlan:
-    """The cached plan of a pass of ``JET[order]`` with ``n_mixed`` mixed rows."""
-    return _cached_plan(t_matrix.tobytes(), t_matrix.shape[0], float(tol), order, n_mixed)
+def _plan(t_matrix: np.ndarray, tol: float, top: int) -> ThetaPlan:
+    """The cached plan of a pass whose rows reach the derivative order ``top``."""
+    return _cached_plan(t_matrix.tobytes(), t_matrix.shape[0], float(tol), top)
 
 
 @lru_cache(maxsize=32)
-def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -> ThetaPlan:
+def _cached_plan(t_bytes: bytes, g: int, tol: float, top: int) -> ThetaPlan:
     t_matrix = np.frombuffer(t_bytes, dtype=complex).reshape(g, g)
     y = t_matrix.imag
-    row_orders = _row_orders(g, order, n_mixed)
-    top = max(row_orders)
     lam_min = float(np.linalg.eigvalsh(y)[0])
     if lam_min <= 0:
         raise ValueError("Im T must be positive definite")
@@ -198,155 +196,158 @@ def _cached_plan(t_bytes: bytes, g: int, tol: float, order: int, n_mixed: int) -
         for p in range(n + 1):
             coef[n, p] = ((2 * math.pi) ** n * math.comb(n, p) * tau ** (n - p)
                           * gam(n - p, r))
-    # the rows 1, s_k, s_k s_m (m >= k) of a pass hold the Hessian
-    pairs = [(k, m) for k in range(g) for m in range(k, g)]
-    hess_rows = np.array([g + 1 + pairs.index((min(k, m), max(k, m)))
-                          for k in range(g) for m in range(g)])
     plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), _TWO_PI_I * points.T,
-                     quad, np.linalg.inv(y), int(np.max(np.abs(points))),
-                     coef, row_orders,
-                     coef.T[:, list(row_orders)] * (math.exp(delta * delta) / tol), hess_rows)
-    for arr in (plan.points, plan.s, quad, plan.yinv, coef, plan.row_coef, hess_rows):
+                     np.column_stack([points, np.ones(len(points)), quad.real, quad.imag]),
+                     np.linalg.inv(y), int(np.max(np.abs(points))), coef,
+                     coef.T * (math.exp(delta * delta) / tol), 0.5 * np.arange(top + 1.0))
+    for arr in (plan.points, plan.s, plan.expo_rows, plan.yinv, coef, plan.tail_coef,
+                plan.half_powers):
         arr.flags.writeable = False
     return plan
 
 
-def _fill_rows(plan: ThetaPlan, order: int, n_mixed: int, ca: np.ndarray, mixed,
-               rows: np.ndarray) -> None:
-    """rows[k] = 1, s_k, s_k s_m (m >= k), mixed rows; s = 2 pi i (m + ca[k])."""
-    g = ca.shape[1]
-    rows[:, 0] = 1.0
-    if order or n_mixed:
-        s = plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
-    if order >= 1:
-        rows[:, 1:g + 1] = s
-    if order >= 2:
-        j = g + 1
-        for k in range(g):
-            np.multiply(s[:, k:k + 1], s[:, k:], out=rows[:, j:j + g - k])
-            j += g - k
-    if n_mixed:
-        n_jet = len(plan.row_orders) - n_mixed
-        p1 = np.einsum("kim,i->km", s, mixed[0])
-        p2 = p1 if n_mixed == 2 else np.einsum("kim,i->km", s, mixed[1])
-        p12 = p1 * p2
-        np.multiply(p12, p1, out=rows[:, n_jet])
-        if n_mixed == 3:
-            np.multiply(p12, p2, out=rows[:, n_jet + 1])
-        np.multiply(p12, p12, out=rows[:, -1])
+def bind(t_matrix, tol: float, order: int, a, b, along=None) -> ThetaPass:
+    """The pass of ``JET[order]`` of theta[a; b] over T at tol, along directions ``along``.
 
-
-def _row_blocks(plan: ThetaPlan, order: int, ca: np.ndarray, mixed, n_mixed: int):
-    """(rows, mags, row_coef) at the centre offsets ca (K, g): one (R, M) block if equal.
-
-    ``plan.blocks`` keeps per direction pair (bytes of w1, w2; the last
-    PAIRS_KEPT) its row_coef, mixed rows scaled by prod |w_i|, a store of
-    OFFSETS_KEPT blocks and their moduli, and each offset's slot. A pass fills
-    the offsets the pair lacks, clearing it first if they do not fit.
+    It sums the rows p1^i p2^j with i + j <= order, along the unit vectors
+    (the partials) without ``along``, and with i, j <= 2 along (w1, w2) at
+    order 2; when w2 equals w1 the row p^n holds every sum of order n.
     """
-    pair = mixed[0].tobytes() + mixed[1].tobytes() if n_mixed else b""
-    if pair not in plan.blocks:
-        if len(plan.blocks) >= PAIRS_KEPT:
-            del plan.blocks[next(iter(plan.blocks))]
-        row_coef = plan.row_coef
-        if n_mixed:
-            n1, n2 = (math.sqrt(np.vdot(w, w).real) for w in mixed)
-            scale = [n1 * n1 * n2, n1 * n2 * n2, (n1 * n2) ** 2]
-            row_coef = row_coef * ([1.0] * (len(plan.row_orders) - n_mixed)
-                                   + (scale[::2] if n_mixed == 2 else scale))
-        shape = (OFFSETS_KEPT, len(plan.row_orders), len(plan.points))
-        plan.blocks[pair] = (row_coef, np.empty(shape, complex), np.empty(shape), {})
-    row_coef, rows, mags, slots = plan.blocks[pair]
-    # the one row of an order-0 pass without mixed rows is 1 at every centre
-    raw, step = ca.tobytes(), ca.itemsize * ca.shape[1] * (len(plan.row_orders) > 1)
-    keys = [raw[k * step:(k + 1) * step] for k in range(len(ca))]
-    new = [key for key in dict.fromkeys(keys) if key not in slots]
-    if len(slots) + len(new) > OFFSETS_KEPT:
-        slots.clear()
-        new = list(dict.fromkeys(keys))
-        if len(new) > OFFSETS_KEPT:  # a pass wider than the store gets its own
-            rows, mags, slots = np.empty((len(new),) + rows.shape[1:], complex), \
-                np.empty((len(new),) + rows.shape[1:]), {}
-    if new:
+    t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    partials = along is None
+    along = tuple(np.eye(len(t_matrix), dtype=complex) if partials
+                  else (np.asarray(w, dtype=complex) for w in along))
+    if along[-1] is along[0] or np.array_equal(along[-1], along[0]):
+        along = along[:1]
+
+    def row(e):  # the row of the sum D1^i D2^j
+        return (e[0] + e[1], 0) if len(along) == 1 else e
+
+    def by_order(e):
+        return e[0] + e[1], -e[0]
+
+    pairs = sorted(((i, j) for i in range(3) for j in range(3)
+                    if i + j <= order or (order == 2 and not partials)), key=by_order)
+    exps = sorted({row(e) for e in pairs}, key=by_order)
+    units = pairs[1:1 + len(t_matrix)]
+    wanted = units + [(u[0] + v[0], u[1] + v[1]) for u in units for v in units] * (order == 2) \
+        if partials else pairs[1:]
+    norms = [math.sqrt(np.vdot(w, w).real) for w in along * (3 - len(along))]
+    plan = _plan(t_matrix, tol, max(i + j for i, j in exps))
+    shape = (OFFSETS_KEPT * (len(exps) > 1), len(exps), len(plan.points))
+    return ThetaPass(plan, np.atleast_1d(np.asarray(a, dtype=float)),
+                     np.atleast_1d(np.asarray(b, dtype=float)), along, exps,
+                     [exps.index(row(e)) for e in wanted], partials,
+                     plan.tail_coef[:, [i + j for i, j in exps]]
+                     * [norms[0] ** i * norms[1] ** j for i, j in exps],
+                     np.empty(shape, complex), np.empty(shape), {})
+
+
+def _fill_rows(tp: ThetaPass, ca: np.ndarray, rows: np.ndarray) -> None:
+    """The row blocks at the centre offsets ca (K, g), s = 2 pi i (m + ca[k]).
+
+    The row p1^i p2^j is the row of one factor fewer times p1 or p2.
+    """
+    rows[:, 0] = 1.0
+    s = tp.plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
+    p = [np.einsum("kim,i->km", s, w) for w in tp.along]
+    p = p * (3 - len(p))  # p2 = p1 along one direction
+    for r, (i, j) in enumerate(tp.exps[1:], start=1):
+        np.multiply(rows[:, tp.exps.index((i - 1, j) if i else (i, j - 1))],
+                    p[0 if i else 1], out=rows[:, r])
+
+
+def _row_blocks(tp: ThetaPass, ca: np.ndarray):
+    """(rows, mags) at the centre offsets ca (K, g): one (R, M) block if all are equal.
+
+    A pass fills the offsets the store lacks, clearing it first if they do
+    not fit, or builds its own blocks past OFFSETS_KEPT offsets.
+    """
+    rows, mags, slots = tp.rows, tp.mags, tp.slots
+    raw, step = ca.tobytes(), ca.itemsize * ca.shape[1]
+    keys = [raw] if len(ca) == 1 else [raw[k * step:(k + 1) * step] for k in range(len(ca))]
+    at = [slots.get(key) for key in keys]
+    if None in at:
+        new = list(dict.fromkeys(key for key in keys if key not in slots))
+        if len(slots) + len(new) > OFFSETS_KEPT:
+            slots.clear()
+            new = list(dict.fromkeys(keys))
+            if len(new) > OFFSETS_KEPT:
+                rows, mags, slots = np.empty((len(new),) + rows.shape[1:], complex), \
+                    np.empty((len(new),) + rows.shape[1:]), {}
         lo, hi = len(slots), len(slots) + len(new)
-        _fill_rows(plan, order, n_mixed, ca[[keys.index(key) for key in new]], mixed,
-                   rows[lo:hi])
+        _fill_rows(tp, ca[[keys.index(key) for key in new]], rows[lo:hi])
         np.abs(rows[lo:hi], out=mags[lo:hi])
         slots.update(zip(new, range(lo, hi)))
-    at = [slots[key] for key in keys]
+        at = [slots[key] for key in keys]
     if len(set(at)) == 1:
-        return rows[at[0]], mags[at[0]], row_coef
-    return rows.take(at, axis=0), mags.take(at, axis=0), row_coef
+        return rows[at[0]], mags[at[0]]
+    return rows.take(at, axis=0), mags.take(at, axis=0)
 
 
-_SAME_DIRECTION = np.array([0, 0, 1])  # (2, 1) and (1, 2) are one row when w1 == w2
+def _theta_sum(deriv, z, t_matrix, radius, tol, tp, log_factor=0.0):
+    """(value, grad, hess, l1) of theta[a; b] at z from one pass of ``tp``.
 
-
-def _theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
-    """(value, grad, hess, l1) of theta[a; b] at z from one lattice pass.
-
-    ``deriv`` is ``JET[order]`` for order 0, 1 or 2; grad and hess are None
-    above that order. l1 is the L1 mass of the value's terms. The pass sums
-    the plan of (T, tol) for its rows, whose points must lie within
-    ``radius`` of the centre in every coordinate, else TruncationInsufficient;
-    a point whose terms overflow raises NonFiniteValue. With
-    ``mixed = (w1, w2)``, a fifth entry holds the moments along them of
-    orders (2, 1), (1, 2) and (2, 2). A stack z of shape (K, g) adds a
-    leading axis of size K to every entry.
+    ``tp`` is the pass bound for ``deriv`` = ``JET[order]``, T and tol
+    (``bind``). grad and hess are None above the order; along directions
+    grad holds D1, D2 theta, and at order 2 also D1^2, D1 D2, D2^2, D1^2 D2,
+    D1 D2^2 and D1^2 D2^2 theta. l1 is the L1 mass of the value's terms. The
+    plan's points must lie within ``radius`` of the centre in every
+    coordinate, else TruncationInsufficient. Every term of a point and its
+    L1 mass carry the factor exp(log_factor), one per point. A stack z of
+    shape (K, g) adds a leading axis of size K to every entry.
     """
-    order = JET.index(tuple(deriv))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
-    g = t_matrix.shape[0]
-    n_mixed = 0
-    if mixed is not None:
-        w1, w2 = mixed = tuple(np.asarray(w, dtype=complex) for w in mixed)
-        n_mixed = 2 if w1 is w2 or bool((w1 == w2).all()) else 3
-    plan = _plan(t_matrix, tol, order, n_mixed)
+    plan, order = tp.plan, len(deriv)
     if plan.extent > radius:
         raise TruncationInsufficient(
             f"the theta plan at tol {tol:.1e} reaches {plan.extent} > radius {radius}")
-    zb = z.reshape(-1, g) + b
+    g = t_matrix.shape[0]
+    zb = z.reshape(-1, g) + tp.b
     k_pts, n_pts = zb.shape[0], plan.points.shape[0]
     shift = zb.imag @ plan.yinv  # its bits reach the outputs only through the rounding
-    ca = a - np.rint(shift + a)  # n0 + a at the rounded centre n0
+    ca = tp.a - np.rint(shift + tp.a)  # n0 + a at the rounded centre n0
     # 2 pi i ((1/2)(m+ca)^T T (m+ca) + (m+ca).zb) = quad + m.lin + const with
     # lin = 2 pi i (T ca + zb) and const = pi i ca.(T ca + 2 zb), and the
     # powers of c = |Y^-1 Im z| for the proven bound: elementwise ufuncs and
     # two-operand einsum over the K points, which give each point the bits of
     # its own call (a matmul with a (K, g) operand does not)
-    tc = np.einsum("ij,kj->ki", t_matrix, ca)
-    lin = _TWO_PI_I * (tc + zb)
-    const = _PI_I * np.einsum("ki,ki->k", ca, tc + 2.0 * zb)
-    c_pow = np.sqrt(np.einsum("ki,ki->k", shift, shift))[:, None] \
-        ** np.arange(plan.row_coef.shape[0])
-    expo = np.matmul(plan.points, lin.view(float).reshape(k_pts, g, 2)).view(complex)
-    expo += plan.quad[:, None]
-    expo += const[:, None, None]
-    base = np.exp(expo)  # (K, M, 1): the terms, and below their moduli
-    mod = np.exp(expo.real[..., 0])
-    rows, mags, row_coef = _row_blocks(plan, order, ca, mixed, n_mixed)
-    # one (R, M) block broadcasts over the K points in both matmuls
-    sums = np.matmul(rows, base)[..., 0]
-    l1s = np.matmul(mags, mod[:, :, None])[..., 0]
-    tails = (mags[..., plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
+    coefs = np.empty((k_pts, g + 3), dtype=complex)
+    coefs[:, g + 1:] = 1.0, 1j
+    half = np.einsum("ij,kj->ki", t_matrix, ca)
+    half += zb  # T ca + zb
+    np.multiply(_TWO_PI_I, half, out=coefs[:, :g])
+    half += zb
+    np.einsum("ki,ki->k", _PI_I * ca, half, out=coefs[:, g])
+    coefs[:, g] += log_factor
+    c_pow = np.einsum("ki,ki->k", shift, shift)[:, None] ** plan.half_powers  # c^p
+    expo = np.matmul(plan.expo_rows, coefs.view(float).reshape(k_pts, g + 3, 2)).view(complex)
+    if not order:  # one row, 1 at every centre: no row block
+        base, mod = np.exp(expo[..., 0]), np.exp(expo.real[..., 0])
+        sums, l1s = base.sum(axis=1, keepdims=True), mod.sum(axis=1, keepdims=True)
+        tails = mod[:, plan.shell:].max(axis=1, keepdims=True)
+    else:
+        rows, mags = _row_blocks(tp, ca)
+        # one (R, M) block broadcasts over the K points, in the matmul of the
+        # terms (K, M, 1) and in the product of the moduli
+        sums = np.matmul(rows, np.exp(expo))[..., 0]
+        moduli = mags * np.exp(expo.real[:, None, :, 0])  # (K, R, M)
+        l1s, tails = moduli.sum(axis=2), moduli[..., plan.shell:].max(axis=2)
     tails *= (n_pts - plan.shell) / tol
     # the proven bound E sum_p coef c^p per row, over tol, with c = |Y^-1 Im z|
     # and E = exp(pi Im z.Y^-1 Im z) <= exp(delta^2) l1 of the value: the
-    # term at the centre has modulus at least E exp(-delta^2)
-    proven = (c_pow @ row_coef) * l1s[:, :1]
-    if (np.maximum(tails, proven) > l1s).any():
+    # term at the centre has modulus at least E exp(-delta^2). A row's excess
+    # over its L1 mass is NaN where an overflow made the masses infinite.
+    if not (np.maximum(tails, (c_pow @ tp.row_coef) * l1s[:, :1]) - l1s <= 0.0).all():
+        if not np.isfinite(l1s).all():
+            bad = np.argmin(np.isfinite(l1s).all(axis=1))
+            raise NonFiniteValue(f"theta terms overflow at z = {z.reshape(-1, g)[bad]}")
         raise TruncationInsufficient(
             f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")
-    if not np.isfinite(l1s).all():  # NaN passes the tail test; |sum| <= l1 per row
-        bad = np.argmin(np.isfinite(l1s).all(axis=1))
-        raise NonFiniteValue(f"theta terms overflow at z = {z.reshape(-1, g)[bad]}")
-    out = [sums[:, 0], sums[:, 1:g + 1] if order >= 1 else None,
-           sums[:, plan.hess_rows].reshape(k_pts, g, g) if order >= 2 else None,
-           l1s[:, 0]]
-    if n_mixed:
-        mixed_sums = sums[:, len(plan.row_orders) - n_mixed:]
-        out.append(mixed_sums[:, _SAME_DIRECTION] if n_mixed == 2 else mixed_sums)
+    out = [sums[:, 0], None, None, l1s[:, 0]]
+    if order:
+        out[1] = sums[:, tp.pick]
+        if tp.partials:
+            out[1:3] = out[1][:, :g], out[1][:, g:].reshape(k_pts, g, g) if order == 2 else None
     if z.ndim == 1:  # one point: drop the stack axis
         out = [None if x is None else x[0] for x in out]
         out[3] = float(out[3])
@@ -360,7 +361,7 @@ def theta_char(a, b, z, t_matrix, radius: int | None = None,
     ``radius`` caps the plan's reach from the centre; by default it is the
     plan's own extent.
     """
-    if radius is None:
-        t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
-        radius = _plan(t, tol, 0).extent
-    return _theta_sum(JET[0], a, b, z, t_matrix, radius, tol)[0]
+    tp = bind(t_matrix, tol, 0, a, b)
+    return _theta_sum(JET[0], np.atleast_1d(np.asarray(z, dtype=complex)),
+                      np.atleast_2d(np.asarray(t_matrix, dtype=complex)),
+                      tp.plan.extent if radius is None else radius, tol, tp)[0]

@@ -1,12 +1,61 @@
 """The former box theta kernel, kept as the reference of the ellipsoid plans.
 
-Imported by the tests; not collected (its name does not start with test_).
+Also a theta pass with all its arguments in one call, (deriv, a, b, z, T,
+radius, tol, along), on the plan kernel (``theta_pass``), and the box kernel
+in the place of the plan kernel (``box_pass``). Imported by the tests; not
+collected (its name does not start with test_).
 """
+
+import importlib
 
 import numpy as np
 
 from sigmatoda.errors import TruncationInsufficient
-from sigmatoda.theta import JET
+from sigmatoda.theta import JET, bind
+
+
+def theta_pass(deriv, a, b, z, t_matrix, radius, tol, along=None):
+    """One pass of the kernel that ``sigmatoda.sigma`` holds at the call, bound for it alone.
+
+    The characteristic (a, b) and the directions ``along`` are bound by
+    ``theta.bind``, so a kernel patched into ``sigmatoda.sigma`` serves the
+    caller too.
+    """
+    t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    tp = bind(t_matrix, tol, JET.index(tuple(deriv)), a, b, along)
+    kernel = importlib.import_module("sigmatoda.sigma")._theta_sum
+    return kernel(deriv, np.asarray(z, dtype=complex), t_matrix, radius, tol, tp)
+
+
+def box_pass(deriv, z, t_matrix, radius, tol, tp, log_factor=None):
+    """``box_theta_sum`` at radius 12 in the place of ``theta._theta_sum``.
+
+    The characteristic and the directions are those of the bound pass tp:
+    along directions the gradient and Hessian are contracted with them, as
+    the plan kernel's directional sums. With ``log_factor`` every sum of a
+    point is multiplied by exp(log_factor) and its L1 mass by the modulus,
+    as the plan kernel folds the factor into the terms.
+    """
+    order = len(deriv)
+    along = None if tp.partials or not order else tp.along * (3 - len(tp.along))
+    out = box_theta_sum(deriv, tp.a, tp.b, z, t_matrix, 12, tol,
+                        along if order == 2 else None)
+    if along is not None:
+        value, grad, hess, l1, *mixed = out
+        w = np.stack(along, axis=-1)
+        sums = [grad @ w]
+        if order == 2:
+            sums += [np.stack([np.einsum("...i,...ij,...j->...", wa, hess, wb)
+                               for wa, wb in ((along[0], along[0]), (along[0], along[1]),
+                                              (along[1], along[1]))], axis=-1), *mixed]
+        out = (value, np.concatenate(sums, axis=-1), None, l1)
+    if log_factor is None:
+        return out
+    factor = np.exp(log_factor)
+    return tuple(None if x is None else
+                 x * np.reshape(abs(factor) if k == 3 else factor,
+                                np.shape(factor) + (1,) * (np.ndim(x) - np.ndim(factor)))
+                 for k, x in enumerate(out))
 
 
 def box_theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):

@@ -11,11 +11,12 @@ collected (its name does not start with test_).
 import itertools
 
 import numpy as np
+from box_theta import theta_pass
 
 from sigmatoda.curves import random_curve_points
 from sigmatoda.errors import CharacteristicsNotFound
 from sigmatoda.sigma import Characteristics, _abel_maps, reduce_mod_lattice
-from sigmatoda.theta import JET, _plan, _theta_sum
+from sigmatoda.theta import JET, _plan
 
 
 def former_characteristics(engine) -> Characteristics:
@@ -36,7 +37,7 @@ def former_characteristics(engine) -> Characteristics:
     winners = []
     for a in itertools.product((0.0, 0.5), repeat=g):
         for b in itertools.product((0.0, 0.5), repeat=g):
-            val, _, _, l1 = _theta_sum(JET[0], np.array(a), np.array(b), test_z,
+            val, _, _, l1 = theta_pass(JET[0], np.array(a), np.array(b), test_z,
                                        t_matrix, radius, 1e-12)
             if np.all(np.abs(val) <= 1e-5 * l1):
                 winners.append(Characteristics(np.array(a), np.array(b)))

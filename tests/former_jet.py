@@ -6,9 +6,8 @@ point. Imported by the tests; not collected (its name does not start with
 test_).
 """
 
-import importlib
-
 import numpy as np
+from box_theta import theta_pass
 
 from sigmatoda.theta import JET
 
@@ -23,9 +22,8 @@ def former_jet(ctx, u, order: int):
     package's kernel as ``sigmatoda.sigma`` holds it at the call, so a
     kernel patched there serves the oracle too.
     """
-    theta_sum = importlib.import_module("sigmatoda.sigma")._theta_sum
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    moments = theta_sum(JET[order], ctx.chars.a, ctx.chars.b,
+    moments = theta_pass(JET[order], ctx.chars.a, ctx.chars.b,
                         np.einsum("ij,...j->...i", ctx.pmat, u),
                         ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
     if u.ndim > 1:

@@ -2,7 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
-from box_theta import box_theta_sum
+from box_theta import box_pass
 
 from sigmatoda.addition import (
     _coincident,
@@ -356,11 +356,6 @@ def _former_deg2(ctx, u_pts, v1):
     return _rel(lhs, complex(np.prod([v1.x - p.x for p in u_pts])))
 
 
-def _box_kernel(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
-    """The former box kernel at radius 12, in place of the plan's pass."""
-    return box_theta_sum(deriv, a, b, z, t_matrix, 12, tol, mixed)
-
-
 # a swap of the theta kernel moves a residual by at most 1% of its gate
 KERNEL_SWAP = {1: 1e-11, 2: 1e-8}
 
@@ -384,7 +379,7 @@ def test_stacked_residuals_equal_the_former_per_argument_code(ctx1, ctx2, monkey
                 value = check(*args)
                 assert value == former(*args)
                 with monkeypatch.context() as patch:
-                    patch.setattr(sigma_mod, "_theta_sum", _box_kernel)
+                    patch.setattr(sigma_mod, "_theta_sum", box_pass)
                     assert abs(value - former(*args)) <= KERNEL_SWAP[g]
             for n in (1, 2, 3):
                 assert _fs_sides(ctx, others[:n]) == _former_fs_sides(ctx, others[:n])
@@ -396,9 +391,9 @@ def _counted_passes(monkeypatch):
     kernel = sigma_mod._theta_sum
     passes = []
 
-    def counted(deriv, a, b, z, *args, **kwargs):
+    def counted(deriv, z, *args, **kwargs):
         passes.append((JET.index(tuple(deriv)), np.shape(z)[:-1]))
-        return kernel(deriv, a, b, z, *args, **kwargs)
+        return kernel(deriv, z, *args, **kwargs)
 
     monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
     return passes
@@ -418,8 +413,8 @@ def test_addition_op_makes_six_theta_passes(ctx1, ctx2, monkeypatch):
     baker_residual(ctx2, base, v1, v2)
     # (order, stack shape): values in one pass per check, sigma_2 at v in a
     # pass of its own, and one 2-jet for the wp matrix that the Fay and
-    # Baker checks read at the same u
-    assert passes == [(0, (4,)), (0, (4,)), (0, (3,)), (1, (1,)), (0, (4,)), (2, ())]
+    # Baker checks read at the same u, a sigma record of one point
+    assert passes == [(0, (4,)), (0, (4,)), (0, (3,)), (1, (1,)), (0, (4,)), (2, (1,))]
 
 
 def test_wp_matrix_is_kept_for_the_last_u_only(ctx2, monkeypatch):

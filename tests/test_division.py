@@ -107,6 +107,17 @@ def test_cantor_alpha_matches_recurrence_oracle(g1):
         assert np.max(np.abs(mine - ratio * oracle)) < 1e-9 * np.max(np.abs(mine))
 
 
+def test_psi_oracle_has_the_closed_form_degree_and_leading_coefficient(g1):
+    # the recurrence oracle on y^2 = x^3 - x: degree (n^2 - 1)/2 for odd n
+    # and (n^2 - 4)/2 for even n, leading coefficient n, and the degree of
+    # cantor_alpha; a relative trim read 68, 78 and 86 at n = 12, 13 and 14
+    for n in range(2, 16):
+        oracle = elliptic_psi_oracle(g1, n)
+        degree = (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
+        assert oracle.size - 1 == degree == cantor_alpha(g1, n).degree
+        assert oracle[-1] == n
+
+
 def test_alpha_degree_formula(g1, g2):
     for curve in (g1, g2):
         g = curve.genus

@@ -1,5 +1,9 @@
+import copy
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -25,6 +29,35 @@ def test_output_digest_repeats_and_tells_seeds_apart():
         assert len(first[key]) == 64 and other[key] != first[key]
     # the canonical contexts draw no seed
     assert len(first["contexts"]) == 64 and other["contexts"] == first["contexts"]
+
+
+def test_values_file_holds_the_numbers_behind_the_digests(tmp_path, capsys):
+    tool = _tool()
+    path = tmp_path / "values.json"
+    assert tool.main(["--seed", "1", "--addition-ops", "2", "--toda-ops", "3",
+                      "--values", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == tool.digest(1, 2, 3)
+    values = json.loads(path.read_text())
+    assert set(values) == {"seed", "addition", "toda", "toda_constants", "contexts"}
+    for name, n_ops in (("addition", 2), ("toda", 3)):
+        assert len(values[name]["residuals"]) == len(values[name]["failures"]) == n_ops
+    # the residuals are those the digest hashes, op by op
+    results = tool.op_results("addition", 1, 2)
+    assert values["addition"]["residuals"] == [res.residuals for res in results]
+    assert [len(c) for c in values["contexts"]] == [2, 2]
+    assert np.shape(values["contexts"][1]["kappa"]) == (2, 2, 2)
+    assert len(values["toda_constants"]) == 4
+    # value_moves reads no move against itself and the move of a perturbed copy
+    moves = tool.value_moves(values, values)
+    assert moves.pop("failures") is True and set(moves.values()) == {0.0}
+    moved = copy.deepcopy(values)
+    moved["toda"]["residuals"][2][0] += 1e-13
+    moved["contexts"][0]["gamma0"][0] *= 1 + 1e-15
+    moved["addition"]["failures"][0].append([1, "gate:x"])
+    moves = tool.value_moves(values, moved)
+    assert moves["failures"] is False and moves["addition"] == 0.0
+    assert 0 < moves["toda"] <= 2e-13 and 0 < moves["gamma0"] <= 2e-15
 
 
 def test_cli_digest_repeats(tmp_path):

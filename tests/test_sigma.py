@@ -1,10 +1,11 @@
 import dataclasses
 import importlib
+import itertools
 
 import mpmath as mp
 import numpy as np
 import pytest
-from box_theta import box_theta_sum
+from box_theta import box_pass
 from former_characteristics import former_characteristics
 from former_jet import former_jet, former_partial
 
@@ -35,10 +36,14 @@ from sigmatoda.errors import (
 from sigmatoda.periods import _continue_y, _continuous_sqrt, _refine, compute_periods
 from sigmatoda.sigma import (
     LEG_SPLIT,
+    PASSES_KEPT,
     _AbelEngine,
+    _bound,
+    _envelope_curvature,
     _gauss_nodes,
     _leg_nodes,
     _monomials,
+    _sigma_jets,
     abel_map,
     lattice_decompose,
     lattice_distance,
@@ -56,6 +61,8 @@ from sigmatoda.sigma import (
     wp_matrix,
     zeta,
 )
+from sigmatoda.theta import JET, OFFSETS_KEPT, _theta_sum
+from sigmatoda.toda import direction_vector, toda2d_residual
 from sigmatoda.verify import canonical_contexts
 
 mp.mp.dps = 30
@@ -142,7 +149,7 @@ def test_characteristics_take_one_stacked_pass(ctx1, ctx2, genus, a, b, monkeypa
     stacks = []
 
     def counted(deriv, *args, **kwargs):
-        stacks.append((len(deriv), np.shape(args[2])))
+        stacks.append((len(deriv), np.shape(args[0])))
         return kernel(deriv, *args, **kwargs)
 
     monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
@@ -653,11 +660,6 @@ def _former_deg1(ctx, u_pts, v1):
     return _rel(lhs, f12(ctx.curve, v1.x) - ssum)
 
 
-def _box_kernel(deriv, a, b, z, t_matrix, radius, tol, mixed=None):
-    """The former box kernel at radius 12, in place of the plan's pass."""
-    return box_theta_sum(deriv, a, b, z, t_matrix, 12, tol, mixed)
-
-
 def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2, monkeypatch):
     # within 1% of the residual gate (1e-9 at genus 1, 1e-6 at genus 2) of
     # the per-entry sums, on the plan kernel and on the box reference; the
@@ -676,7 +678,7 @@ def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2, monkeypatch):
                 value = check(*args)
                 assert abs(value - former(*args)) <= swap[ctx.genus]
                 with monkeypatch.context() as patch:
-                    patch.setattr(sigma_mod, "_theta_sum", _box_kernel)
+                    patch.setattr(sigma_mod, "_theta_sum", box_pass)
                     assert abs(value - former(*args)) <= swap[ctx.genus]
 
 
@@ -702,11 +704,12 @@ def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
     labels = range(1, genus + 1)
     index_sets = [()] + [(i,) for i in labels] + [(i, j) for i in labels for j in labels]
     rng = np.random.default_rng(40 + genus)
-    points = 0.4 * (rng.normal(size=(8, genus)) + 1j * rng.normal(size=(8, genus)))
+    points = 0.4 * (rng.normal(size=(12, genus)) + 1j * rng.normal(size=(12, genus)))
     singles = {idx: [sigma_deriv(ctx, idx, u) for u in points] for idx in index_sets}
-    # K = 1..8, in both row orders: the K-wide record columns keep each
-    # point's bits wherever it sits in the stack
-    for k in range(1, 9):
+    # K = 1..8 and 12 (a Toda window holds up to 11 sites), in both row
+    # orders: the K-wide record columns keep each point's bits wherever it
+    # sits in the stack
+    for k in [*range(1, 9), 12]:
         for rows in (list(range(k)), list(range(k))[::-1]):
             for idx in index_sets:
                 vals = sigma_deriv(ctx, idx, points[rows])
@@ -715,6 +718,105 @@ def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
     assert np.array_equal(sigma_deriv(ctx, (), points), [sigma(ctx, u) for u in points])
     assert np.array_equal(sigma_natural(ctx, 1, points),
                           [sigma_natural(ctx, 1, u) for u in points])
+    # the order-0 pass sums its terms with no row block
+    assert _bound(ctx, 0).theta.rows.shape[0] == 0 and _bound(ctx, 0).theta.slots == {}
+    # zeta and wp_matrix read the kernel's records: zeta is D sigma / sigma of
+    # the order-1 record along e_i, and wp_matrix kappa minus the cumulants
+    # of the 2-jet along e_1 and e_g, whose records keep each point's bits
+    units = np.eye(genus, dtype=complex)
+    for i in labels:
+        recs = _sigma_jets(ctx, points, 1, units[i - 1], units[i - 1])
+        assert [_bits(zeta(ctx, i, u)) for u in points] == [_bits(r[1] / r[0]) for r in recs]
+    for rec, u in zip(_sigma_jets(ctx, points, 2, units[0], units[-1]), points):
+        m10, m01, m20, m11, m02 = rec[5][:5]
+        k12 = m11 - m10 * m01
+        cumulants = np.array([[m20 - m10 * m10, k12], [k12, m02 - m01 * m01]])
+        ctx._wp.clear()
+        assert wp_matrix(ctx, u).tobytes() == (ctx.kappa - cumulants[:genus, :genus]).tobytes()
+    # a warm store reads the bits of a cleared one, on every path
+    warm = {idx: sigma_deriv(ctx, idx, points) for idx in index_sets}
+
+    def wp_bits():
+        out = []
+        for u in points[:3]:
+            ctx._wp.clear()  # a pass of its own, not the kept matrix
+            out.append(wp_matrix(ctx, u).tobytes())
+        return out
+
+    warm_wp = wp_bits()
+    ctx._passes.clear()
+    for idx in index_sets:
+        assert [_bits(v) for v in sigma_deriv(ctx, idx, points)] == [_bits(v) for v in warm[idx]]
+    ctx._passes.clear()
+    assert wp_bits() == warm_wp
+
+
+def test_the_bound_passes_stay_bounded_and_keep_the_bits(ctx2):
+    # the context's one store of bound passes (sigma._bound), each with its
+    # row blocks by centre offset: fresh direction pairs (seeded two-time
+    # residuals) and points shifted by T m for growing m, a new centre
+    # offset on every pass, are the two sources of new keys
+    ctx = dataclasses.replace(ctx2)  # a context with no bound passes
+    rng = np.random.default_rng(33)
+
+    def bounded():
+        return len(ctx._passes) <= PASSES_KEPT and all(
+            len(bound.theta.slots) <= OFFSETS_KEPT for bound in ctx._passes.values())
+
+    def bits(out):
+        return [None if x is None else np.asarray(x).tobytes() for x in out]
+
+    sizes = []
+    for _ in range(3 * PASSES_KEPT):
+        v1, v2 = random_curve_points(ctx.curve, rng, 2)
+        try:
+            toda2d_residual(ctx, v1, v2, 0, 0.01, -0.02, rng=rng)
+        except SigmaTodaError:  # a draw near a pole has still made its pass
+            pass
+        sizes.append(len(ctx._passes))
+        assert bounded()
+    # each call's fresh pair of directions is one entry, the oldest dropped
+    assert sizes[:PASSES_KEPT] == list(range(1, PASSES_KEPT + 1))
+    assert set(sizes[PASSES_KEPT:]) == {PASSES_KEPT}
+    # a hit is the kept pass, whose records and curvature have the bits of a
+    # cleared store's
+    d1, d2 = (direction_vector(x, 2) for x in (0.3 - 0.2j, -1.1 + 0.4j))
+    u = 0.3 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+    sigma_jet2(ctx, u, d1, d2)
+    assert _bound(ctx, 2, d1, d2) is _bound(ctx, 2, d1.copy(), d2.copy())
+    hit, curvature = sigma_jet2(ctx, u, d1, d2), _envelope_curvature(ctx, d1, d2)
+    ctx._passes.clear()
+    cleared = sigma_jet2(ctx, u, d1, d2)
+    assert [bits([*r[:5], *r[5]]) for r in hit] == [bits([*r[:5], *r[5]]) for r in cleared]
+    assert _bits(curvature) == _bits(_envelope_curvature(ctx, d1, d2))
+    t_matrix = ctx.periods.riemann
+    z0 = np.array([[0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.1j, 0.05 + 0.02j]])
+    # every m of a growing square, (0, 0) first: far more offsets than a pass keeps
+    shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
+    assert len(shifts) > 3 * OFFSETS_KEPT
+    for order, directions in ((0, ()), (1, ()), (2, ()), (2, (d1, d2))):
+        tp = _bound(ctx, order, *directions).theta
+
+        def call(m):
+            # the first point keeps its offset, a hit beside each new one
+            z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
+            return _theta_sum(JET[order], z, t_matrix, ctx.trunc_radius, ctx.tol, tp)
+
+        first = call(shifts[0])
+        for m in shifts[1:]:
+            call(m)
+            assert bounded()
+        # the second point's offset at m = (0, 0) is long evicted: the pass
+        # builds it again, bit for bit
+        assert bits(call(shifts[0])) == bits(first)
+    # a pass with more distinct offsets than the store keeps builds its own blocks
+    wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
+                             for m in shifts[:OFFSETS_KEPT + 4]])
+    stack = _theta_sum(JET[2], wide, t_matrix, ctx.trunc_radius, ctx.tol, tp)
+    for k, z in enumerate(wide):
+        single = _theta_sum(JET[2], z, t_matrix, ctx.trunc_radius, ctx.tol, tp)
+        assert bits(x if x is None else x[k] for x in stack) == bits(single)
+    assert bounded()
 
 
 @pytest.mark.parametrize("genus", [1, 2])

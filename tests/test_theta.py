@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from box_theta import box_theta_sum as _box_theta_sum
+from box_theta import theta_pass
 from sigmatoda import theta as theta_mod
 from sigmatoda.errors import NonFiniteValue, TruncationInsufficient
 from sigmatoda.theta import (
     JET,
     _plan,
     _theta_sum,
+    bind,
     theta_char,
 )
 
@@ -23,8 +25,8 @@ T2 = np.array([[-0.5 + 1.2139j, 0.5257j], [0.5257j, -0.5 + 0.6882j]])
 
 
 def _radius(t_matrix, tol=1e-12):
-    """The reach of the widest plan at (T, tol): the 2-jet with three mixed rows."""
-    return _plan(np.asarray(t_matrix, dtype=complex), tol, 2, 3).extent
+    """The reach of the widest plan at (T, tol): rows of orders up to 4."""
+    return _plan(np.asarray(t_matrix, dtype=complex), tol, 4).extent
 
 
 def theta_deriv(multi_index, a, b, z, t_matrix, radius=None, tol=1e-12):
@@ -40,7 +42,7 @@ def theta_deriv(multi_index, a, b, z, t_matrix, radius=None, tol=1e-12):
         raise NotImplementedError("theta derivatives of order > 2 not supported")
     # the jet's value, gradient or Hessian, indexed by idx
     radius = _radius(t_matrix, tol) if radius is None else radius
-    return _theta_sum(JET[len(idx)], a, b, z, t_matrix, radius, tol)[len(idx)][idx]
+    return theta_pass(JET[len(idx)], a, b, z, t_matrix, radius, tol)[len(idx)][idx]
 
 
 def test_leading_term_dominates():
@@ -49,7 +51,7 @@ def test_leading_term_dominates():
 
 
 def _value_and_l1(a, b, z, t_matrix):
-    value, _, _, l1 = _theta_sum(JET[0], a, b, z, t_matrix, _radius(t_matrix), 1e-12)
+    value, _, _, l1 = theta_pass(JET[0], a, b, z, t_matrix, _radius(t_matrix), 1e-12)
     return value, l1
 
 
@@ -132,7 +134,7 @@ def test_truncation_insufficient_raised():
         for args in (([0.0], [0.0], [2.5j], T_FAST),
                      ([0.5, 0.0], [0.0, 0.5], [0.3j, -0.2j], T2)):
             with pytest.raises(TruncationInsufficient):
-                _theta_sum(deriv, *args, 1, 1e-12)
+                theta_pass(deriv, *args, 1, 1e-12)
 
 
 def test_overflowing_terms_raise_a_typed_error():
@@ -143,10 +145,15 @@ def test_overflowing_terms_raise_a_typed_error():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteValue):
             theta_char([0], [0], [0.1 + 15 * t[0][0]], t)
-        # a stack raises for its one overflowing point
+        # a stack raises for its one overflowing point, also with a factor
+        # folded into its terms that leaves them overflowing
         for deriv in JET:
             with pytest.raises(NonFiniteValue, match="overflow"):
-                _theta_sum(deriv, [0], [0], [[0.1], [0.1 + 15 * t[0][0]]], t, 8, 1e-12)
+                theta_pass(deriv, [0], [0], [[0.1], [0.1 + 15 * t[0][0]]], t, 8, 1e-12)
+            tp = bind(t, 1e-12, len(deriv), [0], [0])
+            with pytest.raises(NonFiniteValue, match="overflow"):
+                _theta_sum(deriv, np.array([[0.1], [0.1 + 15 * t[0][0]]]), np.array(t), 8,
+                           1e-12, tp, np.array([0.0, 5.0 - 2.0j]))
 
 
 def test_recentering_keeps_shifted_arguments_accurate():
@@ -225,7 +232,7 @@ def test_kernel_matches_the_box_reference(t_matrix):
 
             ref_value, ref_l1 = ref(())
             for order in (0, 1, 2):
-                value, grad, hess, l1 = _theta_sum(JET[order], a, b, z, t_matrix,
+                value, grad, hess, l1 = theta_pass(JET[order], a, b, z, t_matrix,
                                                    _radius(t_matrix), 1e-12)
                 assert _rows_close(value, ref_value, ref_l1)
                 assert abs(l1 - ref_l1) <= MATCH * ref_l1
@@ -254,11 +261,11 @@ def plans_at_1e12(monkeypatch):
     """
     built = theta_mod._plan
 
-    def fixed(t_matrix, tol, order, n_mixed=0):
-        widest = built(t_matrix, 1e-12, 2, 3)
-        plan = built(t_matrix, 1e-12, order, n_mixed)
+    def fixed(t_matrix, tol, top):
+        widest = built(t_matrix, 1e-12, 4)
+        plan = built(t_matrix, 1e-12, top)
         return dataclasses.replace(plan, points=widest.points, shell=widest.shell,
-                                   s=widest.s, quad=widest.quad,
+                                   s=widest.s, expo_rows=widest.expo_rows,
                                    extent=widest.extent, radius=widest.radius)
 
     monkeypatch.setattr(theta_mod, "_plan", fixed)
@@ -290,7 +297,7 @@ def test_derivative_moments_keep_their_own_tail_check(plans_at_1e12, args, faili
     radius = _radius(args[3])
 
     def call(order):
-        return lambda tol: _theta_sum(JET[order], *args, radius, tol)
+        return lambda tol: theta_pass(JET[order], *args, radius, tol)
 
     lower, higher = _threshold(call(failing - 1)), _threshold(call(failing))
     assert higher > lower + 0.3
@@ -300,8 +307,17 @@ def test_derivative_moments_keep_their_own_tail_check(plans_at_1e12, args, faili
         call(failing)(tol)
 
 
+def _along_derivs(w1, w2):
+    """The directions of the eight sums of a pass along (w1, w2), in order."""
+    return ((w1,), (w2,), (w1, w1), (w1, w2), (w2, w2), (w1, w1, w2), (w1, w2, w2),
+            (w1, w1, w2, w2))
+
+
 @pytest.mark.parametrize("t_matrix", [T_FAST, T2], ids=["genus1", "genus2"])
 def test_mixed_moments_are_direct_sums_and_leave_the_jet_alone(t_matrix):
+    # a pass along two directions sums its rows p1^i p2^j directly: every sum
+    # within MATCH of the box reference and of the coordinate jet contracted
+    # with the directions, and its value and L1 mass those of the jet
     g = t_matrix.shape[0]
     rng = np.random.default_rng(18)
     radius = _radius(t_matrix)
@@ -312,37 +328,42 @@ def test_mixed_moments_are_direct_sums_and_leave_the_jet_alone(t_matrix):
         def ref(deriv):
             return _per_index_theta_sum(deriv, a, b, z, t_matrix, REF_RADIUS, 1e-15)
 
+        _, grad, hess, _ = jet = theta_pass(JET[2], a, b, z, t_matrix, radius, 1e-12)
+        ref_value, ref_l1 = ref(())
         for pair in ((w1, w2), (w1, w1), (w1, w1.copy())):
-            value, grad, hess, l1, mixed = _theta_sum(
-                JET[2], a, b, z, t_matrix, radius, 1e-12, mixed=pair)
-            jet = _theta_sum(JET[2], a, b, z, t_matrix, radius, 1e-12)
-            ref_value, ref_l1 = ref(())
-            assert _rows_close(value, jet[0], ref_l1) and _rows_close(value, ref_value, ref_l1)
-            assert abs(l1 - jet[3]) <= MATCH * ref_l1
-            for k in range(g):
-                assert _rows_close(grad[k], jet[1][k], ref((k,))[1])
-                for m in range(g):
-                    assert _rows_close(hess[k, m], jet[2][k, m], ref((k, m))[1])
             wa, wb = pair
-            for got, deriv in zip(mixed, ((wa, wa, wb), (wa, wb, wb), (wa, wa, wb, wb))):
-                assert _rows_close(got, *ref(deriv))
-            if pair[0] is pair[1] or np.array_equal(*pair):
-                # one direction: the rows (2, 1) and (1, 2) are one row
-                assert mixed[0] == mixed[1]
+            contracted = [wa @ grad, wb @ grad, wa @ hess @ wa, wa @ hess @ wb, wb @ hess @ wb]
+            for order in (1, 2):
+                value, along, none, l1 = theta_pass(JET[order], a, b, z, t_matrix, radius,
+                                                    1e-12, along=pair)
+                assert none is None and along.shape == ((2,) if order == 1 else (8,))
+                assert _rows_close(value, jet[0], ref_l1) and _rows_close(value, ref_value, ref_l1)
+                assert abs(l1 - jet[3]) <= MATCH * ref_l1
+                for k, (got, deriv) in enumerate(zip(along, _along_derivs(wa, wb))):
+                    want, want_l1 = ref(deriv)
+                    assert _rows_close(got, want, want_l1)
+                    if k < 5:
+                        assert _rows_close(got, contracted[k], want_l1)
+                if pair[0] is pair[1] or np.array_equal(*pair):
+                    # one direction: one row per order holds its sums
+                    assert along[0] == along[1]
+                    if order == 2:
+                        assert along[2] == along[3] == along[4] and along[5] == along[6]
 
 
 def test_mixed_moments_keep_their_own_tail_check(plans_at_1e12):
-    # on one ellipsoid, a mixed moment's shell estimate fails at a tol where
-    # the 2-jet's rows still pass
+    # on one ellipsoid, the shell estimate of a pass along two directions
+    # fails at a tol where the 2-jet's rows still pass: its rows of order 3
+    # and 4 keep their own checks
     w1, w2 = np.array([2.0, -1.0 + 0.5j]), np.array([1.5j, 2.0])
     args = ([0.5, 0.0], [0.0, 0.0], [0.2j, 0.2j], T2, _radius(T2))
-    jet = _threshold(lambda tol: _theta_sum(JET[2], *args, tol))
-    mixed = _threshold(lambda tol: _theta_sum(JET[2], *args, tol, mixed=(w1, w2)))
+    jet = _threshold(lambda tol: theta_pass(JET[2], *args, tol))
+    mixed = _threshold(lambda tol: theta_pass(JET[2], *args, tol, along=(w1, w2)))
     assert mixed > jet + 0.3
     tol = 10.0 ** (0.5 * (jet + mixed))
-    _theta_sum(JET[2], *args, tol)
+    theta_pass(JET[2], *args, tol)
     with pytest.raises(TruncationInsufficient):
-        _theta_sum(JET[2], *args, tol, mixed=(w1, w2))
+        theta_pass(JET[2], *args, tol, along=(w1, w2))
 
 
 def _bits(x):
@@ -361,97 +382,53 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
     rng = np.random.default_rng(19)
     radius = _radius(t_matrix)
     points = rng.normal(size=(6, g)) * 0.6 + 1j * rng.normal(size=(6, g)) * 0.4
+    # a factor folded into each point's terms, as sigma folds its envelope
+    factors = rng.normal(size=6) + 1j * rng.normal(size=6)
     w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
     # a stack whose points share one centre offset sums one broadcast block
     near = points[0] + 1e-3 * rng.normal(size=(3, g))
     for a, b in _half_characteristics(g):
         assert len({c.tobytes() for c in _centre_offsets(a, b, near, t_matrix)}) == 1
-        for order, mixed in itertools.product((0, 1, 2), (None, w, (w[0], w[0]))):
-            n_mixed = 0 if mixed is None else 2 if mixed[0] is mixed[1] else 3
-            plan = _plan(np.asarray(t_matrix, dtype=complex), 1e-12, order, n_mixed)
+        for order, along in itertools.product((0, 1, 2), (None, w, (w[0], w[0]))):
+            tp = bind(t_matrix, 1e-12, order, a, b, along)
 
-            def call(z):
-                return _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12,
-                                  mixed=mixed)
+            def call(z, log_factor=0.0):
+                return _theta_sum(JET[order], z, t_matrix, radius, 1e-12, tp, log_factor)
 
             stacks = [(points, rows) for size in range(1, 7)
                       for rows in (list(range(size)), list(range(size))[::-1])]
-            for stack_points, rows in [*stacks, (near, [0, 1, 2])]:
-                singles = [call(z) for z in stack_points]
-                # on the table the singles warmed, then on a cleared one
-                warm = call(stack_points[rows])
-                plan.blocks.clear()
-                cold = call(stack_points[rows])
-                assert len(warm) == len(singles[0])
-                for pos, row in enumerate(rows):
-                    assert [None if x is None else _bits(x[pos]) for x in warm] \
-                        == [_bits(x) for x in singles[row]]
-                assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
+            for stack_points, lf, stack_rows in [(points, None, [rows for _, rows in stacks]),
+                                                 (points, factors, [rows for _, rows in stacks]),
+                                                 (near, None, [[0, 1, 2]])]:
+                def one(k):
+                    return call(stack_points[k], 0.0 if lf is None else lf[k])
+
+                def stacked(rows):
+                    return call(stack_points[rows], 0.0 if lf is None else lf[rows])
+
+                # each single fills its own offset on the K = 1 path, or reads
+                # what an earlier single filled
+                tp.slots.clear()
+                singles = [one(k) for k in range(len(stack_points))]
+                for rows in stack_rows:
+                    warm = stacked(rows)
+                    tp.slots.clear()
+                    cold = stacked(rows)
+                    assert len(warm) == len(singles[0])
+                    for pos, row in enumerate(rows):
+                        assert [None if x is None else _bits(x[pos]) for x in warm] \
+                            == [_bits(x) for x in singles[row]]
+                    assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
+                    # a single on the cleared store, and a stack of one point
+                    tp.slots.clear()
+                    assert [_bits(x) for x in one(rows[0])] == [_bits(x) for x in singles[rows[0]]]
+                    assert [None if x is None else _bits(x[0]) for x in stacked(rows[:1])] \
+                        == [_bits(x) for x in singles[rows[0]]]
+            if order == 0:  # one row, 1 at every centre: no block
+                assert tp.rows.shape[0] == 0 and tp.slots == {}
             # an empty stack sums nothing
             assert [None if x is None else x.shape[0] for x in call(points[:0])] \
                 == [None if x is None else 0 for x in singles[0]]
-
-
-def test_the_row_block_tables_stay_bounded():
-    # fresh direction pairs (seeded two-time residuals) and points shifted by
-    # T m for growing m, a new centre offset on every pass, are the two
-    # sources of new keys
-    from sigmatoda.curves import make_curve, random_curve_points
-    from sigmatoda.errors import SigmaTodaError
-    from sigmatoda.sigma import sigma_context
-    from sigmatoda.toda import toda2d_residual
-
-    def tables():
-        return [plan.blocks for plan in plans]
-
-    ctx2 = sigma_context(make_curve(2, [1, 0, 0, 0, 0]))
-    rng = np.random.default_rng(31)
-    t_matrix = ctx2.periods.riemann
-    plans = [_plan(t_matrix, ctx2.tol, order, n_mixed)
-             for order, n_mixed in ((0, 0), (1, 0), (2, 0), (2, 2), (2, 3))]
-    for _ in range(theta_mod.PAIRS_KEPT + 4):
-        v1, v2 = random_curve_points(ctx2.curve, rng, 2)
-        try:
-            toda2d_residual(ctx2, v1, v2, 0, 0.01, 0.02, rng=rng)
-        except SigmaTodaError:  # a draw near a pole has still made its pass
-            pass
-        for table in tables():
-            assert len(table) <= theta_mod.PAIRS_KEPT
-            assert all(len(slots) <= theta_mod.OFFSETS_KEPT
-                       for *_, slots in table.values())
-    assert len(plans[4].blocks) == theta_mod.PAIRS_KEPT
-    a, b = ctx2.chars.a, ctx2.chars.b
-    z0 = np.array([[0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.1j, 0.05 + 0.02j]])
-    w = (np.array([1.0, 0.4j]), np.array([0.3, 1.0 + 0.2j]))
-    # every m of a growing square, (0, 0) first: far more offsets than a pair keeps
-    shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
-    assert len(shifts) > 3 * theta_mod.OFFSETS_KEPT
-    for order, mixed in ((0, None), (1, None), (2, None), (2, w)):
-        def call(m):
-            # the first point keeps its offset, a hit beside each new one
-            z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
-            return _theta_sum(JET[order], a, b, z, t_matrix, ctx2.trunc_radius,
-                              ctx2.tol, mixed=mixed)
-
-        first = call(shifts[0])
-        for m in shifts[1:]:
-            call(m)
-            for table in tables():
-                assert len(table) <= theta_mod.PAIRS_KEPT
-                assert all(len(slots) <= theta_mod.OFFSETS_KEPT
-                           for *_, slots in table.values())
-        # the second point's offset at m = (0, 0) is long evicted: the pass
-        # builds it again, bit for bit
-        assert [_bits(x) for x in call(shifts[0])] == [_bits(x) for x in first]
-    # a pass with more distinct offsets than a pair keeps builds its own blocks
-    wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
-                             for m in shifts[:theta_mod.OFFSETS_KEPT + 4]])
-    stack = _theta_sum(JET[2], a, b, wide, t_matrix, ctx2.trunc_radius, ctx2.tol, mixed=w)
-    for k, z in enumerate(wide):
-        single = _theta_sum(JET[2], a, b, z, t_matrix, ctx2.trunc_radius, ctx2.tol, mixed=w)
-        assert [_bits(x[k]) for x in stack] == [_bits(x) for x in single]
-    assert all(len(slots) <= theta_mod.OFFSETS_KEPT for table in tables()
-               for *_, slots in table.values())
 
 
 @pytest.mark.parametrize("args, good, bad", [
@@ -466,7 +443,7 @@ def test_one_failing_point_fails_its_stack(plans_at_1e12, args, good, bad):
     radius = _radius(t_matrix)
     for order in (0, 1, 2):
         def call(z):
-            return lambda tol: _theta_sum(JET[order], a, b, np.array(z), t_matrix, radius, tol)
+            return lambda tol: theta_pass(JET[order], a, b, np.array(z), t_matrix, radius, tol)
 
         worst_good = max(_threshold(call(z)) for z in good)
         at_bad = _threshold(call(bad))
@@ -493,7 +470,7 @@ def _random_siegel(rng, g, max_cond=10.0):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_seeded_siegel_sweep_matches_the_box_reference(g):
-    # every row, and the mixed rows along two random directions, within 2e-12
+    # every row, and the sums along two random directions, within 2e-12
     # of the row's L1 mass of the box reference at radius REF_RADIUS + 6
     rng = np.random.default_rng(100 + g)
     for _ in range(12):
@@ -508,18 +485,17 @@ def test_seeded_siegel_sweep_matches_the_box_reference(g):
             def ref(deriv):
                 return _per_index_theta_sum(deriv, a, b, z, t_matrix, REF_RADIUS + 6, 1e-15)
 
-            value, grad, hess, l1, mixed = _theta_sum(JET[2], a, b, z, t_matrix, radius,
-                                                      1e-12, mixed=w)
+            value, grad, hess, l1 = theta_pass(JET[2], a, b, z, t_matrix, radius, 1e-12)
             assert _rows_close(value, *ref(()))
             for k in range(g):
                 assert _rows_close(grad[k], *ref((k,)))
                 for m in range(g):
                     assert _rows_close(hess[k, m], *ref((k, m)))
-            for got, deriv in zip(mixed, ((w[0], w[0], w[1]), (w[0], w[1], w[1]),
-                                          (w[0], w[0], w[1], w[1]))):
+            along = theta_pass(JET[2], a, b, z, t_matrix, radius, 1e-12, along=w)[1]
+            for got, deriv in zip(along, _along_derivs(*w)):
                 assert _rows_close(got, *ref(deriv))
             for order in (0, 1):
-                low = _theta_sum(JET[order], a, b, z, t_matrix, radius, 1e-12)
+                low = theta_pass(JET[order], a, b, z, t_matrix, radius, 1e-12)
                 assert _rows_close(low[0], *ref(()))
 
 
@@ -531,7 +507,7 @@ def test_proven_bound_covers_the_omitted_tail(g):
     for _ in range(12):
         t_matrix = _random_siegel(rng, g)
         y = t_matrix.imag
-        plan = _plan(t_matrix, 1e-12, 2, 3)
+        plan = _plan(t_matrix, 1e-12, 4)
         inside = {tuple(m) for m in plan.points.astype(int).tolist()}
         wide = np.array(list(itertools.product(range(-plan.extent - 8, plan.extent + 9),
                                                repeat=g)), dtype=float)
@@ -559,18 +535,18 @@ def test_a_plan_beyond_the_radius_raises(g):
         z = rng.normal(size=g) * 0.3
         for order in (0, 1, 2):
             extent = _plan(t_matrix, 1e-12, order).extent
-            _theta_sum(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent, 1e-12)
+            theta_pass(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent, 1e-12)
             with pytest.raises(TruncationInsufficient):
-                _theta_sum(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent - 1,
+                theta_pass(JET[order], np.zeros(g), np.zeros(g), z, t_matrix, extent - 1,
                            1e-12)
 
 
 def test_plans_are_cached_and_read_only():
     plan = _plan(T2, 1e-12, 2)
     assert _plan(T2.copy(), 1e-12, 2) is plan
-    assert _plan(T2, 1e-12, 2, 3) is not plan
-    for arr in (plan.points, plan.s, plan.quad, plan.yinv, plan.coef, plan.row_coef,
-                plan.hess_rows):
+    assert _plan(T2, 1e-12, 4) is not plan
+    for arr in (plan.points, plan.s, plan.expo_rows, plan.yinv, plan.coef, plan.tail_coef,
+                plan.half_powers):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
     # the ellipsoid holds fewer points than the former box of radius 7

@@ -23,6 +23,16 @@ timings), and ``verify_all``, the sha256 of the checks in that file, and
 omega1, omega2, eta1, eta2 of a fixed seeded set of generic curves, so a
 change of the transport path, the chain or the quadrature shows.
 
+``--values FILE`` also writes the numbers behind the digests as JSON: the
+residuals and failures of every op, the set-up constants sigma_flat(c) and
+zeta_c of the ``toda`` frames and gamma0 and kappa of both canonical
+contexts (complex numbers as [re, im]), and with ``--verify-all`` the
+value of every ``verify-all`` check but the timings. ``value_moves`` of two
+such files gives the largest move of each, so that a declared move of the
+last bits is bounded by a command:
+
+    python3 -c "import json, sys; sys.path.insert(0, 'tools'); import output_digest as d; print(d.value_moves(*(json.load(open(f)) for f in sys.argv[1:])))" parent.json change.json
+
 Run it on the parent and on the change on one machine: numpy fuses complex
 array products (FMA) on some CPUs, so the digests depend on the machine.
 """
@@ -55,18 +65,63 @@ def _workloads():
     return sys.modules[name]
 
 
-def op_digest(name: str, seed: int, n_ops: int, state=None) -> str:
-    """sha256 of ops 0..n_ops-1: residual bytes, then repr of the failures."""
-    import numpy as np
-
+def op_results(name: str, seed: int, n_ops: int, state=None) -> list:
+    """The ``OpResult`` of ops 0..n_ops-1 of the seed, after one set-up unless given."""
     wl = _workloads().WORKLOADS[name]
     state = wl.setup(seed) if state is None else state
+    return [wl.op(state, seed, k) for k in range(n_ops)]
+
+
+def op_digest(results: list) -> str:
+    """sha256 of the ops' results: residual bytes, then repr of the failures."""
+    import numpy as np
+
     h = hashlib.sha256()
-    for k in range(n_ops):
-        res = wl.op(state, seed, k)
+    for res in results:
         h.update(np.array(res.residuals, dtype=float).tobytes())
         h.update(repr(res.failures).encode())
     return h.hexdigest()
+
+
+def _pairs(values) -> list:
+    """Complex numbers as [re, im] pairs, nested as given."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def value_moves(parent: dict, change: dict) -> dict:
+    """The largest move of each group of two ``--values`` files, parent first.
+
+    Residuals and ``verify-all`` checks move absolutely (NaN on both sides is
+    no move), each set-up constant relative to its largest modulus;
+    ``failures`` is whether the failure lists are identical.
+    """
+    import numpy as np
+
+    def worst(a, b, relative=False):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        move = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+        if relative:  # [re, im] pairs on the last axis, over the largest modulus
+            return float(np.max(np.hypot(*np.moveaxis(move, -1, 0)))
+                         / np.max(np.hypot(*np.moveaxis(a, -1, 0))))
+        return float(np.max(move, initial=0.0))
+
+    out = {"failures": all(parent[w]["failures"] == change[w]["failures"]
+                           for w in ("addition", "toda"))}
+    for w in ("addition", "toda"):
+        out[w] = max((worst(a, b) for a, b in zip(parent[w]["residuals"],
+                                                  change[w]["residuals"], strict=True)),
+                     default=0.0)
+    for key in ("sigma_flat_c", "zeta_c", "gamma0", "kappa"):
+        group = "toda_constants" if key in ("sigma_flat_c", "zeta_c") else "contexts"
+        out[key] = max(worst(a[key], b[key], relative=True)
+                       for a, b in zip(parent[group], change[group], strict=True))
+    if "verify_all" in parent:
+        out["verify_all"] = worst(*([d["verify_all"][name] for name in parent["verify_all"]]
+                                    for d in (parent, change)))
+    return out
 
 
 def setup_digest(state) -> str:
@@ -234,23 +289,39 @@ def cli_digest(seed: int, tmp: str, names=None) -> dict:
 
 
 def digest(seed: int, addition_ops: int, toda_ops: int,
-           with_verify_all: bool = False) -> dict:
+           with_verify_all: bool = False, values: dict | None = None) -> dict:
+    """The digests; a ``values`` dict is filled with the numbers behind them."""
+    from sigmatoda.verify import canonical_contexts
+
     toda_state = _workloads().WORKLOADS["toda"].setup(seed)
+    results = {"addition": op_results("addition", seed, addition_ops),
+               "toda": op_results("toda", seed, toda_ops, toda_state)}
     out = {
         "seed": seed,
-        "addition": {"ops": addition_ops,
-                     "sha256": op_digest("addition", seed, addition_ops)},
-        "toda": {"ops": toda_ops,
-                 "sha256": op_digest("toda", seed, toda_ops, toda_state)},
+        "addition": {"ops": addition_ops, "sha256": op_digest(results["addition"])},
+        "toda": {"ops": toda_ops, "sha256": op_digest(results["toda"])},
         "toda_setup": setup_digest(toda_state),
         "toda_constants": constants_digest(toda_state),
         "contexts": contexts_digest(),
     }
+    if values is not None:
+        values["seed"] = seed
+        for name, ops in results.items():
+            values[name] = {"residuals": [res.residuals for res in ops],
+                            "failures": [[list(f) for f in res.failures] for res in ops]}
+        values["toda_constants"] = [
+            {"sigma_flat_c": _pairs(spec.frame.sigma_flat_c),
+             "zeta_c": _pairs(spec.frame.zeta_c)} for spec in toda_state]
+        values["contexts"] = [{"gamma0": _pairs(ctx.gamma0), "kappa": _pairs(ctx.kappa)}
+                              for ctx in canonical_contexts()]
     if with_verify_all:
         with tempfile.TemporaryDirectory() as tmp:
             out["cli"] = cli_digest(seed, tmp)
-            out["verify_all"] = verify_all_digest(
-                verify_all_results(os.path.join(tmp, "verify_all_out")))
+            checks = verify_all_results(os.path.join(tmp, "verify_all_out"))
+            out["verify_all"] = verify_all_digest(checks)
+        if values is not None:
+            values["verify_all"] = {f"{r['index']}.{c['name']}": c["value"]
+                                    for r in checks for c in r["checks"]}
         out["generic_periods"] = generic_periods_digest()
     return out
 
@@ -261,9 +332,15 @@ def main(argv=None) -> int:
     parser.add_argument("--addition-ops", type=int, default=120)
     parser.add_argument("--toda-ops", type=int, default=200)
     parser.add_argument("--verify-all", action="store_true")
+    parser.add_argument("--values", metavar="FILE",
+                        help="write the residuals, set-up constants and checks as JSON")
     args = parser.parse_args(argv)
+    values = None if args.values is None else {}
     print(json.dumps(digest(args.seed, args.addition_ops, args.toda_ops,
-                            args.verify_all), sort_keys=True))
+                            args.verify_all, values), sort_keys=True))
+    if values is not None:
+        with open(args.values, "w") as fh:
+            json.dump(values, fh, sort_keys=True)
     return 0
 
 
