@@ -1,6 +1,5 @@
 import dataclasses
 import importlib
-import itertools
 
 import mpmath as mp
 import numpy as np
@@ -36,10 +35,8 @@ from sigmatoda.errors import (
 from sigmatoda.periods import _continue_y, _continuous_sqrt, _refine, compute_periods
 from sigmatoda.sigma import (
     LEG_SPLIT,
-    PASSES_KEPT,
     _AbelEngine,
     _bound,
-    _envelope_curvature,
     _gauss_nodes,
     _leg_nodes,
     _monomials,
@@ -61,8 +58,6 @@ from sigmatoda.sigma import (
     wp_matrix,
     zeta,
 )
-from sigmatoda.theta import JET, OFFSETS_KEPT, _theta_sum
-from sigmatoda.toda import direction_vector, toda2d_residual
 from sigmatoda.verify import canonical_contexts
 
 mp.mp.dps = 30
@@ -749,74 +744,6 @@ def test_stacked_sigma_deriv_equals_its_per_point_calls(ctx1, ctx2, genus):
         assert [_bits(v) for v in sigma_deriv(ctx, idx, points)] == [_bits(v) for v in warm[idx]]
     ctx._passes.clear()
     assert wp_bits() == warm_wp
-
-
-def test_the_bound_passes_stay_bounded_and_keep_the_bits(ctx2):
-    # the context's one store of bound passes (sigma._bound), each with its
-    # row blocks by centre offset: fresh direction pairs (seeded two-time
-    # residuals) and points shifted by T m for growing m, a new centre
-    # offset on every pass, are the two sources of new keys
-    ctx = dataclasses.replace(ctx2)  # a context with no bound passes
-    rng = np.random.default_rng(33)
-
-    def bounded():
-        return len(ctx._passes) <= PASSES_KEPT and all(
-            len(bound.theta.slots) <= OFFSETS_KEPT for bound in ctx._passes.values())
-
-    def bits(out):
-        return [None if x is None else np.asarray(x).tobytes() for x in out]
-
-    sizes = []
-    for _ in range(3 * PASSES_KEPT):
-        v1, v2 = random_curve_points(ctx.curve, rng, 2)
-        try:
-            toda2d_residual(ctx, v1, v2, 0, 0.01, -0.02, rng=rng)
-        except SigmaTodaError:  # a draw near a pole has still made its pass
-            pass
-        sizes.append(len(ctx._passes))
-        assert bounded()
-    # each call's fresh pair of directions is one entry, the oldest dropped
-    assert sizes[:PASSES_KEPT] == list(range(1, PASSES_KEPT + 1))
-    assert set(sizes[PASSES_KEPT:]) == {PASSES_KEPT}
-    # a hit is the kept pass, whose records and curvature have the bits of a
-    # cleared store's
-    d1, d2 = (direction_vector(x, 2) for x in (0.3 - 0.2j, -1.1 + 0.4j))
-    u = 0.3 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
-    sigma_jet2(ctx, u, d1, d2)
-    assert _bound(ctx, 2, d1, d2) is _bound(ctx, 2, d1.copy(), d2.copy())
-    hit, curvature = sigma_jet2(ctx, u, d1, d2), _envelope_curvature(ctx, d1, d2)
-    ctx._passes.clear()
-    cleared = sigma_jet2(ctx, u, d1, d2)
-    assert [bits([*r[:5], *r[5]]) for r in hit] == [bits([*r[:5], *r[5]]) for r in cleared]
-    assert _bits(curvature) == _bits(_envelope_curvature(ctx, d1, d2))
-    t_matrix = ctx.periods.riemann
-    z0 = np.array([[0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.1j, 0.05 + 0.02j]])
-    # every m of a growing square, (0, 0) first: far more offsets than a pass keeps
-    shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
-    assert len(shifts) > 3 * OFFSETS_KEPT
-    for order, directions in ((0, ()), (1, ()), (2, ()), (2, (d1, d2))):
-        tp = _bound(ctx, order, *directions).theta
-
-        def call(m):
-            # the first point keeps its offset, a hit beside each new one
-            z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
-            return _theta_sum(JET[order], z, t_matrix, ctx.trunc_radius, ctx.tol, tp)
-
-        first = call(shifts[0])
-        for m in shifts[1:]:
-            call(m)
-            assert bounded()
-        # the second point's offset at m = (0, 0) is long evicted: the pass
-        # builds it again, bit for bit
-        assert bits(call(shifts[0])) == bits(first)
-    # a pass with more distinct offsets than the store keeps builds its own blocks
-    wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
-                             for m in shifts[:OFFSETS_KEPT + 4]])
-    stack = _theta_sum(JET[2], wide, t_matrix, ctx.trunc_radius, ctx.tol, tp)
-    for k, z in enumerate(wide):
-        single = _theta_sum(JET[2], z, t_matrix, ctx.trunc_radius, ctx.tol, tp)
-        assert bits(x if x is None else x[k] for x in stack) == bits(single)
-    assert bounded()
 
 
 @pytest.mark.parametrize("genus", [1, 2])

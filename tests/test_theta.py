@@ -431,6 +431,57 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
                 == [None if x is None else 0 for x in singles[0]]
 
 
+def test_the_row_block_tables_stay_bounded():
+    # each bound pass keeps the row blocks of at most OFFSETS_KEPT centre
+    # offsets: the passes of seeded two-time residuals, and points shifted by
+    # T m for growing m, a new centre offset on every pass
+    from sigmatoda.curves import make_curve, random_curve_points
+    from sigmatoda.errors import SigmaTodaError
+    from sigmatoda.sigma import sigma_context
+    from sigmatoda.toda import toda2d_residual
+
+    ctx2 = sigma_context(make_curve(2, [1, 0, 0, 0, 0]))
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        v1, v2 = random_curve_points(ctx2.curve, rng, 2)
+        try:
+            toda2d_residual(ctx2, v1, v2, 0, 0.01, 0.02, rng=rng)
+        except SigmaTodaError:  # a draw near a pole has still made its pass
+            pass
+        assert all(len(bound.theta.slots) <= theta_mod.OFFSETS_KEPT
+                   for bound in ctx2._passes.values())
+    t_matrix = ctx2.periods.riemann
+    a, b = ctx2.chars.a, ctx2.chars.b
+    z0 = np.array([[0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.1j, 0.05 + 0.02j]])
+    w = (np.array([1.0, 0.4j]), np.array([0.3, 1.0 + 0.2j]))
+    # every m of a growing square, (0, 0) first: far more offsets than a pass keeps
+    shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
+    assert len(shifts) > 3 * theta_mod.OFFSETS_KEPT
+    for order, along in ((0, None), (1, None), (2, None), (2, w)):
+        tp = bind(t_matrix, ctx2.tol, order, a, b, along)
+
+        def call(m):
+            # the first point keeps its offset, a hit beside each new one
+            z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
+            return _theta_sum(JET[order], z, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+
+        first = call(shifts[0])
+        for m in shifts[1:]:
+            call(m)
+            assert len(tp.slots) <= theta_mod.OFFSETS_KEPT
+        # the second point's offset at m = (0, 0) is long evicted: the pass
+        # builds it again, bit for bit
+        assert [_bits(x) for x in call(shifts[0])] == [_bits(x) for x in first]
+    # a pass with more distinct offsets than the store keeps builds its own blocks
+    wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
+                             for m in shifts[:theta_mod.OFFSETS_KEPT + 4]])
+    stack = _theta_sum(JET[2], wide, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+    for k, z in enumerate(wide):
+        single = _theta_sum(JET[2], z, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+        assert [None if x is None else _bits(x[k]) for x in stack] == [_bits(x) for x in single]
+    assert len(tp.slots) <= theta_mod.OFFSETS_KEPT
+
+
 @pytest.mark.parametrize("args, good, bad", [
     # the rounding offset of the centre: near 0 for the good points, near 1/2
     # for the bad one, whose shell holds the larger terms

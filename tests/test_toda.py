@@ -916,6 +916,42 @@ def test_window_u_is_site_u_bit_for_bit(ctx1, ctx2, monkeypatch):
             assert u.tobytes() == site_u(frame, n, t).tobytes()
 
 
+def _record_bits(rec):
+    return np.array([*rec[:5], *rec[5]], dtype=complex).tobytes()
+
+
+def test_direction_constants_stay_bounded_and_keep_the_bits(ctx2):
+    # the direction constants of a pass live in the context's store of bound
+    # passes (sigma._bound), which keeps the last PASSES_KEPT of them
+    from sigmatoda.sigma import PASSES_KEPT, _bound
+
+    ctx = dataclasses.replace(ctx2)  # a context with no bound passes
+    rng = np.random.default_rng(33)
+    sizes = []
+    for _ in range(3 * PASSES_KEPT):
+        v1, v2 = random_curve_points(ctx.curve, rng, 2)
+        try:
+            toda2d_residual(ctx, v1, v2, 0, 0.01, -0.02, rng=rng)
+        except SigmaTodaError:  # a draw near a pole has still made its pass
+            pass
+        sizes.append(len(ctx._passes))
+    # each call's fresh pair of directions is one entry, the oldest dropped
+    assert sizes[:PASSES_KEPT] == list(range(1, PASSES_KEPT + 1))
+    assert set(sizes[PASSES_KEPT:]) == {PASSES_KEPT}
+    # a hit is the kept pass, whose records and curvature have the bits of a
+    # cleared store's
+    d1, d2 = (direction_vector(x, 2) for x in (0.3 - 0.2j, -1.1 + 0.4j))
+    u = 0.3 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+    sigma_jet2(ctx, u, d1, d2)
+    assert _bound(ctx, 2, d1, d2) is _bound(ctx, 2, d1.copy(), d2.copy())
+    hit, curvature = sigma_jet2(ctx, u, d1, d2), _envelope_curvature(ctx, d1, d2)
+    ctx._passes.clear()
+    cleared = sigma_jet2(ctx, u, d1, d2)
+    assert [_record_bits(r) for r in hit] == [_record_bits(r) for r in cleared]
+    assert np.complex128(curvature).tobytes() \
+        == np.complex128(_envelope_curvature(ctx, d1, d2)).tobytes()
+
+
 def test_a_non_finite_sigma_raises_a_typed_error(ctx1, ctx2):
     # on the genus-2 memo frame, sigma overflows from site 15 at this t
     frame = _memo_frames(ctx1, ctx2)[1]
