@@ -12,15 +12,16 @@ fixed so the power series of sigma at the origin starts with the Schur
 term (coefficient one on u_1 for genus up to two, which for genus one is
 the classical sigma(u) = u + O(u^5)).
 
-Every sigma pass is bound once per context, order and pair of directions
-(``_bound``), and the envelope's exponent is folded into its theta terms.
-One assembly turns a pass into per-point records of sigma and its
-derivatives along two directions (``_sigma_jets``): sigma, its partials, its
-directional 2-jet, zeta and wp all read it, so the product rule is written
-once. Each record column is one expression over the K points of a pass, in
-elementwise ufuncs and two-operand einsum, which give a point in a stack
-the bits of its own call; a matmul with a (K, g) operand or a three-operand
-einsum can sum in another order per stack.
+Every theta pass is bound once per context, top row order and pair of
+directions (``_bound``). One assembly turns a pass into per-point records of
+sigma and its derivatives along two directions (``_sigma_jets``): sigma, its
+partials and its directional 2-jet all read it, so the product rule is
+written once; zeta and wp read log theta, past the envelope, from the bound
+pass of the partials of theta (``_log_theta``). Each record column is
+one expression over the K points of a pass, in elementwise ufuncs and
+two-operand einsum, which give a point in a stack the bits of its own call;
+a matmul with a (K, g) operand or a three-operand einsum can sum in another
+order per stack.
 """
 
 from __future__ import annotations
@@ -294,8 +295,8 @@ def riemann_characteristics(engine: _AbelEngine) -> Characteristics:
         divisors = [pts[i:i + g - 1] for i in range(0, len(pts), g - 1)]
         test_z.extend(pmat @ reduce_mod_lattice(pd, u) for u in _abel_maps(engine, *divisors))
     tp = bind(t_matrix, DEFAULT_TOL, 0, a, b)
-    val, _, _, l1 = _theta_sum(JET[0], np.array(test_z), t_matrix, tp.plan.extent,
-                               DEFAULT_TOL, tp)
+    val, _, l1 = _theta_sum(JET[0], np.array(test_z), t_matrix, tp.plan.extent,
+                            DEFAULT_TOL, tp)
     if not np.all(np.abs(val) <= 1e-5 * l1):
         raise CharacteristicsNotFound(f"theta[{a}; {b}] does not vanish on the stratum")
     return Characteristics(a, b)
@@ -306,15 +307,16 @@ def normalize_gamma0(curve: HyperellipticCurve, pd: PeriodData,
     """gamma0 making the series of sigma at 0 start with the Schur term.
 
     For genus one and two that term has unit coefficient on u_1, so gamma0
-    is the reciprocal of d(sigma)/du_1 at the origin computed with gamma0=1.
+    is the reciprocal of d(sigma)/du_1 at the origin computed with gamma0=1,
+    the theta gradient contracted with P e_1.
     """
     g = curve.genus
     if g > 2:
         raise NotImplementedError("gamma0 normalization implemented for genus <= 2")
     pmat = 0.5 * np.linalg.inv(pd.omega1)
     z0 = np.zeros(g, dtype=complex)
-    tp = bind(pd.riemann, DEFAULT_TOL, 1, chars.a, chars.b)
-    grad = _theta_sum(JET[1], z0, pd.riemann, tp.plan.extent, DEFAULT_TOL, tp)[1]
+    tp = bind(pd.riemann, DEFAULT_TOL, 1, chars.a, chars.b, np.eye(g, dtype=complex)[[0, -1]])
+    grad = _theta_sum(JET[1], z0, pd.riemann, tp.plan.extent, DEFAULT_TOL, tp)[1][:g]
     d_u1 = grad @ pmat[:, 0]
     if abs(d_u1) < 1e-12:
         raise NormalizationUnstable("vanishing leading derivative at the origin")
@@ -339,38 +341,38 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
 
 @dataclass(frozen=True, eq=False)
 class _Bound:
-    """A sigma pass bound once per context, order and pair of directions d1, d2.
+    """A theta pass bound once per context, top row order and pair of directions d1, d2.
 
-    ``theta`` is its theta pass along w_i = P d_i, ``umap`` maps u to (P u,
-    -kappa u / 2, q1, q2), q_i = -u.kappa.d_i, in one two-operand einsum,
-    and ``curvature`` is d1.kappa.d2; an order-0 pass has no directions.
+    ``theta`` is its theta pass along w_i = P d_i, or without directions
+    along the unit vectors e_1, e_g of z (the partials of theta), ``umap``
+    maps u to (P u, -kappa u / 2, q1, q2), q_i = -u.kappa.d_i, in one
+    two-operand einsum, and ``curvature`` is d1.kappa.d2.
     """
 
     theta: ThetaPass
     umap: np.ndarray
     curvature: complex | None
-    log_gamma0: complex
 
 
-def _bound(ctx: SigmaContext, order: int, d1=None, d2=None) -> _Bound:
-    """The bound pass of ``order`` along d1 and d2, kept for the last PASSES_KEPT keys."""
+def _bound(ctx: SigmaContext, top: int, d1=None, d2=None) -> _Bound:
+    """The bound pass of rows to order ``top`` along d1 and d2, kept for PASSES_KEPT keys."""
     if d1 is not None:
         d1 = np.asarray(d1, dtype=complex)
         d2 = d1 if d2 is d1 else np.asarray(d2, dtype=complex)
-    key = (order, None if d1 is None else d1.tobytes() + d2.tobytes())
+    key = (top, None if d1 is None else d1.tobytes() + d2.tobytes())
     bound = ctx._passes.get(key)
     if bound is None:
-        umap, curvature, along = [ctx.pmat.T, -0.5 * ctx.kappa], None, None
+        umap, curvature = [ctx.pmat.T, -0.5 * ctx.kappa], None
+        along = np.eye(ctx.genus, dtype=complex)[[0, -1]]  # e_1, e_g
         if d1 is not None:
             d1, d2 = np.atleast_1d(d1), np.atleast_1d(d2)
             kd = np.stack([ctx.kappa @ d1, ctx.kappa @ d2], axis=1)
             umap.append(-kd)
             curvature, along = complex(d1 @ kd[:, 1]), (ctx.pmat @ d1, ctx.pmat @ d2)
-        tp = bind(ctx.periods.riemann, ctx.tol, order, ctx.chars.a, ctx.chars.b, along)
+        tp = bind(ctx.periods.riemann, ctx.tol, top, ctx.chars.a, ctx.chars.b, along)
         if len(ctx._passes) >= PASSES_KEPT:
             del ctx._passes[next(iter(ctx._passes))]
-        bound = ctx._passes[key] = _Bound(tp, np.concatenate(umap, axis=1), curvature,
-                                          cmath.log(ctx.gamma0))
+        bound = ctx._passes[key] = _Bound(tp, np.concatenate(umap, axis=1), curvature)
     return bound
 
 
@@ -381,14 +383,13 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     moments) as Python scalars, None above ``order``: order 0 gives sigma
     and the scale, order 1 adds D1 sigma and D2 sigma, and order 2 adds
     D1 D2 sigma and the theta moments along w_i = P d_i relative to theta,
-    (m10, m01, m20, m11, m02, m21, m12, m22) with m_ij for D1^i D2^j, the
-    last three from the pass's rows of order 3 and 4, with env = gamma0
-    exp(-u.kappa.u/2) folded into the terms of the context's bound pass
-    (``_bound``). With q_i = -u.kappa.d_i and g_i, h12 the derivatives of
-    theta along w_i,
+    (m10, m01, m20, m11, m02, m21, m12, m22) with m_ij for D1^i D2^j, from
+    the context's bound pass with rows to order 4 (``_bound``). With env =
+    gamma0 exp(-u.kappa.u/2), applied after the sums, q_i = -u.kappa.d_i
+    and g_i, h12 the derivatives of theta along w_i,
 
-        D_i sigma = q_i sigma + env g_i,
-        D1 D2 sigma = q1 D2 sigma + env (q2 g1 + h12) - d1.kappa.d2 sigma.
+        D_i sigma = env (q_i theta + g_i),
+        D1 D2 sigma = env ((q1 q2 - d1.kappa.d2) theta + q1 g2 + q2 g1 + h12).
 
     u is one point or a stack of shape (K, g), any other shape raises
     ValueError; each record has the bits of its own call. A non-finite
@@ -401,20 +402,21 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
         raise ValueError(f"u of shape ({g},) or (K, {g}) expected, not {np.shape(u)}")
     # the columns sigma, |env| L1, D1 sigma, D2 sigma, D1 D2 sigma, moments
     block = np.empty((len(pts), (2, 4, 13)[order]), dtype=complex)
-    bound = _bound(ctx, order, d1, d2)
+    bound = _bound(ctx, (0, 1, 4)[order], d1, d2)
     zq = np.einsum("ki,ij->kj", pts, bound.umap)
-    log_env = np.einsum("ki,ki->k", pts, zq[:, g:2 * g]) + bound.log_gamma0
     with np.errstate(all="ignore"):  # an overflow is the NonFiniteValue below
-        sig, along, _, scale = _theta_sum(JET[order], zq[:, :g], ctx.periods.riemann,
-                                          ctx.trunc_radius, ctx.tol, bound.theta, log_env)
-        block[:, 0], block[:, 1] = sig, scale
-        if order:  # along holds env times (g1, g2, h11, h12, h22, order 3 and 4)
+        theta0, along, l1 = _theta_sum(JET[order], zq[:, :g], ctx.periods.riemann,
+                                       ctx.trunc_radius, ctx.tol, bound.theta)
+        env = ctx.gamma0 * np.exp(np.einsum("ki,ki->k", pts, zq[:, g:2 * g]))
+        block[:, 0], block[:, 1] = env * theta0, np.abs(env) * l1
+        if order:  # along holds (g1, g2, h11, h12, h22, orders 3 and 4)
             q = zq[:, 2 * g:]  # (q1, q2) per point
-            block[:, 2:4] = q * sig[:, None] + along[:, :2]
-        if order == 2:  # q1 D2 sigma + q2 env g1 + env h12 - d1.kappa.d2 sigma
-            block[:, 4] = q[:, 0] * block[:, 3] + q[:, 1] * along[:, 0] + along[:, 3] \
-                - bound.curvature * sig
-            block[:, 5:] = along / sig[:, None]
+            block[:, 2:4] = env[:, None] * (q * theta0[:, None] + along[:, :2])
+        if order == 2:
+            (q1, q2), (g1, g2) = q.T, along[:, :2].T
+            block[:, 4] = env * ((q1 * q2 - bound.curvature) * theta0 + q1 * g2 + q2 * g1
+                                 + along[:, 3])
+            block[:, 5:] = along / theta0[:, None]
     finite = np.isfinite(block)
     if not finite.all():
         where = pts[np.flatnonzero(~finite.all(axis=1))[0]]
@@ -469,11 +471,10 @@ def sigma_jet2(ctx: SigmaContext, u, d1, d2):
     With D_i the derivative along d_i, returns (sigma, D1 sigma, D2 sigma,
     D1 D2 sigma, |env| L1, moments) as Python scalars, the order-2 record
     of ``_sigma_jets`` read off the pass's K-wide columns; sigma and the
-    scale are those of ``sigma_with_scale`` within rounding, as the plan of
-    rows of orders up to 4 is wider. ``_log_gap`` turns the moments into the
-    exact -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and
-    returns the list of the K points' tuples, each with the bits of its own
-    call.
+    scale are those of ``sigma_with_scale`` within rounding, as its plan of
+    rows to order 4 is wider. ``_log_gap`` turns the moments into the exact
+    -D1 D2 log(v - c). A stack u of shape (K, g) takes one pass and returns
+    the list of the K points' tuples, each with the bits of its own call.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     out = _sigma_jets(ctx, u, 2, d1, d2)
@@ -508,7 +509,7 @@ def _guarded(sig, scale: float, where):
 
 def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
     """d1.kappa.d2, the part of -D1 D2 log sigma that the envelope adds."""
-    return _bound(ctx, 2, d1, d2).curvature
+    return _bound(ctx, 4, d1, d2).curvature
 
 
 def _cumulant_potential(curvature: complex, moments) -> complex:
@@ -544,12 +545,31 @@ def _log_gap(curvature: complex, moments, c, where):
     return v, (k22 * gap + k21 * k12) / gap**2
 
 
+def _log_theta(ctx: SigmaContext, u, order: int):
+    """(t, H / theta) at one point u from one theta pass, t = grad theta / theta.
+
+    The gradient and the Hessian H are in the u variables, read off the
+    context's bound pass of the partials of theta (``_bound``); H is None
+    below order 2. Past the envelope, whose factor is never built, only log
+    theta counts. The pole test compares theta with its own L1 mass, the
+    test of |sigma| < POLE_TOL |env| L1 with |env| cancelled.
+    """
+    g = ctx.genus
+    with np.errstate(all="ignore"):  # an overflow raises NonFiniteValue in the kernel
+        theta0, sums, l1 = _theta_sum(JET[order], np.einsum("ij,j->i", ctx.pmat, u),
+                                      ctx.periods.riemann, ctx.trunc_radius, ctx.tol,
+                                      _bound(ctx, order).theta)
+    _guarded(theta0, l1, u)
+    t = (ctx.pmat.T @ sums[:g]) / theta0  # sums along e_1, e_g: D1, D2, D1^2, D1 D2, D2^2
+    hess = sums[np.array([[2, 3], [3, 4]])[:g, :g]] if order == 2 else None
+    return t, None if hess is None else (ctx.pmat.T @ hess @ ctx.pmat) / theta0
+
+
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
-    """Logarithmic derivative d log sigma / du_i, D sigma / sigma along e_i."""
+    """Logarithmic derivative d log sigma / du_i = q_i + t_i, q = -kappa u (``_log_theta``)."""
     u = _one_point(ctx, u)
-    unit = np.eye(ctx.genus, dtype=complex)[i - 1]
-    sig, d_sig, *_, scale, _ = _sigma_jets(ctx, u, 1, unit, unit)[0]
-    return d_sig / _guarded(sig, scale, u)
+    t = _log_theta(ctx, u, 1)[0]
+    return -(ctx.kappa @ u)[i - 1] + t[i - 1]
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
@@ -558,22 +578,20 @@ def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
 
 
 def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
-    """All wp_{ij} = kappa_ij - k_ij at u from the 2-jet of one pass along e_1, e_g.
+    """All wp_{ij} at u from one theta 2-jet: wp = kappa - H / theta + t t^T.
 
-    k_ij = m_ij - m_i m_j are the joint cumulants of log theta from the
-    moments of the ``_sigma_jets`` record (``_cumulant_potential``). The
-    context keeps the matrix of the last u it was asked for, read-only, so
-    checks that read wp at one divisor's image share one pass.
+    t = grad theta / theta and H is the theta Hessian, both in u
+    (``_log_theta``). This is the matrix form of ``_cumulant_potential``:
+    the envelope enters through kappa only. The context keeps the matrix of
+    the last u it was asked for, read-only, so checks that read wp at one
+    divisor's image share one pass.
     """
     u = _one_point(ctx, u)
     key = u.tobytes()
     wpm = ctx._wp.get(key)
     if wpm is None:
-        units = np.eye(ctx.genus, dtype=complex)
-        sig, *_, scale, m = _sigma_jets(ctx, u, 2, units[0], units[-1])[0]
-        _guarded(sig, scale, u)
-        g, k12 = ctx.genus, m[3] - m[0] * m[1]  # m = (m10, m01, m20, m11, m02, ...)
-        wpm = ctx.kappa - np.array([[m[2] - m[0] * m[0], k12], [k12, m[4] - m[1] * m[1]]])[:g, :g]
+        t, h = _log_theta(ctx, u, 2)
+        wpm = ctx.kappa - h + np.outer(t, t)
         wpm.flags.writeable = False
         ctx._wp.clear()
         ctx._wp[key] = wpm

@@ -10,14 +10,13 @@ about the rounded centre n0 = round(-a - Y^{-1} Im z), where delta bounds
 the rounding offset, so every omitted term has pi x^T Y x > R^2 and moderate
 shifts of z cost nothing in accuracy. One pass over the ellipsoid builds the
 terms once and sums one complex row block against them: with s = 2 pi i
-(n+a) and p_k = s.w_k along directions w1, w2 (the unit vectors for the
-partials), the rows p1^i p2^j give D1^i D2^j theta. One matmul gives every
-row's sum, and the block's moduli times the terms' every row's L1 mass. A
-point's exponents are one matmul of its (lin, const, 1, i), const carrying
-any factor of its terms (sigma's envelope), against the plan's rows (m, 1,
-Re quad, Im quad). A bound pass (``bind``) keeps the blocks of OFFSETS_KEPT
-centre offsets n0 + a, which a workload's points repeat (``_row_blocks``),
-24 R M bytes each: 460 kB for the canonical genus-2 curve, R = 9, M = 133.
+(n+a) and p_k = s.w_k along one or two directions w1, w2 (a partial is the
+sum along a unit vector), the rows p1^i p2^j give D1^i D2^j theta. One
+matmul gives every row's sum, and one of the block's moduli against the
+terms' every row's L1 mass; an order-0 pass sums against one row of ones
+and keeps no store. A bound pass (``bind``) keeps the blocks of
+OFFSETS_KEPT centre offsets n0 + a, which a workload's points repeat
+(``_row_blocks``), 24 R M bytes each: 460 kB for the canonical genus-2 curve, R = 9, M = 133.
 
 The ellipsoid comes from a plan, built once per (T, tol, top row order) and
 cached (``_plan``); a pass's ``radius`` caps how far from the centre its
@@ -95,9 +94,9 @@ class ThetaPlan:
 
     ``radius`` is R; ``points`` are the offsets m from the rounded centre,
     those from index ``shell`` on having a neighbour m +- e_i outside the
-    ellipsoid; ``s`` = 2 pi i m, one row per coordinate, ``expo_rows`` the
-    rows (m, 1, Re quad, Im quad) with quad = 2 pi i (1/2) m^T T m, ``yinv``
-    = (Im T)^{-1} and ``extent`` the largest |m_i|. ``coef[N, p]`` is the
+    ellipsoid; ``s`` = 2 pi i m, one row per coordinate, ``quad`` = 2 pi i
+    (1/2) m^T T m per point, ``yinv`` = (Im T)^{-1} and ``extent`` the
+    largest |m_i|. ``coef[N, p]`` is the
     coefficient of c^p, c = |Y^{-1} Im z|, in the proven bound over E of the
     omitted L1 mass of a row of order N along unit directions, ``tail_coef``
     its transpose times exp(delta^2) / tol and ``half_powers`` p / 2.
@@ -107,7 +106,7 @@ class ThetaPlan:
     points: np.ndarray
     shell: int
     s: np.ndarray
-    expo_rows: np.ndarray
+    quad: np.ndarray
     yinv: np.ndarray
     extent: int
     coef: np.ndarray
@@ -120,9 +119,11 @@ class ThetaPass:
     """A theta pass bound once (``bind``): all its calls read but z, and its row blocks.
 
     Its rows are p1^i p2^j, p_k = s.w_k along ``along``, i, j from ``exps``;
-    ``pick`` reads a call's sums off them (the gradient and Hessian when
-    ``partials``), ``row_coef`` is the proven bound per row, and ``rows``,
-    ``mags`` and ``slots`` keep up to OFFSETS_KEPT blocks (``_row_blocks``).
+    ``pick`` reads a call's sums D1^i D2^j theta off them in the order
+    (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2),
+    ``row_coef`` is the proven bound per row, and ``rows``, ``mags`` and
+    ``slots`` keep up to OFFSETS_KEPT blocks (``_row_blocks``); an order-0
+    pass keeps one row of ones in ``rows`` and ``mags`` instead.
     """
 
     plan: ThetaPlan
@@ -131,7 +132,6 @@ class ThetaPass:
     along: tuple
     exps: list
     pick: list
-    partials: bool
     row_coef: np.ndarray
     rows: np.ndarray = field(repr=False)
     mags: np.ndarray = field(repr=False)
@@ -196,29 +196,27 @@ def _cached_plan(t_bytes: bytes, g: int, tol: float, top: int) -> ThetaPlan:
         for p in range(n + 1):
             coef[n, p] = ((2 * math.pi) ** n * math.comb(n, p) * tau ** (n - p)
                           * gam(n - p, r))
-    plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), _TWO_PI_I * points.T,
-                     np.column_stack([points, np.ones(len(points)), quad.real, quad.imag]),
+    plan = ThetaPlan(r, points, int(np.count_nonzero(~on_shell)), _TWO_PI_I * points.T, quad,
                      np.linalg.inv(y), int(np.max(np.abs(points))), coef,
                      coef.T * (math.exp(delta * delta) / tol), 0.5 * np.arange(top + 1.0))
-    for arr in (plan.points, plan.s, plan.expo_rows, plan.yinv, coef, plan.tail_coef,
+    for arr in (plan.points, plan.s, plan.quad, plan.yinv, coef, plan.tail_coef,
                 plan.half_powers):
         arr.flags.writeable = False
     return plan
 
 
-def bind(t_matrix, tol: float, order: int, a, b, along=None) -> ThetaPass:
-    """The pass of ``JET[order]`` of theta[a; b] over T at tol, along directions ``along``.
+def bind(t_matrix, tol: float, top: int, a, b, along=()) -> ThetaPass:
+    """The pass of theta[a; b] over T at tol along ``along``, its rows to order ``top``.
 
-    It sums the rows p1^i p2^j with i + j <= order, along the unit vectors
-    (the partials) without ``along``, and with i, j <= 2 along (w1, w2) at
-    order 2; when w2 equals w1 the row p^n holds every sum of order n.
+    It sums the rows p1^i p2^j, p_k = s.w_k, with i, j <= 2 and i + j <=
+    top <= 4; along one direction, or when w2 equals w1, the row p^n holds
+    every sum of order n. An order-0 pass reads no direction, at any genus.
     """
     t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
-    partials = along is None
-    along = tuple(np.eye(len(t_matrix), dtype=complex) if partials
-                  else (np.asarray(w, dtype=complex) for w in along))
-    if along[-1] is along[0] or np.array_equal(along[-1], along[0]):
-        along = along[:1]
+    along = tuple(np.asarray(w, dtype=complex) for w in along)
+    if top and not along:
+        raise ValueError("a theta pass of order > 0 needs a direction")
+    along = along[:1] if len(along) == 2 and np.array_equal(*along) else along
 
     def row(e):  # the row of the sum D1^i D2^j
         return (e[0] + e[1], 0) if len(along) == 1 else e
@@ -226,21 +224,19 @@ def bind(t_matrix, tol: float, order: int, a, b, along=None) -> ThetaPass:
     def by_order(e):
         return e[0] + e[1], -e[0]
 
-    pairs = sorted(((i, j) for i in range(3) for j in range(3)
-                    if i + j <= order or (order == 2 and not partials)), key=by_order)
+    pairs = sorted(((i, j) for i in range(3) for j in range(3) if i + j <= top), key=by_order)
     exps = sorted({row(e) for e in pairs}, key=by_order)
-    units = pairs[1:1 + len(t_matrix)]
-    wanted = units + [(u[0] + v[0], u[1] + v[1]) for u in units for v in units] * (order == 2) \
-        if partials else pairs[1:]
-    norms = [math.sqrt(np.vdot(w, w).real) for w in along * (3 - len(along))]
-    plan = _plan(t_matrix, tol, max(i + j for i, j in exps))
-    shape = (OFFSETS_KEPT * (len(exps) > 1), len(exps), len(plan.points))
+    norms = [math.sqrt(np.vdot(w, w).real) for w in along] + [1.0, 1.0]
+    plan = _plan(t_matrix, tol, top)
+    # the store of row blocks; an order-0 pass keeps its one row of ones
+    shape = (OFFSETS_KEPT, len(exps), len(plan.points)) if top else (1, len(plan.points))
+    rows = np.empty(shape, complex) if top else np.ones(shape, complex)
     return ThetaPass(plan, np.atleast_1d(np.asarray(a, dtype=float)),
                      np.atleast_1d(np.asarray(b, dtype=float)), along, exps,
-                     [exps.index(row(e)) for e in wanted], partials,
+                     [exps.index(row(e)) for e in pairs[1:]],
                      plan.tail_coef[:, [i + j for i, j in exps]]
                      * [norms[0] ** i * norms[1] ** j for i, j in exps],
-                     np.empty(shape, complex), np.empty(shape), {})
+                     rows, np.empty(shape) if top else np.ones(shape), {})
 
 
 def _fill_rows(tp: ThetaPass, ca: np.ndarray, rows: np.ndarray) -> None:
@@ -251,7 +247,6 @@ def _fill_rows(tp: ThetaPass, ca: np.ndarray, rows: np.ndarray) -> None:
     rows[:, 0] = 1.0
     s = tp.plan.s + _TWO_PI_I * ca[:, :, None]  # (K, g, M)
     p = [np.einsum("kim,i->km", s, w) for w in tp.along]
-    p = p * (3 - len(p))  # p2 = p1 along one direction
     for r, (i, j) in enumerate(tp.exps[1:], start=1):
         np.multiply(rows[:, tp.exps.index((i - 1, j) if i else (i, j - 1))],
                     p[0 if i else 1], out=rows[:, r])
@@ -285,16 +280,14 @@ def _row_blocks(tp: ThetaPass, ca: np.ndarray):
     return rows.take(at, axis=0), mags.take(at, axis=0)
 
 
-def _theta_sum(deriv, z, t_matrix, radius, tol, tp, log_factor=0.0):
-    """(value, grad, hess, l1) of theta[a; b] at z from one pass of ``tp``.
+def _theta_sum(deriv, z, t_matrix, radius, tol, tp):
+    """(value, sums, l1) of theta[a; b] at z from one pass of ``tp``.
 
-    ``tp`` is the pass bound for ``deriv`` = ``JET[order]``, T and tol
-    (``bind``). grad and hess are None above the order; along directions
-    grad holds D1, D2 theta, and at order 2 also D1^2, D1 D2, D2^2, D1^2 D2,
-    D1 D2^2 and D1^2 D2^2 theta. l1 is the L1 mass of the value's terms. The
-    plan's points must lie within ``radius`` of the centre in every
-    coordinate, else TruncationInsufficient. Every term of a point and its
-    L1 mass carry the factor exp(log_factor), one per point. A stack z of
+    ``tp`` is the pass bound for T and tol (``bind``) whose rows serve
+    ``deriv`` = ``JET[order]``; sums holds its sums D1^i D2^j theta in the
+    order of ``ThetaPass.pick``, None at order 0, and l1 is the L1 mass of
+    the value's terms. The plan's points must lie within ``radius`` of the
+    centre in every coordinate, else TruncationInsufficient. A stack z of
     shape (K, g) adds a leading axis of size K to every entry.
     """
     plan, order = tp.plan, len(deriv)
@@ -311,27 +304,20 @@ def _theta_sum(deriv, z, t_matrix, radius, tol, tp, log_factor=0.0):
     # powers of c = |Y^-1 Im z| for the proven bound: elementwise ufuncs and
     # two-operand einsum over the K points, which give each point the bits of
     # its own call (a matmul with a (K, g) operand does not)
-    coefs = np.empty((k_pts, g + 3), dtype=complex)
-    coefs[:, g + 1:] = 1.0, 1j
-    half = np.einsum("ij,kj->ki", t_matrix, ca)
-    half += zb  # T ca + zb
-    np.multiply(_TWO_PI_I, half, out=coefs[:, :g])
-    half += zb
-    np.einsum("ki,ki->k", _PI_I * ca, half, out=coefs[:, g])
-    coefs[:, g] += log_factor
+    tc = np.einsum("ij,kj->ki", t_matrix, ca)
+    lin = _TWO_PI_I * (tc + zb)
+    const = _PI_I * np.einsum("ki,ki->k", ca, tc + 2.0 * zb)
     c_pow = np.einsum("ki,ki->k", shift, shift)[:, None] ** plan.half_powers  # c^p
-    expo = np.matmul(plan.expo_rows, coefs.view(float).reshape(k_pts, g + 3, 2)).view(complex)
-    if not order:  # one row, 1 at every centre: no row block
-        base, mod = np.exp(expo[..., 0]), np.exp(expo.real[..., 0])
-        sums, l1s = base.sum(axis=1, keepdims=True), mod.sum(axis=1, keepdims=True)
-        tails = mod[:, plan.shell:].max(axis=1, keepdims=True)
-    else:
-        rows, mags = _row_blocks(tp, ca)
-        # one (R, M) block broadcasts over the K points, in the matmul of the
-        # terms (K, M, 1) and in the product of the moduli
-        sums = np.matmul(rows, np.exp(expo))[..., 0]
-        moduli = mags * np.exp(expo.real[:, None, :, 0])  # (K, R, M)
-        l1s, tails = moduli.sum(axis=2), moduli[..., plan.shell:].max(axis=2)
+    expo = np.matmul(plan.points, lin.view(float).reshape(k_pts, g, 2)).view(complex)
+    expo += plan.quad[:, None]
+    expo += const[:, None, None]
+    mod = np.exp(expo.real[..., 0])  # (K, M): the terms' moduli
+    # an order-0 pass reads its one row of ones; one (R, M) block broadcasts
+    # over the K points in both matmuls
+    rows, mags = _row_blocks(tp, ca) if order else (tp.rows, tp.mags)
+    sums = np.matmul(rows, np.exp(expo))[..., 0]
+    l1s = np.matmul(mags, mod[:, :, None])[..., 0]
+    tails = (mags[..., plan.shell:] * mod[:, None, plan.shell:]).max(axis=2)
     tails *= (n_pts - plan.shell) / tol
     # the proven bound E sum_p coef c^p per row, over tol, with c = |Y^-1 Im z|
     # and E = exp(pi Im z.Y^-1 Im z) <= exp(delta^2) l1 of the value: the
@@ -343,14 +329,10 @@ def _theta_sum(deriv, z, t_matrix, radius, tol, tp, log_factor=0.0):
             raise NonFiniteValue(f"theta terms overflow at z = {z.reshape(-1, g)[bad]}")
         raise TruncationInsufficient(
             f"theta tail exceeds tol {tol:.1e} (plan radius {plan.radius:.3f})")
-    out = [sums[:, 0], None, None, l1s[:, 0]]
-    if order:
-        out[1] = sums[:, tp.pick]
-        if tp.partials:
-            out[1:3] = out[1][:, :g], out[1][:, g:].reshape(k_pts, g, g) if order == 2 else None
+    out = [sums[:, 0], sums[:, tp.pick] if order else None, l1s[:, 0]]
     if z.ndim == 1:  # one point: drop the stack axis
         out = [None if x is None else x[0] for x in out]
-        out[3] = float(out[3])
+        out[2] = float(out[2])
     return tuple(out)
 
 

@@ -17,45 +17,49 @@ from sigmatoda.theta import JET, bind
 def theta_pass(deriv, a, b, z, t_matrix, radius, tol, along=None):
     """One pass of the kernel that ``sigmatoda.sigma`` holds at the call, bound for it alone.
 
-    The characteristic (a, b) and the directions ``along`` are bound by
-    ``theta.bind``, so a kernel patched into ``sigmatoda.sigma`` serves the
-    caller too.
+    Returns (value, grad, hess, l1), the partials at genus <= 2 read off one
+    pass along the unit vectors (e_1, e_g) with rows to the order of
+    ``deriv``; with ``along``, (value, sums, None, l1) of a pass along those
+    directions, its rows to order 4 at order 2. The characteristic and the
+    directions are bound by ``theta.bind``, so a kernel patched into
+    ``sigmatoda.sigma`` serves the caller too.
     """
     t_matrix = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
-    tp = bind(t_matrix, tol, JET.index(tuple(deriv)), a, b, along)
+    g, order = len(t_matrix), len(deriv)
+    units = np.eye(g, dtype=complex)
+    top = order if along is None else (0, 1, 4)[order]
+    tp = bind(t_matrix, tol, top, a, b, (units[0], units[-1]) if along is None else along)
     kernel = importlib.import_module("sigmatoda.sigma")._theta_sum
-    return kernel(deriv, np.asarray(z, dtype=complex), t_matrix, radius, tol, tp)
+    value, sums, l1 = kernel(deriv, np.asarray(z, dtype=complex), t_matrix, radius, tol, tp)
+    if along is not None:
+        return value, sums, None, l1
+    if order and g > 2:
+        raise NotImplementedError("partials of theta read at genus <= 2")
+    grad = None if sums is None else sums[..., :g]  # (1, 0), (0, 1)
+    hess = sums[..., np.array([[2, 3], [3, 4]])[:g, :g]] if order == 2 else None
+    return value, grad, hess, l1
 
 
-def box_pass(deriv, z, t_matrix, radius, tol, tp, log_factor=None):
+def box_pass(deriv, z, t_matrix, radius, tol, tp):
     """``box_theta_sum`` at radius 12 in the place of ``theta._theta_sum``.
 
     The characteristic and the directions are those of the bound pass tp:
-    along directions the gradient and Hessian are contracted with them, as
-    the plan kernel's directional sums. With ``log_factor`` every sum of a
-    point is multiplied by exp(log_factor) and its L1 mass by the modulus,
-    as the plan kernel folds the factor into the terms.
+    the gradient and Hessian are contracted with its directions, and its
+    rows of orders 3 and 4 are the box kernel's mixed rows, in the plan
+    kernel's order of sums.
     """
-    order = len(deriv)
-    along = None if tp.partials or not order else tp.along * (3 - len(tp.along))
-    out = box_theta_sum(deriv, tp.a, tp.b, z, t_matrix, 12, tol,
-                        along if order == 2 else None)
-    if along is not None:
-        value, grad, hess, l1, *mixed = out
-        w = np.stack(along, axis=-1)
-        sums = [grad @ w]
-        if order == 2:
-            sums += [np.stack([np.einsum("...i,...ij,...j->...", wa, hess, wb)
-                               for wa, wb in ((along[0], along[0]), (along[0], along[1]),
-                                              (along[1], along[1]))], axis=-1), *mixed]
-        out = (value, np.concatenate(sums, axis=-1), None, l1)
-    if log_factor is None:
-        return out
-    factor = np.exp(log_factor)
-    return tuple(None if x is None else
-                 x * np.reshape(abs(factor) if k == 3 else factor,
-                                np.shape(factor) + (1,) * (np.ndim(x) - np.ndim(factor)))
-                 for k, x in enumerate(out))
+    order, top = len(deriv), max(i + j for i, j in tp.exps)
+    along = tp.along * (3 - len(tp.along))
+    value, grad, hess, l1, *mixed = box_theta_sum(deriv, tp.a, tp.b, z, t_matrix, 12, tol,
+                                                  along if top == 4 else None)
+    if not order:
+        return value, None, l1
+    sums = [grad @ np.stack(along, axis=-1)]
+    if top >= 2:
+        sums.append(np.stack([np.einsum("...i,...ij,...j->...", wa, hess, wb)
+                              for wa, wb in ((along[0], along[0]), (along[0], along[1]),
+                                             (along[1], along[1]))], axis=-1))
+    return value, np.concatenate(sums + mixed, axis=-1), l1
 
 
 def box_theta_sum(deriv, a, b, z, t_matrix, radius, tol, mixed=None):

@@ -145,15 +145,10 @@ def test_overflowing_terms_raise_a_typed_error():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteValue):
             theta_char([0], [0], [0.1 + 15 * t[0][0]], t)
-        # a stack raises for its one overflowing point, also with a factor
-        # folded into its terms that leaves them overflowing
+        # a stack raises for its one overflowing point
         for deriv in JET:
             with pytest.raises(NonFiniteValue, match="overflow"):
                 theta_pass(deriv, [0], [0], [[0.1], [0.1 + 15 * t[0][0]]], t, 8, 1e-12)
-            tp = bind(t, 1e-12, len(deriv), [0], [0])
-            with pytest.raises(NonFiniteValue, match="overflow"):
-                _theta_sum(deriv, np.array([[0.1], [0.1 + 15 * t[0][0]]]), np.array(t), 8,
-                           1e-12, tp, np.array([0.0, 5.0 - 2.0j]))
 
 
 def test_recentering_keeps_shifted_arguments_accurate():
@@ -265,7 +260,7 @@ def plans_at_1e12(monkeypatch):
         widest = built(t_matrix, 1e-12, 4)
         plan = built(t_matrix, 1e-12, top)
         return dataclasses.replace(plan, points=widest.points, shell=widest.shell,
-                                   s=widest.s, expo_rows=widest.expo_rows,
+                                   s=widest.s, quad=widest.quad,
                                    extent=widest.extent, radius=widest.radius)
 
     monkeypatch.setattr(theta_mod, "_plan", fixed)
@@ -382,38 +377,33 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
     rng = np.random.default_rng(19)
     radius = _radius(t_matrix)
     points = rng.normal(size=(6, g)) * 0.6 + 1j * rng.normal(size=(6, g)) * 0.4
-    # a factor folded into each point's terms, as sigma folds its envelope
-    factors = rng.normal(size=6) + 1j * rng.normal(size=6)
     w = tuple(rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+    units = np.eye(g, dtype=complex)
+    partials = (units[0], units[-1])
     # a stack whose points share one centre offset sums one broadcast block
     near = points[0] + 1e-3 * rng.normal(size=(3, g))
     for a, b in _half_characteristics(g):
         assert len({c.tobytes() for c in _centre_offsets(a, b, near, t_matrix)}) == 1
-        for order, along in itertools.product((0, 1, 2), (None, w, (w[0], w[0]))):
-            tp = bind(t_matrix, 1e-12, order, a, b, along)
+        # the partials (rows to the order along e_1, e_g), and passes along
+        # two directions and along one, with rows to order 4 at order 2
+        for order, along in itertools.product((0, 1, 2), (partials, w, (w[0], w[0]))):
+            top = order if along is partials else (0, 1, 4)[order]
+            tp = bind(t_matrix, 1e-12, top, a, b, along)
 
-            def call(z, log_factor=0.0):
-                return _theta_sum(JET[order], z, t_matrix, radius, 1e-12, tp, log_factor)
+            def call(z):
+                return _theta_sum(JET[order], z, t_matrix, radius, 1e-12, tp)
 
-            stacks = [(points, rows) for size in range(1, 7)
-                      for rows in (list(range(size)), list(range(size))[::-1])]
-            for stack_points, lf, stack_rows in [(points, None, [rows for _, rows in stacks]),
-                                                 (points, factors, [rows for _, rows in stacks]),
-                                                 (near, None, [[0, 1, 2]])]:
-                def one(k):
-                    return call(stack_points[k], 0.0 if lf is None else lf[k])
-
-                def stacked(rows):
-                    return call(stack_points[rows], 0.0 if lf is None else lf[rows])
-
+            stacks = [list(range(size)) for size in range(1, 7)]
+            for stack_points, stack_rows in [(points, stacks + [rows[::-1] for rows in stacks]),
+                                             (near, [[0, 1, 2]])]:
                 # each single fills its own offset on the K = 1 path, or reads
                 # what an earlier single filled
                 tp.slots.clear()
-                singles = [one(k) for k in range(len(stack_points))]
+                singles = [call(z) for z in stack_points]
                 for rows in stack_rows:
-                    warm = stacked(rows)
+                    warm = call(stack_points[rows])
                     tp.slots.clear()
-                    cold = stacked(rows)
+                    cold = call(stack_points[rows])
                     assert len(warm) == len(singles[0])
                     for pos, row in enumerate(rows):
                         assert [None if x is None else _bits(x[pos]) for x in warm] \
@@ -421,11 +411,12 @@ def test_stacked_points_keep_the_bits_of_their_own_calls(t_matrix):
                     assert [_bits(x) for x in warm] == [_bits(x) for x in cold]
                     # a single on the cleared store, and a stack of one point
                     tp.slots.clear()
-                    assert [_bits(x) for x in one(rows[0])] == [_bits(x) for x in singles[rows[0]]]
-                    assert [None if x is None else _bits(x[0]) for x in stacked(rows[:1])] \
+                    one = stack_points[rows[0]]
+                    assert [_bits(x) for x in call(one)] == [_bits(x) for x in singles[rows[0]]]
+                    assert [None if x is None else _bits(x[0]) for x in call(one[None])] \
                         == [_bits(x) for x in singles[rows[0]]]
-            if order == 0:  # one row, 1 at every centre: no block
-                assert tp.rows.shape[0] == 0 and tp.slots == {}
+            if order == 0:  # one row of ones at every centre: no store
+                assert tp.rows.shape == (1, len(tp.plan.points)) and tp.slots == {}
             # an empty stack sums nothing
             assert [None if x is None else x.shape[0] for x in call(points[:0])] \
                 == [None if x is None else 0 for x in singles[0]]
@@ -457,8 +448,9 @@ def test_the_row_block_tables_stay_bounded():
     # every m of a growing square, (0, 0) first: far more offsets than a pass keeps
     shifts = sorted(itertools.product(range(-5, 6), repeat=2), key=lambda m: max(map(abs, m)))
     assert len(shifts) > 3 * theta_mod.OFFSETS_KEPT
-    for order, along in ((0, None), (1, None), (2, None), (2, w)):
-        tp = bind(t_matrix, ctx2.tol, order, a, b, along)
+    units = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for order, top, along in ((0, 0, ()), (1, 1, units), (2, 2, units), (2, 4, w)):
+        tp = bind(t_matrix, ctx2.tol, top, a, b, along)
 
         def call(m):
             # the first point keeps its offset, a hit beside each new one
@@ -592,11 +584,37 @@ def test_a_plan_beyond_the_radius_raises(g):
                            1e-12)
 
 
+def test_a_genus_three_pass_matches_the_box_reference():
+    # an order-0 pass reads no direction and a pass along directions reads
+    # only those, so both bind at genus 3; an order-1 pass with no direction
+    # is a ValueError
+    t3 = np.array([[0.1 + 1.2j, -0.3 + 0.3j, 0.2 + 0.1j],
+                   [-0.3 + 0.3j, 0.4 + 1.0j, -0.1 + 0.2j],
+                   [0.2 + 0.1j, -0.1 + 0.2j, -0.2 + 0.9j]])
+    rng = np.random.default_rng(303)
+    radius = _radius(t3)
+    for a, b in _half_characteristics(3)[::13]:
+        z = rng.normal(size=3) * 0.4 + 1j * rng.normal(size=3) * 0.3
+        w = (rng.normal(size=3) + 1j * rng.normal(size=3), rng.normal(size=3) + 0j)
+
+        def ref(deriv):
+            return _per_index_theta_sum(deriv, a, b, z, t3, REF_RADIUS, 1e-15)
+
+        assert _rows_close(theta_char(a, b, z, t3), *ref(()))
+        for order in (1, 2):
+            value, along, _, _ = theta_pass(JET[order], a, b, z, t3, radius, 1e-12, along=w)
+            assert _rows_close(value, *ref(()))
+            for got, deriv in zip(along, _along_derivs(*w)):
+                assert _rows_close(got, *ref(deriv))
+        with pytest.raises(ValueError):
+            bind(t3, 1e-12, 1, a, b)
+
+
 def test_plans_are_cached_and_read_only():
     plan = _plan(T2, 1e-12, 2)
     assert _plan(T2.copy(), 1e-12, 2) is plan
     assert _plan(T2, 1e-12, 4) is not plan
-    for arr in (plan.points, plan.s, plan.expo_rows, plan.yinv, plan.coef, plan.tail_coef,
+    for arr in (plan.points, plan.s, plan.quad, plan.yinv, plan.coef, plan.tail_coef,
                 plan.half_powers):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
