@@ -193,20 +193,6 @@ def reduce_divisor(curve: HyperellipticCurve, pts) -> ReducedDivisor:
     return ReducedDivisor(tuple(zeros), tuple(q.conj() for q in zeros))
 
 
-def add_on_jacobian(curve: HyperellipticCurve, divisor, p: CurvePoint):
-    """Class of divisor + p as a reduced divisor list (may be empty)."""
-    pts = list(divisor) + [p]
-    return list(reduce_divisor(curve, pts).negated)
-
-
-def point_multiples(curve: HyperellipticCurve, p: CurvePoint, count: int):
-    """Reduced divisors of ell * p for ell = 1..count."""
-    out = [[p]]
-    for _ in range(count - 1):
-        out.append(add_on_jacobian(curve, out[-1], p))
-    return out
-
-
 def epsilon_n(g: int, n: int) -> float:
     if n <= g:
         return (-1.0) ** (g + n * (n + 1) // 2)

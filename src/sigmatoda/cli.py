@@ -25,14 +25,7 @@ from . import addition, division, poncelet, toda, verify
 from .curves import CurvePoint, make_curve, random_curve_points
 from .errors import SigmaTodaError, ThetaDivisorPole, worst_of
 from .periods import compute_periods
-from .sigma import (
-    abel_map,
-    lattice_distance,
-    sigma_context,
-    sigma_with_scale,
-    wp_matrix,
-    zeta,
-)
+from .sigma import abel_map, sigma_context, sigma_with_scale, wp_matrix, zeta
 
 
 def _pair(z: complex):
@@ -203,12 +196,11 @@ def cmd_torsion(args) -> int:
     cands = division.xi_set(curve, args.N)
     rows = []
     for cand in cands:
-        c = 2.0 * abel_map(ctx, [cand.point]).u
         rows.append({
             "x": _pair(cand.point.x),
             "y": _pair(cand.point.y),
             "window_residuals": [float(r) for r in cand.residuals],
-            "lattice_residual": lattice_distance(ctx.periods, args.N * c),
+            "lattice_residual": division.torsion_distance(ctx, cand.point, args.N),
         })
     emit(args, {"order": args.N, "candidates": rows})
     return 0
@@ -217,13 +209,12 @@ def cmd_torsion(args) -> int:
 def _chain_frame(ctx, point: CurvePoint, sites: int, seed: int):
     """(frame, lattice residual, periodic) of the chain stepped by c = 2 abel(point).
 
-    A lattice distance of sites * c below ``division.TORSION_TOL`` makes the
-    chain periodic with that many sites, and its frame is
+    A ``division.torsion_distance`` at ``sites`` below ``division.TORSION_TOL``
+    makes the chain periodic with that many sites, and its frame is
     ``torsion_to_frame``'s; otherwise the frame is ``toda_frame``'s at the
     seed, with periodic False.
     """
-    c = 2.0 * abel_map(ctx, [point]).u
-    lattice_res = lattice_distance(ctx.periods, sites * c)
+    lattice_res = division.torsion_distance(ctx, point, sites)
     if lattice_res < division.TORSION_TOL:
         cand = division.TorsionCandidate(point, sites, (0.0,))
         return division.torsion_to_frame(ctx, cand, sites), lattice_res, True
@@ -288,7 +279,7 @@ def cmd_poncelet(args) -> int:
     mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
     pair = poncelet.conic_pair(mat)
     ctx = sigma_context(poncelet.reduce_to_elliptic(pair))
-    cands = poncelet.cayley_closure_check(pair, args.N)
+    cands = division.xi_set(ctx.curve, args.N)
     cand = poncelet.matching_candidate(pair, cands, ctx) if cands else None
     if cand is None:
         emit(args, {"order": args.N, "candidates": len(cands),

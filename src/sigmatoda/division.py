@@ -20,16 +20,9 @@ from math import factorial
 import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, phi_series, y_jet
-from .errors import (
-    BranchPointSingularity,
-    DegreeMismatch,
-    MultiplesNotDistinct,
-    NotTorsion,
-    worst_of,
-)
+from .errors import BranchPointSingularity, DegreeMismatch, NotTorsion, worst_of
 from .polyutil import (
     as_poly,
-    poly_from_roots,
     polyadd,
     polyder,
     polydivmod,
@@ -38,6 +31,8 @@ from .polyutil import (
     sorted_roots,
     trim,
 )
+from .sigma import abel_map, lattice_distance
+from .toda import frame_well_conditioned, toda_frame
 
 __all__ = [
     "DivisionPolynomial",
@@ -49,8 +44,8 @@ __all__ = [
     "elliptic_psi_oracle",
     "phi_roots",
     "xi_set",
+    "torsion_distance",
     "torsion_to_frame",
-    "divisibility_check",
     "y_exponent",
     "alpha_degree",
 ]
@@ -124,16 +119,27 @@ def _jet_polys(curve: HyperellipticCurve, k_max: int) -> list[np.ndarray]:
 
 
 def _poly_det(mat: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
+    """Determinant of a small matrix of polynomials by cofactor expansion.
+
+    Expands along the first row; each minor is computed once, keyed by its
+    remaining columns: size 2^(size - 1) products, not size!.
+    """
     size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    out = np.zeros(1, dtype=complex)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = polymul(mat[0][j], _poly_det(minor))
-        out = polyadd(out, term if j % 2 == 0 else -term)
-    return out
+    minors: dict[tuple, np.ndarray] = {}
+
+    def minor(cols: tuple) -> np.ndarray:
+        row = size - len(cols)
+        if len(cols) == 1:
+            return mat[row][cols[0]]
+        if cols not in minors:
+            out = np.zeros(1, dtype=complex)
+            for j, col in enumerate(cols):
+                term = polymul(mat[row][col], minor(cols[:j] + cols[j + 1:]))
+                out = polyadd(out, term if j % 2 == 0 else -term)
+            minors[cols] = out
+        return minors[cols]
+
+    return minor(tuple(range(size)))
 
 
 def cantor_alpha(curve: HyperellipticCurve, n: int) -> DivisionPolynomial:
@@ -324,21 +330,24 @@ def xi_set(curve: HyperellipticCurve, order: int) -> list[TorsionCandidate]:
     return out
 
 
+def torsion_distance(ctx, point: CurvePoint, n: int) -> float:
+    """Lattice distance of n c, with c = 2 A(point): the torsion certificate.
+
+    The chain stepped by c is n-periodic when this is at most TORSION_TOL.
+    """
+    return lattice_distance(ctx.periods, n * (2.0 * abel_map(ctx, [point]).u))
+
+
 def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
                      rng: np.random.Generator | None = None):
     """Periodic Toda frame from a certified torsion candidate.
 
-    The certificate is that n_period * c lattice-reduces to zero, with
-    c twice the Abel image of the candidate point. The base offset is
-    resampled until all sites used by the residual tests are well away
-    from the theta divisor.
+    The certificate is ``torsion_distance`` of the candidate point at
+    n_period. The base offset is resampled until all sites used by the
+    residual tests are well away from the theta divisor.
     """
-    from .sigma import abel_map, lattice_distance
-    from .toda import frame_well_conditioned, toda_frame
-
     v1 = candidate.point
-    c = 2.0 * abel_map(ctx, [v1]).u
-    dist = lattice_distance(ctx.periods, n_period * c)
+    dist = torsion_distance(ctx, v1, n_period)
     if dist > TORSION_TOL:
         raise NotTorsion(
             f"{n_period} * c misses the lattice by {dist:.3e}")
@@ -348,46 +357,3 @@ def torsion_to_frame(ctx, candidate: TorsionCandidate, n_period: int,
         if frame_well_conditioned(frame, range(-1, 2 * n_period + 3)):
             return frame
     raise NotTorsion("could not condition a periodic frame base offset")
-
-
-def divisibility_check(curve: HyperellipticCurve, candidate: TorsionCandidate,
-                       n_period: int) -> bool:
-    """Multiples of the candidate must exhaust the window polynomial roots.
-
-    Forms the square-free product over the distinct affine non-branch
-    x-values of ell * P for ell = 1..2N and checks it divides every window
-    polynomial. Colliding multiples, equal point by point within the x
-    tolerance (``addition._group_points``), void the hypothesis.
-    """
-    from .addition import _group_points, point_multiples
-
-    g = curve.genus
-    two_n = 2 * n_period
-    tol = 1e-8 * curve.scale
-    multiples = point_multiples(curve, candidate.point, two_n)
-    seen: list[list] = []
-    xs: list[complex] = []
-    for ell, div in enumerate(multiples, start=1):
-        if any(len(old) == len(div) and len(_group_points(old + div, tol)) == len(div)
-               for old in seen):
-            raise MultiplesNotDistinct(f"multiples collide at ell = {ell}")
-        seen.append(div)
-        if len(div) == 0:
-            continue  # the identity class, reached at ell = 2N for exact order
-        if len(div) > 1:
-            raise MultiplesNotDistinct(
-                f"multiple {ell} P is not a single curve point")
-        q = div[0]
-        if abs(curve.f(q.x)) < 1e-10 * curve.scale:
-            continue  # branch-point multiples live in the (2y) factor
-        if all(abs(q.x - x) > tol for x in xs):
-            xs.append(q.x)
-    if not xs:
-        raise MultiplesNotDistinct("no affine multiples to test")
-    divisor_poly = poly_from_roots(xs)
-    for m in range(two_n - g + 1, two_n + g):
-        alpha = cantor_alpha(curve, m).alpha
-        _, rem = polydivmod(alpha, divisor_poly)
-        if np.max(np.abs(rem)) > 1e-6 * float(np.max(np.abs(alpha))):
-            return False
-    return True

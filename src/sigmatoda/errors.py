@@ -85,15 +85,11 @@ class ConfluentInput(SigmaTodaError):
 
 
 class DegreeMismatch(SigmaTodaError):
-    """Interpolated polynomial degree disagrees with the degree formula."""
+    """alpha_n keeps an odd y power or a remainder mod f, or misses its degree formula."""
 
 
 class NotTorsion(SigmaTodaError):
     """Candidate point fails the lattice-reduction torsion certificate."""
-
-
-class MultiplesNotDistinct(SigmaTodaError):
-    """Multiples of a point collide, so the divisibility test is void."""
 
 
 class DegenerateConicPair(SigmaTodaError):

@@ -30,7 +30,8 @@ from .errors import (
 from .polyutil import polyval
 
 
-MAX_NODES = 4096  # period quadrature gives up beyond this many nodes
+BASE_NODES = 256  # period quadrature starts from this many nodes per segment
+MAX_NODES = 4096  # and gives up beyond this many
 AGREE_TOL = 1e-11  # agreement of two node levels, per unit curve scale
 CERTIFICATE_TOL = 1e-8  # bound on the Legendre residual
 CHAIN_CLEARANCE = 0.005  # relative clearance that keeps the lexicographic chain
@@ -136,27 +137,26 @@ def _continuous_sqrt(values: np.ndarray, anchor_index: int, anchor: complex) -> 
     return np.where(sign < 0, -root, root)
 
 
-def _segment_integrals(e: np.ndarray, k: int, numerators, n_nodes: int) -> np.ndarray:
-    """Open-segment integrals of p(x) dx / (2 y_ref) from e_k to e_{k+1}.
+def _segment_integrals(e: np.ndarray, numerators, n_nodes: int) -> np.ndarray:
+    """Open-segment integrals of p(x) dx / (2 y_ref), row p, column k for (e_k, e_{k+1}).
 
-    y_ref is the reference branch i * h * sin(theta) * sqrt(R) with the
-    principal square root of R at the segment midpoint, R being f with the
-    two endpoint factors removed.
+    y_ref on segment k is the reference branch i * h * sin(theta) * sqrt(R)
+    with the principal square root of R at the segment midpoint, R being f
+    with the two endpoint factors removed. One array pass covers every
+    segment; the square roots are continued one segment row at a time.
     """
-    a, b = e[k], e[k + 1]
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
+    mid = 0.5 * (e[:-1] + e[1:])
+    h = 0.5 * (e[1:] - e[:-1])
     theta = (np.arange(n_nodes) + 0.5) * np.pi / n_nodes
-    x = mid + h * np.cos(theta)
-    others = np.delete(e, [k, k + 1])
-    r = np.prod(x[:, None] - others[None, :], axis=1)
-    anchor_idx = n_nodes // 2
-    anchor = np.sqrt(complex(np.prod(mid - others)))
-    sqrt_r = _continuous_sqrt(r, anchor_idx, anchor)
+    x = mid[:, None] + h[:, None] * np.cos(theta)
+    others = np.array([np.delete(e, [k, k + 1]) for k in range(mid.size)])
+    r = np.prod(x[:, :, None] - others[:, None, :], axis=2)
+    sqrt_r = np.array([
+        _continuous_sqrt(r[k], n_nodes // 2, np.sqrt(complex(np.prod(mid[k] - others[k]))))
+        for k in range(mid.size)])
     weight = np.pi / n_nodes
-    return np.array([
-        np.sum(polyval(p, x) / (2j * sqrt_r)) * weight for p in numerators
-    ])
+    return np.array([np.sum(polyval(p, x) / (2j * sqrt_r), axis=1) * weight
+                     for p in numerators])
 
 
 def _continue_y(curve: HyperellipticCurve, z0: complex, z1: complex,
@@ -286,10 +286,10 @@ def legendre_residual(pd: PeriodData) -> float:
     return float(np.max(np.abs(m @ j @ m.T - (0.5j * np.pi) * j)))
 
 
-def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodData:
+def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     """Certified half-period matrices of the first and second kind.
 
-    Node counts double from ``base_nodes`` until two levels agree (``_refine``).
+    Node counts double from BASE_NODES until two levels agree (``_refine``).
     The result is normalized so the (1, 1) entry of the first alpha period
     has positive real part (or positive imaginary part when the real part
     vanishes); this is a global sign convention only. ``segments`` keeps the
@@ -303,11 +303,9 @@ def compute_periods(curve: HyperellipticCurve, base_nodes: int = 256) -> PeriodD
     numerators += [second_kind_numerator(curve, j) for j in range(1, g + 1)]
 
     def level(n_nodes):
-        return (np.array([
-            _segment_integrals(e, k, numerators, n_nodes) for k in range(2 * g)
-        ]).T,)
+        return (_segment_integrals(e, numerators, n_nodes),)
 
-    (cur,), err = _refine(level, base_nodes, AGREE_TOL * curve.scale, MAX_NODES)
+    (cur,), err = _refine(level, BASE_NODES, AGREE_TOL * curve.scale, MAX_NODES)
     transports, margin = _transport_signs(e)
     glob = cur * np.concatenate([[1.0], np.cumprod(transports)])[None, :]
     # the basis rule of build_cycles; contiguous, so that products with the

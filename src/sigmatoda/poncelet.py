@@ -138,13 +138,6 @@ def pair_for_torsion(ctx: SigmaContext, point: CurvePoint) -> ConicPair:
     return best[1]
 
 
-def cayley_closure_check(pair: ConicPair, order: int):
-    """Torsion candidates of the reduced curve certifying an N-gon closure."""
-    from .division import xi_set
-
-    return xi_set(reduce_to_elliptic(pair), order)
-
-
 def matching_candidate(pair: ConicPair, candidates, ctx: SigmaContext):
     """The torsion candidate whose polygon is tangent to this inner conic.
 

@@ -334,11 +334,6 @@ def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
                      np.array([p[1] for p in pairs]), t)
 
 
-def lax_matrix(state: TodaState, w_hat: complex) -> np.ndarray:
-    """Periodic tridiagonal Lax matrix with spectral parameter w_hat."""
-    return _lax_minus_z(state, [(0.0, w_hat)])[0]
-
-
 def _lax_minus_z(state: TodaState, samples) -> np.ndarray:
     """L(w_hat) - z for each sample (z, w_hat): diagonal b - z, 1 above, a
     below, corners a_N / w_hat and w_hat, as one (S, N, N) stack."""

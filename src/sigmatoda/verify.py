@@ -21,7 +21,7 @@ import numpy as np
 
 from . import addition, division, poncelet, toda
 from .curves import CurvePoint, make_curve, random_curve_points
-from .sigma import abel_map, lattice_distance, sigma_context, wp_matrix
+from .sigma import abel_map, sigma_context, wp_matrix
 from .errors import SigmaTodaError, worst_of
 
 
@@ -221,9 +221,8 @@ def criterion_torsion(ctx1) -> CriterionResult:
         cand = _real_torsion(ctx1.curve, order)
         res.add(f"torsion_x_value_order{order}",
                 abs(cand.point.x - x_target), 1e-9)
-        c = 2.0 * abel_map(ctx1, [cand.point]).u
         res.add(f"lattice_certificate_order{order}",
-                lattice_distance(ctx1.periods, order * c), division.TORSION_TOL)
+                division.torsion_distance(ctx1, cand.point, order), division.TORSION_TOL)
         frame = division.torsion_to_frame(ctx1, cand, order)
         worst = 0.0
         for k in range(0, 2 * order + 1):

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from former_division import former_poly_det
 
 from sigmatoda.curves import (
     CurvePoint,
@@ -17,21 +18,16 @@ from sigmatoda.division import (
     alpha_degree,
     cantor_alpha,
     cantor_psi,
-    divisibility_check,
     elliptic_psi_oracle,
     kiepert_psi,
     phi_roots,
+    torsion_distance,
     torsion_to_frame,
     xi_set,
     y_exponent,
 )
-from sigmatoda.errors import (
-    BranchPointSingularity,
-    DegreeMismatch,
-    MultiplesNotDistinct,
-    NotTorsion,
-)
-from sigmatoda.polyutil import aberth_roots, polyval
+from sigmatoda.errors import BranchPointSingularity, DegreeMismatch, NotTorsion
+from sigmatoda.polyutil import polyval
 from sigmatoda.sigma import abel_map, lattice_distance, sigma_context
 from sigmatoda.toda import flaschka
 
@@ -280,49 +276,41 @@ def test_torsion_negative_control(ctx1, g1):
         torsion_to_frame(ctx1, fake, 4)
 
 
-def test_divisibility_exact_order(g1):
-    # an order-8 point passes the 2N = 8 window
-    a8 = cantor_alpha(g1, 8).alpha
-    a4 = cantor_alpha(g1, 4).alpha
-    roots = aberth_roots(a8)
-    fresh = [r for r in roots if abs(polyval(a4, r)) > 1e-4]
-    x8 = fresh[0]
-    cand = TorsionCandidate(CurvePoint(complex(x8), complex(np.sqrt(g1.f(x8)))),
-                            8, (0.0,))
-    assert divisibility_check(g1, cand, 4)
+def test_torsion_distance_is_the_certificate_of_the_frames(ctx1, g1):
+    # the lattice distance of N c, c = 2 A(P), in the bits of that expression
+    for order in (3, 4):
+        for cand in xi_set(g1, order):
+            dist = torsion_distance(ctx1, cand.point, order)
+            c = 2.0 * abel_map(ctx1, [cand.point]).u
+            assert dist == lattice_distance(ctx1.periods, order * c)
+            assert dist < division_mod.TORSION_TOL
+    p = random_curve_points(g1, np.random.default_rng(5), 1)[0]
+    assert torsion_distance(ctx1, p, 4) > 1e-3
 
 
-def test_divisibility_rejects_collapsed_window(g1):
-    # order-4 point in the 2N = 8 window collides at the identity
-    cand = max((c for c in xi_set(g1, 4)
-                if abs(c.point.x.imag) < 1e-9 and c.point.x.real > 0),
-               key=lambda c: c.point.x.real)
-    with pytest.raises(MultiplesNotDistinct):
-        divisibility_check(g1, cand, 4)
-    assert divisibility_check(g1, cand, 2)
+def test_poly_det_keeps_the_bits_of_the_cofactor_expansion(g1, g2, monkeypatch):
+    for curve in (g1, g2):
+        for n in range(1, 13):
+            mine = cantor_alpha(curve, n).alpha
+            monkeypatch.setattr(division_mod, "_poly_det", former_poly_det)
+            former = cantor_alpha(curve, n).alpha
+            monkeypatch.undo()
+            assert mine.tobytes() == former.tobytes()
 
 
-def test_divisibility_negative_control(g1):
-    rng = np.random.default_rng(5)
-    p = random_curve_points(g1, rng, 1)[0]
-    fake = TorsionCandidate(p, 6, (0.0,))
-    assert not divisibility_check(g1, fake, 3)
+def test_poly_det_computes_each_minor_once(g1, monkeypatch):
+    # genus 1, n = 19: a 9 x 9 Toeplitz determinant, 9! products by cofactors
+    calls = []
+    polymul = division_mod.polymul
 
+    def counted(a, b):
+        calls.append(1)
+        return polymul(a, b)
 
-def test_divisibility_sees_collisions_across_a_rounding_bin(g1, monkeypatch):
-    # two copies of one point 2e-13 apart in x, on either side of a 9-decimal
-    # rounding boundary: they collide however the coordinates round
-    import sigmatoda.addition as addition_mod
-
-    def copy(x):
-        return CurvePoint(complex(x), complex(np.sqrt(g1.f(x))))
-
-    first, second = copy(2.0000000005 - 1e-13), copy(2.0000000005 + 1e-13)
-    assert round(first.x.real, 9) != round(second.x.real, 9)
-    monkeypatch.setattr(addition_mod, "point_multiples",
-                        lambda curve, p, count: [[first], [second]])
-    with pytest.raises(MultiplesNotDistinct, match="collide at ell = 2"):
-        divisibility_check(g1, TorsionCandidate(first, 2, (0.0,)), 1)
+    monkeypatch.setattr(division_mod, "polymul", counted)
+    assert cantor_alpha(g1, 19).degree == alpha_degree(1, 19)
+    size = division_mod._toeplitz_shape(1, 19)[1]
+    assert size == 9 and len(calls) <= size * 2 ** size
 
 
 def test_psi5_reference_tabulation_discrepancy(g1):

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from former_periods import former_level
 from scipy.integrate import quad
 
 from sigmatoda.curves import make_curve
@@ -17,6 +18,7 @@ from sigmatoda.periods import (
     _continuous_sqrt,
     _refine,
     _relative_clearance,
+    _segment_integrals,
     _transport_paths,
     _transport_quotients,
     _transport_signs,
@@ -117,9 +119,10 @@ def test_a_basis_off_the_slicing_rule_fails_the_certificate(g2):
     assert legendre_residual(pd) < 1e-8 < 1e-2 < legendre_residual(bad)
 
 
-def test_refinement_agrees_within_reported_error(g2):
+def test_refinement_agrees_within_reported_error(g2, monkeypatch):
     curve, pd = g2
-    finer = compute_periods(curve, base_nodes=512)
+    monkeypatch.setattr(periods_mod, "BASE_NODES", 512)
+    finer = compute_periods(curve)
     for a, b in ((pd.omega1, finer.omega1), (pd.omega2, finer.omega2),
                  (pd.eta1, finer.eta1), (pd.eta2, finer.eta2)):
         assert np.max(np.abs(a - b)) <= max(pd.error_estimate, 1e-13) * 10
@@ -131,9 +134,9 @@ def test_period_ladder_raises_past_its_node_limit(monkeypatch):
     nodes = []
     segment_integrals = periods_mod._segment_integrals
 
-    def counted(e, k, numerators, n_nodes):
+    def counted(e, numerators, n_nodes):
         nodes.append(n_nodes)
-        return segment_integrals(e, k, numerators, n_nodes)
+        return segment_integrals(e, numerators, n_nodes)
 
     monkeypatch.setattr(periods_mod, "_segment_integrals", counted)
     monkeypatch.setattr(periods_mod, "AGREE_TOL", 0.0)
@@ -215,6 +218,19 @@ def _generic_curves(seed, per_class):
                 if complex_class:
                     lam = lam + 1j * rng.normal(size=2 * genus + 1)
                 yield genus, lam
+
+
+def test_one_pass_level_keeps_the_bits_of_the_per_segment_calls():
+    # the canonical curves and seeded generic ones, at three node levels
+    curves = [make_curve(1, [0, -1, 0]), make_curve(2, [1, 0, 0, 0, 0])]
+    curves += [make_curve(genus, lam) for genus, lam in _generic_curves(3032, 5)]
+    for curve in curves:
+        e, g = build_cycles(curve), curve.genus
+        numerators = [np.eye(g, dtype=complex)[i, :i + 1] for i in range(g)]
+        numerators += [second_kind_numerator(curve, j) for j in range(1, g + 1)]
+        for n_nodes in (256, 512, 1024):
+            assert _segment_integrals(e, numerators, n_nodes).tobytes() \
+                == former_level(e, numerators, n_nodes).tobytes()
 
 
 def test_generic_curves_certify():

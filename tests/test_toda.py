@@ -34,6 +34,7 @@ from sigmatoda.theta import JET
 from sigmatoda.toda import (
     TodaState,
     V,
+    _lax_minus_z,
     _potential,
     char_poly,
     direction_vector,
@@ -44,7 +45,6 @@ from sigmatoda.toda import (
     hirota_residual,
     invariant_drift,
     lax_det_residual,
-    lax_matrix,
     site_jets,
     site_u,
     spectral_morphism,
@@ -528,9 +528,9 @@ def test_flaschka_genus1_closed_forms(ctx1):
     # a and b reduce to coordinate differences through the step point 2*v1
     rng = np.random.default_rng(10)
     frame = conditioned_frame(ctx1, rng)
-    from sigmatoda.addition import point_multiples
+    from sigmatoda.addition import reduce_divisor
 
-    double = point_multiples(ctx1.curve, frame.v1, 2)[1]
+    double = reduce_divisor(ctx1.curve, [frame.v1, frame.v1]).negated
     assert len(double) == 1
     xc, yc = double[0].x, double[0].y
     assert frame.v_c == pytest.approx(xc, rel=1e-9)
@@ -582,7 +582,7 @@ def test_lax_and_invariants_random_state():
     res, data = spectral_morphism(state)
     assert res < 1e-9
     assert data.weierstrass_z.size == 6
-    mat = lax_matrix(state, 1.3 + 0.2j)
+    mat = _lax_minus_z(state, [(0.0, 1.3 + 0.2j)])[0]
     assert mat.shape == (3, 3)
 
 
@@ -659,7 +659,7 @@ def _spectral_morphism_per_sample(state):
 
 
 def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
-    from sigmatoda.toda import LAX_SAMPLES, TodaState, _lax_minus_z
+    from sigmatoda.toda import LAX_SAMPLES, TodaState
 
     rng = np.random.default_rng(21)
     states = [_periodic_state(ctx1, order) for order in (3, 4)]
@@ -674,7 +674,7 @@ def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
         assert _lax_minus_z(state, LAX_SAMPLES).tobytes() \
             == former_lax_minus_z(state, LAX_SAMPLES).tobytes()
         for _, w_hat in LAX_SAMPLES:
-            assert lax_matrix(state, w_hat).tobytes() \
+            assert _lax_minus_z(state, [(0.0, w_hat)])[0].tobytes() \
                 == former_lax_matrix(state, w_hat).tobytes()
         assert char_poly(state).p_coeffs.tobytes() == former_char_poly(state).tobytes()
         det_res, morph_res = lax_det_residual(state), spectral_morphism(state)[0]
@@ -691,7 +691,7 @@ def test_char_poly_refuses_a_one_site_state():
     with pytest.raises(ValueError, match="at least two sites"):
         char_poly(state)
     with pytest.raises(ValueError, match="at least two sites"):
-        lax_matrix(state, 1.3)
+        _lax_minus_z(state, [(0.0, 1.3)])
 
 
 def _branch_values_reference(state):

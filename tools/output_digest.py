@@ -15,10 +15,11 @@ bits reads as such. ``contexts`` is the sha256 of the set-up of both
 canonical sigma contexts (characteristics, gamma0, kappa, P and the theta
 radius), so a change of the set-up shows apart from the op digests.
 ``--verify-all`` adds ``cli``: per invocation of a fixed list of
-``sigmatoda`` commands on the curves in ``curves/``, the sha256 of its exit
-status, stdout, stderr and output file (of ``verify-all --out``, its file
-without ``elapsed`` and the ``*_seconds`` checks, since its stdout holds
-timings), and ``verify_all``, the sha256 of the checks in that file, and
+``sigmatoda`` commands on the curves and the conic in ``curves/``, the
+sha256 of its exit status, stdout, stderr and output file (of
+``verify-all --out``, its file without ``elapsed`` and the ``*_seconds``
+checks, since its stdout holds timings), and ``verify_all``, the sha256 of
+the checks in that file, and
 ``generic_periods``, the sha256 of the chain, the transport signs and
 omega1, omega2, eta1, eta2 of a fixed seeded set of generic curves, so a
 change of the transport path, the chain or the quadrature shows.
@@ -218,7 +219,8 @@ def cli_invocations(seed: int, tmp: str) -> dict:
 
     An invocation with ``--out`` writes to ``tmp/<name>``.
     """
-    g1, g2 = (str(ROOT / "curves" / n) for n in ("lemniscatic_g1.json", "quintic_g2.json"))
+    g1, g2, conic = (str(ROOT / "curves" / n) for n in (
+        "lemniscatic_g1.json", "quintic_g2.json", "poncelet_torsion3_g1.json"))
     s = str(seed)
 
     def out(name):
@@ -234,11 +236,13 @@ def cli_invocations(seed: int, tmp: str) -> dict:
                             "--seed", s],
         "division": ["division", "--curve", g1, "--n", "5"],
         "torsion": ["torsion", "--curve", g1, "--N", "3"],
+        "torsion_g2": ["torsion", "--curve", g2, "--N", "5"],
         "toda_run_csv": ["toda-run", "--format", "csv", "--curve", g1, "--point",
                          TORSION3, "--sites", "3", "--seed", s],
         "toda_run_json_out": ["toda-run", "--curve", g1, "--point", X2, "--sites", "3",
                               "--steps", "3", "--seed", s, *out("toda_run_json_out")],
         "spectral": ["spectral", "--curve", g1, "--point", TORSION3, "--sites", "3"],
+        "poncelet": ["poncelet", "--conic", conic, "--N", "3"],
         "argparse_error": ["periods"],
         "verify_all_out": ["verify-all", "--seed", s, *out("verify_all_out")],
     }
