@@ -40,17 +40,34 @@ def _vector(v) -> list:
     return [_pair(z) for z in np.atleast_1d(v)]
 
 
-def load_curve(path: str):
+def _complex_rows(rows, n: int, what: str) -> list:
+    """Rows of 2n reals (re, im pairs) as n complex numbers; else ValueError naming the row."""
+    for row in rows if isinstance(rows, list) else [rows]:
+        if not (isinstance(row, list) and len(row) == 2 * n
+                and all(type(v) in (int, float) for v in row)):
+            raise ValueError(f"{what} entry {row!r}: expected {2 * n} real numbers")
+    return [[complex(re, im) for re, im in zip(row[::2], row[1::2])] for row in rows]
+
+
+def _read_object(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
-    lam = [complex(re, im) for re, im in data["lambda"]]
-    return make_curve(int(data["genus"]), lam)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
+def load_curve(path: str):
+    data = _read_object(path)
+    if type(data["genus"]) is not int:
+        raise ValueError(f"genus {data['genus']!r}: expected an integer")
+    lam = [z for (z,) in _complex_rows(data["lambda"], 1, "lambda")]
+    return make_curve(data["genus"], lam)
 
 
 def parse_points(text: str) -> list[CurvePoint]:
     """Points as JSON [[x_re, x_im, y_re, y_im], ...]."""
-    rows = json.loads(text)
-    return [CurvePoint(complex(r[0], r[1]), complex(r[2], r[3])) for r in rows]
+    return [CurvePoint(x, y) for x, y in _complex_rows(json.loads(text), 2, "point")]
 
 
 def parse_u(text: str) -> np.ndarray:
@@ -191,9 +208,8 @@ def cmd_division(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    curve = load_curve(args.curve)
-    ctx = sigma_context(curve)
-    cands = division.xi_set(curve, args.N)
+    ctx = sigma_context(load_curve(args.curve))
+    cands = division.xi_set(ctx.curve, args.N)
     rows = []
     for cand in cands:
         rows.append({
@@ -206,28 +222,29 @@ def cmd_torsion(args) -> int:
     return 0
 
 
-def _chain_frame(ctx, point: CurvePoint, sites: int, seed: int):
-    """(frame, lattice residual, periodic) of the chain stepped by c = 2 abel(point).
+def _chain_frame(args):
+    """(frame, lattice residual, periodic) of the chain stepped by c = 2 abel(--point).
 
-    A ``division.torsion_distance`` at ``sites`` below ``division.TORSION_TOL``
+    A ``division.torsion_distance`` at ``--sites`` below ``division.TORSION_TOL``
     makes the chain periodic with that many sites, and its frame is
-    ``torsion_to_frame``'s; otherwise the frame is ``toda_frame``'s at the
-    seed, with periodic False.
+    ``torsion_to_frame``'s; otherwise the frame is ``toda_frame``'s at
+    ``--seed``, with periodic False.
     """
+    ctx, pts = sigma_context(load_curve(args.curve)), parse_points(args.point)
+    if len(pts) != 1:
+        raise ValueError(f"point {args.point}: expected one point, got {len(pts)}")
+    point, sites = pts[0], args.sites
     lattice_res = division.torsion_distance(ctx, point, sites)
     if lattice_res < division.TORSION_TOL:
         cand = division.TorsionCandidate(point, sites, (0.0,))
         return division.torsion_to_frame(ctx, cand, sites), lattice_res, True
-    frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(seed))
+    frame = toda.toda_frame(ctx, point, rng=np.random.default_rng(args.seed))
     return frame, lattice_res, False
 
 
 def cmd_toda_run(args) -> int:
-    curve = load_curve(args.curve)
-    ctx = sigma_context(curve)
-    point = parse_points(args.point)[0]
     times = np.linspace(args.t0, args.t1, args.steps)
-    frame, lattice_res, periodic = _chain_frame(ctx, point, args.sites, args.seed)
+    frame, lattice_res, periodic = _chain_frame(args)
     rows = []
     for t in times:
         state = toda.toda_state(frame, args.sites, complex(t))
@@ -255,10 +272,7 @@ def cmd_toda_run(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    curve = load_curve(args.curve)
-    ctx = sigma_context(curve)
-    point = parse_points(args.point)[0]
-    frame, lattice_res, periodic = _chain_frame(ctx, point, args.sites, args.seed)
+    frame, lattice_res, periodic = _chain_frame(args)
     state = toda.toda_state(frame, args.sites, complex(args.t))
     morph, data = toda.spectral_morphism(state)
     emit(args, {
@@ -274,9 +288,9 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_poncelet(args) -> int:
-    with open(args.conic) as fh:
-        data = json.load(fh)
-    mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
+    rows = _read_object(args.conic)["matrix"]
+    mat = np.array([[z for (z,) in _complex_rows(row, 1, "matrix")]
+                    for row in (rows if isinstance(rows, list) else [rows])])
     pair = poncelet.conic_pair(mat)
     ctx = sigma_context(poncelet.reduce_to_elliptic(pair))
     cands = division.xi_set(ctx.curve, args.N)

@@ -289,10 +289,10 @@ def phi_roots(curve: HyperellipticCurve, n: int) -> list[CurvePoint]:
         return []
     out = []
     for x in sorted_roots(alpha):
-        y = np.sqrt(complex(curve.f(x)))
-        out.append(CurvePoint(complex(x), y))
-        if abs(y) > 1e-10 * curve.scale:
-            out.append(CurvePoint(complex(x), -y))
+        p = curve.point(x)
+        out.append(p)
+        if abs(p.y) > 1e-10 * curve.scale:
+            out.append(p.conj())
     return out
 
 
@@ -325,8 +325,7 @@ def xi_set(curve: HyperellipticCurve, order: int) -> list[TorsionCandidate]:
     for x in sorted_roots(center):
         res = tuple(_alpha_rel_residual(alphas[m], x) for m in window)
         if worst_of(*res) < 1e-6:
-            y = np.sqrt(complex(curve.f(x)))
-            out.append(TorsionCandidate(CurvePoint(complex(x), y), order, res))
+            out.append(TorsionCandidate(curve.point(x), order, res))
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import CurvePoint, HyperellipticCurve, make_curve
 from .errors import DegenerateConicPair, DegenerateCurve, ThetaDivisorPole, worst_of
-from .sigma import SigmaContext, _envelope_curvature, abel_map, sigma_jet2
+from .sigma import SigmaContext, _bound, abel_map, sigma_jet2
 from .toda import _lattice_residual, _potential
 
 _D = np.ones(1, dtype=complex)  # the direction of the sweep, d1 = d2 at genus one
@@ -159,7 +159,7 @@ def _sweep(ctx: SigmaContext, u0: np.ndarray, sites, t: complex) -> list:
 
 def _vertex_wps(ctx: SigmaContext, jets) -> list:
     """wp at each point of a ``_sweep``: its Toda potential (``toda._potential``)."""
-    curvature = _envelope_curvature(ctx, _D, _D)
+    curvature = _bound(ctx, 4, _D, _D).curvature
     return [_potential(jet, curvature, f"vertex {n}") for n, jet in enumerate(jets)]
 
 
@@ -209,4 +209,4 @@ def vertex_toda_residual(ctx: SigmaContext, point: CurvePoint, n: int,
     """
     u0 = abel_map(ctx, [point]).u
     return _lattice_residual(_sweep(ctx, u0, range(n - 1, n + 2), t),
-                             _envelope_curvature(ctx, _D, _D), point.x, n)
+                             _bound(ctx, 4, _D, _D).curvature, point.x, n)

@@ -16,8 +16,8 @@ Every theta pass is bound once per context, top row order and pair of
 directions (``_bound``). One assembly turns a pass into per-point records of
 sigma and its derivatives along two directions (``_sigma_jets``): sigma, its
 partials and its directional 2-jet all read it, so the product rule is
-written once; zeta and wp read log theta, past the envelope, from the bound
-pass of the partials of theta (``_log_theta``). Each record column is
+written once; zeta and wp read one 2-jet of log theta past the envelope,
+kept for the last u (``_log_theta``). Each record column is
 one expression over the K points of a pass, in elementwise ufuncs and
 two-operand einsum, which give a point in a stack the bits of its own call;
 a matmul with a (K, g) operand or a three-operand einsum can sum in another
@@ -44,7 +44,7 @@ from .errors import (
     VanishingGap,
 )
 from .periods import AGREE_TOL, PeriodData, compute_periods
-from .theta import DEFAULT_TOL, JET, ThetaPass, _plan, _theta_sum, bind
+from .theta import DEFAULT_TOL, JET, ThetaPass, _theta_sum, bind
 
 @dataclass(frozen=True)
 class Characteristics:
@@ -121,7 +121,6 @@ class _AbelEngine:
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
         self.curve = curve
         self.periods = periods
-        self.tol = AGREE_TOL  # agreement of two quadrature levels, per unit scale
         self.chain = periods.chain
         self.others = np.array([np.delete(self.chain, j) for j in range(self.chain.size)])
         tails = np.cumsum(periods.segments[:, ::-1], axis=1)[:, ::-1]
@@ -142,8 +141,8 @@ class _AbelEngine:
         sheet on y_P. Two Gauss-Legendre levels, 48 and 96 nodes, share one
         evaluation on the concatenated nodes (``_leg_nodes``) for all legs;
         each leg keeps its own check, and a leg whose levels disagree beyond
-        tol is halved, its two halves in one pass. Another branch point can
-        lie close to a leg near e_j, where the halving resolves it.
+        AGREE_TOL per unit scale is halved, its two halves in one pass. Another
+        branch point can lie close to a leg near e_j, where the halving resolves it.
         """
         if depth > 24:
             raise QuadratureNonConvergence("Abel leg subdivision stalled")
@@ -159,7 +158,7 @@ class _AbelEngine:
         scales = (factor * width).tolist()
         v1, v2 = (np.array([c * row for c, row in zip(scales, np.sum(level, axis=-1))])
                   for level in (integrand[..., :LEG_SPLIT], integrand[..., LEG_SPLIT:]))
-        for i in np.flatnonzero(np.max(np.abs(v2 - v1), axis=1) > self.tol * self.curve.scale):
+        for i in np.flatnonzero(np.max(np.abs(v2 - v1), axis=1) > AGREE_TOL * self.curve.scale):
             # depth first, as a leg that never settles must reach the cap in
             # 25 passes, not after 2^25 legs; its two halves share one pass
             pair = [i, i]
@@ -218,13 +217,11 @@ class SigmaContext:
     periods: PeriodData
     chars: Characteristics
     gamma0: complex
-    trunc_radius: int  # reach of the widest theta plan; a wider plan raises
     kappa: np.ndarray = field(repr=False)
     pmat: np.ndarray = field(repr=False)
     abel: _AbelEngine = field(repr=False)
-    tol: float = DEFAULT_TOL
-    # the wp matrix at the last u asked for, one entry keyed by u's bytes;
-    # see wp_matrix
+    # (t, wp matrix) at the last u asked for, one entry keyed by u's bytes;
+    # see _log_theta
     _wp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # the last PASSES_KEPT bound passes, keyed by order and directions; see _bound
     _passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -334,9 +331,8 @@ def sigma_context(curve: HyperellipticCurve) -> SigmaContext:
     if asym > 1e-7:
         raise NormalizationUnstable(f"eta1*omega1^-1 asymmetric by {asym:.2e}")
     kappa = 0.5 * (kappa + kappa.T)
-    # the widest plan of the context: rows of orders up to 4
-    return SigmaContext(curve, pd, chars, gamma0, _plan(pd.riemann, DEFAULT_TOL, 4).extent,
-                        kappa=kappa, pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
+    return SigmaContext(curve, pd, chars, gamma0, kappa=kappa,
+                        pmat=0.5 * np.linalg.inv(pd.omega1), abel=engine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +365,7 @@ def _bound(ctx: SigmaContext, top: int, d1=None, d2=None) -> _Bound:
             kd = np.stack([ctx.kappa @ d1, ctx.kappa @ d2], axis=1)
             umap.append(-kd)
             curvature, along = complex(d1 @ kd[:, 1]), (ctx.pmat @ d1, ctx.pmat @ d2)
-        tp = bind(ctx.periods.riemann, ctx.tol, top, ctx.chars.a, ctx.chars.b, along)
+        tp = bind(ctx.periods.riemann, DEFAULT_TOL, top, ctx.chars.a, ctx.chars.b, along)
         if len(ctx._passes) >= PASSES_KEPT:
             del ctx._passes[next(iter(ctx._passes))]
         bound = ctx._passes[key] = _Bound(tp, np.concatenate(umap, axis=1), curvature)
@@ -406,7 +402,7 @@ def _sigma_jets(ctx: SigmaContext, u, order: int, d1, d2) -> list:
     zq = np.einsum("ki,ij->kj", pts, bound.umap)
     with np.errstate(all="ignore"):  # an overflow is the NonFiniteValue below
         theta0, along, l1 = _theta_sum(JET[order], zq[:, :g], ctx.periods.riemann,
-                                       ctx.trunc_radius, ctx.tol, bound.theta)
+                                       bound.theta.plan.extent, DEFAULT_TOL, bound.theta)
         env = ctx.gamma0 * np.exp(np.einsum("ki,ki->k", pts, zq[:, g:2 * g]))
         block[:, 0], block[:, 1] = env * theta0, np.abs(env) * l1
         if order:  # along holds (g1, g2, h11, h12, h22, orders 3 and 4)
@@ -455,7 +451,7 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex | list:
     pass and returns the list of the K values, each with the bits of its
     own call.
     """
-    idx = tuple(int(i) - 1 for i in multi_index)
+    idx = _labels(ctx, multi_index)
     if len(idx) > 2:
         raise NotImplementedError("sigma derivatives of order > 2 not supported")
     u = np.atleast_1d(np.asarray(u, dtype=complex))
@@ -507,11 +503,6 @@ def _guarded(sig, scale: float, where):
     return sig
 
 
-def _envelope_curvature(ctx: SigmaContext, d1, d2) -> complex:
-    """d1.kappa.d2, the part of -D1 D2 log sigma that the envelope adds."""
-    return _bound(ctx, 4, d1, d2).curvature
-
-
 def _cumulant_potential(curvature: complex, moments) -> complex:
     """v = -D1 D2 log sigma = d1.kappa.d2 - k11 from the moments of ``sigma_jet2``.
 
@@ -527,7 +518,7 @@ def _log_gap(curvature: complex, moments, c, where):
 
     The envelope of sigma is quadratic, so past it only log theta counts:
     with k_ab the joint cumulants of log theta along d1 and d2 and
-    ``curvature`` = d1.kappa.d2 (``_envelope_curvature``),
+    ``curvature`` = d1.kappa.d2 (``_Bound.curvature``),
     v = d1.kappa.d2 - k11, D1 v = -k21, D2 v = -k12 and D1 D2 v = -k22.
     A gap |v - c| below POLE_TOL * max(1, |c|) raises VanishingGap;
     ``where`` is formatted only then.
@@ -545,57 +536,53 @@ def _log_gap(curvature: complex, moments, c, where):
     return v, (k22 * gap + k21 * k12) / gap**2
 
 
-def _log_theta(ctx: SigmaContext, u, order: int):
-    """(t, H / theta) at one point u from one theta pass, t = grad theta / theta.
+def _log_theta(ctx: SigmaContext, u) -> tuple:
+    """(t, wp) at one point u from the bound pass of the partials of theta (``_bound``).
 
-    The gradient and the Hessian H are in the u variables, read off the
-    context's bound pass of the partials of theta (``_bound``); H is None
-    below order 2. Past the envelope, whose factor is never built, only log
-    theta counts. The pole test compares theta with its own L1 mass, the
-    test of |sigma| < POLE_TOL |env| L1 with |env| cancelled.
+    t = grad theta / theta and wp = kappa - H / theta + t t^T, H the theta
+    Hessian, in u: the matrix form of ``_cumulant_potential``, past the
+    envelope. The pole test is ``_guarded`` on theta and its L1 mass, |env|
+    cancelled. The context keeps the read-only pair of the last u.
     """
-    g = ctx.genus
-    with np.errstate(all="ignore"):  # an overflow raises NonFiniteValue in the kernel
-        theta0, sums, l1 = _theta_sum(JET[order], np.einsum("ij,j->i", ctx.pmat, u),
-                                      ctx.periods.riemann, ctx.trunc_radius, ctx.tol,
-                                      _bound(ctx, order).theta)
-    _guarded(theta0, l1, u)
-    t = (ctx.pmat.T @ sums[:g]) / theta0  # sums along e_1, e_g: D1, D2, D1^2, D1 D2, D2^2
-    hess = sums[np.array([[2, 3], [3, 4]])[:g, :g]] if order == 2 else None
-    return t, None if hess is None else (ctx.pmat.T @ hess @ ctx.pmat) / theta0
+    key = u.tobytes()
+    jet = ctx._wp.get(key)
+    if jet is None:
+        g, tp = ctx.genus, _bound(ctx, 2).theta
+        with np.errstate(all="ignore"):  # an overflow raises NonFiniteValue in the kernel
+            theta0, sums, l1 = _theta_sum(JET[2], np.einsum("ij,j->i", ctx.pmat, u),
+                                          ctx.periods.riemann, tp.plan.extent, DEFAULT_TOL, tp)
+        _guarded(theta0, l1, u)
+        t = (ctx.pmat.T @ sums[:g]) / theta0  # sums along e_1, e_g: D1, D2, D1^2, D1 D2, D2^2
+        hess = sums[np.array([[2, 3], [3, 4]])[:g, :g]]
+        wpm = ctx.kappa - (ctx.pmat.T @ hess @ ctx.pmat) / theta0 + np.outer(t, t)
+        t.flags.writeable = wpm.flags.writeable = False
+        ctx._wp.clear()
+        jet = ctx._wp[key] = (t, wpm)
+    return jet
+
+
+def _labels(ctx: SigmaContext, labels) -> tuple:
+    """0-based indices of 1-based u labels; a label outside 1..g raises ValueError."""
+    for i in labels:
+        if int(i) != i or not 1 <= i <= ctx.genus:
+            raise ValueError(f"u label {i} outside 1..{ctx.genus}")
+    return tuple(int(i) - 1 for i in labels)
 
 
 def zeta(ctx: SigmaContext, i: int, u) -> complex:
     """Logarithmic derivative d log sigma / du_i = q_i + t_i, q = -kappa u (``_log_theta``)."""
-    u = _one_point(ctx, u)
-    t = _log_theta(ctx, u, 1)[0]
-    return -(ctx.kappa @ u)[i - 1] + t[i - 1]
+    u, (i,) = _one_point(ctx, u), _labels(ctx, (i,))
+    return -(ctx.kappa @ u)[i] + _log_theta(ctx, u)[0][i]
 
 
 def wp(ctx: SigmaContext, i: int, j: int, u) -> complex:
     """Kleinian wp_{ij} = -d^2 log sigma / du_i du_j, an entry of ``wp_matrix``."""
-    return wp_matrix(ctx, u)[i - 1, j - 1]
+    return wp_matrix(ctx, u)[_labels(ctx, (i, j))]
 
 
 def wp_matrix(ctx: SigmaContext, u) -> np.ndarray:
-    """All wp_{ij} at u from one theta 2-jet: wp = kappa - H / theta + t t^T.
-
-    t = grad theta / theta and H is the theta Hessian, both in u
-    (``_log_theta``). This is the matrix form of ``_cumulant_potential``:
-    the envelope enters through kappa only. The context keeps the matrix of
-    the last u it was asked for, read-only, so checks that read wp at one
-    divisor's image share one pass.
-    """
-    u = _one_point(ctx, u)
-    key = u.tobytes()
-    wpm = ctx._wp.get(key)
-    if wpm is None:
-        t, h = _log_theta(ctx, u, 2)
-        wpm = ctx.kappa - h + np.outer(t, t)
-        wpm.flags.writeable = False
-        ctx._wp.clear()
-        ctx._wp[key] = wpm
-    return wpm
+    """All wp_{ij} at u from one theta 2-jet (``_log_theta``), read-only."""
+    return _log_theta(ctx, _one_point(ctx, u))[1]
 
 
 def abel_map(ctx_or_engine, points) -> AbelPoint:

@@ -36,8 +36,8 @@ from .errors import ConfluentInput, NonFiniteValue, worst_of
 from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
 from .sigma import (
     SigmaContext,
+    _bound,
     _cumulant_potential,
-    _envelope_curvature,
     _guarded,
     _log_gap,
     abel_map,
@@ -72,8 +72,8 @@ class TodaFrame:
 
     @cached_property
     def curvature(self) -> complex:
-        """d.kappa.d along the frame's direction (``sigma._envelope_curvature``)."""
-        return _envelope_curvature(self.ctx, self.direction, self.direction)
+        """d.kappa.d along the frame's direction (``sigma._Bound.curvature``)."""
+        return _bound(self.ctx, 4, self.direction, self.direction).curvature
 
 
 def toda_frame(ctx: SigmaContext, v1: CurvePoint, u0=None,
@@ -229,7 +229,7 @@ def toda2d_residual(ctx: SigmaContext, v1: CurvePoint, v2: CurvePoint,
         / (v1.x - v2.x) ** 2
     base = u0 + t1 * d1 + t2 * d2
     jets = sigma_jet2(ctx, np.array([base + k * c for k in (n - 1, n, n + 1)]), d1, d2)
-    return _lattice_residual(jets, _envelope_curvature(ctx, d1, d2), vhat_c, n)
+    return _lattice_residual(jets, _bound(ctx, 4, d1, d2).curvature, vhat_c, n)
 
 
 def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, complex]:
@@ -273,14 +273,14 @@ def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
     return complex(frame.v_c - _potential(jet, frame.curvature, f"V at site {k + 1}"))
 
 
-def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0,
-                          fd_step: float = 1e-4) -> float:
+def flaschka_ode_residual(frame: TodaFrame, n_window: int, t: complex = 0.0) -> float:
     """Max residual of the Flaschka equations of motion over a site window.
 
+    d/dt is a Richardson central difference at steps FD_STEP and FD_STEP / 2.
     The pairs are taken one time at a time, so each time's site jets take
     one stacked theta pass for the whole window.
     """
-    h = fd_step
+    h = FD_STEP
     now = _flaschka_pairs(frame, range(-1, n_window + 1), t)
     lo, hi, lo2, hi2 = (_flaschka_pairs(frame, range(n_window), s)
                         for s in (t - h, t + h, t - h / 2, t + h / 2))
@@ -310,7 +310,6 @@ class TodaState:
 
     a: np.ndarray
     b: np.ndarray
-    t: complex = 0.0
 
     def __post_init__(self):
         for name in ("a", "b"):
@@ -330,8 +329,7 @@ class TodaState:
 
 def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
     pairs = list(_flaschka_pairs(frame, _period_pairs(n_sites), t).values())
-    return TodaState(np.array([p[0] for p in pairs]),
-                     np.array([p[1] for p in pairs]), t)
+    return TodaState(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
 def _lax_minus_z(state: TodaState, samples) -> np.ndarray:
@@ -362,10 +360,6 @@ class SpectralData:
     p_coeffs: np.ndarray
     invariants: np.ndarray
     prod_a: complex
-
-    @property
-    def n_sites(self) -> int:
-        return self.p_coeffs.size - 1
 
     @cached_property
     def weierstrass_z(self) -> np.ndarray:
@@ -406,6 +400,7 @@ def char_poly(state: TodaState) -> SpectralData:
     return SpectralData(p, invariants, prod_a)
 
 
+FD_STEP = 1e-4  # the time step of flaschka_ode_residual
 # samples of the two Lax checks, drawn in the order of one draw per sample
 LAX_SAMPLES = tuple((complex(zr, zi), complex(wr, wi) + 2.0) for zr, zi, wr, wi
                     in np.random.default_rng(7).normal(size=(5, 4)).tolist())
@@ -416,7 +411,8 @@ SPECTRAL_Z = tuple(complex(zr, zi)
 def lax_det_residual(state: TodaState) -> float:
     """Check det(L - z) against P(z) + (-1)^(N-1) (w + prod(a)/w).
 
-    The direct determinant is the oracle for the recursion-built P.
+    The direct determinant is the oracle for the recursion-built P; it holds
+    for any (a, b), so it certifies the recursion, not the Toda flow.
     """
     data = state.spectral
     p, prod_a = data.p_coeffs, data.prod_a
@@ -436,7 +432,8 @@ def spectral_morphism(state: TodaState):
     Points (z, w_hat) on the spectral curve satisfy
     w_hat^2 - (-1)^N P(z) w_hat + prod(a) = 0, and w = 2 w_hat - (-1)^N P(z)
     squares to the degree-2N model whose 2N roots are
-    ``data.weierstrass_z``, found only when read.
+    ``data.weierstrass_z``, found only when read. w is that root, so the
+    check holds for any (a, b): it certifies the branch choice, not the flow.
     """
     data = state.spectral
     n = state.n_sites

@@ -9,7 +9,7 @@ test_).
 import numpy as np
 from box_theta import theta_pass
 
-from sigmatoda.theta import JET
+from sigmatoda.theta import DEFAULT_TOL, JET, _plan
 
 
 def former_jet(ctx, u, order: int):
@@ -25,7 +25,8 @@ def former_jet(ctx, u, order: int):
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     moments = theta_pass(JET[order], ctx.chars.a, ctx.chars.b,
                         np.einsum("ij,...j->...i", ctx.pmat, u),
-                        ctx.periods.riemann, ctx.trunc_radius, ctx.tol)
+                        ctx.periods.riemann, _plan(ctx.periods.riemann, DEFAULT_TOL, 4).extent,
+                        DEFAULT_TOL)
     if u.ndim > 1:
         return [_point_jet(ctx, p, *(None if m is None else m[k] for m in moments))
                 for k, p in enumerate(u)]

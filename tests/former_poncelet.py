@@ -12,7 +12,7 @@ import numpy as np
 from sigmatoda.errors import DegenerateConicPair, ThetaDivisorPole
 from sigmatoda.poncelet import ConicPair, _adjugate3, chord_line, tangency_residual
 from sigmatoda.sigma import (
-    _envelope_curvature,
+    _bound,
     _guarded,
     _log_gap,
     abel_map,
@@ -81,6 +81,6 @@ def former_vertex_toda_residual(ctx, point, n: int, t: complex) -> float:
     d = np.ones(1, dtype=complex)
     sig, *_, scale, moments = sigma_jet2(ctx, n * u0 + t, d, d)
     _guarded(sig, scale, n)
-    x_n, lhs = _log_gap(_envelope_curvature(ctx, d, d), moments, x_c, n)
+    x_n, lhs = _log_gap(_bound(ctx, 4, d, d).curvature, moments, x_c, n)
     rhs = wp(ctx, 1, 1, (n + 1) * u0 + t) - 2.0 * x_n + wp(ctx, 1, 1, (n - 1) * u0 + t)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)

@@ -13,6 +13,7 @@ import pytest
 
 from sigmatoda import verify
 from sigmatoda.errors import worst_of
+from sigmatoda.theta import DEFAULT_TOL, _plan
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def _context_bytes(ctx):
               ctx.chars.a, ctx.chars.b, ctx.kappa, ctx.pmat, *ctx.abel.anchors)
     return ([np.asarray(x).tobytes() for x in arrays],
             repr((pd.legendre_residual, pd.error_estimate, ctx.gamma0,
-                  ctx.trunc_radius)))
+                  _plan(pd.riemann, DEFAULT_TOL, 4).extent)))
 
 
 def test_criterion_8_determinism(report):

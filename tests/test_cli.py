@@ -41,6 +41,41 @@ def test_malformed_curve_exits_2(tmp_path, capsys):
     assert missing == 2
 
 
+@pytest.mark.parametrize("command, flag, text, entry", [
+    ("abel", "--points", "[[2.0,0.0,2.4]]", "point entry [2.0, 0.0, 2.4]"),
+    ("abel", "--points", '[["x",0,0,0]]', "point entry ['x', 0, 0, 0]"),
+    ("abel", "--points", "5", "point entry 5"),
+    ("toda-run", "--point", "[]", "point []: expected one point"),
+])
+def test_malformed_points_exit_2_naming_the_entry(curve_file, capsys, command, flag,
+                                                  text, entry):
+    # README keeps exit status 1 for a failed verification, not for bad input
+    status = main([command, "--curve", curve_file, flag, text])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith(f"input error: {entry}")
+
+
+@pytest.mark.parametrize("curve, entry", [
+    ({"genus": 1, "lambda": [1.0, 2.0, 3.0]}, "lambda entry 1.0"),
+    ({"genus": 1.5, "lambda": G1["lambda"]}, "genus 1.5"),
+    ({"genus": [1], "lambda": G1["lambda"]}, "genus [1]"),
+])
+def test_a_malformed_curve_entry_exits_2(tmp_path, capsys, curve, entry):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    assert main(["periods", "--curve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {entry}")
+
+
+def test_a_conic_entry_that_is_not_a_pair_exits_2(tmp_path, capsys):
+    conic = tmp_path / "conic.json"
+    rows = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], ["a", 0]], [[0, 0], [0, 0], [1, 0]]]
+    conic.write_text(json.dumps({"matrix": rows}))
+    assert main(["poncelet", "--conic", str(conic), "--N", "3"]) == 2
+    assert capsys.readouterr().err.startswith("input error: matrix entry ['a', 0]")
+
+
 def test_degenerate_curve_exits_2(tmp_path):
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(

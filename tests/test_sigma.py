@@ -677,16 +677,53 @@ def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2, monkeypatch):
                     assert abs(value - former(*args)) <= swap[ctx.genus]
 
 
-def test_abel_third_quadrature_rules_are_checked(ctx2):
+def test_abel_third_quadrature_rules_are_checked(ctx2, monkeypatch):
     # at tol 1e-40 no two levels agree (on y^2 = x^5 + 1 they differ by
     # roundoff at least), so every leg halves until the depth cap and raises
     # instead of returning a sum that was never checked
     engine = _AbelEngine(ctx2.curve, ctx2.periods)
-    engine.tol = 1e-40
+    monkeypatch.setattr(importlib.import_module("sigmatoda.sigma"), "AGREE_TOL", 1e-40)
     rng = np.random.default_rng(33)
     for p in _near_points(ctx2.curve, rng, (0.02, 0.25, 2.0), 1):
         with pytest.raises(QuadratureNonConvergence):
             engine.to_point(p)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_out_of_range_labels_raise_naming_the_label(ctx1, ctx2, genus):
+    # unchecked, label 0 would index u_g from the end and g + 1 past it
+    ctx = ctx1 if genus == 1 else ctx2
+    u = np.array([0.21 + 0.07j, -0.13 + 0.11j])[:genus]
+    for label in (0, -1, genus + 1, 1.5):
+        calls = (lambda: sigma_deriv(ctx, (label,), u), lambda: sigma_deriv(ctx, (1, label), u),
+                 lambda: zeta(ctx, label, u), lambda: wp(ctx, label, 1, u),
+                 lambda: wp(ctx, 1, label, u))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"u label {label} outside 1..{genus}"):
+                call()
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_zeta_and_wp_matrix_share_one_theta_pass(ctx1, ctx2, genus, monkeypatch):
+    ctx = ctx1 if genus == 1 else ctx2
+    sigma_mod = importlib.import_module("sigmatoda.sigma")
+    kernel, orders = sigma_mod._theta_sum, []
+
+    def counted(deriv, *args):
+        orders.append(len(deriv))
+        return kernel(deriv, *args)
+
+    monkeypatch.setattr(sigma_mod, "_theta_sum", counted)
+    u = np.array([0.17 - 0.05j, 0.09 + 0.12j])[:genus]
+    ctx._wp.clear()
+    zetas = [zeta(ctx, i, u) for i in range(1, genus + 1)]
+    wpm = wp_matrix(ctx, u)
+    assert orders == [2]
+    # the kept pair has the bits of a pass of its own
+    ctx._wp.clear()
+    assert wp_matrix(ctx, u).tobytes() == wpm.tobytes()
+    assert [_bits(zeta(ctx, i, u)) for i in range(1, genus + 1)] == [_bits(z) for z in zetas]
+    assert orders == [2, 2]
 
 
 def _bits(x):

@@ -12,6 +12,7 @@ from box_theta import theta_pass
 from sigmatoda import theta as theta_mod
 from sigmatoda.errors import NonFiniteValue, TruncationInsufficient
 from sigmatoda.theta import (
+    DEFAULT_TOL,
     JET,
     _plan,
     _theta_sum,
@@ -450,12 +451,12 @@ def test_the_row_block_tables_stay_bounded():
     assert len(shifts) > 3 * theta_mod.OFFSETS_KEPT
     units = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for order, top, along in ((0, 0, ()), (1, 1, units), (2, 2, units), (2, 4, w)):
-        tp = bind(t_matrix, ctx2.tol, top, a, b, along)
+        tp = bind(t_matrix, DEFAULT_TOL, top, a, b, along)
 
         def call(m):
             # the first point keeps its offset, a hit beside each new one
             z = z0 + [np.zeros(2), t_matrix @ np.array(m, dtype=float)]
-            return _theta_sum(JET[order], z, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+            return _theta_sum(JET[order], z, t_matrix, tp.plan.extent, DEFAULT_TOL, tp)
 
         first = call(shifts[0])
         for m in shifts[1:]:
@@ -467,9 +468,9 @@ def test_the_row_block_tables_stay_bounded():
     # a pass with more distinct offsets than the store keeps builds its own blocks
     wide = z0[0] + np.array([t_matrix @ np.array(m, dtype=float)
                              for m in shifts[:theta_mod.OFFSETS_KEPT + 4]])
-    stack = _theta_sum(JET[2], wide, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+    stack = _theta_sum(JET[2], wide, t_matrix, tp.plan.extent, DEFAULT_TOL, tp)
     for k, z in enumerate(wide):
-        single = _theta_sum(JET[2], z, t_matrix, ctx2.trunc_radius, ctx2.tol, tp)
+        single = _theta_sum(JET[2], z, t_matrix, tp.plan.extent, DEFAULT_TOL, tp)
         assert [None if x is None else _bits(x[k]) for x in stack] == [_bits(x) for x in single]
     assert len(tp.slots) <= theta_mod.OFFSETS_KEPT
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from sigmatoda.errors import (
     VanishingGap,
 )
 from sigmatoda.sigma import (
-    _envelope_curvature,
+    _bound,
     _guarded,
     _log_gap,
     abel_map,
@@ -30,7 +31,7 @@ from sigmatoda.sigma import (
     wp_matrix,
     zeta,
 )
-from sigmatoda.theta import JET
+from sigmatoda.theta import DEFAULT_TOL, JET, _plan
 from sigmatoda.toda import (
     TodaState,
     V,
@@ -117,7 +118,7 @@ def jet_log_gap(ctx, u, d1, d2, c):
     """(v, -D1 D2 log(v - c)) at one u: ``_log_gap`` of its ``sigma_jet2`` record."""
     sig, *_, scale, moments = sigma_jet2(ctx, u, d1, d2)
     _guarded(sig, scale, u)
-    return _log_gap(_envelope_curvature(ctx, d1, d2), moments, c, u)
+    return _log_gap(_bound(ctx, 4, d1, d2).curvature, moments, c, u)
 
 
 def former_log_gap_curvature(ctx, u, d1, d2, c):
@@ -129,8 +130,9 @@ def former_log_gap_curvature(ctx, u, d1, d2, c):
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     d1, d2 = (np.atleast_1d(np.asarray(d, dtype=complex)) for d in (d1, d2))
     w1, w2 = ctx.pmat @ d1, ctx.pmat @ d2
-    args = (ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann, ctx.trunc_radius,
-            ctx.tol)
+    # the reach of the widest plan, rows to order 4
+    radius = _plan(ctx.periods.riemann, DEFAULT_TOL, 4).extent
+    args = (ctx.chars.a, ctx.chars.b, ctx.pmat @ u, ctx.periods.riemann, radius, DEFAULT_TOL)
     theta0, grad, hess, _ = theta_pass(JET[2], *args)
     value, along, _, _ = theta_pass(JET[2], *args, along=(w1, w2))
     m10, m01 = (w1 @ grad) / theta0, (w2 @ grad) / theta0
@@ -559,10 +561,23 @@ def test_flaschka_equations_of_motion(ctx1, ctx2):
     assert flaschka_ode_residual(frame2, 2, 0.02) < 1e-5
 
 
-def test_ode_residual_richardson_floor(ctx1):
+def test_ode_residual_richardson_floor(ctx1, monkeypatch):
     rng = np.random.default_rng(12)
     frame = conditioned_frame(ctx1, rng)
-    assert flaschka_ode_residual(frame, 2, 0.02, fd_step=1e-3) < 1e-8
+    monkeypatch.setattr(importlib.import_module("sigmatoda.toda"), "FD_STEP", 1e-3)
+    assert flaschka_ode_residual(frame, 2, 0.02) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_lax_checks_hold_for_any_state(n):
+    # w = 2 w_hat - p_hat squares to P^2 - 4 prod(a) by construction, and
+    # det(L - z) meets the recursion-built P for any (a, b): the two checks
+    # certify the recursion and the branch choice, not the Toda flow
+    rng = np.random.default_rng(40 + n)
+    a, b = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    state = TodaState(a, b)
+    assert spectral_morphism(state)[0] < 1e-14
+    assert lax_det_residual(state) < 1e-14
 
 
 def test_lax_and_invariants_random_state():
@@ -586,14 +601,15 @@ def test_lax_and_invariants_random_state():
     assert mat.shape == (3, 3)
 
 
-def test_flaschka_independent_of_truncation_policy(ctx2):
+def test_flaschka_independent_of_truncation_policy(ctx2, monkeypatch):
     # the variables are curve data; a thousandfold tighter theta tolerance,
-    # which widens every plan, and a doubled radius must not move them
+    # which widens every plan, must not move them
     rng = np.random.default_rng(15)
     frame = conditioned_frame(ctx2, rng)
-    wide_ctx = dataclasses.replace(ctx2, tol=1e-3 * ctx2.tol,
-                                   trunc_radius=2 * ctx2.trunc_radius)
-    wide = toda_frame(wide_ctx, frame.v1, u0=frame.u0)
+    monkeypatch.setattr(importlib.import_module("sigmatoda.sigma"), "DEFAULT_TOL",
+                        1e-3 * DEFAULT_TOL)
+    # a fresh store, so that every pass is bound at the tighter tolerance
+    wide = toda_frame(dataclasses.replace(ctx2), frame.v1, u0=frame.u0)
     for k in (0, 1):
         a0, b0 = flaschka(frame, k, 0.02)
         a1, b1 = flaschka(wide, k, 0.02)
@@ -939,12 +955,12 @@ def test_direction_constants_stay_bounded_and_keep_the_bits(ctx2):
     u = 0.3 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
     sigma_jet2(ctx, u, d1, d2)
     assert _bound(ctx, 4, d1, d2) is _bound(ctx, 4, d1.copy(), d2.copy())
-    hit, curvature = sigma_jet2(ctx, u, d1, d2), _envelope_curvature(ctx, d1, d2)
+    hit, curvature = sigma_jet2(ctx, u, d1, d2), _bound(ctx, 4, d1, d2).curvature
     ctx._passes.clear()
     cleared = sigma_jet2(ctx, u, d1, d2)
     assert [_record_bits(r) for r in hit] == [_record_bits(r) for r in cleared]
     assert np.complex128(curvature).tobytes() \
-        == np.complex128(_envelope_curvature(ctx, d1, d2)).tobytes()
+        == np.complex128(_bound(ctx, 4, d1, d2).curvature).tobytes()
 
 
 def test_a_non_finite_sigma_raises_a_typed_error(ctx1, ctx2):

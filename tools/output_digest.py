@@ -12,8 +12,8 @@ inputs of the seed's ``toda`` set-up frames (genus, period, v1, c, u0, the
 direction and v_c), and ``toda_constants`` that of their sigma constants
 (sigma_flat(c) and zeta_c), so a change that moves only the constants' last
 bits reads as such. ``contexts`` is the sha256 of the set-up of both
-canonical sigma contexts (characteristics, gamma0, kappa, P and the theta
-radius), so a change of the set-up shows apart from the op digests.
+canonical sigma contexts (characteristics, gamma0, kappa, P and the reach
+of the widest theta plan), so a change of the set-up shows apart from the op digests.
 ``--verify-all`` adds ``cli``: per invocation of a fixed list of
 ``sigmatoda`` commands on the curves and the conic in ``curves/``, the
 sha256 of its exit status, stdout, stderr and output file (of
@@ -151,9 +151,10 @@ def constants_digest(state) -> str:
 
 
 def contexts_digest() -> str:
-    """sha256 of both canonical contexts' a, b, gamma0, kappa, P and theta radius."""
+    """sha256 of both canonical contexts' a, b, gamma0, kappa, P and widest plan's reach."""
     import numpy as np
 
+    from sigmatoda.theta import DEFAULT_TOL, _plan
     from sigmatoda.verify import canonical_contexts
 
     h = hashlib.sha256()
@@ -162,7 +163,8 @@ def contexts_digest() -> str:
             h.update(np.asarray(arr, dtype=float).tobytes())
         for arr in (ctx.gamma0, ctx.kappa, ctx.pmat):
             h.update(np.asarray(arr, dtype=complex).tobytes())
-        h.update(repr(ctx.trunc_radius).encode())
+        # the reach of the widest plan, rows to order 4
+        h.update(repr(_plan(ctx.periods.riemann, DEFAULT_TOL, 4).extent).encode())
     return h.hexdigest()
 
 
