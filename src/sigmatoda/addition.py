@@ -10,6 +10,7 @@ limiting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -46,11 +47,13 @@ TINY = 1e-30
 
 
 def fs_det(curve: HyperellipticCurve, pts) -> complex:
-    """Determinant with rows (1, phi_1(P_i), ..., phi_{n-1}(P_i))."""
-    n = len(pts)
-    if n < 1:
+    """Determinant with rows (1, phi_1(P_i), ..., phi_{n-1}(P_i)), the monomials read once."""
+    if len(pts) < 1:
         raise ValueError("need at least one point")
-    mat = np.array([[phi(curve, j, p) for j in range(n)] for p in pts])
+    if any(p.at_infinity for p in pts):
+        raise ValueError("phi is defined on affine points only")
+    cols = [phi_monomial(curve.genus, j) for j in range(len(pts))]
+    mat = np.array([[p.x**e * p.y if y else p.x**e for e, y in cols] for p in pts])
     return complex(np.linalg.det(mat))
 
 
@@ -267,19 +270,18 @@ def fs_residual(ctx: SigmaContext, pts) -> float:
     return _rel(lhs, rhs)
 
 
-def _base_sums(u_pts, x1p, x2p):
+def _base_sums(curve: HyperellipticCurve, u_pts, x1p, x2p):
     """F(x1'), F(x2') and sum_i y_i / ((x1' - x_i)(x2' - x_i) F'(x_i)).
 
-    F is the monic polynomial with the base x-values as roots.
+    F is the monic polynomial with the base x-values as roots; F'(x_i), a
+    product of g - 1 differences, below 1e-12 scale^(g-1) is a repeated base point.
     """
-    xs = np.array([p.x for p in u_pts])
-    ys = np.array([p.y for p in u_pts])
-    fpoly = poly_from_roots(xs)
-    fp = np.array([np.prod(x - np.delete(xs, i)) for i, x in enumerate(xs)])
-    if np.min(np.abs(fp)) < 1e-12:
+    xs = [p.x for p in u_pts]
+    fp = [prod(x - xk for k, xk in enumerate(xs) if k != i) for i, x in enumerate(xs)]
+    if min(map(abs, fp)) < 1e-12 * curve.scale ** (curve.genus - 1):
         raise ConfluentInput("repeated base point")
-    f1, f2 = polyval(fpoly, x1p), polyval(fpoly, x2p)
-    return f1, f2, np.sum(ys / ((x1p - xs) * (x2p - xs) * fp))
+    f1, f2 = prod(x1p - x for x in xs), prod(x2p - x for x in xs)
+    return f1, f2, sum(p.y / ((x1p - p.x) * (x2p - p.x) * v) for p, v in zip(u_pts, fp))
 
 
 def xi(curve: HyperellipticCurve, u_pts, v1: CurvePoint, v2: CurvePoint) -> complex:
@@ -290,10 +292,9 @@ def xi(curve: HyperellipticCurve, u_pts, v1: CurvePoint, v2: CurvePoint) -> comp
     x1p, x2p = v1.x, v2.x
     if abs(x1p - x2p) < 1e-12 * curve.scale:
         raise ConfluentInput("coincident primed points")
-    xs = np.array([p.x for p in u_pts])
-    if np.min(np.abs(xs[:, None] - np.array([[x1p, x2p]]))) < 1e-12 * curve.scale:
+    if min(abs(p.x - x) for p in u_pts for x in (x1p, x2p)) < 1e-12 * curve.scale:
         raise ConfluentInput("base divisor meets the primed points")
-    f1, f2, s1 = _base_sums(u_pts, x1p, x2p)
+    f1, f2, s1 = _base_sums(curve, u_pts, x1p, x2p)
     s2 = (-v1.y / f1 + v2.y / f2) / (x1p - x2p)
     return complex(f1 * f2 * (s1**2 - s2**2))
 
@@ -316,7 +317,7 @@ def thm_add_residual(ctx: SigmaContext, m_pts, n_pts) -> float:
 
 def baker_rhs(curve: HyperellipticCurve, u_pts, x1p, x2p) -> complex:
     """Algebraic side of the two-point bilinear identity for wp."""
-    f1, f2, s1 = _base_sums(u_pts, x1p, x2p)
+    f1, f2, s1 = _base_sums(curve, u_pts, x1p, x2p)
     d2 = (x1p - x2p) ** 2
     return complex(f1 * f2 * s1**2
                    - curve.f(x1p) * f2 / (d2 * f1)

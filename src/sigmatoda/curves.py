@@ -8,6 +8,7 @@ infinity is represented by the ``INFINITY`` sentinel.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -211,15 +212,15 @@ def random_curve_points(curve: HyperellipticCurve, rng: np.random.Generator,
     """Sample affine points away from branch points, random sheet per point.
 
     x is drawn from an annulus around the branch-point centroid and rejected
-    within ``0.1 * curve.scale`` of any branch point.
+    within ``0.1 * curve.scale`` of any branch point, then lifted on Python scalars.
     """
-    e = curve.branch_points
-    center = np.mean(e)
+    e, center = curve.branch_points.tolist(), complex(np.mean(curve.branch_points))
     pts: list[CurvePoint] = []
     while len(pts) < count:
         r = curve.scale * rng.uniform(0.3, 2.0)
-        x = center + r * np.exp(2j * np.pi * rng.uniform())
-        if np.min(np.abs(x - e)) < 0.1 * curve.scale:
+        x = center + r * cmath.exp(2j * cmath.pi * rng.uniform())
+        if min(abs(x - v) for v in e) < 0.1 * curve.scale:
             continue
-        pts.append(curve.point(x, sheet=int(rng.integers(2))))
+        y = cmath.sqrt(curve.f(x))
+        pts.append(CurvePoint(x, -y if rng.integers(2) else y))
     return pts

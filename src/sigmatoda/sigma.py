@@ -26,7 +26,6 @@ order per stack.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -112,10 +111,10 @@ class _AbelEngine:
 
     half periods read off the periods with no quadrature of their own. An
     affine point P is reached by a leg from the branch point e_j nearest to
-    it, with x = e_j + (x_P - e_j) s^2; its sheet and the leg's factor are
-    found per point (``_final_branch_leg``), and the legs of all points of
-    one call share one node pass (``to_points``). Every image is returned
-    reduced modulo the lattice.
+    it, with x = e_j + (x_P - e_j) s^2. A call finds the branch points,
+    sheets and leg factors of all its points in one array pass (``to_points``,
+    ``_final_branch_leg``), and their legs share one node pass (``_leg``).
+    Every image is returned reduced modulo the lattice.
     """
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
@@ -126,7 +125,7 @@ class _AbelEngine:
         tails = np.cumsum(periods.segments[:, ::-1], axis=1)[:, ::-1]
         images = np.sum(periods.omega1, axis=1)[:, None] - np.hstack(
             [tails, np.zeros((curve.genus, 1))])
-        self.anchors = np.array([reduce_mod_lattice(periods, u) for u in images.T])
+        self.anchors = reduce_mod_lattice(periods, images.T)
 
     def _leg(self, js, xp, factor, s_hi, depth):
         """Integrals of the g forms on legs e_j -> x_P over s in [s_hi - 2^-depth, s_hi].
@@ -134,10 +133,13 @@ class _AbelEngine:
         One row per leg, shape (L, g): js, xp, factor and s_hi are arrays of
         length L, and every leg of a pass has the width 2^-depth in s. On
         x = e_j + (x_P - e_j) s^2 the form x^i dx / (2y) is factor * x^i ds
-        / q(s), with factor = (x_P - e_j) / y_P and q = prod_{k != j}
-        sqrt((x - e_k) / (x_P - e_k)), regular at s = 0. As e_j is the
-        branch point nearest x_P, each ratio lies in the disk |z - 1| <= 1,
-        so its principal root is the continuous one and q(1) = 1 anchors the
+        / q(s), with factor = (x_P - e_j) / y_P and q = prod_{k != j} sqrt(r_k),
+        r_k = (x - e_k) / (x_P - e_k) = a_k + b_k s^2 with a_k, b_k formed once
+        per leg: no division runs over the nodes. As e_j is the branch point
+        nearest x_P, each r_k lies in the disk |z - 1| <= 1, so its argument
+        lies in (-pi/2, pi/2) and that of a product of two in (-pi, pi): the
+        principal root of r_a r_b is sqrt(r_a) sqrt(r_b), continuous in s, and
+        q takes one root per pair, regular at s = 0 with q(1) = 1 anchoring the
         sheet on y_P. Two Gauss-Legendre levels, 48 and 96 nodes, share one
         evaluation on the concatenated nodes (``_leg_nodes``) for all legs;
         each leg keeps its own check, and a leg whose levels disagree beyond
@@ -149,16 +151,21 @@ class _AbelEngine:
         t, w = _leg_nodes()
         width = 0.5 ** depth
         e, others = self.chain[js], self.others[js]
-        x = e[:, None] + (xp - e)[:, None] * (s_hi[:, None] - width * t) ** 2
-        q = np.prod(np.sqrt((x[..., None] - others[:, None])
-                            / (xp[:, None] - others)[:, None]), axis=-1)
-        integrand = (w * _monomials(x, self.curve.genus)) / q[:, None]
-        # the factor multiplies one leg's sums at a time, a scalar product: a
-        # stacked complex product may fuse differently (FMA) and move the last bit
-        scales = (factor * width).tolist()
-        v1, v2 = (np.array([c * row for c, row in zip(scales, np.sum(level, axis=-1))])
-                  for level in (integrand[..., :LEG_SPLIT], integrand[..., LEG_SPLIT:]))
-        for i in np.flatnonzero(np.max(np.abs(v2 - v1), axis=1) > AGREE_TOL * self.curve.scale):
+        d, inv = xp - e, 1.0 / (xp[:, None] - others)
+        a, b = ((e[:, None] - others) * inv)[..., None], (d[:, None] * inv)[..., None]
+        s2 = (s_hi[:, None] - width * t) ** 2
+        # pairs (0 1), (2 3), ...: r_a r_b = a0 a1 + (a0 b1 + a1 b0) s^2 + b0 b1 s^4
+        a0, a1, b0, b1, s2k = a[:, 0::2], a[:, 1::2], b[:, 0::2], b[:, 1::2], s2[:, None]
+        roots = np.sqrt(a0 * a1 + s2k * (a0 * b1 + a1 * b0 + s2k * (b0 * b1)))
+        q = roots[:, 0]
+        for i in range(1, self.curve.genus):
+            q = q * roots[:, i]
+        x = e[:, None] + d[:, None] * s2
+        integrand = (w * _monomials(x, self.curve.genus)) * (1.0 / q)[:, None]
+        # the two levels' sums times one factor per leg, of one shape for any L
+        sums = np.add.reduceat(integrand, (0, LEG_SPLIT), -1)
+        v1, v2 = (sums * (factor * width)[:, None, None]).transpose(2, 0, 1)
+        for i in np.flatnonzero(np.abs(v2 - v1).max(axis=1) > AGREE_TOL * self.curve.scale):
             # depth first, as a leg that never settles must reach the cap in
             # 25 passes, not after 2^25 legs; its two halves share one pass
             pair = [i, i]
@@ -167,47 +174,46 @@ class _AbelEngine:
             v2[i] = halves[0] + halves[1]
         return v2
 
-    def _final_branch_leg(self, j, p: CurvePoint) -> complex:
-        """The factor (x_P - e_j) / y_P of the leg from e_j to P, on P's sheet.
+    def _final_branch_leg(self, js, xp, yp) -> np.ndarray:
+        """The factors (x_P - e_j) / y_P of the legs from e_j to the points, on their sheets.
 
-        Python scalars: y over x_P from the roots, and an off-curve y_P,
-        near neither sign of it, raises.
+        y over x_P from the roots, for all legs at once; a y_P near neither
+        sign of it raises, naming the first such point.
         """
-        d = p.x - self.chain[j]
-        y = cmath.sqrt(d) * cmath.sqrt(complex(np.prod(p.x - self.others[j])))
-        d_same, d_flip = abs(y - p.y), abs(y + p.y)
-        if min(d_same, d_flip) > 0.25 * max(d_same, d_flip):
-            raise PathThroughBranchPoint(f"y = {p.y} lies on neither sheet over x = {p.x}")
-        return d / (y if d_same <= d_flip else -y)
+        d, y = xp - self.chain[js], np.sqrt((xp[:, None] - self.chain).prod(axis=1))
+        same, flip = np.abs(y - yp), np.abs(y + yp)
+        off = np.flatnonzero(np.minimum(same, flip) > 0.25 * np.maximum(same, flip))
+        if off.size:
+            raise PathThroughBranchPoint(f"y = {complex(yp[off[0]])} lies on neither sheet"
+                                         f" over x = {complex(xp[off[0]])}")
+        return d / np.where(same <= flip, y, -y)
 
     def to_point(self, p: CurvePoint) -> np.ndarray:
         """The image of one point, the one-point call of ``to_points``."""
         return self.to_points([p])[0]
 
     def to_points(self, points) -> np.ndarray:
-        """Images of the points, shape (K, g), with one node pass for all their legs.
+        """Images of the points, shape (K, g), from one array pass over all of them.
 
         Infinity maps to 0 and a point within 1e-10 scale of a branch point
-        to its anchor. The legs of the other points, s from 0 to 1, share
-        the passes of ``_leg``, and each image is reduced modulo the lattice
-        on its own, so it has the bits of its own one-point call.
+        to its anchor. The other points' legs, s from 0 to 1, share the node
+        passes of ``_leg``, and their images are reduced modulo the lattice
+        in one expression. Each step is elementwise per point, or of one
+        shape per point, so each image has the bits of its one-point call.
         """
         out = np.zeros((len(points), self.curve.genus), dtype=complex)
-        legs = []  # (row, j, x_P, factor) of each point reached by a leg
-        for k, p in enumerate(points):
-            if p.at_infinity:
-                continue
-            j = int(np.argmin(np.abs(p.x - self.chain)))
-            if abs(p.x - self.chain[j]) < 1e-10 * self.curve.scale:
-                out[k] = self.anchors[j]
-            else:
-                legs.append((k, j, p.x, self._final_branch_leg(j, p)))
-        if legs:
-            rows, js, xps, factors = zip(*legs)
-            sums = self._leg(np.array(js), np.array(xps, dtype=complex),
-                             np.array(factors, dtype=complex), np.ones(len(legs)), 0)
-            for k, j, row in zip(rows, js, sums):
-                out[k] = reduce_mod_lattice(self.periods, self.anchors[j] + row)
+        rows = [k for k, p in enumerate(points) if not p.at_infinity]
+        if rows:
+            xp, yp = np.array([(points[k].x, points[k].y) for k in rows], dtype=complex).T
+            dist = np.abs(xp[:, None] - self.chain)
+            js, legs = dist.argmin(axis=1), dist.min(axis=1) >= 1e-10 * self.curve.scale
+            images = self.anchors[js]
+            if legs.any():
+                js, xp = js[legs], xp[legs]
+                factor = self._final_branch_leg(js, xp, yp[legs])
+                sums = self._leg(js, xp, factor, np.ones(js.size), 0)
+                images[legs] = reduce_mod_lattice(self.periods, images[legs] + sums)
+            out[rows] = images
         return out
 
 
@@ -232,22 +238,19 @@ class SigmaContext:
 
 
 def lattice_decompose(pd: PeriodData, u, tol: float | None = None):
-    """Real coordinates (u', u'') of u over the columns of (2 omega1, 2 omega2)."""
+    """Coordinates (u', u'') of u, (g,) or (K, g), over the columns of (2 omega1, 2 omega2)."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    c = pd.lattice_inverse() @ np.concatenate([u.real, u.imag])
+    c = (pd.lattice_inverse() @ np.concatenate([u.real, u.imag], axis=-1)[..., None])[..., 0]
     g = pd.genus
-    if tol is not None:
-        r = c - np.round(c)
-        if np.max(np.abs(r)) > tol:
-            raise NotALatticeVector(
-                f"decomposition {c} is non-integral beyond tol {tol}")
-    return c[:g], c[g:]
+    if tol is not None and np.max(np.abs(c - np.round(c))) > tol:
+        raise NotALatticeVector(f"decomposition {c} is non-integral beyond tol {tol}")
+    return c[..., :g], c[..., g:]
 
 
 def reduce_mod_lattice(pd: PeriodData, u) -> np.ndarray:
-    """Representative of u modulo the period lattice, with rounded coordinates."""
-    u1, u2 = lattice_decompose(pd, u)
-    shift = 2.0 * pd.omega1 @ np.round(u1) + 2.0 * pd.omega2 @ np.round(u2)
+    """Representative of u, (g,) or (K, g), modulo the lattice, by rounded coordinates."""
+    r1, r2 = (c.round()[..., None] for c in lattice_decompose(pd, u))
+    shift = (2.0 * pd.omega1 @ r1 + 2.0 * pd.omega2 @ r2)[..., 0]
     return np.atleast_1d(np.asarray(u, dtype=complex)) - shift
 
 
@@ -601,14 +604,9 @@ def abel_map(ctx_or_engine, points) -> AbelPoint:
         images.flags.writeable = False
         for p, img in zip(fresh, images):
             p._abel[engine] = img
+    images = [p._abel[engine] for p in points if not p.at_infinity]
     g = engine.curve.genus
-    u = np.zeros(g, dtype=complex)
-    affine = 0
-    for p in points:
-        if not p.at_infinity:
-            u = u + p._abel[engine]
-            affine += 1
-    return AbelPoint(u, min(affine, g))
+    return AbelPoint(sum(images, np.zeros(g, dtype=complex)), min(len(images), g))
 
 
 def _abel_maps(ctx_or_engine, *divisors) -> list:

@@ -224,6 +224,21 @@ def test_xi_symmetric_and_guards(ctx2):
             call()
 
 
+def test_repeated_base_point_is_found_relative_to_scale():
+    # y^2 = x^5 + 100^5, scale 100: F'(x_i) = x_0 - x_1 is a difference of
+    # base x-values, so two points 1e-11 apart are one point at 1e-13 scale,
+    # under the 1e-12 scale the other confluence tests of the module use
+    curve = make_curve(2, [1e10, 0, 0, 0, 0])
+    ctx = sigma_context(curve)
+    p, v1, v2 = random_curve_points(curve, np.random.default_rng(40), 3)
+    q = curve.point(p.x + 1e-11, 0)
+    q = q if abs(q.y - p.y) < abs(q.y + p.y) else q.conj()
+    assert curve.scale == pytest.approx(100.0) and abs(q.x - p.x) < 1.1e-11
+    for call in (lambda: baker_residual(ctx, [p, q], v1, v2), lambda: xi(curve, [p, q], v1, v2)):
+        with pytest.raises(ConfluentInput, match="repeated base point"):
+            call()
+
+
 def test_pair_addition_residuals(ctx1, ctx2):
     rng = np.random.default_rng(13)
     # genus 1: (1, 1) is the classical addition formula

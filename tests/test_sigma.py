@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from box_theta import box_pass
+from former_abel import former_to_points
 from former_characteristics import former_characteristics
 from former_jet import former_jet, former_partial
 
@@ -540,7 +541,7 @@ def test_failed_integration_leaves_no_image(ctx1, integrations):
     assert p._abel == {} and len(integrations) == 2
     # a node pass that raises stores no image for any of its points
     good = random_curve_points(ctx1.curve, np.random.default_rng(26), 2)
-    with pytest.raises(PathThroughBranchPoint):
+    with pytest.raises(PathThroughBranchPoint, match=rf"y = {p.y} .* over x = \(2\+0j\)"):
         abel_map(ctx1, [good[0], p, good[1]])
     assert integrations[-1] == [good[0], p, good[1]]
     assert p._abel == {} and good[0]._abel == {} and good[1]._abel == {}
@@ -1038,6 +1039,65 @@ def test_batched_images_equal_one_point_calls(curve, monkeypatch):
     assert len(legs[0][0]) == 3 and legs[0][-1] == 0 and len(legs) > 1
     for js, xp, factor, s_hi, depth in legs[1:]:
         assert depth >= 1 and len(xp) == 2 and np.all(xp == halving.x)
+
+
+# y^2 = x (x - 4e-4) (x - 8e-4) (x - 1) (x - 2): two branch points within 1e-3 of 0 on
+# one side; the legs from 0 pair them, so both ratios of that pair start near 0
+CLOSE_TRIPLE_G2 = make_curve(2, np.poly([0.0, 4e-4, 8e-4, 1.0, 2.0])[:0:-1])
+
+
+def _seeded_generic_curves(seed, count):
+    """Monic curves with N(0, 1) coefficients, genus 1 and 2, real and complex."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        genus = 1 + i % 2
+        lam = rng.normal(size=2 * genus + 1)
+        if i % 4 >= 2:
+            lam = lam + 1j * rng.normal(size=2 * genus + 1)
+        yield make_curve(genus, lam)
+
+
+def _former_kernel_moves(curve, seed, count):
+    """Lattice distances, over scale, of the images from the former kernel; its passes."""
+    engine = _AbelEngine(curve, compute_periods(curve))
+    rng = np.random.default_rng(seed)
+    pts = random_curve_points(curve, rng, count) + _near_points(curve, rng, (1e-3, 0.02, 0.3), 2)
+    pts += [curve.point(1j * curve.scale, 0), CurvePoint(complex(curve.branch_points[-1]), 0j),
+            INFINITY]
+    passes = []
+    former = former_to_points(engine, pts, passes)
+    moves = [lattice_distance(engine.periods, new - old) / curve.scale
+             for new, old in zip(engine.to_points(pts), former)]
+    return moves, passes
+
+
+@pytest.mark.parametrize("curve", [make_curve(1, [0, -1, 0]), make_curve(2, [1, 0, 0, 0, 0]),
+                                   CLOSE_PAIR_G1, CLOSE_PAIR_G2, FALLBACK_G2, CLOSE_TRIPLE_G2])
+def test_paired_roots_equal_the_former_kernel(curve):
+    # one root per pair of ratios, formed without division over the nodes,
+    # against one division and one root per ratio and a point at a time
+    moves, passes = _former_kernel_moves(curve, 36, 60)
+    assert max(moves) <= 1e-13
+    if curve in (CLOSE_PAIR_G1, CLOSE_PAIR_G2, CLOSE_TRIPLE_G2):
+        assert any(depth > 0 for _, depth in passes)  # halved legs are compared too
+    if curve is CLOSE_TRIPLE_G2:
+        # on a leg from 0 to x_P = -0.05 both ratios of the close pair start
+        # within 0.02 of 0, the boundary of the disk |z - 1| <= 1
+        engine = _AbelEngine(curve, compute_periods(curve))
+        j = int(np.argmin(np.abs(engine.chain)))
+        pair = [k for k in engine.others[j] if 0 < abs(k) < 1e-3]
+        assert len(pair) == 2 and list(engine.others[j]).index(pair[0]) % 2 == 0
+        assert max(abs(k / (-0.05 - k)) for k in pair) < 0.02
+        pts = [curve.point(x, sheet) for x in -0.05 * np.exp(1j * np.linspace(-1.0, 1.0, 5))
+               for sheet in (0, 1)]
+        for new, old in zip(engine.to_points(pts), former_to_points(engine, pts)):
+            assert lattice_distance(engine.periods, new - old) <= 1e-13 * curve.scale
+
+
+def test_paired_roots_equal_the_former_kernel_on_generic_curves():
+    for curve in _seeded_generic_curves(38, 40):
+        moves, _ = _former_kernel_moves(curve, 39, 20)
+        assert max(moves) <= 1e-13
 
 
 def test_lattice_matrix_is_built_once_and_read_only(ctx2):
