@@ -458,8 +458,7 @@ def sigma_deriv(ctx: SigmaContext, multi_index, u) -> complex | list:
     if len(idx) > 2:
         raise NotImplementedError("sigma derivatives of order > 2 not supported")
     u = np.atleast_1d(np.asarray(u, dtype=complex))
-    units = np.eye(ctx.genus, dtype=complex)
-    d1, d2 = (units[idx[0]], units[idx[-1]]) if idx else (None, None)
+    d1, d2 = np.eye(ctx.genus, dtype=complex)[[idx[0], idx[-1]]] if idx else (None, None)
     vals = [rec[(0, 1, 3)[len(idx)]] for rec in _sigma_jets(ctx, u, len(idx), d1, d2)]
     return vals if u.ndim > 1 else vals[0]
 
