@@ -83,6 +83,14 @@ class HyperellipticCurve:
                 "root finder failed; roots are likely not distinct") from exc
 
     @cached_property
+    def branch_list(self) -> list:
+        return self.branch_points.tolist()
+
+    @cached_property
+    def centroid(self) -> complex:
+        return complex(np.mean(self.branch_points))
+
+    @cached_property
     def scale(self) -> float:
         """Length scale of the branch-point configuration (at least 1)."""
         return max(1.0, float(np.max(np.abs(self.branch_points))))
@@ -214,12 +222,11 @@ def random_curve_points(curve: HyperellipticCurve, rng: np.random.Generator,
     x is drawn from an annulus around the branch-point centroid and rejected
     within ``0.1 * curve.scale`` of any branch point, then lifted on Python scalars.
     """
-    e, center = curve.branch_points.tolist(), complex(np.mean(curve.branch_points))
     pts: list[CurvePoint] = []
     while len(pts) < count:
         r = curve.scale * rng.uniform(0.3, 2.0)
-        x = center + r * cmath.exp(2j * cmath.pi * rng.uniform())
-        if min(abs(x - v) for v in e) < 0.1 * curve.scale:
+        x = curve.centroid + r * cmath.exp(2j * cmath.pi * rng.uniform())
+        if min(abs(x - v) for v in curve.branch_list) < 0.1 * curve.scale:
             continue
         y = cmath.sqrt(curve.f(x))
         pts.append(CurvePoint(x, -y if rng.integers(2) else y))

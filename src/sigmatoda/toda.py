@@ -13,7 +13,8 @@ the direction, and the theta moments from which the time derivatives of
 log(V - V_c) follow, with no finite difference and no pass of their own.
 The pass fills the frame's window at that time: the sites asked for and
 their neighbours, which hold every check's stencil, and on a periodic frame
-the sites 1..N+2 of its state (``site_jets``).
+the sites 1..N+2 of its state (``site_jets``), read once for the state. Its
+characteristic polynomial is built on Python scalars (``char_poly``).
 
 Flaschka pairs are indexed so the standard equations hold:
 
@@ -26,6 +27,7 @@ b_k = zeta^(k+1) - zeta^(k) - zeta_c.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .curves import CurvePoint, baker_f2, f12
 from .errors import ConfluentInput, NonFiniteValue, worst_of
-from .polyutil import as_poly, polyadd, polymul, polyval, sorted_roots, trim
+from .polyutil import as_poly, polyadd, polymul, sorted_roots, trim
 from .sigma import (
     SigmaContext,
     _bound,
@@ -62,7 +64,7 @@ class TodaFrame:
     direction: np.ndarray = field(repr=False)
     periodic: int | None = None
     # sigma 2-jets along the direction of the window of sites at one time,
-    # keyed (t, n); a call at another time drops them (see site_jets)
+    # {t: {n: jet}}; a call at another time drops them (see site_jets)
     _site_jets: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
 
@@ -106,28 +108,31 @@ def site_jets(frame: TodaFrame, sites, t: complex = 0.0) -> list:
 
     Each is ``sigma_jet2`` with d1 = d2 = the direction: (sigma, D sigma,
     D sigma, D^2 sigma, |env| L1, theta moments), Python scalars. The frame
-    keeps the jets of one time; a call at another time drops them. A call
-    that misses a site fills the frame's window at t in one stacked theta
-    pass: every site asked for with its neighbours n - 1 and n + 1 (the union,
-    not the hull, so a sparse call stays small), and on a periodic frame
-    (``frame.periodic = N``) the sites 1..N+2 that its state reads. The pass
-    sums the window's sites the frame lacks, their u in one expression with
-    the bits of ``site_u``, each jet with the bits of its own call.
+    keeps the jets of one time, {t: {n: jet}}, so a hit is one dict read per
+    site; a call at another time drops them. A call that misses a site fills
+    the frame's window at t in one stacked theta pass: every site asked for
+    with its neighbours n - 1 and n + 1 (the union, not the hull, so a sparse
+    call stays small), and on a periodic frame (``frame.periodic = N``) the
+    sites 1..N+2 that its state reads. The pass sums the window's sites the
+    frame lacks, their u in one expression with the bits of ``site_u``, each
+    jet with the bits of its own call.
     """
-    memo, t = frame._site_jets, complex(t)
-    if memo and next(iter(memo))[0] != t:
-        memo.clear()
+    t = complex(t)
+    jets = frame._site_jets.get(t)
+    if jets is None:
+        frame._site_jets.clear()
+        jets = frame._site_jets[t] = {}
     try:
-        return [memo[t, n] for n in sites]
+        return [jets[n] for n in sites]
     except KeyError:
         window = {m for n in sites for m in (n - 1, n, n + 1)}
         if frame.periodic is not None:
-            window.update(_pair_sites(_period_pairs(frame.periodic)))
-        missing = sorted(n for n in window if (t, n) not in memo)
+            window.update(range(1, frame.periodic + 3))
+        missing = sorted(window.difference(jets))
         d = frame.direction
         u = frame.u0 + np.multiply.outer(missing, frame.c) + t * d
-        memo.update(zip([(t, n) for n in missing], sigma_jet2(frame.ctx, u, d, d)))
-    return [memo[t, n] for n in sites]
+        jets.update(zip(missing, sigma_jet2(frame.ctx, u, d, d)))
+    return [jets[n] for n in sites]
 
 
 def _potential(jet, curvature: complex, where) -> complex:
@@ -239,32 +244,24 @@ def flaschka(frame: TodaFrame, k: int, t: complex = 0.0) -> tuple[complex, compl
     b_k is the difference of directional zeta values at sites k+1 and k,
     shifted by the constant zeta_c of the frame.
     """
-    (s_k, d_k, _, _, scale_k, _), (s_k1, d_k1, _, _, scale_k1, _), (s_k2, *_) = \
-        site_jets(frame, range(k, k + 3), t)
-    _guarded(s_k1, scale_k1, f"site {k + 1}")
-    # s_k1 * s_k1, not s_k1**2, which raises an untyped OverflowError
-    a_k = s_k2 * s_k / (s_k1 * s_k1 * frame.sigma_flat_c**2)
-    _guarded(s_k, scale_k, f"zeta at site {k}")
-    b_k = d_k1 / s_k1 - d_k / s_k - frame.zeta_c
-    if not (cmath.isfinite(a_k) and cmath.isfinite(b_k)):
-        raise NonFiniteValue(f"the Flaschka pair at k = {k}, t = {t} is not finite")
-    return complex(a_k), complex(b_k)
-
-
-def _pair_sites(ks: range) -> range:
-    """The sites k..k+2 that the Flaschka pairs k in ks read."""
-    return range(ks.start, ks.stop + 2)
-
-
-def _period_pairs(n_sites: int) -> range:
-    """The Flaschka indices k = 1..N of the state of one lattice period."""
-    return range(1, n_sites + 1)
+    return _flaschka_pairs(frame, range(k, k + 1), t)[k]
 
 
 def _flaschka_pairs(frame: TodaFrame, ks: range, t: complex) -> dict:
-    """Flaschka pairs by k in ks, after one window fill of their sites."""
-    site_jets(frame, _pair_sites(ks), t)
-    return {k: flaschka(frame, k, t) for k in ks}
+    """Flaschka pairs by k in ks, from one read of the jets of their sites."""
+    jets = site_jets(frame, range(ks.start, ks.stop + 2), t)
+    pairs = {}
+    for k, (s_k, d_k, _, _, scale_k, _), (s_k1, d_k1, _, _, scale_k1, _), (s_k2, *_) \
+            in zip(ks, jets, jets[1:], jets[2:]):
+        _guarded(s_k1, scale_k1, f"site {k + 1}")
+        # s_k1 * s_k1, not s_k1**2, which raises an untyped OverflowError
+        a_k = s_k2 * s_k / (s_k1 * s_k1 * frame.sigma_flat_c**2)
+        _guarded(s_k, scale_k, f"zeta at site {k}")
+        b_k = d_k1 / s_k1 - d_k / s_k - frame.zeta_c
+        if not (cmath.isfinite(a_k) and cmath.isfinite(b_k)):
+            raise NonFiniteValue(f"the Flaschka pair at k = {k}, t = {t} is not finite")
+        pairs[k] = complex(a_k), complex(b_k)
+    return pairs
 
 
 def flaschka_wp_path(frame: TodaFrame, k: int, t: complex = 0.0) -> complex:
@@ -328,8 +325,9 @@ class TodaState:
 
 
 def toda_state(frame: TodaFrame, n_sites: int, t: complex = 0.0) -> TodaState:
-    pairs = list(_flaschka_pairs(frame, _period_pairs(n_sites), t).values())
-    return TodaState(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    """The state (a_k, b_k), k = 1..N, from one read of the jets of sites 1..N+2."""
+    a, b = zip(*_flaschka_pairs(frame, range(1, n_sites + 1), t).values())
+    return TodaState(a, b)
 
 
 def _lax_minus_z(state: TodaState, samples) -> np.ndarray:
@@ -363,41 +361,48 @@ class SpectralData:
 
     @cached_property
     def weierstrass_z(self) -> np.ndarray:
-        """The 2N branch values of the model w^2 = P(z)^2 - 4 prod(a).
-
-        The roots are found on the first read only.
-        """
+        """The 2N branch values of w^2 = P(z)^2 - 4 prod(a), found on the first read."""
         p = self.p_coeffs
         disc = polyadd(polymul(p, p), as_poly([-4.0 * self.prod_a]))
         return sorted_roots(trim(disc))
 
 
-def _tridiag_charpoly(b: np.ndarray, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """det of the tridiagonal block over sites lo..hi in z, ascending coeffs."""
-    if hi < lo:
-        return np.array([1.0 + 0.0j])
-    prev2 = np.array([1.0 + 0.0j])
-    prev1 = np.array([b[lo], -1.0], dtype=complex)
-    for k in range(lo + 1, hi + 1):
-        cur = np.convolve(np.array([b[k], -1.0]), prev1)
-        cur[:prev2.size] += -a[k - 1] * prev2
+def _tridiag_charpoly(b: list, a: list, lo: int, hi: int) -> list:
+    """det of the tridiagonal block over sites lo..hi in z, ascending coeffs, on lists."""
+    prev2, prev1 = [], [1.0 + 0.0j]
+    for k in range(lo, hi + 1):
+        cur = [b[k] * c for c in prev1] + [0.0j]
+        for i, c in enumerate(prev1):
+            cur[i + 1] -= c
+        for i, c in enumerate(prev2):
+            cur[i] -= a[k - 1] * c
         prev2, prev1 = prev1, cur
     return prev1
 
 
+def _horner(p: list, z: complex) -> complex:
+    """P(z) for ascending coefficients ``p``, a list, on Python scalars."""
+    acc = p[-1]
+    for c in p[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def char_poly(state: TodaState) -> SpectralData:
     """P(z) = det(block 1..N) - a_N det(block 2..N-1), for N >= 2 sites only,
-    by the three-term recursion, and the invariants; roots on demand."""
+    by the three-term recursion on Python scalars (for N + 1 coefficients an
+    array per step costs more in numpy calls than in arithmetic), and the
+    invariants; roots on demand."""
     n = state.n_sites
     if n < 2:
         raise ValueError("need at least two sites")
-    b, a = state.b, state.a
+    b, a = state.b.tolist(), state.a.tolist()
     p = _tridiag_charpoly(b, a, 0, n - 1)
-    p[:n - 1] += -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2)
-    prod_a = complex(np.prod(a))
-    invariants = np.array([(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)]
-                          + [prod_a], dtype=complex)
-    return SpectralData(p, invariants, prod_a)
+    for i, c in enumerate(_tridiag_charpoly(b, a, 1, n - 2)):
+        p[i] -= a[n - 1] * c
+    prod_a = math.prod(a)
+    invariants = [(-1.0) ** (n + k) * p[n - k] for k in range(1, n + 1)] + [prod_a]
+    return SpectralData(np.array(p), np.array(invariants), prod_a)
 
 
 FD_STEP = 1e-4  # the time step of flaschka_ode_residual
@@ -411,17 +416,16 @@ SPECTRAL_Z = tuple(complex(zr, zi)
 def lax_det_residual(state: TodaState) -> float:
     """Check det(L - z) against P(z) + (-1)^(N-1) (w + prod(a)/w).
 
-    The direct determinant is the oracle for the recursion-built P; it holds
+    The numpy determinants are the oracle for the scalar-built P; it holds
     for any (a, b), so it certifies the recursion, not the Toda flow.
     """
     data = state.spectral
-    p, prod_a = data.p_coeffs, data.prod_a
-    n = state.n_sites
-    dets = np.linalg.det(_lax_minus_z(state, LAX_SAMPLES))
-    p_z = polyval(p, [z for z, _ in LAX_SAMPLES]).tolist()
+    p, prod_a = data.p_coeffs.tolist(), data.prod_a
+    sign = (-1.0) ** (state.n_sites - 1)
+    dets = np.linalg.det(_lax_minus_z(state, LAX_SAMPLES)).tolist()
     worst = 0.0
-    for det, p_val, (_, w_hat) in zip(dets, p_z, LAX_SAMPLES):
-        model = p_val + (-1.0) ** (n - 1) * (w_hat + prod_a / w_hat)
+    for det, (z, w_hat) in zip(dets, LAX_SAMPLES):
+        model = _horner(p, z) + sign * (w_hat + prod_a / w_hat)
         worst = worst_of(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
 
@@ -431,15 +435,17 @@ def spectral_morphism(state: TodaState):
 
     Points (z, w_hat) on the spectral curve satisfy
     w_hat^2 - (-1)^N P(z) w_hat + prod(a) = 0, and w = 2 w_hat - (-1)^N P(z)
-    squares to the degree-2N model whose 2N roots are
-    ``data.weierstrass_z``, found only when read. w is that root, so the
-    check holds for any (a, b): it certifies the branch choice, not the flow.
+    squares to the degree-2N model whose 2N roots are ``data.weierstrass_z``,
+    found only when read. w is that root, so the check holds for any (a, b):
+    it certifies the branch choice, not the flow. P(z) is on Python scalars.
     """
     data = state.spectral
-    n = state.n_sites
+    p = data.p_coeffs.tolist()
+    sign = (-1.0) ** state.n_sites
     worst = 0.0
-    for p_val in polyval(data.p_coeffs, SPECTRAL_Z).tolist():
-        p_hat = (-1.0) ** n * p_val
+    for z in SPECTRAL_Z:
+        p_val = _horner(p, z)
+        p_hat = sign * p_val
         disc = cmath.sqrt(p_hat**2 - 4.0 * data.prod_a)
         w_hat = 0.5 * (p_hat + disc)
         if abs(w_hat) < 1e-8:

@@ -679,11 +679,11 @@ def test_wp_matrix_residuals_equal_the_former_sums(ctx1, ctx2, monkeypatch):
 
 
 def test_abel_third_quadrature_rules_are_checked(ctx2, monkeypatch):
-    # at tol 1e-40 no two levels agree (on y^2 = x^5 + 1 they differ by
-    # roundoff at least), so every leg halves until the depth cap and raises
-    # instead of returning a sum that was never checked
+    # at a negative tolerance no two levels agree, not even to the bit, so
+    # every leg halves until the depth cap and raises instead of returning a
+    # sum that was never checked
     engine = _AbelEngine(ctx2.curve, ctx2.periods)
-    monkeypatch.setattr(importlib.import_module("sigmatoda.sigma"), "AGREE_TOL", 1e-40)
+    monkeypatch.setattr(importlib.import_module("sigmatoda.sigma"), "AGREE_TOL", -1.0)
     rng = np.random.default_rng(33)
     for p in _near_points(ctx2.curve, rng, (0.02, 0.25, 2.0), 1):
         with pytest.raises(QuadratureNonConvergence):

@@ -52,6 +52,7 @@ from sigmatoda.toda import (
     toda2d_residual,
     toda_frame,
     toda_residual_1d,
+    toda_state,
 )
 
 
@@ -625,19 +626,23 @@ def test_invariant_drift_negative_control(ctx1):
     assert drift > 1e-4
 
 
-def _periodic_state(ctx, order):
+def _periodic_frame(ctx, order):
+    """The frame of the real N-torsion point of largest x, N = ``order``."""
     from sigmatoda.division import torsion_to_frame, xi_set
-    from sigmatoda.toda import toda_state
 
     cand = max((c for c in xi_set(ctx.curve, order)
                 if abs(c.point.x.imag) < 1e-9 and c.point.x.real > 0),
                key=lambda c: c.point.x.real)
-    return toda_state(torsion_to_frame(ctx, cand, order), order, 0.03)
+    return torsion_to_frame(ctx, cand, order)
+
+
+def _periodic_state(ctx, order):
+    return toda_state(_periodic_frame(ctx, order), order, 0.03)
 
 
 def _lax_det_through_char_poly(state, samples=5):
     """The former determinant check: one draw, det and P(z) per sample."""
-    from sigmatoda.polyutil import polyval
+    from sigmatoda.toda import _horner
 
     rng = np.random.default_rng(7)
     data = char_poly(state)
@@ -647,7 +652,7 @@ def _lax_det_through_char_poly(state, samples=5):
         z = complex(rng.normal(), rng.normal())
         w_hat = complex(rng.normal(), rng.normal()) + 2.0
         det = np.linalg.det(former_lax_matrix(state, w_hat) - z * np.eye(n))
-        model = polyval(data.p_coeffs, z) \
+        model = _horner(data.p_coeffs.tolist(), z) \
             + (-1.0) ** (n - 1) * (w_hat + data.prod_a / w_hat)
         worst = max(worst, abs(det - model) / max(1.0, abs(det)))
     return worst
@@ -655,7 +660,7 @@ def _lax_det_through_char_poly(state, samples=5):
 
 def _spectral_morphism_per_sample(state):
     """The former spectral check: one draw and one P(z) per sample."""
-    from sigmatoda.polyutil import polyval
+    from sigmatoda.toda import _horner
 
     rng = np.random.default_rng(11)
     data = char_poly(state)
@@ -663,15 +668,24 @@ def _spectral_morphism_per_sample(state):
     worst = 0.0
     for _ in range(10):
         z = complex(rng.normal(), rng.normal())
-        p_hat = (-1.0) ** n * polyval(data.p_coeffs, z)
+        p_hat = (-1.0) ** n * _horner(data.p_coeffs.tolist(), z)
         disc = np.sqrt(p_hat**2 - 4.0 * data.prod_a)
         w_hat = 0.5 * (p_hat + disc)
         if abs(w_hat) < 1e-8:
             w_hat = 0.5 * (p_hat - disc)
         w = 2.0 * w_hat - p_hat
-        target = polyval(data.p_coeffs, z) ** 2 - 4.0 * data.prod_a
+        target = _horner(data.p_coeffs.tolist(), z) ** 2 - 4.0 * data.prod_a
         worst = max(worst, abs(w**2 - target) / max(1.0, abs(target)))
     return worst
+
+
+def _magnitude_char_poly(state):
+    """The recursion of P on |a| and |b| with every sign +, coefficient by coefficient.
+
+    With a -> -|a| and b -> -|b| every term of every coefficient of P carries
+    the sign (-1)^N, so |P| there is the all-plus recursion.
+    """
+    return np.abs(former_char_poly(TodaState(-np.abs(state.a), -np.abs(state.b))))
 
 
 def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
@@ -692,7 +706,11 @@ def test_stacked_lax_checks_equal_the_per_sample_loops(ctx1):
         for _, w_hat in LAX_SAMPLES:
             assert _lax_minus_z(state, [(0.0, w_hat)])[0].tobytes() \
                 == former_lax_matrix(state, w_hat).tobytes()
-        assert char_poly(state).p_coeffs.tobytes() == former_char_poly(state).tobytes()
+        # P on Python scalars against the polyadd/polymul recursion, within
+        # 8 ulps of the same recursion on |a| and |b|: numpy's array product
+        # may round differently from Python's in the last bit
+        assert np.all(np.abs(char_poly(state).p_coeffs - former_char_poly(state))
+                      <= 8 * 2.0**-52 * _magnitude_char_poly(state))
         det_res, morph_res = lax_det_residual(state), spectral_morphism(state)[0]
         assert np.float64(det_res).tobytes() \
             == np.float64(_lax_det_through_char_poly(state)).tobytes()
@@ -711,14 +729,11 @@ def test_char_poly_refuses_a_one_site_state():
 
 
 def _branch_values_reference(state):
-    """Roots of P^2 - 4 prod(a), sorted, from the recursion built here."""
+    """Roots of P^2 - 4 prod(a), sorted, from a fresh ``char_poly``."""
     from sigmatoda.polyutil import aberth_roots, as_poly, polyadd, polymul, trim
-    from sigmatoda.toda import _tridiag_charpoly
 
-    n, a, b = state.n_sites, state.a, state.b
-    p = polyadd(_tridiag_charpoly(b, a, 0, n - 1),
-                -a[n - 1] * _tridiag_charpoly(b, a, 1, n - 2))
-    prod_a = complex(np.prod(a))
+    data = char_poly(state)
+    p, prod_a = data.p_coeffs, data.prod_a
     roots = aberth_roots(trim(polyadd(polymul(p, p), as_poly([-4.0 * prod_a]))))
     return roots[np.lexsort((roots.imag, roots.real))]
 
@@ -799,11 +814,16 @@ def _memo_frames(ctx1, ctx2):
             torsion_to_frame(ctx1, cand, 3)]
 
 
+def _kept(frame):
+    """The one time of a frame's memo and the set of sites it keeps at that time."""
+    (t, jets), = frame._site_jets.items()
+    return t, set(jets)
+
+
 def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
     import importlib
 
     from sigmatoda.sigma import sigma, sigma_with_scale
-    from sigmatoda.toda import toda_state
 
     # the package attribute ``sigma`` is the function, not the module
     sigma_mod = importlib.import_module("sigmatoda.sigma")
@@ -837,7 +857,7 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
         else:
             sites |= set(range(1, n_sites + 3))
             assert calls == [8]
-        assert sorted(key[1] for key in frame._site_jets) == sorted(sites)
+        assert _kept(frame) == (t, sites)
 
         # the memo's values are those of the former full jet along d: sigma
         # and the scale within 1e-14 of the scale (the plans of the mixed
@@ -868,7 +888,7 @@ def test_site_jets_cost_one_theta_pass_per_site(ctx1, ctx2, monkeypatch):
         # neighbours, and the state's 1..N+2 on the torsion frame
         flaschka(frame, 1, 0.05)
         stop = 5 if frame.periodic is None else n_sites + 3
-        assert set(frame._site_jets) == {(0.05, m) for m in range(0, stop)}
+        assert _kept(frame) == (0.05, set(range(0, stop)))
 
 
 def test_site_jets_fill_only_the_neighbours_of_a_sparse_request(ctx1, ctx2, monkeypatch):
@@ -893,15 +913,15 @@ def test_site_jets_fill_only_the_neighbours_of_a_sparse_request(ctx1, ctx2, monk
                 else set(range(1, frame.periodic + 3))
             sites = {-1, 0, 1, 11, 12, 13} | state_sites
             assert calls == [len(sites)]
-            assert {key[1] for key in frame._site_jets} == sites
+            assert _kept(frame) == (t, sites)
             # a neighbour is read from the memo, with no pass
-            assert site_jets(frame, [13, -1], t)[0] == frame._site_jets[t, 13]
+            assert site_jets(frame, [13, -1], t)[0] == frame._site_jets[t][13]
             assert calls == [len(sites)]
         # each jet is that of an empty memo
         assert jets == site_jets(dataclasses.replace(frame), [0, 12], t)
         # a new time drops every site of the old one
         site_jets(frame, [12], 2 * t)
-        assert set(frame._site_jets) == {(2 * t, m) for m in {11, 12, 13} | state_sites}
+        assert _kept(frame) == (2 * t, {11, 12, 13} | state_sites)
 
 
 def test_window_u_is_site_u_bit_for_bit(ctx1, ctx2, monkeypatch):
@@ -921,10 +941,42 @@ def test_window_u_is_site_u_bit_for_bit(ctx1, ctx2, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(toda_mod, "sigma_jet2", spy)
             site_jets(frame, [-3, 0, 4, 9], t)
-        sites = sorted(key[1] for key in frame._site_jets)
+        sites = sorted(_kept(frame)[1])
         assert len(stacks) == 1 and len(sites) == len(stacks[0])
         for n, u in zip(sites, stacks[0]):
             assert u.tobytes() == site_u(frame, n, t).tobytes()
+
+
+def test_toda_state_is_its_flaschka_pairs_from_one_pass(ctx1, monkeypatch):
+    # the state reads the jets of sites 1..N+2 once and forms each pair with
+    # flaschka's arithmetic: the bits of N flaschka calls, and one stacked
+    # sigma_jet2 call per frame and time
+    toda_mod = importlib.import_module("sigmatoda.toda")
+    kernel, calls = toda_mod.sigma_jet2, []
+
+    def counted(ctx, u, d1, d2):
+        calls.append(len(u))
+        return kernel(ctx, u, d1, d2)
+
+    for order in (3, 4):
+        frame = _periodic_frame(ctx1, order)
+        assert frame.periodic == order
+        for t in (0.0, 0.03 - 0.02j):
+            fresh = dataclasses.replace(frame)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(toda_mod, "sigma_jet2", counted)
+                state = toda_state(fresh, order, t)
+                pairs = [flaschka(fresh, k, t) for k in range(1, order + 1)]
+            # sites 0..N+3: the state's 1..N+2 and their neighbours
+            assert calls == [order + 4]
+            assert _kept(fresh) == (t, set(range(0, order + 4)))
+            a, b = zip(*pairs)
+            assert state.a.tobytes() == np.array(a).tobytes()
+            assert state.b.tobytes() == np.array(b).tobytes()
+            # each flaschka call on a frame of its own fills its own window
+            for k, pair in enumerate(pairs, start=1):
+                assert flaschka(dataclasses.replace(frame), k, t) == pair
 
 
 def _record_bits(rec):
